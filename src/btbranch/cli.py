@@ -88,48 +88,7 @@ def _shape_record(shape) -> dict:
 
 
 def _relpos_record(pred) -> dict:
-    # the kind names match MeasuredShape so the two sides line up
-    rec = {"kind": {"Disjoint": "disjoint", "Overlap": "path",
-                    "SharedRay": "ray", "SharedMaxPath": "maxpath",
-                    "FoliageMeet": "blob",
-                    "FoliageContained": "contained"}[type(pred).__name__]}
-    for attr in ("distance", "length", "diameter", "depth", "stem_is_edge"):
-        if hasattr(pred, attr):
-            rec[attr] = getattr(pred, attr)
-    return rec
-
-
-def _measured_record(meas) -> dict:
-    return asdict(meas)
-
-
-def _report_record(rep) -> dict:
-    return {
-        "seed": rep.seed, "tau": rep.tau, "radius": rep.radius,
-        "margin": rep.margin, "count": rep.count,
-        "pairs": {"attempted": rep.pair_attempted, "safe": rep.pair_safe,
-                  "matched": rep.pair_matched,
-                  "mismatched": rep.pair_mismatched,
-                  "skipped": rep.pair_skipped},
-        "cells": dict(sorted(rep.cells.items())),
-        "coverage": dict(sorted(rep.coverage.items())),
-        "branches": {"attempted": rep.branch_attempted,
-                     "matched": rep.branch_matched,
-                     "mismatched": rep.branch_mismatched,
-                     "skipped": rep.branch_skipped},
-        "branch_classes": dict(sorted(rep.branch_classes.items())),
-        "defects": {"checked": rep.defect_checked,
-                    "disagreements": rep.defect_disagreements},
-        "symbols": {"specs": rep.symbol_specs,
-                    "conclusive": rep.symbol_conclusive,
-                    "disagreements": rep.symbol_disagreements},
-        "sign_reading": {"instances": rep.tsign_total,
-                         "negative_correction": rep.tsign_implemented,
-                         "floor_reading": rep.tsign_floor},
-        "skipped": sorted(rep.skipped_list),
-        "mismatches": sorted(rep.mismatch_list),
-        "passing": rep.passing,
-    }
+    return {"kind": pred.kind, **asdict(pred)}
 
 
 # -- subcommands ----------------------------------------------------
@@ -211,7 +170,7 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
           f"predicted: {pred.render()}\nmeasured:  {meas_text}\n"
           f"verdict: {verdict}",
           {"predicted": _relpos_record(pred),
-           "measured": _measured_record(meas),
+           "measured": asdict(meas),
            "match": ok, "note": "" if ok else why})
     if cfg.dot:
         s1 = oracle_branch(pair.q1, window)
@@ -257,7 +216,7 @@ def _cmd_exists(cfg: RunConfig, args) -> int:
 def _cmd_selftest(cfg: RunConfig, args) -> int:
     rep = run_selftest(cfg.seed, cfg.tau, cfg.modulus, args.count,
                        cfg.window_radius, cfg.margin, cfg.prec)
-    _emit(cfg, rep.render().rstrip("\n"), _report_record(rep))
+    _emit(cfg, rep.render().rstrip("\n"), rep.record())
     return 0 if rep.passing else 1
 
 

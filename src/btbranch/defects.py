@@ -11,12 +11,11 @@ witness so callers can reconstruct roots and fixed points from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 from .gf2 import ff_artin_schreier_root, ff_sqrt, ff_trace
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
                      s_div, s_from_terms, s_monomial, s_mul, s_sqrt,
-                     s_truncate, s_zero, val_ge)
+                     s_truncate, s_zero)
 
 
 @dataclass(frozen=True)
@@ -247,11 +246,6 @@ def solve_quadratic(c: Series, d: Series,
     return (y0, s_add(y0, c))
 
 
-def ideal_val_or_inf(i: Ideal):
-    """Valuation of the ideal, with the zero ideal at +infinity."""
-    return inf if i.val is None else i.val
-
-
 def defect_in_image(kind_ideal: Ideal, separable: bool) -> bool:
     """Image law: as-defects land in {(0), O, (t^odd<0)}; square defects
     in {(0)} plus odd positive exponents (for integral input)."""
@@ -261,8 +255,3 @@ def defect_in_image(kind_ideal: Ideal, separable: bool) -> bool:
     if separable:
         return v < 0 and v % 2 == 1
     return v % 2 == 1
-
-
-def s_is_integral(a: Series) -> bool:
-    """Certified membership in the integer ring F_(2^tau)[[t]]."""
-    return val_ge(a, 0)

@@ -15,9 +15,8 @@ vanishing discriminant) in one ordered type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import total_ordering
-from math import inf
 
 from .defects import (RAMIFIED_INSEP, RAMIFIED_SEP, REDUCIBLE_INSEP,
                       REDUCIBLE_SEP, UNRAMIFIED_SEP, solve_quadratic)
@@ -25,7 +24,7 @@ from .mat2 import (Mat2, PairConfig, ScalarMatrix, discriminant_params,
                    is_scalar, m_add, m_mul, min_poly)
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
                      s_div, s_inv, s_mul, s_render, s_sqrt, s_val)
-from .tree import MeasuredShape, Vertex, Window
+from .tree import MeasuredShape, Vertex, Window, tree_distance
 
 # -- exact half-integers with the three infinities ------------------
 
@@ -216,22 +215,19 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
 
 # -- materialisation ------------------------------------------------
 #
-# Centers coming out of branch_shape are known to the working precision
-# only.  Every valuation below is either capped by a window-scale bound
-# or, when it exceeds the precision, so large that the membership
-# inequality is settled anyway; that is sound as long as the working
-# precision dwarfs window radius + depth, which it does by default.
+# Centers and ends coming out of branch_shape are known to the working
+# precision only.  Every valuation below is capped by the level of the
+# vertex it serves: beyond the cap the membership inequality no longer
+# depends on it, and below the cap it is either seen or refused.
 
-def _val_seen(x: Series):
+def _val_capped(x: Series, cap: int) -> int:
+    """min(cap, val(x)), certified: raises when x looks zero below cap."""
     if x.coeffs:
-        return x.lead
-    return inf if x.prec is None else x.prec
-
-
-def vertex_distance(v: Vertex, w: Vertex) -> int:
-    """tree_distance that tolerates centers agreeing beyond precision."""
-    m = min(v.r, w.r, _val_seen(s_add(v.center, w.center)))
-    return (v.r - m) + (w.r - m)
+        return min(cap, x.lead)
+    if x.prec is None or x.prec >= cap:
+        return cap
+    raise UndeterminedAtPrecision(
+        f"valuation needed up to {cap}, series is 0 mod t^{x.prec}")
 
 
 def dist_to_path(v: Vertex, e1: ProjPoint, e2: ProjPoint) -> int:
@@ -240,14 +236,14 @@ def dist_to_path(v: Vertex, e1: ProjPoint, e2: ProjPoint) -> int:
     if not finite:
         raise ValueError("a path needs two distinct ends")
     if len(finite) == 1:
-        p = min(v.r, _val_seen(s_add(v.center, finite[0].value)))
-        return v.r - p
-    m = _val_seen(s_add(e1.value, e2.value))
-    if m == inf:
+        return v.r - _val_capped(s_add(v.center, finite[0].value), v.r)
+    gap = s_add(e1.value, e2.value)
+    if gap.is_zero:
         raise ValueError("the two ends coincide")
+    m = s_val(gap)
     best = None
     for e in finite:
-        p = min(v.r, _val_seen(s_add(v.center, e.value)))
+        p = _val_capped(s_add(v.center, e.value), v.r)
         d = v.r - p if p >= m else v.r + m - 2 * p
         best = d if best is None else min(best, d)
     return best
@@ -257,12 +253,12 @@ def shape_member(shape: BranchShape, v: Vertex) -> bool:
     if isinstance(shape, InfiniteFoliage):
         if shape.end.is_infinity:
             return v.r <= shape.level
-        p = min(v.r, _val_seen(s_add(v.center, shape.end.value)))
+        p = _val_capped(s_add(v.center, shape.end.value), v.r)
         return v.r + shape.level <= 2 * p
     if shape.stem_kind == "maxpath":
         d = dist_to_path(v, *shape.ends)
     else:
-        d = min(vertex_distance(v, u) for u in shape.stem)
+        d = min(tree_distance(v, u) for u in shape.stem)
     return d <= shape.depth
 
 
@@ -293,9 +289,14 @@ def fake_distance(lam: Series, m1, m2) -> HalfInt:
 
 
 # -- relative positions ---------------------------------------------
+#
+# Each class names the MeasuredShape kind it predicts (``kind``) and the
+# word its wrong-kind message uses (``noun``); its fields are exactly
+# the MeasuredShape fields the measurement has to reproduce.
 
 @dataclass(frozen=True)
 class Disjoint:
+    kind = noun = "disjoint"
     distance: int
 
     def render(self) -> str:
@@ -304,6 +305,7 @@ class Disjoint:
 
 @dataclass(frozen=True)
 class Overlap:
+    kind, noun = "path", "overlap"
     length: int
 
     def render(self) -> str:
@@ -312,18 +314,23 @@ class Overlap:
 
 @dataclass(frozen=True)
 class SharedRay:
+    kind = noun = "ray"
+
     def render(self) -> str:
         return "stems share a ray"
 
 
 @dataclass(frozen=True)
 class SharedMaxPath:
+    kind = noun = "maxpath"
+
     def render(self) -> str:
         return "stems share a maximal path"
 
 
 @dataclass(frozen=True)
 class FoliageMeet:
+    kind, noun = "blob", "foliage meet"
     diameter: int
     depth: int
     stem_is_edge: bool
@@ -336,6 +343,8 @@ class FoliageMeet:
 
 @dataclass(frozen=True)
 class FoliageContained:
+    kind, noun = "contained", "containment"
+
     def render(self) -> str:
         return "one foliage contains the other"
 
@@ -377,41 +386,19 @@ def predict_relpos(pair: PairConfig) -> RelPos:
     return Overlap(length.as_int)
 
 
+_FIELD_WORDS = {"length": "overlap length",
+                "stem_is_edge": "stem vertex/edge parity"}
+
+
 def check_agreement(pred: RelPos, meas: MeasuredShape) -> tuple[bool, str]:
     """Does a certified measurement corroborate a prediction?"""
     if not meas.certified:
         return False, f"measurement uncertified: {meas.note or meas.kind}"
-    if isinstance(pred, Disjoint):
-        if meas.kind != "disjoint":
-            return False, f"predicted disjoint, measured {meas.kind}"
-        if meas.distance != pred.distance:
-            return False, (f"distance mismatch: predicted {pred.distance}, "
-                           f"measured {meas.distance}")
-        return True, "ok"
-    if isinstance(pred, Overlap):
-        if meas.kind != "path":
-            return False, f"predicted overlap, measured {meas.kind}"
-        if meas.length != pred.length:
-            return False, (f"overlap length mismatch: predicted {pred.length}, "
-                           f"measured {meas.length}")
-        return True, "ok"
-    if isinstance(pred, SharedRay):
-        return (meas.kind == "ray", f"predicted ray, measured {meas.kind}")
-    if isinstance(pred, SharedMaxPath):
-        return (meas.kind == "maxpath", f"predicted maxpath, measured {meas.kind}")
-    if isinstance(pred, FoliageMeet):
-        if meas.kind != "blob":
-            return False, f"predicted foliage meet, measured {meas.kind}"
-        if meas.diameter != pred.diameter:
-            return False, (f"diameter mismatch: predicted {pred.diameter}, "
-                           f"measured {meas.diameter}")
-        if meas.depth != pred.depth:
-            return False, (f"depth mismatch: predicted {pred.depth}, "
-                           f"measured {meas.depth}")
-        if meas.stem_is_edge != pred.stem_is_edge:
-            return False, "stem vertex/edge parity mismatch"
-        return True, "ok"
-    if isinstance(pred, FoliageContained):
-        return (meas.kind == "contained",
-                f"predicted containment, measured {meas.kind}")
-    return False, f"unknown prediction {pred!r}"
+    if meas.kind != pred.kind:
+        return False, f"predicted {pred.noun}, measured {meas.kind}"
+    for f in fields(pred):
+        want, got = getattr(pred, f.name), getattr(meas, f.name)
+        if want != got:
+            return False, (f"{_FIELD_WORDS.get(f.name, f.name)} mismatch: "
+                           f"predicted {want}, measured {got}")
+    return True, "ok"

@@ -51,19 +51,6 @@ def _is_irreducible(p: int) -> bool:
     return True
 
 
-# a few conventional moduli so small fields work without flags
-DEFAULT_MODULI = {
-    1: 0b10,        # x
-    2: 0b111,       # x^2+x+1
-    3: 0b1011,      # x^3+x+1
-    4: 0b10011,     # x^4+x+1
-    5: 0b100101,
-    6: 0b1000011,
-    7: 0b10000011,
-    8: 0b100011011,
-}
-
-
 @dataclass(frozen=True)
 class FieldConfig:
     """The residue field F_(2^tau), fixed by an irreducible modulus."""
@@ -89,8 +76,12 @@ class FieldConfig:
 
 
 def field(tau: int, modulus: int | None = None) -> FieldConfig:
+    """F_(2^tau); by default modulo the lowest irreducible of degree tau."""
     if modulus is None:
-        modulus = DEFAULT_MODULI[tau]
+        if not 1 <= tau <= 16:
+            raise ValueError(f"tau={tau} out of supported range 1..16")
+        modulus = next(p for p in range(1 << tau, 2 << tau)
+                       if _is_irreducible(p))
     return FieldConfig(tau, modulus)
 
 

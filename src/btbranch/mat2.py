@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .defects import QuadPoly, classify
-from .series import (DEFAULT_PREC, Series, s_add, s_inv, s_mul, s_parse,
-                     s_render, s_zero, val_ge)
+from .series import (DEFAULT_PREC, Series, _split_top, s_add, s_inv, s_mul,
+                     s_parse, s_render, s_zero, val_ge)
 
 
 class ScalarMatrix(Exception):
@@ -42,11 +42,6 @@ class Mat2:
 def m_from_rows(rows) -> Mat2:
     (a, b), (c, d) = rows
     return Mat2(a, b, c, d)
-
-
-def m_zero(fld) -> Mat2:
-    z = s_zero(fld)
-    return Mat2(z, z, z, z)
 
 
 def m_scalar(x: Series) -> Mat2:
@@ -182,29 +177,13 @@ def _strip_brackets(text: str) -> str:
     return t[1:-1]
 
 
-def _split_commas(text: str):
-    depth = 0
-    start = 0
-    out = []
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            out.append(text[start:i])
-            start = i + 1
-    out.append(text[start:])
-    return out
-
-
 def m_parse(cfg, text: str) -> Mat2:
-    rows = _split_commas(_strip_brackets(text))
+    rows = list(_split_top(_strip_brackets(text), ","))
     if len(rows) != 2:
         raise ValueError(f"expected 2 rows, got {len(rows)}")
     entries = []
     for row in rows:
-        cells = _split_commas(_strip_brackets(row))
+        cells = list(_split_top(_strip_brackets(row), ","))
         if len(cells) != 2:
             raise ValueError(f"expected 2 entries per row, got {len(cells)}")
         entries.append([s_parse(cfg, cell) for cell in cells])

@@ -252,12 +252,9 @@ def _cell_label(pair) -> str:
     return "/".join(sorted((pair.m1.cell, pair.m2.cell)))
 
 
-def _pred_name(pred) -> str:
-    return type(pred).__name__
-
-
 def _run_pair_instance(pair, window, margin, prec):
-    """Returns (status, detail): status in matched/mismatched/skipped."""
+    """Returns (status, detail, pred, meas): status in matched/mismatched/
+    skipped; meas is None when the window is too small to look."""
     pred = predict_relpos(pair)
     shapes = (branch_shape(pair.q1, prec), branch_shape(pair.q2, prec))
     predicted_sets = (shape_members(shapes[0], window),
@@ -265,12 +262,12 @@ def _run_pair_instance(pair, window, margin, prec):
     dry = measure_intersection(pair, window, margin, sets=predicted_sets)
     ok, why = check_agreement(pred, dry)
     if not ok:
-        return "skipped", f"window too small for prediction: {why}"
+        return "skipped", f"window too small for prediction: {why}", pred, None
     meas = measure_intersection(pair, window, margin)
     ok, why = check_agreement(pred, meas)
     if ok:
-        return "matched", _pred_name(pred)
-    return "mismatched", why
+        return "matched", type(pred).__name__, pred, meas
+    return "mismatched", why, pred, meas
 
 
 # -- branch suite ---------------------------------------------------
@@ -477,41 +474,65 @@ class SelfTestReport:
                 and self.defect_disagreements == 0
                 and self.symbol_disagreements == 0)
 
+    def record(self) -> dict:
+        """The report as plain data: the JSON form, and what render prints."""
+        return {
+            "seed": self.seed, "tau": self.tau, "radius": self.radius,
+            "margin": self.margin, "count": self.count,
+            "pairs": {"attempted": self.pair_attempted, "safe": self.pair_safe,
+                      "matched": self.pair_matched,
+                      "mismatched": self.pair_mismatched,
+                      "skipped": self.pair_skipped},
+            "cells": dict(sorted(self.cells.items())),
+            "coverage": dict(sorted(self.coverage.items())),
+            "branches": {"attempted": self.branch_attempted,
+                         "matched": self.branch_matched,
+                         "mismatched": self.branch_mismatched,
+                         "skipped": self.branch_skipped},
+            "branch_classes": dict(sorted(self.branch_classes.items())),
+            "defects": {"checked": self.defect_checked,
+                        "disagreements": self.defect_disagreements},
+            "symbols": {"specs": self.symbol_specs,
+                        "conclusive": self.symbol_conclusive,
+                        "disagreements": self.symbol_disagreements},
+            "sign_reading": {"instances": self.tsign_total,
+                             "negative_correction": self.tsign_implemented,
+                             "floor_reading": self.tsign_floor},
+            "skipped": sorted(self.skipped_list),
+            "mismatches": sorted(self.mismatch_list),
+            "passing": self.passing,
+        }
+
     def render(self) -> str:
-        out = [f"selftest seed={self.seed} tau={self.tau} "
-               f"radius={self.radius} margin={self.margin} count={self.count}",
-               f"pairs: attempted={self.pair_attempted} safe={self.pair_safe} "
-               f"matched={self.pair_matched} mismatched={self.pair_mismatched} "
-               f"skipped={self.pair_skipped}"]
-        for key in sorted(self.cells):
-            out.append(f"  cell {key}: {self.cells[key]}")
-        for key in sorted(self.coverage):
-            out.append(f"  coverage {key}: {self.coverage[key]}")
-        out.append(f"branches: attempted={self.branch_attempted} "
-                   f"matched={self.branch_matched} "
-                   f"mismatched={self.branch_mismatched} "
-                   f"skipped={self.branch_skipped}")
-        for key in sorted(self.branch_classes):
-            out.append(f"  class {key}: {self.branch_classes[key]}")
-        out.append(f"defects: checked={self.defect_checked} "
-                   f"disagreements={self.defect_disagreements}")
-        out.append(f"symbols: specs={self.symbol_specs} "
-                   f"conclusive={self.symbol_conclusive} "
-                   f"disagreements={self.symbol_disagreements}")
-        out.append(f"sign reading: instances={self.tsign_total} "
-                   f"negative-correction matched={self.tsign_implemented} "
-                   f"floor reading matched={self.tsign_floor}")
+        rec = self.record()
+
+        def counts(key):
+            return " ".join(f"{k}={v}" for k, v in rec[key].items())
+
+        head = " ".join(f"{k}={rec[k]}"
+                        for k in ("seed", "tau", "radius", "margin", "count"))
+        out = [f"selftest {head}", f"pairs: {counts('pairs')}"]
+        out += [f"  cell {k}: {v}" for k, v in rec["cells"].items()]
+        out += [f"  coverage {k}: {v}" for k, v in rec["coverage"].items()]
+        out.append(f"branches: {counts('branches')}")
+        out += [f"  class {k}: {v}" for k, v in rec["branch_classes"].items()]
+        out.append(f"defects: {counts('defects')}")
+        out.append(f"symbols: {counts('symbols')}")
+        sign = rec["sign_reading"]
+        out.append(f"sign reading: instances={sign['instances']} "
+                   f"negative-correction matched={sign['negative_correction']} "
+                   f"floor reading matched={sign['floor_reading']}")
         out.append("  resolution: ramified separable corrections enter "
                    "negatively; the literal floor reading fails above")
-        if self.skipped_list:
+        if rec["skipped"]:
             out.append("skipped:")
-            out.extend(f"  {line}" for line in sorted(self.skipped_list))
-        if self.mismatch_list:
+            out.extend(f"  {line}" for line in rec["skipped"])
+        if rec["mismatches"]:
             out.append("mismatches:")
-            out.extend(f"  {line}" for line in sorted(self.mismatch_list))
+            out.extend(f"  {line}" for line in rec["mismatches"])
         else:
             out.append("mismatches: none")
-        out.append(f"verdict: {'PASS' if self.passing else 'FAIL'}")
+        out.append(f"verdict: {'PASS' if rec['passing'] else 'FAIL'}")
         return "\n".join(out) + "\n"
 
 
@@ -540,8 +561,11 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
             continue
         cell = _cell_label(pair)
         try:
-            status, detail = _run_pair_instance(pair, window, margin, prec)
-        except (UndeterminedAtPrecision, ValueError) as exc:
+            status, detail, pred, meas = _run_pair_instance(pair, window,
+                                                            margin, prec)
+        except UndeterminedAtPrecision as exc:
+            status, detail = "skipped", f"undetermined at precision: {exc}"
+        except ValueError as exc:
             status, detail = "mismatched", f"prediction failed: {exc}"
         if status == "skipped":
             report.pair_skipped += 1
@@ -553,7 +577,6 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
             report.pair_matched += 1
             report.cells[f"{cell} matched"] += 1
             report.coverage[f"{cell} {detail}"] += 1
-            pred = predict_relpos(pair)
             if (isinstance(pred, (Disjoint, Overlap))
                     and RAMIFIED_SEP in (pair.m1.kind, pair.m2.kind)
                     and fake_distance(pair.lam, pair.m1, pair.m2).kind == "fin"):
@@ -561,7 +584,6 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
                 # readings of the ramified separable correction
                 report.tsign_total += 1
                 report.tsign_implemented += 1
-                meas = measure_intersection(pair, window, margin)
                 alt = _floor_relpos(pair)
                 if alt is not None and check_agreement(alt, meas)[0]:
                     report.tsign_floor += 1
@@ -578,7 +600,10 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
             report.branch_skipped += 1
             report.skipped_list.append(f"branch #{idx}: generation exhausted")
             continue
-        status, detail = _run_branch_instance(q, window, margin, prec)
+        try:
+            status, detail = _run_branch_instance(q, window, margin, prec)
+        except UndeterminedAtPrecision as exc:
+            status, detail = "skipped", f"undetermined at precision: {exc}"
         report.branch_classes[f"{kind} {status}"] += 1
         if status == "matched":
             report.branch_matched += 1

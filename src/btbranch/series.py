@@ -15,7 +15,6 @@ UndeterminedAtPrecision instead of guessing.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from math import inf
@@ -165,22 +164,6 @@ def s_add(a: Series, b: Series) -> Series:
     for i, c in enumerate(b.coeffs):
         coeffs[b.lead - lo + i] ^= c
     return Series(a.field, lo, tuple(coeffs), prec)
-
-
-def s_scale(a: Series, c: int) -> Series:
-    """Multiply by a residue-field constant (precision is unchanged)."""
-    if c == 0:
-        return Series(a.field, 0, (), a.prec)
-    if c == 1:
-        return a
-    return Series(a.field, a.lead,
-                  tuple(ff_mul(a.field, c, x) for x in a.coeffs), a.prec)
-
-
-def s_shift(a: Series, k: int) -> Series:
-    """Multiply by t^k.  Exact in both directions."""
-    return Series(a.field, a.lead + k, a.coeffs,
-                  None if a.prec is None else a.prec + k)
 
 
 def s_mul(a: Series, b: Series) -> Series:
@@ -377,10 +360,3 @@ def s_random(cfg: FieldConfig, rng, lo: int, hi: int, *,
         a = s_from_terms(cfg, terms, None)
         if a.coeffs or not nonzero:
             return a
-
-
-def s_units_upto(cfg: FieldConfig, degree: int):
-    """All exact units 1 + (terms of exponent 1..degree); small fields only."""
-    opts = range(cfg.order)
-    for tail in itertools.product(opts, repeat=degree):
-        yield s_from_terms(cfg, {0: 1, **{i + 1: c for i, c in enumerate(tail)}})

@@ -253,7 +253,9 @@ def complete_in_window(members: set[Vertex], window: Window,
 class MeasuredShape:
     """What the window measurement actually saw of a stem intersection.
 
-    kind is one of: disjoint, path, ray, maxpath, blob, contained.
+    kind is one of: disjoint, path, ray, maxpath, blob, contained, the
+    same set the predicted position classes in ``geometry`` carry as
+    their ``kind``; each class's fields name the fields compared here.
     Unset fields do not apply to the kind.  ``certified`` means every
     number reported was pinned down inside the window per the margin
     rules; an uncertified shape is a request for a larger window, not
@@ -316,19 +318,13 @@ def _measure_foliage_meet(s1, s2, window, margin):
               and window.boundary_distance(v) >= margin)
         return MeasuredShape("disjoint", ok, distance=d)
     diam, _, _ = set_diameter(inter, window)
-    complete = complete_in_window(inter, window, margin)
-    ld = local_depths(inter, window)
-    certified = {v: d for v, d in ld.items()
-                 if d <= window.boundary_distance(v)}
-    if not certified:
+    mb = measure_branch(inter, window, margin)
+    if mb.depth is None:
         return MeasuredShape("blob", False, diameter=diam,
                              note="no certified vertex in the meet")
-    dstar = max(certified.values())
-    guard = any(d == dstar and window.boundary_distance(v) >= dstar + margin
-                for v, d in certified.items())
-    stem = {v for v, d in certified.items() if d == dstar}
-    return MeasuredShape("blob", complete and guard, diameter=diam,
-                         depth=dstar - 1, stem_is_edge=len(stem) == 2)
+    return MeasuredShape("blob", complete_in_window(inter, window, margin)
+                         and mb.certified, diameter=diam, depth=mb.depth,
+                         stem_is_edge=len(mb.core) == 2)
 
 
 def measure_intersection(pair, window: Window, margin: int = 2,
@@ -337,11 +333,12 @@ def measure_intersection(pair, window: Window, margin: int = 2,
 
     Foliage branches (reducible inseparable factors) are their own
     stems; every other class has a deep core extracted by
-    measure_branch.  The result mirrors the vocabulary of the position
-    predictor so the two can be compared verbatim.  ``sets`` substitutes
-    precomputed member sets for the oracle ones; the self-test uses that
-    to dry-run the measurement on predicted sets and decide whether the
-    window is big enough before looking at the real thing.
+    measure_branch.  The result's ``kind`` is the ``kind`` of the
+    predicted position class, so check_agreement compares the two field
+    by field.  ``sets`` substitutes precomputed member sets for the
+    oracle ones; the self-test uses that to dry-run the measurement on
+    predicted sets and decide whether the window is big enough before
+    looking at the real thing.
     """
     from .defects import REDUCIBLE_INSEP
     if sets is None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+
 import pytest
 
 from btbranch.defects import (QuadPoly, RAMIFIED_INSEP, RAMIFIED_SEP,
@@ -12,11 +14,11 @@ from btbranch.geometry import (HalfInt, INF, InfiniteFoliage, NEG_INF,
                                Disjoint, dist_to_path, fake_distance,
                                FoliageContained, FoliageMeet, Overlap,
                                predict_relpos, shape_member, shape_members,
-                               stem_length_of_kind, vertex_distance)
+                               stem_length_of_kind)
 from btbranch.mat2 import (Mat2, PairConfig, companion, m_conj, make_pair)
 from btbranch.series import (UndeterminedAtPrecision, s_one, s_parse, s_zero)
-from btbranch.tree import (Vertex, enumerate_window, measure_intersection,
-                           oracle_branch)
+from btbranch.tree import (MeasuredShape, Vertex, enumerate_window,
+                           measure_intersection, oracle_branch)
 
 F1 = field(1)
 
@@ -133,10 +135,6 @@ def test_distance_to_the_standard_path():
     assert dist_to_path(Vertex(-2, s_zero(F1)), zero, one) == 2
 
 
-def test_vertex_distance_agrees_with_the_tree_metric():
-    assert vertex_distance(Vertex(2, _p("t")), Vertex(1, _p("1 + t"))) == 3
-
-
 # the case table
 
 
@@ -232,6 +230,32 @@ def test_agreement_on_a_certified_measurement():
     assert not wrong_kind[0]
     wrong_number = check_agreement(FoliageMeet(4, 2, False), meas)
     assert not wrong_number[0]
+
+
+_EVERY_POSITION = [
+    (Disjoint(2), "disjoint", "disjoint"),
+    (Overlap(1), "path", "overlap"),
+    (SharedRay(), "ray", "ray"),
+    (SharedMaxPath(), "maxpath", "maxpath"),
+    (FoliageMeet(2, 1, False), "blob", "foliage meet"),
+    (FoliageContained(), "contained", "containment"),
+]
+
+
+@pytest.mark.parametrize("pred,kind,noun", _EVERY_POSITION,
+                         ids=[k for _, k, _ in _EVERY_POSITION])
+def test_agreement_compares_kind_then_every_field(pred, kind, noun):
+    assert pred.kind == kind
+    same = MeasuredShape(kind, True, **asdict(pred))
+    assert check_agreement(pred, same) == (True, "ok")
+    other = "blob" if kind == "path" else "path"
+    assert check_agreement(pred, replace(same, kind=other)) == \
+        (False, f"predicted {noun}, measured {other}")
+    for name, value in asdict(pred).items():
+        changed = not value if isinstance(value, bool) else value + 1
+        ok, why = check_agreement(pred, replace(same, **{name: changed}))
+        assert not ok and "mismatch" in why
+    assert not check_agreement(pred, replace(same, certified=False))[0]
 
 
 def test_agreement_requires_certification():

@@ -18,9 +18,19 @@ def test_default_moduli_cover_one_through_eight():
         assert cfg.order == 2 ** tau
 
 
-def test_unknown_degree_without_modulus_is_an_error():
-    with pytest.raises(LookupError):
-        field(9)
+def test_default_modulus_is_the_lowest_irreducible_of_its_degree():
+    conventional = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101,
+                    6: 0b1000011, 7: 0b10000011, 8: 0b100011011}
+    for tau, modulus in conventional.items():
+        assert field(tau).modulus == modulus
+    assert field(9).modulus == 0b1000000011
+    assert field(16).order == 2 ** 16
+
+
+@pytest.mark.parametrize("tau", (0, 17, 1000))
+def test_degree_outside_the_supported_range_is_an_error(tau):
+    with pytest.raises(ValueError, match="out of supported range"):
+        field(tau)
 
 
 def test_addition_is_xor():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from btbranch.cli import main
 from btbranch.selftest import run_selftest
 
@@ -37,6 +39,27 @@ def test_empty_run_is_trivially_green():
     assert report.passing
     assert report.pair_attempted == 0
     assert report.defect_checked == 0
+
+
+@pytest.mark.parametrize("prec", (4, 6, 8, 10, 16))
+def test_low_precision_skips_instead_of_mismatching(prec):
+    report = run_selftest(seed=7, tau=1, count=30, radius=6, prec=prec)
+    assert report.pair_mismatched == 0
+    assert report.branch_mismatched == 0
+    assert (len(report.skipped_list)
+            == report.pair_skipped + report.branch_skipped)
+    for line in report.skipped_list:
+        assert line.partition(": ")[2].strip(), line
+
+
+def test_render_is_built_from_the_record():
+    report = run_selftest(seed=11, tau=1, count=10, radius=6)
+    rec = report.record()
+    text = report.render()
+    pairs = rec["pairs"]
+    assert (f"pairs: attempted={pairs['attempted']} safe={pairs['safe']} "
+            f"matched={pairs['matched']}") in text
+    assert text.endswith(f"verdict: {'PASS' if rec['passing'] else 'FAIL'}\n")
 
 
 # command line: exit codes
@@ -82,6 +105,35 @@ def test_cli_relpos_predicts_a_blob(capsys):
     rec = json.loads(out)
     assert rec == {"kind": "blob", "diameter": 2, "depth": 1,
                    "stem_is_edge": False}
+
+
+@pytest.mark.parametrize("q1,q2,kind", [
+    ("[[0,1],[0,0]]", "[[0,0],[t^-1,0]]", "disjoint"),
+    ("[[1,0],[0,0]]", "[[0,1],[1,1]]", "path"),
+    ("[[1,0],[0,0]]", "[[1,0],[1,0]]", "ray"),
+    ("[[1,0],[0,0]]", "[[0,0],[0,1]]", "maxpath"),
+    ("[[0,1],[0,0]]", "[[t,1],[t^2,t]]", "blob"),
+    ("[[0,1],[0,0]]", "[[0,t],[0,0]]", "contained"),
+])
+def test_cli_relpos_and_oracle_report_one_kind(capsys, q1, q2, kind):
+    code, out, _ = run_cli(capsys, ["relpos", q1, q2, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["kind"] == kind
+    code, out, _ = run_cli(capsys, ["oracle", q1, q2, "--radius", "6",
+                                    "--format", "json"])
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["predicted"]["kind"] == rec["measured"]["kind"] == kind
+
+
+def test_cli_builds_residue_fields_up_to_degree_sixteen(capsys):
+    code, out, _ = run_cli(capsys, ["classify", "--tau", "9", "0", "t"])
+    assert code == 0
+    assert "ramified_insep" in out
+    for tau in ("17", "1000"):
+        code, _, err = run_cli(capsys, ["classify", "--tau", tau, "0", "t"])
+        assert code == 2
+        assert "out of supported range" in err
 
 
 def test_cli_distance_prints_the_prediction(capsys):
