@@ -161,7 +161,10 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
     pair = make_pair(m_parse(fld, args.q1), m_parse(fld, args.q2), cfg.prec)
     pred = predict_relpos(pair)
     window = enumerate_window(fld, cfg.window_radius)
-    meas = measure_intersection(pair, window, cfg.margin)
+    sets = None
+    if cfg.dot:
+        sets = (oracle_branch(pair.q1, window), oracle_branch(pair.q2, window))
+    meas = measure_intersection(pair, window, cfg.margin, sets=sets)
     ok, why = check_agreement(pred, meas)
     verdict = "MATCH" if ok else f"MISMATCH ({why})"
     meas_text = ", ".join(f"{k}={v}" for k, v in asdict(meas).items()
@@ -173,8 +176,7 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
            "measured": asdict(meas),
            "match": ok, "note": "" if ok else why})
     if cfg.dot:
-        s1 = oracle_branch(pair.q1, window)
-        s2 = oracle_branch(pair.q2, window)
+        s1, s2 = sets
         groups = {"violet": s1 & s2, "lightblue": s1 - s2, "salmon": s2 - s1}
         with open(cfg.dot, "w") as fh:
             fh.write(dot_export(window, groups, "oracle"))

@@ -22,8 +22,8 @@ from .defects import (RAMIFIED_INSEP, RAMIFIED_SEP, REDUCIBLE_INSEP,
                       REDUCIBLE_SEP, UNRAMIFIED_SEP, solve_quadratic)
 from .mat2 import (Mat2, PairConfig, ScalarMatrix, discriminant_params,
                    is_scalar, m_add, m_mul, min_poly)
-from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
-                     s_div, s_inv, s_mul, s_render, s_sqrt, s_val)
+from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _min_prec,
+                     s_add, s_div, s_inv, s_mul, s_render, s_sqrt, s_val)
 from .tree import MeasuredShape, Vertex, Window, tree_distance
 
 # -- exact half-integers with the three infinities ------------------
@@ -220,50 +220,82 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
 # vertex it serves: beyond the cap the membership inequality no longer
 # depends on it, and below the cap it is either seen or refused.
 
-def _val_capped(x: Series, cap: int) -> int:
-    """min(cap, val(x)), certified: raises when x looks zero below cap."""
-    if x.coeffs:
-        return min(cap, x.lead)
-    if x.prec is None or x.prec >= cap:
+def _val_sum_capped(x: Series, y: Series, cap: int) -> int:
+    """min(cap, val(x + y)), certified, without building x + y.
+
+    Only the coefficients below min(cap, prec) can matter, and a vertex
+    level keeps that to a handful, so they are read off the two operands
+    instead of adding two series of working-precision length.  Raises
+    when the sum looks zero below cap.
+    """
+    if x.field != y.field:
+        raise ValueError("mixed residue fields")
+    prec = _min_prec(x.prec, y.prec)
+    hi = cap if prec is None else min(cap, prec)
+    xl, xc, yl, yc = x.lead, x.coeffs, y.lead, y.coeffs
+    nx, ny = len(xc), len(yc)
+    lo = min(xl if xc else hi, yl if yc else hi)
+    for e in range(lo, hi):
+        i, j = e - xl, e - yl
+        if (xc[i] if 0 <= i < nx else 0) != (yc[j] if 0 <= j < ny else 0):
+            return e
+    if prec is None or prec >= cap:
         return cap
     raise UndeterminedAtPrecision(
-        f"valuation needed up to {cap}, series is 0 mod t^{x.prec}")
+        f"valuation needed up to {cap}, series is 0 mod t^{prec}")
 
 
-def dist_to_path(v: Vertex, e1: ProjPoint, e2: ProjPoint) -> int:
-    """Distance from a ball to the maximal path between two distinct ends."""
-    finite = [e for e in (e1, e2) if not e.is_infinity]
+def _path_ends(e1: ProjPoint, e2: ProjPoint):
+    """The finite ends of a maximal path, and val(e1 + e2) if both are."""
+    finite = [e.value for e in (e1, e2) if not e.is_infinity]
     if not finite:
         raise ValueError("a path needs two distinct ends")
     if len(finite) == 1:
-        return v.r - _val_capped(s_add(v.center, finite[0].value), v.r)
-    gap = s_add(e1.value, e2.value)
+        return finite, None
+    gap = s_add(*finite)
     if gap.is_zero:
         raise ValueError("the two ends coincide")
-    m = s_val(gap)
+    return finite, s_val(gap)
+
+
+def _dist_from_ends(v: Vertex, finite: list[Series], m: int | None) -> int:
+    if m is None:
+        return v.r - _val_sum_capped(v.center, finite[0], v.r)
     best = None
     for e in finite:
-        p = _val_capped(s_add(v.center, e.value), v.r)
+        p = _val_sum_capped(v.center, e, v.r)
         d = v.r - p if p >= m else v.r + m - 2 * p
         best = d if best is None else min(best, d)
     return best
 
 
-def shape_member(shape: BranchShape, v: Vertex) -> bool:
+def dist_to_path(v: Vertex, e1: ProjPoint, e2: ProjPoint) -> int:
+    """Distance from a ball to the maximal path between two distinct ends."""
+    return _dist_from_ends(v, *_path_ends(e1, e2))
+
+
+def _member_test(shape: BranchShape):
+    """The membership predicate of a shape, its per-shape work done once."""
     if isinstance(shape, InfiniteFoliage):
         if shape.end.is_infinity:
-            return v.r <= shape.level
-        p = _val_capped(s_add(v.center, shape.end.value), v.r)
-        return v.r + shape.level <= 2 * p
+            return lambda v: v.r <= shape.level
+        end = shape.end.value
+        return lambda v: (v.r + shape.level
+                          <= 2 * _val_sum_capped(v.center, end, v.r))
     if shape.stem_kind == "maxpath":
-        d = dist_to_path(v, *shape.ends)
-    else:
-        d = min(tree_distance(v, u) for u in shape.stem)
-    return d <= shape.depth
+        finite, m = _path_ends(*shape.ends)
+        return lambda v: _dist_from_ends(v, finite, m) <= shape.depth
+    return lambda v: (min(tree_distance(v, u) for u in shape.stem)
+                      <= shape.depth)
+
+
+def shape_member(shape: BranchShape, v: Vertex) -> bool:
+    return _member_test(shape)(v)
 
 
 def shape_members(shape: BranchShape, window: Window) -> set[Vertex]:
-    return {v for v in window.vertices if shape_member(shape, v)}
+    test = _member_test(shape)
+    return {v for v in window.vertices if test(v)}
 
 
 # -- fake distance --------------------------------------------------

@@ -13,6 +13,13 @@ with tree distances, and a breadth-first search toward the complement
 of a member set under-approximates nothing once it stays clear of the
 window boundary.  That is the whole certification story: a measured
 quantity is trusted only where the boundary provably cannot interfere.
+
+A branch is a subtree, hence convex (Serre, *Trees*), and so is the
+window; their intersection is therefore connected in the window graph.
+``oracle_branch`` uses that and nothing else: it scans the window for
+one member, then grows the branch through the neighbours of the members
+found so far, so it tests the members and their rim instead of every
+vertex.  It never consults a predicted shape.
 """
 
 from __future__ import annotations
@@ -37,13 +44,21 @@ def reduce_center(z: Series, r: int) -> Series:
 
 @dataclass(frozen=True)
 class Vertex:
-    """The ball B_z^[r].  The stored center is always reduced mod t^r."""
+    """The ball B_z^[r].  The stored center is always reduced mod t^r.
+
+    Vertices are set and dict keys throughout, so the hash of (r, center)
+    -- the value the dataclass would compute -- is taken once, here.
+    """
 
     r: int
     center: Series
 
     def __post_init__(self):
         object.__setattr__(self, "center", reduce_center(self.center, self.r))
+        object.__setattr__(self, "_hash", hash((self.r, self.center)))
+
+    def __hash__(self):
+        return self._hash
 
     def render(self) -> str:
         return f"B[{s_render(self.center)}]^{self.r}"
@@ -128,7 +143,40 @@ def member(q: Mat2, v: Vertex) -> bool:
 
 
 def oracle_branch(q: Mat2, window: Window) -> set[Vertex]:
-    return {v for v in window.vertices if member(q, v)}
+    """The members of the window that lie in the branch of q.
+
+    The window is scanned in breadth-first order up to the first member;
+    from there the set grows through ``window.adj``, testing only
+    neighbours of members already found.  The branch and the window are
+    both convex, so their intersection is connected and the growth
+    reaches all of it; when the scan finds no member it has covered the
+    whole window and the set is empty.
+
+    On truncated q the answer is still certified.  Every vertex tested
+    here is also tested by a scan of the whole window, so this raises
+    UndeterminedAtPrecision only where that scan would, and every test
+    that returns is decided for every completion of q.  An untested
+    vertex is cut off from the members by tested non-members, so by
+    convexity it lies outside the branch of every completion alike.
+
+    The result is built in window order, as a full scan builds it, so
+    that its iteration order, and with it the tie-breaks further down
+    (the realizers of ``set_distance``), do not depend on the growth.
+    """
+    first = next((v for v in window.vertices if member(q, v)), None)
+    if first is None:
+        return set()
+    found = {first}
+    tested = {first}
+    stack = [first]
+    while stack:
+        for w in window.adj[stack.pop()]:
+            if w not in tested:
+                tested.add(w)
+                if member(q, w):
+                    found.add(w)
+                    stack.append(w)
+    return {v for v in window.vertices if v in found}
 
 
 # -- certified measurement ------------------------------------------
@@ -336,9 +384,9 @@ def measure_intersection(pair, window: Window, margin: int = 2,
     measure_branch.  The result's ``kind`` is the ``kind`` of the
     predicted position class, so check_agreement compares the two field
     by field.  ``sets`` substitutes precomputed member sets for the
-    oracle ones; the self-test uses that to dry-run the measurement on
-    predicted sets and decide whether the window is big enough before
-    looking at the real thing.
+    oracle ones: oracle sets a caller keeps for itself, or predicted
+    sets, on which the self-test dry-runs the measurement to decide
+    whether the window is big enough before looking at the real thing.
     """
     from .defects import REDUCIBLE_INSEP
     if sets is None:

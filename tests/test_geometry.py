@@ -2,13 +2,16 @@ from __future__ import annotations
 
 from dataclasses import asdict, replace
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btbranch.defects import (QuadPoly, RAMIFIED_INSEP, RAMIFIED_SEP,
                               REDUCIBLE_INSEP, REDUCIBLE_SEP, UNRAMIFIED_SEP,
                               classify)
 from btbranch.gf2 import field
-from btbranch.geometry import (HalfInt, INF, InfiniteFoliage, NEG_INF,
+from btbranch.geometry import (_val_sum_capped, HalfInt, INF, InfiniteFoliage, NEG_INF,
                                ProjPoint, SharedMaxPath, SharedRay, ThickLine,
                                TWO_INF, branch_shape, check_agreement,
                                Disjoint, dist_to_path, fake_distance,
@@ -16,9 +19,10 @@ from btbranch.geometry import (HalfInt, INF, InfiniteFoliage, NEG_INF,
                                predict_relpos, shape_member, shape_members,
                                stem_length_of_kind)
 from btbranch.mat2 import (Mat2, PairConfig, companion, m_conj, make_pair)
-from btbranch.series import (UndeterminedAtPrecision, s_one, s_parse, s_zero)
+from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_one,
+                             s_parse, s_val, s_zero)
 from btbranch.tree import (MeasuredShape, Vertex, enumerate_window,
-                           measure_intersection, oracle_branch)
+                           measure_intersection, oracle_branch, tree_distance)
 
 F1 = field(1)
 
@@ -106,8 +110,7 @@ def test_conjugated_nilpotent_foliage_points_at_a_finite_end():
     assert not shape_member(sh, Vertex(1, s_zero(F1)))
 
 
-def test_shape_membership_matches_the_direct_oracle():
-    w = enumerate_window(F1, 5)
+def _sample_matrices():
     g = Mat2(s_one(F1), _p("t"), s_zero(F1), s_one(F1))
     samples = [
         companion(_p("t"), _p("t")),
@@ -117,9 +120,13 @@ def test_shape_membership_matches_the_direct_oracle():
         Mat2(s_zero(F1), _p("t^2"), s_zero(F1), s_zero(F1)),
         Mat2(s_one(F1), s_zero(F1), s_zero(F1), s_zero(F1)),
     ]
-    for q in samples:
-        for m in (q, m_conj(g, q, 64)):
-            assert shape_members(branch_shape(m), w) == oracle_branch(m, w)
+    return [m for q in samples for m in (q, m_conj(g, q, 64))]
+
+
+def test_shape_membership_matches_the_direct_oracle():
+    w = enumerate_window(F1, 5)
+    for m in _sample_matrices():
+        assert shape_members(branch_shape(m), w) == oracle_branch(m, w)
 
 
 # distances to ends
@@ -133,6 +140,123 @@ def test_distance_to_the_standard_path():
     assert dist_to_path(Vertex(2, s_one(F1)), zero, inf) == 2
     assert dist_to_path(Vertex(0, s_zero(F1)), zero, one) == 0
     assert dist_to_path(Vertex(-2, s_zero(F1)), zero, one) == 2
+
+
+# the sum-free capped valuation against building the sum
+
+
+def _val_capped(x, cap):
+    """The reference: min(cap, val(x)) of a built series, or a refusal."""
+    if x.coeffs:
+        return min(cap, x.lead)
+    if x.prec is None or x.prec >= cap:
+        return cap
+    raise UndeterminedAtPrecision(
+        f"valuation needed up to {cap}, series is 0 mod t^{x.prec}")
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (UndeterminedAtPrecision, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _operand(draw, fld):
+    """Exact or truncated, short or working-precision long, or an
+    inexact zero (no coefficients, finite prec)."""
+    lead = draw(st.integers(-4, 8))
+    n = draw(st.sampled_from((0, 1, 2, 3, 5, 8, 64)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    coeffs = tuple(rng.randrange(fld.order) for _ in range(n))
+    prec = draw(st.one_of(st.none(), st.integers(-4, 12),
+                          st.just(lead + n), st.just(lead + 64)))
+    return Series(fld, lead, coeffs, prec)
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 2), st.data())
+def test_sum_free_capped_valuation_equals_capping_the_sum(tau, data):
+    fld = field(tau)
+    x = data.draw(_operand(fld))
+    y = data.draw(_operand(fld))
+    cap = data.draw(st.integers(-6, 12))
+    want = _outcome(lambda: _val_capped(s_add(x, y), cap))
+    assert _outcome(_val_sum_capped, x, y, cap) == want
+    assert _outcome(_val_sum_capped, y, x, cap) == want
+
+
+def test_sum_free_capped_valuation_on_long_ends_and_short_centers():
+    rng = random.Random(3)
+    for tau in (1, 2):
+        fld = field(tau)
+        for _ in range(200):
+            end = Series(fld, rng.randrange(-2, 3),
+                         tuple(rng.randrange(fld.order) for _ in range(64)),
+                         rng.choice((None, 4, 6, 62)))
+            r = rng.randrange(-3, 9)
+            v = Vertex(r, Series(fld, 0, tuple(rng.randrange(fld.order)
+                                               for _ in range(max(r, 0)))))
+            assert (_outcome(_val_sum_capped, v.center, end, v.r)
+                    == _outcome(lambda: _val_capped(s_add(v.center, end),
+                                                    v.r)))
+    assert (_outcome(_val_sum_capped, s_one(F1), s_one(field(2)), 3)
+            == _outcome(s_add, s_one(F1), s_one(field(2))))
+
+
+def _dist_to_path_by_sums(v, e1, e2):
+    finite = [e for e in (e1, e2) if not e.is_infinity]
+    if not finite:
+        raise ValueError("a path needs two distinct ends")
+    if len(finite) == 1:
+        return v.r - _val_capped(s_add(v.center, finite[0].value), v.r)
+    gap = s_add(e1.value, e2.value)
+    if gap.is_zero:
+        raise ValueError("the two ends coincide")
+    m = s_val(gap)
+    best = None
+    for e in finite:
+        p = _val_capped(s_add(v.center, e.value), v.r)
+        d = v.r - p if p >= m else v.r + m - 2 * p
+        best = d if best is None else min(best, d)
+    return best
+
+
+def _shape_member_by_sums(shape, v):
+    if isinstance(shape, InfiniteFoliage):
+        if shape.end.is_infinity:
+            return v.r <= shape.level
+        p = _val_capped(s_add(v.center, shape.end.value), v.r)
+        return v.r + shape.level <= 2 * p
+    if shape.stem_kind == "maxpath":
+        d = _dist_to_path_by_sums(v, *shape.ends)
+    else:
+        d = min(tree_distance(v, u) for u in shape.stem)
+    return d <= shape.depth
+
+
+def test_predicted_members_and_distances_match_building_the_sums():
+    w = enumerate_window(F1, 5)
+    matrices = _sample_matrices() + [companion(s_one(F1), _p("t")),
+                                     companion(_p("1 + t"), _p("t^2"))]
+    shapes = [branch_shape(m, prec) for m in matrices for prec in (4, 6, 64)]
+    assert any(isinstance(sh, ThickLine) and sh.stem_kind == "maxpath"
+               and any(e.value is not None and e.value.prec == 64
+                       for e in sh.ends) for sh in shapes)
+    refused = 0
+    for sh in shapes:
+        for v in w.vertices:
+            assert (_outcome(shape_member, sh, v)
+                    == _outcome(_shape_member_by_sums, sh, v))
+            if isinstance(sh, ThickLine) and sh.stem_kind == "maxpath":
+                assert (_outcome(dist_to_path, v, *sh.ends)
+                        == _outcome(_dist_to_path_by_sums, v, *sh.ends))
+        want = _outcome(lambda: {v for v in w.vertices
+                                 if _shape_member_by_sums(sh, v)})
+        assert _outcome(shape_members, sh, w) == want
+        refused += want[0] != "value"
+    assert refused
 
 
 # the case table

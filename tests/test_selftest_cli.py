@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+import btbranch.cli as cli
+import btbranch.tree as tree
 from btbranch.cli import main
+from btbranch.gf2 import field
+from btbranch.mat2 import m_parse
 from btbranch.selftest import run_selftest
 
 
@@ -50,6 +54,21 @@ def test_low_precision_skips_instead_of_mismatching(prec):
             == report.pair_skipped + report.branch_skipped)
     for line in report.skipped_list:
         assert line.partition(": ")[2].strip(), line
+
+
+def test_oracle_tests_a_few_thousand_vertices_not_every_one(monkeypatch):
+    # a scan of the whole radius-8 window makes 53,620 membership tests
+    # here; growing each branch from one member makes 2,488
+    calls = 0
+    real = tree.member
+
+    def counting(q, v):
+        nonlocal calls
+        calls += 1
+        return real(q, v)
+    monkeypatch.setattr(tree, "member", counting)
+    run_selftest(seed=7, count=30)
+    assert calls <= 8000
 
 
 def test_render_is_built_from_the_record():
@@ -198,3 +217,28 @@ def test_cli_writes_a_dot_file(tmp_path, capsys):
     assert code == 0
     text = target.read_text()
     assert text.startswith("graph") and "lightblue" in text
+
+
+def test_cli_oracle_dot_builds_each_oracle_set_once(tmp_path, capsys,
+                                                   monkeypatch):
+    q1, q2 = "[[0,1],[0,0]]", "[[t,1],[t^2,t]]"
+    argv = ["oracle", q1, q2, "--radius", "6"]
+    _, plain, _ = run_cli(capsys, argv)
+    built = []
+    real = tree.oracle_branch
+
+    def counting(q, w):
+        built.append(q)
+        return real(q, w)
+    monkeypatch.setattr(tree, "oracle_branch", counting)
+    monkeypatch.setattr(cli, "oracle_branch", counting)
+    target = tmp_path / "oracle.dot"
+    code, out, _ = run_cli(capsys, argv + ["--dot", str(target)])
+    assert code == 0 and out == plain
+    assert len(built) == 2
+    fld = field(1)
+    w = tree.enumerate_window(fld, 6)
+    s1 = real(m_parse(fld, q1), w)
+    s2 = real(m_parse(fld, q2), w)
+    groups = {"violet": s1 & s2, "lightblue": s1 - s2, "salmon": s2 - s1}
+    assert target.read_text() == tree.dot_export(w, groups, "oracle")

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+import btbranch.tree as tree
+from btbranch.defects import KINDS, classify
 from btbranch.gf2 import field
-from btbranch.mat2 import Mat2, companion, m_conj, make_pair
+from btbranch.mat2 import Mat2, companion, m_conj, m_mul, make_pair
 from btbranch.series import (UndeterminedAtPrecision, s_monomial, s_one,
-                             s_parse, s_random, s_zero)
+                             s_parse, s_random, s_truncate, s_zero)
 from btbranch.tree import (Vertex, complete_in_window, dot_export,
                            enumerate_window, is_path_set, measure_branch,
                            measure_intersection, member, oracle_branch,
@@ -34,6 +36,19 @@ def test_vertex_reduces_its_center_on_construction():
 def test_center_reduction_needs_enough_precision():
     with pytest.raises(UndeterminedAtPrecision):
         reduce_center(s_parse(F1, "t (mod t^2)"), 3)
+
+
+def test_vertex_hashes_like_the_one_built_from_its_reduced_center():
+    for fld, unreduced, reduced in ((F1, "t + t^3 + t^5", "t"),
+                                    (F1, "1 + t + t^2 (mod t^3)", "1 + t"),
+                                    (F2, "g + t + g*t^4", "g + t")):
+        a = Vertex(2, s_parse(fld, unreduced))
+        b = Vertex(2, s_parse(fld, reduced))
+        assert a == b
+        assert hash(a) == hash(b) == hash((2, s_parse(fld, reduced)))
+        assert a in {b} and b in {a} and len({a, b}) == 1
+        assert {a: "x"}[b] == "x" and {b: "y"}[a] == "y"
+    assert hash(_v(2, "t")) != hash(_v(3, "t"))
 
 
 def test_distance_between_hand_picked_vertices():
@@ -116,6 +131,158 @@ def test_membership_survives_an_integral_conjugation():
     w = enumerate_window(F1, 3)
     # the shear fixes the standard vertex, so the branch is unchanged
     assert oracle_branch(q, w) == oracle_branch(qc, w)
+
+
+# the flood-fill oracle against a scan of the whole window
+
+
+def _full_scan(q, w):
+    return {v for v in w.vertices if member(q, v)}
+
+
+def _companions_of_every_class(fld, rng):
+    found = {}
+    for _ in range(5000):
+        a, b = s_random(fld, rng, 0, 2), s_random(fld, rng, 0, 3)
+        found.setdefault(classify(a, b, 64).kind, companion(a, b))
+        if len(found) == len(KINDS):
+            return [found[k] for k in KINDS]
+    raise AssertionError(f"only drew the classes {sorted(found)}")
+
+
+def _rand_conjugator(fld, rng):
+    """Shears with non-integral entries and t-power scalings: they move
+    the branch around the window without leaving exact arithmetic."""
+    one, zero = s_one(fld), s_zero(fld)
+    g = Mat2(one, zero, zero, one)
+    for _ in range(3):
+        kind = rng.randrange(3)
+        if kind == 0:
+            g = m_mul(g, Mat2(one, s_random(fld, rng, -2, 2), zero, one))
+        elif kind == 1:
+            g = m_mul(g, Mat2(one, zero, s_random(fld, rng, -2, 2), one))
+        else:
+            g = m_mul(g, Mat2(s_monomial(fld, rng.choice((-1, 1))),
+                              zero, zero, one))
+    return g
+
+
+def _conjugated_companions(tau, seed):
+    fld = field(tau)
+    rng = random.Random(seed)
+    out = []
+    for q in _companions_of_every_class(fld, rng):
+        out.append(q)
+        out.extend(m_conj(_rand_conjugator(fld, rng), q) for _ in range(3))
+    return out
+
+
+def _count_members(monkeypatch):
+    calls = []
+    real = tree.member
+
+    def counting(q, v):
+        calls.append(v)
+        return real(q, v)
+    monkeypatch.setattr(tree, "member", counting)
+    return calls
+
+
+_WINDOWS = [(1, 6), (2, 4)]
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_flood_fill_oracle_equals_the_full_scan(tau, radius):
+    w = enumerate_window(field(tau), radius)
+    nonempty = 0
+    for q in _conjugated_companions(tau, seed=10 + tau):
+        got = oracle_branch(q, w)
+        assert got == _full_scan(q, w)
+        assert list(got) == list(_full_scan(q, w))  # the same set order
+        nonempty += bool(got)
+    assert nonempty >= 10
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_flood_fill_tests_members_and_their_rim_only(tau, radius,
+                                                     monkeypatch):
+    w = enumerate_window(field(tau), radius)
+    qs = _conjugated_companions(tau, seed=20 + tau)
+    want = [_full_scan(q, w) for q in qs]
+    calls = _count_members(monkeypatch)
+    for q, members in zip(qs, want):
+        del calls[:]
+        assert oracle_branch(q, w) == members
+        if members:
+            rim = {u for v in members for u in w.adj[v]} - members
+            assert len(calls) <= w.vertices.index(min(
+                members, key=w.vertices.index)) + len(members) + len(rim)
+        else:
+            assert len(calls) == len(w.vertices)
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_scalar_and_non_integral_matrices(tau, radius, monkeypatch):
+    fld = field(tau)
+    w = enumerate_window(fld, radius)
+    x = s_parse(fld, "1 + t")
+    zero = s_zero(fld)
+    scalar = Mat2(x, zero, zero, x)
+    assert oracle_branch(scalar, w) == set(w.vertices) == _full_scan(scalar, w)
+    for q in (companion(s_parse(fld, "t^-1"), zero),
+              Mat2(s_monomial(fld, -1), zero, zero, s_monomial(fld, -1))):
+        assert _full_scan(q, w) == set()
+        calls = _count_members(monkeypatch)
+        assert oracle_branch(q, w) == set()
+        assert len(calls) == len(w.vertices)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_branch_scaled_out_of_the_window_is_empty(tau, radius, monkeypatch):
+    fld = field(tau)
+    w = enumerate_window(fld, radius)
+    one, zero = s_one(fld), s_zero(fld)
+    far = Mat2(s_monomial(fld, radius + 3), zero, zero, one)
+    for q in _companions_of_every_class(fld, random.Random(30 + tau)):
+        if q.d.is_zero:  # the inseparable ones reach every level
+            continue
+        moved = m_conj(far, q)
+        assert _full_scan(moved, w) == set()
+        calls = _count_members(monkeypatch)
+        assert oracle_branch(moved, w) == set()
+        assert len(calls) == len(w.vertices)
+        monkeypatch.undo()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UndeterminedAtPrecision:
+        return UndeterminedAtPrecision
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_flood_fill_on_truncated_input_is_certified(tau, radius):
+    w = enumerate_window(field(tau), radius)
+    decided = refused = 0
+    for q in _conjugated_companions(tau, seed=40 + tau):
+        exact = _full_scan(q, w)
+        for prec in range(2, 9):
+            qt = Mat2(*(s_truncate(x, prec) for x in (q.a, q.b, q.c, q.d)))
+            flood = _outcome(oracle_branch, qt, w)
+            full = _outcome(_full_scan, qt, w)
+            if flood is UndeterminedAtPrecision:
+                # never refuses where the full scan decides
+                assert full is UndeterminedAtPrecision
+                refused += 1
+                continue
+            if full is not UndeterminedAtPrecision:
+                assert flood == full
+            # the exact matrix is one completion of the truncated one
+            assert flood == exact
+            decided += 1
+    assert decided and refused
 
 
 # measurement
