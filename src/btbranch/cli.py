@@ -203,7 +203,7 @@ def _cmd_exists(cfg: RunConfig, args) -> int:
         lines.append(f"q1 = {m_render(verdict.witness[0])}")
         lines.append(f"q2 = {m_render(verdict.witness[1])}")
     if args.search_box:
-        lo, hi = (int(x) for x in args.search_box.split(","))
+        lo, hi = args.search_box
         zd = search_zero_divisor(spec, lo, hi)
         pr = search_pair(spec, lo, hi)
         rec["zero_divisor"] = ([s_render(x) for x in zd] if zd else None)
@@ -223,6 +223,18 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
 
 
 # -- argument plumbing ----------------------------------------------
+
+def _search_box(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected LO,HI (two integers), got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(
+            f"expected LO,HI with LO <= HI, got {text!r}")
+    return lo, hi
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -288,8 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--m2", required=True, metavar="A,B")
     pe.add_argument("--witness", action="store_true",
                     help="print the witness pair when one is constructed")
-    pe.add_argument("--search-box", metavar="LO,HI", default=None,
-                    help="also run the bounded searches on this exponent box")
+    pe.add_argument("--search-box", metavar="LO,HI", type=_search_box,
+                    default=None,
+                    help="also run the bounded searches on this exponent "
+                         "box; write a negative LO as --search-box=-1,1")
     pe.set_defaults(func=_cmd_exists)
 
     ps = sub.add_parser("selftest", parents=[common],

@@ -22,8 +22,9 @@ from .defects import QuadPoly, REDUCIBLE_INSEP, classify, solve_quadratic
 from .gf2 import ff_sqrt, ff_trace
 from .mat2 import (Mat2, discriminant_params, is_scalar, m_add, m_mul,
                    m_scalar, m_scale, sym_product)
-from .series import (DEFAULT_PREC, Series, s_add, s_div, s_from_terms,
-                     s_mul, s_one, s_parse, s_sqrt, s_zero)
+from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
+                     s_div, s_from_terms, s_mul, s_one, s_parse, s_sqrt,
+                     s_zero)
 
 
 class DegenerateForm(Exception):
@@ -137,27 +138,24 @@ def _alg_mul(tab, x, y):
     return tuple(out)
 
 
-def _det4(rows):
-    """Cofactor determinant of a 4x4 series matrix; exact for exact input."""
+def _nrd(tab, x):
+    """Reduced norm of x = sum x_i B_i, the scalar coordinate of x (x + trd x).
 
-    def det2(m):
-        return s_add(s_mul(m[0][0], m[1][1]), s_mul(m[0][1], m[1][0]))
-
-    def det3(m):
-        acc = None
-        for j in range(3):
-            minor = [[m[1][k] for k in range(3) if k != j],
-                     [m[2][k] for k in range(3) if k != j]]
-            term = s_mul(m[0][j], det2(minor))
-            acc = term if acc is None else s_add(acc, term)
-        return acc
-
-    acc = None
-    for j in range(4):
-        minor = [[rows[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        term = s_mul(rows[0][j], det3(minor))
-        acc = term if acc is None else s_add(acc, term)
-    return acc
+    x^2 = trd(x) x + nrd(x) in characteristic 2.  trd(B_i) is the B_i
+    coordinate of B_i^2 for i > 0, and trd(1) = 2 = 0.
+    """
+    conj0 = x[0]  # the scalar coordinate of x + trd(x)
+    for i in (1, 2, 3):
+        if not x[i].is_zero:
+            conj0 = s_add(conj0, s_mul(x[i], tab[i, i][i]))
+    conj = (conj0,) + tuple(x[1:])
+    out = s_zero(x[0].field)
+    for i, xi in enumerate(x):
+        for j, cj in enumerate(conj):
+            c = tab[i, j][0]
+            if not (xi.is_zero or cj.is_zero or c.is_zero):
+                out = s_add(out, s_mul(s_mul(xi, cj), c))
+    return out
 
 
 def _small_elements(fld, lo, hi, max_terms=2):
@@ -176,13 +174,11 @@ def search_zero_divisor(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     """Look for a nonzero element of reduced norm zero.
 
     A hit is a proof that the (quaternion) algebra splits: the returned
-    coordinates in (1, Q1, Q2, Q1Q2) have a singular left-multiplication
-    matrix.  Exhausting the box proves nothing.
+    coordinates in (1, Q1, Q2, Q1Q2) have reduced norm zero.  Exhausting
+    the box proves nothing.
     """
     tab = _mul_table(spec)
     fld = spec.lam.field
-    basis = [tuple(s_one(fld) if i == j else s_zero(fld) for i in range(4))
-             for j in range(4)]
     for coords in itertools.product(_small_elements(fld, lo, hi, max_terms),
                                     repeat=2):
         for pattern in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
@@ -190,44 +186,27 @@ def search_zero_divisor(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
             x[pattern[0]], x[pattern[1]] = coords
             if all(c.is_zero for c in x):
                 continue
-            cols = [_alg_mul(tab, tuple(x), e) for e in basis]
-            rows = [[cols[j][i] for j in range(4)] for i in range(4)]
-            if _det4(rows).is_zero:
+            if _nrd(tab, x).is_zero:
                 return tuple(x)
     return None
-
-
-def _pair_form_numerator(spec: AlgebraSpec, x: Series, y: Series,
-                         z: Series, w: Series) -> Series:
-    m1, m2 = spec.m1, spec.m2
-    return s_add(
-        s_add(s_add(s_mul(x, x), s_mul(s_mul(m1.a, x), y)),
-              s_mul(s_mul(m1.b, y), y)),
-        s_add(s_add(s_add(s_mul(z, z), s_mul(s_mul(m2.a, z), w)),
-                    s_mul(s_mul(m2.b, w), w)),
-              s_add(s_mul(s_mul(m1.a, z), y), s_mul(s_mul(m2.a, x), w))))
-
-
-def pair_form(spec: AlgebraSpec, x: Series, y: Series, z: Series,
-              w: Series, working_prec: int = DEFAULT_PREC) -> Series:
-    """C(x,y,z,w): the pairing realised by norm-zero combinations."""
-    return s_div(_pair_form_numerator(spec, x, y, z, w), s_mul(y, w),
-                 working_prec)
 
 
 def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
                 max_terms: int = 1):
     """Look for (x,y),(z,w) with C(x,y,z,w) = lambda; None if none in the box.
 
-    The comparison is done multiplied through by y w so it stays exact.
+    C is the pairing realised by norm-zero combinations, and y w C = y w
+    lambda says exactly that (x + z) + y Q1 + w Q2 has reduced norm zero,
+    which is what is tested, so the comparison stays exact.
     """
+    tab = _mul_table(spec)
     fld = spec.lam.field
+    zero = s_zero(fld)
     pool = list(_small_elements(fld, lo, hi, max_terms))
     nonzero = [s for s in pool if not s.is_zero]
     for y, w in itertools.product(nonzero, repeat=2):
-        target = s_mul(s_mul(y, w), spec.lam)
         for x, z in itertools.product(pool, repeat=2):
-            if _pair_form_numerator(spec, x, y, z, w) == target:
+            if _nrd(tab, (s_add(x, z), y, w, zero)).is_zero:
                 return (x, y, z, w)
     return None
 
@@ -310,28 +289,28 @@ def _even_odd_root(b: Series) -> tuple[Series, Series]:
     return xi, eta
 
 
-def _vanishes(x: Series, floor: int = 8) -> bool:
-    """Zero exactly, or to a precision deep enough to trust."""
-    if x.is_zero:
-        return True
-    return x.looks_zero and x.prec is not None and x.prec >= floor
-
-
 def verify_witness(spec: AlgebraSpec, q1: Mat2, q2: Mat2) -> bool:
     """Hard check: minimal polynomials, pairing, non-scalarity, independence.
 
-    Witness entries may carry truncated roots, so the identities are
-    accepted when they vanish to the precision the arithmetic provides.
-    Independence needs a visibly nonzero 2x2 minor of coordinates.
+    False only on visible evidence: a scalar generator, a nonzero
+    coefficient in an identity, or no visibly nonzero 2x2 minor of
+    coordinates.  Witness entries may carry truncated roots, so the
+    identities are trusted when they vanish mod t^8 or deeper; one known
+    to vanish only to less raises UndeterminedAtPrecision.
     """
+    identities = [s_add(sym_product(q1, q2), spec.lam)]
     for m, q in ((spec.m1, q1), (spec.m2, q2)):
-        lhs = m_add(m_add(m_mul(q, q), m_scale(m.a, q)), m_scalar(m.b))
-        if not all(_vanishes(x) for x in (lhs.a, lhs.b, lhs.c, lhs.d)):
-            return False
         if is_scalar(q):
             return False
-    if not _vanishes(s_add(sym_product(q1, q2), spec.lam)):
+        lhs = m_add(m_add(m_mul(q, q), m_scale(m.a, q)), m_scalar(m.b))
+        identities += [lhs.a, lhs.b, lhs.c, lhs.d]
+    if not all(x.looks_zero for x in identities):
         return False
+    shallow = min((x.prec for x in identities if x.prec is not None),
+                  default=None)
+    if shallow is not None and shallow < 8:
+        raise UndeterminedAtPrecision(
+            f"witness identities are 0 mod t^{shallow} only, below t^8")
     for e1, e2 in (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
                    ("b", "d"), ("c", "d")):
         x1, y1 = getattr(q1, e1), getattr(q1, e2)

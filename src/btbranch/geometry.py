@@ -20,10 +20,11 @@ from functools import total_ordering
 
 from .defects import (RAMIFIED_INSEP, RAMIFIED_SEP, REDUCIBLE_INSEP,
                       REDUCIBLE_SEP, UNRAMIFIED_SEP, solve_quadratic)
-from .mat2 import (Mat2, PairConfig, ScalarMatrix, discriminant_params,
-                   is_scalar, m_add, m_mul, min_poly)
+from .mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix,
+                   discriminant_params, is_scalar, m_add, m_mul, min_poly)
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _min_prec,
-                     s_add, s_div, s_inv, s_mul, s_render, s_sqrt, s_val)
+                     s_add, s_div, s_inv, s_mul, s_render, s_sqrt, s_val,
+                     val_ge)
 from .tree import MeasuredShape, Vertex, Window, tree_distance
 
 # -- exact half-integers with the three infinities ------------------
@@ -166,6 +167,8 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
     if is_scalar(q):
         raise ScalarMatrix("scalar matrices belong to every order")
     m = min_poly(q, working_prec)
+    if not (val_ge(m.a, 0) and val_ge(m.b, 0)):
+        raise NonIntegral("a branch needs an integral trace and determinant")
     A, B, C = q.a, q.b, q.c
     c, d = m.a, m.b
 

@@ -403,7 +403,11 @@ def _run_defect_instance(rng, fld, grid):
 # -- symbol suite ---------------------------------------------------
 
 def _run_symbol_instance(rng, fld, prec):
-    """Returns (conclusive, disagreement-or-empty)."""
+    """Returns (conclusive, disagreement-or-empty).
+
+    Raises UndeterminedAtPrecision when a witness identity looks zero but
+    is known only below the precision verify_witness trusts.
+    """
     for _ in range(100):
         a1 = s_random(fld, rng, 0, 2)
         b1 = s_random(fld, rng, 0, 2)
@@ -626,7 +630,12 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
 
     for idx in range(2 * count // 5):
         report.symbol_specs += 1
-        conclusive, why = _run_symbol_instance(rng, fld, prec)
+        try:
+            conclusive, why = _run_symbol_instance(rng, fld, prec)
+        except UndeterminedAtPrecision as exc:
+            report.skipped_list.append(
+                f"symbol #{idx}: undetermined at precision: {exc}")
+            continue
         if conclusive:
             report.symbol_conclusive += 1
         if why:

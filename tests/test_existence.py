@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btbranch.existence import (DegenerateForm, algebra_spec,
-                                cyclic_presentation, decide, pair_form,
-                                search_pair, search_zero_divisor, splits,
-                                verify_witness, _alg_mul, _mul_table)
+                                cyclic_presentation, decide, search_pair,
+                                search_zero_divisor, splits, verify_witness,
+                                _alg_mul, _mul_table, _nrd, _small_elements)
 from btbranch.gf2 import field
 from btbranch.mat2 import make_pair
-from btbranch.series import s_parse, s_random, s_render
+from btbranch.series import (UndeterminedAtPrecision, s_add, s_mul, s_one,
+                             s_parse, s_random, s_render, s_zero)
 
 F1 = field(1)
 
@@ -125,6 +128,22 @@ def test_commutative_case_documents_a_missing_witness():
     assert verdict.witness is None
 
 
+@pytest.mark.parametrize("prec, verified", [(4, None), (6, None), (8, True),
+                                            (64, True)])
+def test_truncated_witness_is_undetermined_below_the_floor(prec, verified):
+    # X^2 + X + t has the Artin-Schreier root t + t^2 + t^4 + ..., which
+    # the witness carries truncated at the working precision
+    spec = algebra_spec(*(_p(x) for x in ("0", "1", "t", "0", "t")), prec)
+    q1, q2 = decide(spec, prec).witness
+    if verified is None:
+        with pytest.raises(UndeterminedAtPrecision):
+            verify_witness(spec, q1, q2)
+    else:
+        assert verify_witness(spec, q1, q2) is verified
+    # swapped generators break an identity visibly, at any precision
+    assert verify_witness(spec, q2, q1) is False
+
+
 def test_unramified_irreducible_pair_is_rejected():
     verdict = decide(_spec("1", "1", "1", "1", "1"), 64)
     assert verdict.exists is False
@@ -146,6 +165,135 @@ def test_multiplication_table_is_associative():
             assert left == right
 
 
+# the reduced norm against the forms it replaced: the determinant of
+# left multiplication and the hand-expanded pair form
+
+
+def _det4(rows):
+    """Cofactor determinant of a 4x4 series matrix."""
+
+    def det2(m):
+        return s_add(s_mul(m[0][0], m[1][1]), s_mul(m[0][1], m[1][0]))
+
+    def det3(m):
+        acc = None
+        for j in range(3):
+            minor = [[m[1][k] for k in range(3) if k != j],
+                     [m[2][k] for k in range(3) if k != j]]
+            term = s_mul(m[0][j], det2(minor))
+            acc = term if acc is None else s_add(acc, term)
+        return acc
+
+    acc = None
+    for j in range(4):
+        minor = [[rows[i][k] for k in range(4) if k != j] for i in range(1, 4)]
+        term = s_mul(rows[0][j], det3(minor))
+        acc = term if acc is None else s_add(acc, term)
+    return acc
+
+
+def _det_left_mult(tab, x):
+    fld = x[0].field
+    basis = [tuple(s_one(fld) if i == j else s_zero(fld) for i in range(4))
+             for j in range(4)]
+    cols = [_alg_mul(tab, tuple(x), e) for e in basis]
+    return _det4([[cols[j][i] for j in range(4)] for i in range(4)])
+
+
+def _pair_form_numerator(spec, x, y, z, w):
+    """y w C(x,y,z,w), expanded by hand."""
+    m1, m2 = spec.m1, spec.m2
+    return s_add(
+        s_add(s_add(s_mul(x, x), s_mul(s_mul(m1.a, x), y)),
+              s_mul(s_mul(m1.b, y), y)),
+        s_add(s_add(s_add(s_mul(z, z), s_mul(s_mul(m2.a, z), w)),
+                    s_mul(s_mul(m2.b, w), w)),
+              s_add(s_mul(s_mul(m1.a, z), y), s_mul(s_mul(m2.a, x), w))))
+
+
+def _reference_search_zero_divisor(spec, lo, hi, max_terms):
+    tab = _mul_table(spec)
+    fld = spec.lam.field
+    for coords in itertools.product(_small_elements(fld, lo, hi, max_terms),
+                                    repeat=2):
+        for pattern in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            x = [s_zero(fld)] * 4
+            x[pattern[0]], x[pattern[1]] = coords
+            if all(c.is_zero for c in x):
+                continue
+            if _det_left_mult(tab, x).is_zero:
+                return tuple(x)
+    return None
+
+
+def _reference_search_pair(spec, lo, hi, max_terms):
+    fld = spec.lam.field
+    pool = list(_small_elements(fld, lo, hi, max_terms))
+    nonzero = [s for s in pool if not s.is_zero]
+    for y, w in itertools.product(nonzero, repeat=2):
+        target = s_mul(s_mul(y, w), spec.lam)
+        for x, z in itertools.product(pool, repeat=2):
+            if _pair_form_numerator(spec, x, y, z, w) == target:
+                return (x, y, z, w)
+    return None
+
+
+@st.composite
+def _datum(draw):
+    """A random datum over F_2 or F_4; two of three shapes have Delta = 0."""
+    fld = field(draw(st.integers(1, 2)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    lam, a1, b1, a2, b2 = (s_random(fld, rng, -1, 2) for _ in range(5))
+    shape = draw(st.sampled_from(("generic", "traceless", "unit trace")))
+    if shape == "traceless":
+        lam = a1 = a2 = s_zero(fld)
+    elif shape == "unit trace":
+        a1 = s_one(fld)
+        b2 = s_add(s_add(s_mul(lam, lam), s_mul(a2, lam)),
+                   s_mul(s_mul(a2, a2), b1))
+    spec = algebra_spec(lam, a1, b1, a2, b2, 64)
+    if shape != "generic":
+        assert spec.disc.is_zero
+    return spec, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(_datum())
+def test_reduced_norm_is_the_scalar_of_x_times_its_conjugate(datum):
+    spec, rng = datum
+    fld = spec.lam.field
+    tab = _mul_table(spec)
+    x = tuple(s_random(fld, rng, -1, 1) for _ in range(4))
+    trd = s_zero(fld)
+    for i in (1, 2, 3):
+        trd = s_add(trd, s_mul(x[i], tab[i, i][i]))
+    prod = _alg_mul(tab, x, (s_add(x[0], trd),) + x[1:])
+    assert all(c.is_zero for c in prod[1:])
+    nrd = _nrd(tab, x)
+    assert prod[0] == nrd
+    assert s_mul(nrd, nrd) == _det_left_mult(tab, x)
+    # the pair form is the norm of (x + z) + y Q1 + w Q2, less lambda y w
+    y, z, w = (s_random(fld, rng, -1, 1) for _ in range(3))
+    lam_yw = s_mul(s_mul(spec.lam, y), w)
+    assert (s_add(_pair_form_numerator(spec, x[0], y, z, w), lam_yw)
+            == _nrd(tab, (s_add(x[0], z), y, w, s_zero(fld))))
+
+
+# boxes (lo, hi, max_terms) small enough for the reference searches
+_BOXES = {1: ((-1, 1, 1), (0, 1, 1), (0, 1, 2)),
+          2: ((0, 0, 1), (1, 1, 1), (-1, -1, 1))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_datum(), st.data())
+def test_searches_return_the_reference_first_hit(datum, data):
+    spec, _ = datum
+    box = data.draw(st.sampled_from(_BOXES[spec.lam.field.tau]))
+    assert (search_zero_divisor(spec, *box)
+            == _reference_search_zero_divisor(spec, *box))
+    assert search_pair(spec, *box) == _reference_search_pair(spec, *box)
+
+
 # brute force searches
 
 
@@ -158,9 +306,9 @@ def test_zero_divisor_search_hits_a_reducible_instance():
 
 def test_pair_search_recovers_the_pairing_value():
     spec = _spec("t", "0", "t", "0", "t^3")
-    coords = search_pair(spec, -1, 1, 1)
-    assert coords is not None
-    assert pair_form(spec, *coords) == spec.lam
+    x, y, z, w = search_pair(spec, -1, 1, 1)
+    assert (_pair_form_numerator(spec, x, y, z, w)
+            == s_mul(s_mul(y, w), spec.lam))
 
 
 def test_searches_come_up_empty_on_the_division_instance():
@@ -169,9 +317,19 @@ def test_searches_come_up_empty_on_the_division_instance():
     assert search_pair(spec, -1, 1, 1) is None
 
 
+def _in_box(c, lo, hi):
+    return c.is_zero or lo <= c.lead <= c.lead + len(c.coeffs) - 1 <= hi
+
+
 def test_search_box_is_respected():
-    # the pairing hit above needs a pole, so a nonnegative box misses it
+    # the pair search hits (0, t, t, 1) on the box 0,1
     spec = _spec("t", "0", "t", "0", "t^3")
-    hit = search_pair(spec, 0, 1, 1)
-    if hit is not None:
-        assert all(c.is_zero or c.lead >= 0 for c in hit)
+    assert [s_render(c) for c in search_pair(spec, 0, 1, 1)] == [
+        "0", "t", "t", "1"]
+    # both searches hit this datum on each box, inside it
+    spec = _spec("t", "1", "0", "1", "t + t^2")
+    for lo, hi in ((0, 1), (1, 2), (-2, -1)):
+        for search in (search_zero_divisor, search_pair):
+            hit = search(spec, lo, hi, 1)
+            assert hit is not None
+            assert all(_in_box(c, lo, hi) for c in hit), (lo, hi, hit)

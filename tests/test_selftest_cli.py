@@ -45,13 +45,16 @@ def test_empty_run_is_trivially_green():
     assert report.defect_checked == 0
 
 
-@pytest.mark.parametrize("prec", (4, 6, 8, 10, 16))
+@pytest.mark.parametrize("prec", (4, 6, 8, 10, 16, 64))
 def test_low_precision_skips_instead_of_mismatching(prec):
     report = run_selftest(seed=7, tau=1, count=30, radius=6, prec=prec)
+    assert report.passing
     assert report.pair_mismatched == 0
     assert report.branch_mismatched == 0
+    symbol_skips = sum(line.startswith("symbol #")
+                       for line in report.skipped_list)
     assert (len(report.skipped_list)
-            == report.pair_skipped + report.branch_skipped)
+            == report.pair_skipped + report.branch_skipped + symbol_skips)
     for line in report.skipped_list:
         assert line.partition(": ")[2].strip(), line
 
@@ -169,6 +172,37 @@ def test_cli_exists_on_the_division_datum(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["exists"] is False and rec["condition"] == "none"
+
+
+@pytest.mark.parametrize("box, zero_divisor, pair_hit", [
+    ("--search-box=-1,1", ["0", "t^-1", "0", "0"],
+     ["0", "t^-1", "1", "t^-1"]),
+    ("--search-box=0,0", ["0", "1", "0", "0"], None),
+])
+def test_cli_exists_runs_the_searches_on_the_box(capsys, box, zero_divisor,
+                                                 pair_hit):
+    code, out, _ = run_cli(capsys, ["exists", "--lambda", "t",
+                                    "--m1", "1,0", "--m2", "1,t+t^2",
+                                    box, "--format", "json"])
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["zero_divisor"] == zero_divisor
+    assert rec["pair_hit"] == pair_hit
+
+
+@pytest.mark.parametrize("box", ["1", "2,1", "a,b", "1,2,3", ""])
+def test_cli_exists_rejects_a_malformed_search_box(capsys, box):
+    code, _, err = run_cli(capsys, ["exists", "--lambda", "0",
+                                    "--m1", "1,1", "--m2", "0,t",
+                                    f"--search-box={box}"])
+    assert code == 2
+    assert "argument --search-box: expected LO,HI" in err
+
+
+def test_cli_branch_rejects_a_non_integral_matrix(capsys):
+    code, out, err = run_cli(capsys, ["branch", "[[t^-1,0],[0,0]]"])
+    assert code == 2
+    assert out == "" and "integral" in err
 
 
 def test_cli_oracle_agrees_on_an_honest_pair(capsys):
