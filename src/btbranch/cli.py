@@ -8,8 +8,9 @@ the seeded self-test.  Output is text by default, JSON with
 everywhere (terms ``c*t^e`` joined by ``+``, matrices
 ``[[a,b],[c,d]]``).
 
-Exit codes: 0 pass, 1 a comparison found a mismatch, 2 usage, 3 the
-requested quantity was not determined at the working precision.
+Exit codes: 0 pass, 1 a comparison found a mismatch, 2 usage, 3 not
+determined: the working precision, or for ``oracle`` the window, is too
+small to settle the requested quantity.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from dataclasses import asdict, dataclass
 from .defects import classify
 from .existence import (DegenerateForm, algebra_spec, decide, search_pair,
                         search_zero_divisor)
-from .geometry import (InfiniteFoliage, branch_shape, check_agreement,
-                       fake_distance, predict_relpos)
+from .geometry import (InfiniteFoliage, branch_shape, fake_distance,
+                       predict_relpos)
 from .gf2 import field
 from .mat2 import NonIntegral, ScalarMatrix, m_parse, m_render, make_pair
 from .series import UndeterminedAtPrecision, s_parse, s_render
-from .tree import dot_export, enumerate_window, measure_intersection, oracle_branch
-from .selftest import run_selftest
+from .tree import dot_export, enumerate_window, oracle_branch
+from .selftest import compare_pair, run_selftest
 from . import defects
 
 
@@ -159,28 +160,29 @@ def _cmd_df(cfg: RunConfig, args) -> int:
 def _cmd_oracle(cfg: RunConfig, args) -> int:
     fld = cfg.fld
     pair = make_pair(m_parse(fld, args.q1), m_parse(fld, args.q2), cfg.prec)
-    pred = predict_relpos(pair)
     window = enumerate_window(fld, cfg.window_radius)
     sets = None
     if cfg.dot:
         sets = (oracle_branch(pair.q1, window), oracle_branch(pair.q2, window))
-    meas = measure_intersection(pair, window, cfg.margin, sets=sets)
-    ok, why = check_agreement(pred, meas)
-    verdict = "MATCH" if ok else f"MISMATCH ({why})"
-    meas_text = ", ".join(f"{k}={v}" for k, v in asdict(meas).items()
-                          if v not in (None, ""))
+    status, why, pred, meas = compare_pair(pair, window, cfg.margin, cfg.prec,
+                                           sets=sets)
+    verdict = {"matched": "MATCH", "mismatched": f"MISMATCH ({why})",
+               "skipped": f"UNDETERMINED ({why})"}[status]
+    meas_text = "not taken" if meas is None else ", ".join(
+        f"{k}={v}" for k, v in asdict(meas).items() if v not in (None, ""))
+    ok = status == "matched"
     _emit(cfg,
           f"predicted: {pred.render()}\nmeasured:  {meas_text}\n"
           f"verdict: {verdict}",
           {"predicted": _relpos_record(pred),
-           "measured": asdict(meas),
+           "measured": None if meas is None else asdict(meas),
            "match": ok, "note": "" if ok else why})
     if cfg.dot:
         s1, s2 = sets
         groups = {"violet": s1 & s2, "lightblue": s1 - s2, "salmon": s2 - s1}
         with open(cfg.dot, "w") as fh:
             fh.write(dot_export(window, groups, "oracle"))
-    return 0 if ok else 1
+    return {"matched": 0, "mismatched": 1, "skipped": 3}[status]
 
 
 def _cmd_exists(cfg: RunConfig, args) -> int:

@@ -25,7 +25,7 @@ from .mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix,
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _min_prec,
                      s_add, s_div, s_inv, s_mul, s_render, s_sqrt, s_val,
                      val_ge)
-from .tree import MeasuredShape, Vertex, Window, tree_distance
+from .tree import MeasuredShape, Vertex, Window, grow, tree_distance
 
 # -- exact half-integers with the three infinities ------------------
 
@@ -297,8 +297,8 @@ def shape_member(shape: BranchShape, v: Vertex) -> bool:
 
 
 def shape_members(shape: BranchShape, window: Window) -> set[Vertex]:
-    test = _member_test(shape)
-    return {v for v in window.vertices if test(v)}
+    """The predicted set in the window; every shape is convex, so it grows."""
+    return grow(window, _member_test(shape))
 
 
 # -- fake distance --------------------------------------------------

@@ -252,9 +252,10 @@ def _cell_label(pair) -> str:
     return "/".join(sorted((pair.m1.cell, pair.m2.cell)))
 
 
-def _run_pair_instance(pair, window, margin, prec):
+def compare_pair(pair, window, margin, prec, sets=None):
     """Returns (status, detail, pred, meas): status in matched/mismatched/
-    skipped; meas is None when the window is too small to look."""
+    skipped; meas is None when the window is too small to look.  ``sets``
+    are the two oracle sets, if the caller built them."""
     pred = predict_relpos(pair)
     shapes = (branch_shape(pair.q1, prec), branch_shape(pair.q2, prec))
     predicted_sets = (shape_members(shapes[0], window),
@@ -263,7 +264,7 @@ def _run_pair_instance(pair, window, margin, prec):
     ok, why = check_agreement(pred, dry)
     if not ok:
         return "skipped", f"window too small for prediction: {why}", pred, None
-    meas = measure_intersection(pair, window, margin)
+    meas = measure_intersection(pair, window, margin, sets=sets)
     ok, why = check_agreement(pred, meas)
     if ok:
         return "matched", type(pred).__name__, pred, meas
@@ -543,6 +544,8 @@ class SelfTestReport:
 def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
                  count: int = 500, radius: int = 8, margin: int = 2,
                  prec: int = DEFAULT_PREC) -> SelfTestReport:
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
     fld = field(tau, modulus)
     report = SelfTestReport(seed, tau, radius, margin, count)
@@ -565,8 +568,8 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
             continue
         cell = _cell_label(pair)
         try:
-            status, detail, pred, meas = _run_pair_instance(pair, window,
-                                                            margin, prec)
+            status, detail, pred, meas = compare_pair(pair, window, margin,
+                                                      prec)
         except UndeterminedAtPrecision as exc:
             status, detail = "skipped", f"undetermined at precision: {exc}"
         except ValueError as exc:

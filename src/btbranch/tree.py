@@ -16,10 +16,12 @@ quantity is trusted only where the boundary provably cannot interfere.
 
 A branch is a subtree, hence convex (Serre, *Trees*), and so is the
 window; their intersection is therefore connected in the window graph.
-``oracle_branch`` uses that and nothing else: it scans the window for
-one member, then grows the branch through the neighbours of the members
-found so far, so it tests the members and their rim instead of every
-vertex.  It never consults a predicted shape.
+Every walk over the window is one breadth-first search, ``_bfs``, and
+the convexity is used twice.  ``grow`` scans the window for one vertex
+that passes a test and walks only through passing vertices from there;
+``oracle_branch`` is ``grow`` with the membership test and never
+consults a predicted shape.  The measurements walk only inside the
+member set, except ``set_distance``, which has to cross non-members.
 """
 
 from __future__ import annotations
@@ -142,41 +144,54 @@ def member(q: Mat2, v: Vertex) -> bool:
     return val_ge(quad, r)
 
 
-def oracle_branch(q: Mat2, window: Window) -> set[Vertex]:
-    """The members of the window that lie in the branch of q.
-
-    The window is scanned in breadth-first order up to the first member;
-    from there the set grows through ``window.adj``, testing only
-    neighbours of members already found.  The branch and the window are
-    both convex, so their intersection is connected and the growth
-    reaches all of it; when the scan finds no member it has covered the
-    whole window and the set is empty.
-
-    On truncated q the answer is still certified.  Every vertex tested
-    here is also tested by a scan of the whole window, so this raises
-    UndeterminedAtPrecision only where that scan would, and every test
-    that returns is decided for every completion of q.  An untested
-    vertex is cut off from the members by tested non-members, so by
-    convexity it lies outside the branch of every completion alike.
-
-    The result is built in window order, as a full scan builds it, so
-    that its iteration order, and with it the tie-breaks further down
-    (the realizers of ``set_distance``), do not depend on the growth.
+def _bfs(window: Window, sources, inside=None, stop=None):
+    """Breadth-first walk from ``sources``, entering only vertices the
+    predicate ``inside`` accepts and ending at the first dequeued vertex
+    the predicate ``stop`` accepts.  Returns the depths in discovery
+    order, the parents and the stopping vertex (None if none stopped it).
     """
-    first = next((v for v in window.vertices if member(q, v)), None)
+    depth = dict.fromkeys(sources, 0)
+    parent = {}
+    queue = deque(depth)
+    while queue:
+        v = queue.popleft()
+        if stop is not None and stop(v):
+            return depth, parent, v
+        for w in window.adj[v]:
+            if w not in depth and (inside is None or inside(w)):
+                depth[w] = depth[v] + 1
+                parent[w] = v
+                queue.append(w)
+    return depth, parent, None
+
+
+def grow(window: Window, test) -> set[Vertex]:
+    """The window vertices that pass ``test``, when those form a convex set.
+
+    The window is scanned in window order up to the first passing vertex,
+    and the walk from there enters passing vertices only, so ``test``
+    sees the scan prefix, the passing set and its rim.  A convex set -- a
+    branch, a tube around a stem, a horoball -- meets the convex window in
+    a connected set, so the walk reaches all of it.
+
+    On truncated input the answer is certified: every vertex tested here
+    is tested by a full scan too, so this raises UndeterminedAtPrecision
+    only where that scan would, and an untested vertex is cut off from the
+    passing set by vertices that fail for every completion, so by
+    convexity it fails for every completion alike.  The set is built in
+    window order, as a full scan builds it, so the tie-breaks further down
+    (the realizers of ``set_distance``) do not depend on the walk.
+    """
+    first = next((v for v in window.vertices if test(v)), None)
     if first is None:
         return set()
-    found = {first}
-    tested = {first}
-    stack = [first]
-    while stack:
-        for w in window.adj[stack.pop()]:
-            if w not in tested:
-                tested.add(w)
-                if member(q, w):
-                    found.add(w)
-                    stack.append(w)
+    found, _, _ = _bfs(window, [first], inside=test)
     return {v for v in window.vertices if v in found}
+
+
+def oracle_branch(q: Mat2, window: Window) -> set[Vertex]:
+    """The members of the window that lie in the branch of q."""
+    return grow(window, lambda v: member(q, v))
 
 
 # -- certified measurement ------------------------------------------
@@ -186,17 +201,12 @@ def local_depths(members: set[Vertex], window: Window) -> dict[Vertex, int]:
 
     Values are measured in the window graph, hence over-estimates near
     the boundary; a value is exact once it is <= the vertex's distance
-    to the boundary (the certification rule used throughout).
+    to the boundary (the certification rule used throughout).  The walk
+    runs inward from the rim (non-members next to a member) through
+    members only, as every shortest path from a member to the rim does.
     """
-    outside = [v for v in window.vertices if v not in members]
-    depth = {v: 0 for v in outside}
-    queue = deque(outside)
-    while queue:
-        v = queue.popleft()
-        for w in window.adj[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                queue.append(w)
+    rim = {w for v in members for w in window.adj[v] if w not in members}
+    depth, _, _ = _bfs(window, rim, inside=members.__contains__)
     return {v: depth.get(v, INFINITE_DEPTH) for v in members}
 
 
@@ -239,42 +249,28 @@ def measure_branch(members: set[Vertex], window: Window,
 
 def set_distance(a: set[Vertex], b: set[Vertex], window: Window):
     """Min distance between two disjoint vertex sets, with its realizers."""
-    depth = {v: 0 for v in a}
-    parent = {}
-    queue = deque(a)
-    while queue:
-        v = queue.popleft()
-        if v in b:
-            u = v
-            while u not in a:
-                u = parent[u]
-            return depth[v], u, v
-        for w in window.adj[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                queue.append(w)
-    return None, None, None
+    depth, parent, v = _bfs(window, a, stop=b.__contains__)
+    if v is None:
+        return None, None, None
+    u = v
+    while u not in a:
+        u = parent[u]
+    return depth[v], u, v
 
 
 def set_diameter(members: set[Vertex], window: Window):
-    """Diameter of a connected set via double sweep, with its realizers."""
+    """Diameter of a connected set via double sweep, with its realizers.
+
+    Both sweeps stay inside the set: a connected set in a tree holds the
+    path between any two of its vertices, so distances, and the order in
+    which each depth is found, are those of a sweep of the whole window.
+    """
 
     def far(src):
-        depth = {src: 0}
-        queue = deque([src])
-        best = (0, src)
-        while queue:
-            v = queue.popleft()
-            if v in members and depth[v] > best[0]:
-                best = (depth[v], v)
-            for w in window.adj[v]:
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-        return best
-    v0 = next(iter(members))
-    _, a = far(v0)
+        depth, _, _ = _bfs(window, [src], inside=members.__contains__)
+        v = max(depth, key=depth.get)  # the first found at the largest depth
+        return depth[v], v
+    _, a = far(next(iter(members)))
     d, b = far(a)
     return d, a, b
 
@@ -321,28 +317,32 @@ class MeasuredShape:
     note: str = ""
 
 
+def _measure_disjoint(a, b, window, margin, base_certified=True, dref=0):
+    """Two disjoint sets: their distance, certified when both realizers
+    stay dref + margin clear of the window boundary."""
+    d, u, v = set_distance(a, b, window)
+    if d is None:
+        return MeasuredShape("disjoint", False,
+                             note="no connecting path in window")
+    ok = (base_certified
+          and window.boundary_distance(u) >= dref + margin
+          and window.boundary_distance(v) >= dref + margin)
+    return MeasuredShape("disjoint", ok, distance=d)
+
+
 def _measure_paths_meet(stem1, stem2, window, margin, base_certified, dref):
     """Compare two measured stems.  ``dref`` is the largest core depth
     among the non-foliage sides; cores are exact only out to boundary
     distance dref, so that is where "reaches the window cut" begins."""
     inter = stem1 & stem2
     if not inter:
-        d, u, v = set_distance(stem1, stem2, window)
-        if d is None:
-            return MeasuredShape("disjoint", False,
-                                 note="no connecting path in window")
-        ok = (base_certified
-              and window.boundary_distance(u) >= dref + margin
-              and window.boundary_distance(v) >= dref + margin)
-        return MeasuredShape("disjoint", ok, distance=d)
+        return _measure_disjoint(stem1, stem2, window, margin,
+                                 base_certified, dref)
     if not is_path_set(inter, window):
         return MeasuredShape("path", False, length=len(inter) - 1,
                              note="stem intersection is not a path")
-    if len(inter) == 1:
-        ends = list(inter)
-    else:
-        ends = [v for v in inter
-                if sum(1 for w in window.adj[v] if w in inter) <= 1]
+    ends = [v for v in inter
+            if sum(1 for w in window.adj[v] if w in inter) <= 1]
     cut_ends = [v for v in ends
                 if window.boundary_distance(v) < dref + margin]
     if len(cut_ends) >= 2:
@@ -358,13 +358,7 @@ def _measure_foliage_meet(s1, s2, window, margin):
         return MeasuredShape("contained", bool(s1 and s2), containment=side)
     inter = s1 & s2
     if not inter:
-        d, u, v = set_distance(s1, s2, window)
-        if d is None:
-            return MeasuredShape("disjoint", False,
-                                 note="no connecting path in window")
-        ok = (window.boundary_distance(u) >= margin
-              and window.boundary_distance(v) >= margin)
-        return MeasuredShape("disjoint", ok, distance=d)
+        return _measure_disjoint(s1, s2, window, margin)
     diam, _, _ = set_diameter(inter, window)
     mb = measure_branch(inter, window, margin)
     if mb.depth is None:

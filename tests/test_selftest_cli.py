@@ -8,8 +8,8 @@ import btbranch.cli as cli
 import btbranch.tree as tree
 from btbranch.cli import main
 from btbranch.gf2 import field
-from btbranch.mat2 import m_parse
-from btbranch.selftest import run_selftest
+from btbranch.mat2 import m_parse, make_pair
+from btbranch.selftest import compare_pair, run_selftest
 
 
 # the randomised self test
@@ -215,8 +215,33 @@ def test_cli_oracle_agrees_on_an_honest_pair(capsys):
 def test_cli_oracle_flags_an_uncertified_window(capsys):
     code, out, _ = run_cli(capsys, ["oracle", "[[0,1],[0,0]]",
                                     "[[t^-2,1],[t^-4,t^-2]]", "--radius", "3"])
-    assert code == 1
-    assert "MISMATCH" in out
+    assert code == 3
+    assert "verdict: UNDETERMINED (window too small for prediction" in out
+
+
+@pytest.mark.parametrize("radius", range(7))
+def test_cli_oracle_compares_like_the_selftest(capsys, radius):
+    q1, q2 = "[[0,1],[0,0]]", "[[t,1],[t^2,t]]"
+    fld = field(1)
+    pair = make_pair(m_parse(fld, q1), m_parse(fld, q2), 64)
+    status, why, _, _ = compare_pair(pair, tree.enumerate_window(fld, radius),
+                                     2, 64)
+    code, out, _ = run_cli(capsys, ["oracle", q1, q2,
+                                    "--radius", str(radius)])
+    verdict = out.splitlines()[-1]
+    if radius < 5:
+        assert status == "skipped" and code == 3
+        assert verdict == f"verdict: UNDETERMINED ({why})"
+        assert "measured:  not taken" in out
+    else:
+        assert status == "matched" and code == 0
+        assert verdict == "verdict: MATCH"
+    code, out, _ = run_cli(capsys, ["oracle", q1, q2, "--radius", str(radius),
+                                    "--format", "json"])
+    rec = json.loads(out)
+    assert rec["match"] == (status == "matched")
+    assert rec["note"] == ("" if status == "matched" else why)
+    assert (rec["measured"] is None) == (status == "skipped")
 
 
 def test_cli_rejects_garbage_input(capsys):
@@ -235,6 +260,14 @@ def test_cli_reports_insufficient_precision(capsys):
                                     "--m1", "0,t", "--m2", "0,t"])
     assert code == 3
     assert "precision" in err
+
+
+def test_negative_count_is_a_usage_error(capsys):
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        run_selftest(count=-1)
+    code, out, err = run_cli(capsys, ["selftest", "--count", "-5"])
+    assert code == 2
+    assert out == "" and "count must be nonnegative" in err
 
 
 def test_cli_selftest_smoke(capsys):

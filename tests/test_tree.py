@@ -1,20 +1,23 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
+import btbranch.geometry as geometry
 import btbranch.tree as tree
 from btbranch.defects import KINDS, classify
+from btbranch.geometry import branch_shape, shape_members
 from btbranch.gf2 import field
 from btbranch.mat2 import Mat2, companion, m_conj, m_mul, make_pair
 from btbranch.series import (UndeterminedAtPrecision, s_monomial, s_one,
                              s_parse, s_random, s_truncate, s_zero)
-from btbranch.tree import (Vertex, complete_in_window, dot_export,
-                           enumerate_window, is_path_set, measure_branch,
-                           measure_intersection, member, oracle_branch,
-                           reduce_center, set_diameter, set_distance,
-                           tree_distance, vertex_neighbors)
+from btbranch.tree import (INFINITE_DEPTH, Vertex, complete_in_window,
+                           dot_export, enumerate_window, is_path_set,
+                           local_depths, measure_branch, measure_intersection,
+                           member, oracle_branch, reduce_center, set_diameter,
+                           set_distance, tree_distance, vertex_neighbors)
 
 F1 = field(1)
 F2 = field(2)
@@ -283,6 +286,168 @@ def test_flood_fill_on_truncated_input_is_certified(tau, radius):
             assert flood == exact
             decided += 1
     assert decided and refused
+
+
+# predicted sets grow like oracle sets
+
+
+def _full_shape_scan(shape, w):
+    test = geometry._member_test(shape)
+    return {v for v in w.vertices if test(v)}
+
+
+def _shapes(tau, seed, precs):
+    out = []
+    for q in _conjugated_companions(tau, seed):
+        for prec in precs:
+            try:
+                out.append(branch_shape(q, prec))
+            except UndeterminedAtPrecision:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_grown_predicted_set_equals_the_full_scan(tau, radius):
+    w = enumerate_window(field(tau), radius)
+    nonempty = 0
+    for shape in _shapes(tau, 50 + tau, (64,)):
+        got = shape_members(shape, w)
+        assert got == _full_shape_scan(shape, w)
+        assert list(got) == list(_full_shape_scan(shape, w))
+        nonempty += bool(got)
+    assert nonempty >= 10
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_grown_predicted_set_on_truncated_shapes_refuses_like_the_scan(
+        tau, radius):
+    w = enumerate_window(field(tau), radius)
+    decided = refused = 0
+    for shape in _shapes(tau, 60 + tau, (2, 3, 4, 6)):
+        want = _outcome(_full_shape_scan, shape, w)
+        got = _outcome(shape_members, shape, w)
+        assert got == want
+        if want is UndeterminedAtPrecision:
+            refused += 1
+        else:
+            assert list(got) == list(want)
+            decided += 1
+    assert decided and refused
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_grown_predicted_set_tests_members_and_their_rim_only(
+        tau, radius, monkeypatch):
+    w = enumerate_window(field(tau), radius)
+    shapes = _shapes(tau, 70 + tau, (64,))
+    want = [_full_shape_scan(shape, w) for shape in shapes]
+    calls = []
+    real = geometry._member_test
+
+    def counting(shape):
+        test = real(shape)
+
+        def counted(v):
+            calls.append(v)
+            return test(v)
+        return counted
+    monkeypatch.setattr(geometry, "_member_test", counting)
+    for shape, members in zip(shapes, want):
+        del calls[:]
+        assert shape_members(shape, w) == members
+        if members:
+            rim = {u for v in members for u in w.adj[v]} - members
+            assert len(calls) <= w.vertices.index(min(
+                members, key=w.vertices.index)) + len(members) + len(rim)
+        else:
+            assert len(calls) == len(w.vertices)
+
+
+# the member-only walks against walks over the whole window
+
+
+def _local_depths_over_the_window(members, w):
+    outside = [v for v in w.vertices if v not in members]
+    depth = {v: 0 for v in outside}
+    queue = deque(outside)
+    while queue:
+        v = queue.popleft()
+        for u in w.adj[v]:
+            if u not in depth:
+                depth[u] = depth[v] + 1
+                queue.append(u)
+    return {v: depth.get(v, INFINITE_DEPTH) for v in members}
+
+
+def _set_distance_over_the_window(a, b, w):
+    depth = {v: 0 for v in a}
+    parent = {}
+    queue = deque(a)
+    while queue:
+        v = queue.popleft()
+        if v in b:
+            u = v
+            while u not in a:
+                u = parent[u]
+            return depth[v], u, v
+        for x in w.adj[v]:
+            if x not in depth:
+                depth[x] = depth[v] + 1
+                parent[x] = v
+                queue.append(x)
+    return None, None, None
+
+
+def _set_diameter_over_the_window(members, w):
+    def far(src):
+        depth = {src: 0}
+        queue = deque([src])
+        best = (0, src)
+        while queue:
+            v = queue.popleft()
+            if v in members and depth[v] > best[0]:
+                best = (depth[v], v)
+            for u in w.adj[v]:
+                if u not in depth:
+                    depth[u] = depth[v] + 1
+                    queue.append(u)
+        return best
+    _, a = far(next(iter(members)))
+    d, b = far(a)
+    return d, a, b
+
+
+def _oracle_sets_and_cores(tau, radius, seed):
+    w = enumerate_window(field(tau), radius)
+    sets = []
+    for q in _conjugated_companions(tau, seed):
+        members = oracle_branch(q, w)
+        if members:
+            sets.append(members)
+            core = measure_branch(members, w).core
+            if core:
+                sets.append(core)
+    return w, sets
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_member_only_walks_equal_the_window_walks(tau, radius):
+    w, sets = _oracle_sets_and_cores(tau, radius, seed=80 + tau)
+    assert len(sets) >= 20
+    for members in sets:
+        got = local_depths(members, w)
+        assert list(got.items()) == list(
+            _local_depths_over_the_window(members, w).items())
+        assert (set_diameter(members, w)
+                == _set_diameter_over_the_window(members, w))
+    disjoint = 0
+    for a in sets:
+        for b in sets:
+            assert set_distance(a, b, w) == _set_distance_over_the_window(
+                a, b, w)
+            disjoint += not a & b
+    assert disjoint >= 20
 
 
 # measurement
