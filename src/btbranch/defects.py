@@ -245,13 +245,3 @@ def solve_quadratic(c: Series, d: Series,
     y0 = s_mul(c, r)
     return (y0, s_add(y0, c))
 
-
-def defect_in_image(kind_ideal: Ideal, separable: bool) -> bool:
-    """Image law: as-defects land in {(0), O, (t^odd<0)}; square defects
-    in {(0)} plus odd positive exponents (for integral input)."""
-    v = kind_ideal.val
-    if v is None or v == 0:
-        return separable or v is None
-    if separable:
-        return v < 0 and v % 2 == 1
-    return v % 2 == 1

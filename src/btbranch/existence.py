@@ -122,22 +122,6 @@ def _mul_table(spec: AlgebraSpec):
     return tab
 
 
-def _alg_mul(tab, x, y):
-    fld = x[0].field
-    out = [s_zero(fld)] * 4
-    for i, xi in enumerate(x):
-        if xi.is_zero:
-            continue
-        for j, yj in enumerate(y):
-            if yj.is_zero:
-                continue
-            coeff = s_mul(xi, yj)
-            for k, c in enumerate(tab[i, j]):
-                if not c.is_zero:
-                    out[k] = s_add(out[k], s_mul(coeff, c))
-    return tuple(out)
-
-
 def _nrd(tab, x):
     """Reduced norm of x = sum x_i B_i, the scalar coordinate of x (x + trd x).
 

@@ -14,7 +14,7 @@ def _poly_deg(p: int) -> int:
     return p.bit_length() - 1
 
 
-def _poly_mulmod(x: int, y: int, modulus: int, tau: int) -> int:
+def _poly_mulmod(x: int, y: int, modulus: int) -> int:
     # carry-less multiply, then reduce
     acc = 0
     while y:
@@ -85,12 +85,8 @@ def field(tau: int, modulus: int | None = None) -> FieldConfig:
     return FieldConfig(tau, modulus)
 
 
-def ff_add(cfg: FieldConfig, x: int, y: int) -> int:
-    return x ^ y
-
-
 def ff_mul(cfg: FieldConfig, x: int, y: int) -> int:
-    return _poly_mulmod(x, y, cfg.modulus, cfg.tau)
+    return _poly_mulmod(x, y, cfg.modulus)
 
 
 def ff_pow(cfg: FieldConfig, x: int, e: int) -> int:

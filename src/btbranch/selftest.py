@@ -9,7 +9,7 @@ Four independent cross-checks, all driven from one deterministic RNG:
 * branch suite: branch_shape against per-branch oracle sets and stem
   measurement;
 * defect suite: as_defect / quad_defect against exhaustive minimization
-  over a bitmask grid of substitutions;
+  over a grid of substitutions, by linear algebra on series;
 * symbol suite: the splitness decision against bounded zero-divisor and
   norm-form searches, which are one-sided proofs when they hit.
 
@@ -332,73 +332,69 @@ def _run_branch_instance(q, window, margin, prec):
     return "matched", ""
 
 
-# -- defect suite (bitmask brute force over the substitution grid) --
+# -- defect suite (exhaustive minimisation over the substitution grid) --
+#
+# h -> h^2 + h and h -> h^2 are F_2-linear in characteristic 2, so the
+# substitutions p(h) for h on the grid (support _GRID_LO.._GRID_HI, any
+# residue coefficients) form an F_2-subspace W, and the best valuation
+# of a + p(h) is a maximum over the coset a + W.  An echelon basis of W,
+# keyed by each vector's lowest nonzero coefficient bit, finds it: once
+# the lowest bit of a is no pivot, every other member of the coset has a
+# lower or equal lowest bit.  Only series arithmetic is used, so the
+# check shares nothing with the defect reductions it tests.
 
 _GRID_LO, _GRID_HI = -4, 8
-_OFF = 16
+# a best valuation this high reflects where the grid stops, not a defect
+_CAP = {True: 2, False: 7}  # keyed by artin
 
 
-def _mask_of(a: Series) -> int:
-    return sum(1 << (e + _OFF) for e, _ in a.terms())
+def _low_bit(a: Series):
+    """The lowest nonzero bit of a: its exponent, then the coefficient bit."""
+    c = a.coeffs[0]
+    return a.lead, (c & -c).bit_length() - 1
 
 
-def _mask_val(m: int):
-    return (m & -m).bit_length() - 1 - _OFF if m else None
+def _reduce(a: Series, basis: dict) -> Series:
+    while a.coeffs and (key := _low_bit(a)) in basis:
+        a = s_add(a, basis[key])
+    return a
 
 
-def _grid_masks():
-    """All (h^2 + h, h^2) mask pairs for h on the substitution grid."""
-    exps = range(_GRID_LO, _GRID_HI + 1)
-    singles = [1 << (e + _OFF) for e in exps]
-    squares = [1 << (2 * e + _OFF) for e in exps]
-    out = []
-    for bits in range(1 << len(singles)):
-        h = hsq = 0
-        b = bits
-        i = 0
-        while b:
-            if b & 1:
-                h |= singles[i]
-                hsq |= squares[i]
-            b >>= 1
-            i += 1
-        out.append((hsq ^ h, hsq))
-    return out
+def _grid_basis(fld, artin: bool, lo: int = _GRID_LO, hi: int = _GRID_HI):
+    """Echelon basis of {h^2 + h} (artin) or {h^2} over h on exponents
+    lo..hi, keyed by lowest bit."""
+    basis = {}
+    for e in range(lo, hi + 1):
+        for k in range(fld.tau):
+            h = s_monomial(fld, e, 1 << k)
+            image = s_mul(h, h)
+            if artin:
+                image = s_add(image, h)
+            image = _reduce(image, basis)
+            if image.coeffs:
+                basis[_low_bit(image)] = image
+    return basis
 
 
-def _brute_ideal_vals(amask, grid, artin: bool):
+def _grid_best_val(a: Series, basis: dict, artin: bool):
     """Best valuation of a + substitution over the grid; None when a
-    substitution kills the element outright."""
-    cap = 2 if artin else 7
-    best = None
-    for hh, hsq in grid:
-        x = amask ^ (hh if artin else hsq)
-        if x == 0:
-            return None
-        v = _mask_val(x)
-        if best is None or v > best:
-            best = v
-            if best >= cap:
-                return None
-    return best
+    substitution kills the element outright or reaches the cap."""
+    rest = _reduce(a, basis)
+    if not rest.coeffs or rest.lead >= _CAP[artin]:
+        return None
+    return rest.lead
 
 
-def _run_defect_instance(rng, fld, grid):
+def _run_defect_instance(rng, fld, bases):
     a = s_random(fld, rng, -6, 6)
-    amask = _mask_of(a)
-    ok = True
     why = []
-    got = as_defect(a).ideal.val
-    want = _brute_ideal_vals(amask, grid, artin=True)
-    if got != want:
-        ok = False
-        why.append(f"artin defect {got} vs grid {want}")
-    got = quad_defect(a).ideal.val
-    want = _brute_ideal_vals(amask, grid, artin=False)
-    if got != want:
-        ok = False
-        why.append(f"square defect {got} vs grid {want}")
-    return ok, "; ".join(why)
+    for name, defect, artin in (("artin", as_defect, True),
+                                ("square", quad_defect, False)):
+        got = defect(a).ideal.val
+        want = _grid_best_val(a, bases[artin], artin)
+        if got != want:
+            why.append(f"{name} defect {got} vs grid {want}")
+    return not why, "; ".join(why)
 
 
 # -- symbol suite ---------------------------------------------------
@@ -621,15 +617,13 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
             report.branch_mismatched += 1
             report.mismatch_list.append(f"branch #{idx} {kind}: {detail}")
 
-    if count and tau == 1:
-        # the bitmask minimizer identifies coefficients with single bits
-        grid = _grid_masks()
-        for idx in range(count):
-            report.defect_checked += 1
-            ok, why = _run_defect_instance(rng, fld, grid)
-            if not ok:
-                report.defect_disagreements += 1
-                report.mismatch_list.append(f"defect #{idx}: {why}")
+    bases = {artin: _grid_basis(fld, artin) for artin in (True, False)}
+    for idx in range(count):
+        report.defect_checked += 1
+        ok, why = _run_defect_instance(rng, fld, bases)
+        if not ok:
+            report.defect_disagreements += 1
+            report.mismatch_list.append(f"defect #{idx}: {why}")
 
     for idx in range(2 * count // 5):
         report.symbol_specs += 1

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 
-from .mat2 import Mat2
+from .mat2 import Mat2, det, trace
 from .series import (Series, UndeterminedAtPrecision, s_add, s_from_terms,
                      s_mul, s_render, s_val, val_ge)
 
@@ -369,11 +369,17 @@ def _measure_foliage_meet(s1, s2, window, margin):
                          stem_is_edge=len(mb.core) == 2)
 
 
+def _is_foliage(q: Mat2) -> bool:
+    """Reducible inseparable, read off the matrix: the trace is exactly
+    zero and the determinant, with no odd-exponent term, is a square."""
+    return trace(q).is_zero and not any(e % 2 for e, _ in det(q).terms())
+
+
 def measure_intersection(pair, window: Window, margin: int = 2,
                          sets=None) -> MeasuredShape:
     """Measure the relative position of the two stems of a generating pair.
 
-    Foliage branches (reducible inseparable factors) are their own
+    Foliage branches (reducible inseparable generators) are their own
     stems; every other class has a deep core extracted by
     measure_branch.  The result's ``kind`` is the ``kind`` of the
     predicted position class, so check_agreement compares the two field
@@ -382,14 +388,12 @@ def measure_intersection(pair, window: Window, margin: int = 2,
     sets, on which the self-test dry-runs the measurement to decide
     whether the window is big enough before looking at the real thing.
     """
-    from .defects import REDUCIBLE_INSEP
     if sets is None:
         s1 = oracle_branch(pair.q1, window)
         s2 = oracle_branch(pair.q2, window)
     else:
         s1, s2 = sets
-    fol1 = pair.m1.kind == REDUCIBLE_INSEP
-    fol2 = pair.m2.kind == REDUCIBLE_INSEP
+    fol1, fol2 = _is_foliage(pair.q1), _is_foliage(pair.q2)
     if fol1 and fol2:
         return _measure_foliage_meet(s1, s2, window, margin)
     certified = True

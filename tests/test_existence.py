@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from btbranch.existence import (DegenerateForm, algebra_spec,
                                 cyclic_presentation, decide, search_pair,
                                 search_zero_divisor, splits, verify_witness,
-                                _alg_mul, _mul_table, _nrd, _small_elements)
+                                _mul_table, _nrd, _small_elements)
 from btbranch.gf2 import field
 from btbranch.mat2 import make_pair
 from btbranch.series import (UndeterminedAtPrecision, s_add, s_mul, s_one,
@@ -150,6 +150,23 @@ def test_unramified_irreducible_pair_is_rejected():
 
 
 # the structure constants behave like an algebra
+
+
+def _alg_mul(tab, x, y):
+    """Product of two elements given by coordinates in (1, Q1, Q2, Q1Q2)."""
+    fld = x[0].field
+    out = [s_zero(fld)] * 4
+    for i, xi in enumerate(x):
+        if xi.is_zero:
+            continue
+        for j, yj in enumerate(y):
+            if yj.is_zero:
+                continue
+            coeff = s_mul(xi, yj)
+            for k, c in enumerate(tab[i, j]):
+                if not c.is_zero:
+                    out[k] = s_add(out[k], s_mul(coeff, c))
+    return tuple(out)
 
 
 def test_multiplication_table_is_associative():

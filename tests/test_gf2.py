@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from btbranch.gf2 import (FieldConfig, ff_add, ff_artin_schreier_root,
-                          ff_inv, ff_mul, ff_pow, ff_sqrt, ff_trace, field)
+from btbranch.gf2 import (FieldConfig, ff_artin_schreier_root, ff_inv,
+                          ff_mul, ff_pow, ff_sqrt, ff_trace, field)
 
 
 SMALL_TAUS = (1, 2, 3, 4)
@@ -34,10 +34,13 @@ def test_degree_outside_the_supported_range_is_an_error(tau):
 
 
 def test_addition_is_xor():
+    # xor is the field's addition: multiplication distributes over it
     cfg = field(3)
     for x in range(8):
         for y in range(8):
-            assert ff_add(cfg, x, y) == x ^ y
+            for z in range(8):
+                assert (ff_mul(cfg, x, y ^ z)
+                        == ff_mul(cfg, x, y) ^ ff_mul(cfg, x, z))
 
 
 @pytest.mark.parametrize("tau", SMALL_TAUS)

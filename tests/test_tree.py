@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import ast
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 import btbranch.geometry as geometry
 import btbranch.tree as tree
-from btbranch.defects import KINDS, classify
+from btbranch.defects import KINDS, REDUCIBLE_INSEP, classify
 from btbranch.geometry import branch_shape, shape_members
 from btbranch.gf2 import field
-from btbranch.mat2 import Mat2, companion, m_conj, m_mul, make_pair
+from btbranch.mat2 import (Mat2, companion, m_conj, m_mul, make_pair,
+                           min_poly)
+from btbranch.selftest import _PAIR_STRATEGIES
 from btbranch.series import (UndeterminedAtPrecision, s_monomial, s_one,
                              s_parse, s_random, s_truncate, s_zero)
 from btbranch.tree import (INFINITE_DEPTH, Vertex, complete_in_window,
@@ -517,6 +521,42 @@ def test_uncertified_when_the_window_is_too_tight():
     shape = measure_intersection(_conjugated_nilpotent_pair("t^-2"),
                                  enumerate_window(F1, 4))
     assert not shape.certified
+
+
+# independence from the predictor
+
+
+def test_tree_imports_nothing_from_the_predictor():
+    source = Path(tree.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            # "from .defects import x" and "from . import defects" alike
+            imported.update(f"{node.module or ''}.{alias.name}"
+                            for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert any("mat2" in name.split(".") for name in imported)
+    for name in imported:
+        assert not {"defects", "geometry"} & set(name.split(".")), name
+
+
+@pytest.mark.parametrize("tau", (1, 2))
+def test_foliage_read_off_the_matrix_is_the_inseparable_reducible_kind(tau):
+    fld = field(tau)
+    rng = random.Random(tau)
+    state = {"kind_pair": 0, "meet_depth": 0, "second_kind": 0}
+    seen = []
+    idx = 0
+    while len(seen) < 800:
+        raw = _PAIR_STRATEGIES[idx % len(_PAIR_STRATEGIES)](rng, fld, 64,
+                                                            state)
+        idx += 1
+        for q in raw or ():
+            foliage = min_poly(q).kind == REDUCIBLE_INSEP
+            assert tree._is_foliage(q) == foliage, q
+            seen.append(foliage)
+    assert 0 < sum(seen) < len(seen)
 
 
 # export
