@@ -14,8 +14,8 @@ seeded differential self-test (selftest).
 from .gf2 import FieldConfig, field
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
                      s_div, s_from_terms, s_inv, s_monomial, s_mul, s_one,
-                     s_parse, s_random, s_render, s_sqrt, s_val, s_zero,
-                     val_ge)
+                     s_parse, s_random, s_render, s_split, s_sqrt, s_square,
+                     s_val, s_zero, val_ge)
 from .defects import (KINDS, Ideal, QuadPoly, as_defect, classify,
                       quad_defect, solve_artin_schreier, solve_quadratic)
 from .mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix, companion,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .defects import classify
 from .existence import (DegenerateForm, algebra_spec, decide, search_pair,
@@ -45,14 +45,10 @@ class RunConfig:
     dot: str | None = None
 
     def validate(self):
-        if self.tau < 1:
-            raise ValueError("--tau must be at least 1")
         if self.prec < 1:
             raise ValueError("--prec must be at least 1")
         if self.window_radius < 0 or self.margin < 0:
             raise ValueError("--radius and --margin must be nonnegative")
-        if self.format not in ("text", "json"):
-            raise ValueError("--format must be text or json")
 
     @property
     def fld(self):
@@ -60,8 +56,9 @@ class RunConfig:
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig(args.tau, args.modulus, args.prec, args.radius,
-                    args.margin, args.seed, args.format, args.dot)
+    """The flags the subcommand has; the others keep their defaults."""
+    cfg = RunConfig(**{f.name: getattr(args, f.name)
+                       for f in fields(RunConfig) if hasattr(args, f.name)})
     cfg.validate()
     return cfg
 
@@ -238,86 +235,81 @@ def _search_box(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+#: the flags beyond --tau, --modulus and --format, each given only to
+#: the subcommands that read it
+_FLAGS = {
+    "--prec": dict(type=int, default=64,
+                   help="working precision for inexact arithmetic"),
+    "--radius": dict(dest="window_radius", type=int, default=8,
+                     help="window radius for measurements"),
+    "--margin": dict(type=int, default=2,
+                     help="boundary margin for certification"),
+    "--seed": dict(type=int, default=7),
+    "--dot": dict(metavar="PATH", default=None,
+                  help="write a GraphViz view of the window"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tau", type=int, default=1,
                         help="residue field is F_(2^tau)")
     common.add_argument("--modulus", type=lambda s: int(s, 0), default=None,
                         help="residue field modulus, e.g. 0b111")
-    common.add_argument("--prec", type=int, default=64,
-                        help="working precision for inexact arithmetic")
-    common.add_argument("--radius", type=int, default=8,
-                        help="window radius for measurements")
-    common.add_argument("--margin", type=int, default=2,
-                        help="boundary margin for certification")
-    common.add_argument("--seed", type=int, default=7)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--dot", metavar="PATH", default=None,
-                        help="write a GraphViz view of the window")
 
     p = argparse.ArgumentParser(prog="btbranch",
                                 description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    pd = sub.add_parser("defect", parents=[common],
-                        help="defect ideal of an element")
+    def command(name, func, help, *flags, args=()):
+        cmd = sub.add_parser(name, parents=[common], help=help)
+        for arg in args:
+            cmd.add_argument(arg)
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
+        cmd.set_defaults(func=func)
+        return cmd
+
+    pd = command("defect", _cmd_defect, "defect ideal of an element")
     pd.add_argument("map", choices=("as", "quad"))
     pd.add_argument("element")
-    pd.set_defaults(func=_cmd_defect)
-
-    pc = sub.add_parser("classify", parents=[common],
-                        help="classify X^2 + aX + b")
-    pc.add_argument("a")
-    pc.add_argument("b")
-    pc.set_defaults(func=_cmd_classify)
-
-    pb = sub.add_parser("branch", parents=[common],
-                        help="branch shape of a matrix")
-    pb.add_argument("matrix")
-    pb.set_defaults(func=_cmd_branch)
-
-    pr = sub.add_parser("relpos", parents=[common],
-                        help="predicted relative position of two branches")
-    pr.add_argument("q1")
-    pr.add_argument("q2")
-    pr.set_defaults(func=_cmd_relpos)
-
-    pf = sub.add_parser("df", parents=[common],
-                        help="stem distance from (lambda, m1, m2)")
-    pf.add_argument("--lambda", dest="lam", required=True)
-    pf.add_argument("--m1", required=True, metavar="A,B")
-    pf.add_argument("--m2", required=True, metavar="A,B")
-    pf.set_defaults(func=_cmd_df)
-
-    po = sub.add_parser("oracle", parents=[common],
-                        help="predicted vs measured, side by side")
-    po.add_argument("q1")
-    po.add_argument("q2")
-    po.set_defaults(func=_cmd_oracle)
-
-    pe = sub.add_parser("exists", parents=[common],
-                        help="decide whether a pair with the datum exists")
-    pe.add_argument("--lambda", dest="lam", required=True)
-    pe.add_argument("--m1", required=True, metavar="A,B")
-    pe.add_argument("--m2", required=True, metavar="A,B")
+    command("classify", _cmd_classify, "classify X^2 + aX + b", "--prec",
+            args=("a", "b"))
+    command("branch", _cmd_branch, "branch shape of a matrix",
+            "--prec", "--radius", "--dot", args=("matrix",))
+    command("relpos", _cmd_relpos,
+            "predicted relative position of two branches", "--prec",
+            args=("q1", "q2"))
+    pf = command("df", _cmd_df, "stem distance from (lambda, m1, m2)",
+                 "--prec")
+    command("oracle", _cmd_oracle, "predicted vs measured, side by side",
+            "--prec", "--radius", "--margin", "--dot", args=("q1", "q2"))
+    pe = command("exists", _cmd_exists,
+                 "decide whether a pair with the datum exists", "--prec")
+    for cmd in (pf, pe):
+        cmd.add_argument("--lambda", dest="lam", required=True)
+        cmd.add_argument("--m1", required=True, metavar="A,B")
+        cmd.add_argument("--m2", required=True, metavar="A,B")
     pe.add_argument("--witness", action="store_true",
                     help="print the witness pair when one is constructed")
     pe.add_argument("--search-box", metavar="LO,HI", type=_search_box,
                     default=None,
-                    help="also run the bounded searches on this exponent "
-                         "box; write a negative LO as --search-box=-1,1")
-    pe.set_defaults(func=_cmd_exists)
-
-    ps = sub.add_parser("selftest", parents=[common],
-                        help="run the seeded differential suite")
+                    help="also run the bounded searches on this exponent box")
+    ps = command("selftest", _cmd_selftest,
+                 "run the seeded differential suite",
+                 "--prec", "--radius", "--margin", "--seed")
     ps.add_argument("--count", type=int, default=500)
-    ps.set_defaults(func=_cmd_selftest)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a negative LO reads as an option, so glue the box to its flag
+    if "--search-box" in argv[:-1]:
+        i = argv.index("--search-box")
+        argv[i:i + 2] = [f"--search-box={argv[i + 1]}"]
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from(args)
         return args.func(cfg, args)

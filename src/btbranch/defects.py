@@ -1,21 +1,21 @@
 """Artin-Schreier and square defects, and the classification of X^2+aX+b.
 
-Everything here is built on one reduction: repeatedly absorb the leading
-term of a series into the image of p(x) = x^2 + x (for as_defect) or of
-x -> x^2 (for quad_defect) until what is left pins down how far the
-input sits from that image.  The distance is recorded as a fractional
-ideal of the integer ring, and the absorbed part is returned as a
-witness so callers can reconstruct roots and fixed points from it.
+as_defect repeatedly absorbs the leading term of a series into the image
+of p(x) = x^2 + x; quad_defect splits it as xi^2 + t eta^2 in one step.
+What is left pins down how far the input sits from that image.  The
+distance is recorded as a fractional ideal of the integer ring, and the
+absorbed part is returned as a witness so callers can reconstruct roots
+and fixed points from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import ff_artin_schreier_root, ff_sqrt, ff_trace
+from .gf2 import ff_artin_schreier_root, ff_sqrt
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
-                     s_div, s_from_terms, s_monomial, s_mul, s_sqrt,
-                     s_truncate, s_zero)
+                     s_div, s_monomial, s_mul, s_split, s_square, s_truncate,
+                     s_zero)
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,11 @@ def as_defect(a: Series) -> DefectResult:
             return DefectResult(Ideal.zero(), h, a)
         u = a.coeffs[0]
         if v == 0:
-            if ff_trace(fld, u) == 1:
-                return DefectResult(Ideal.of_val(0), h, a)
             c = ff_artin_schreier_root(fld, u)
-            step = s_from_terms(fld, {0: c})
-            h = s_add(h, step)
-            a = s_add(a, s_from_terms(fld, {0: u}))
+            if c is None:  # u has trace 1
+                return DefectResult(Ideal.of_val(0), h, a)
+            h = s_add(h, s_monomial(fld, 0, c))
+            a = s_add(a, s_monomial(fld, 0, u))
             continue
         if v % 2:
             return DefectResult(Ideal.of_val(v), h, a)
@@ -102,23 +101,17 @@ def as_defect(a: Series) -> DefectResult:
 def quad_defect(a: Series) -> DefectResult:
     """Defect of a against squaring: distance from the set of squares.
 
-    The even-exponent part of a is a square on the nose; its root is the
-    witness xi, and what survives in a + xi^2 is the odd part.  The
-    ideal is (t^m) for the smallest odd exponent m in the support, or
-    (0) when a is a perfect square.
+    Split a = xi^2 + t eta^2: xi is the witness, and what survives in
+    a + xi^2 is t eta^2, the odd part.  The ideal is (t^(2 lead(eta)+1)),
+    the smallest odd exponent in the support, or (0) when a is a perfect
+    square.
     """
-    fld = a.field
-    xi = s_from_terms(fld, {e // 2: ff_sqrt(fld, c)
-                            for e, c in a.terms() if e % 2 == 0},
-                      None if a.prec is None else (a.prec + 1) // 2)
-    odd = [e for e, _ in a.terms() if e % 2]
-    if odd:
-        m = odd[0]
-        reduced = s_from_terms(fld, {e: c for e, c in a.terms() if e % 2},
-                               a.prec)
-        return DefectResult(Ideal.of_val(m), xi, reduced)
+    xi, eta = s_split(a)
+    reduced = s_add(a, s_square(xi))
+    if eta.coeffs:
+        return DefectResult(Ideal.of_val(2 * eta.lead + 1), xi, reduced)
     if a.is_exact:
-        return DefectResult(Ideal.zero(), xi, s_zero(fld))
+        return DefectResult(Ideal.zero(), xi, reduced)
     raise UndeterminedAtPrecision(
         f"no odd-exponent term below precision {a.prec}; square defect open")
 
@@ -187,7 +180,7 @@ def classify(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> QuadPoly
         if d.ideal.is_zero:
             return QuadPoly(a, b, REDUCIBLE_INSEP, None, d)
         return QuadPoly(a, b, RAMIFIED_INSEP, (d.ideal.val - 1) // 2, d)
-    d = as_defect(s_div(b, s_mul(a, a), working_prec))
+    d = as_defect(s_div(b, s_square(a), working_prec))
     if d.ideal.is_zero:
         return QuadPoly(a, b, REDUCIBLE_SEP, None, d)
     if d.ideal.is_ring:
@@ -201,10 +194,10 @@ def solve_artin_schreier(a: Series,
                          working_prec: int = DEFAULT_PREC) -> Series | None:
     """A root of r^2 + r = a, or None when there is none in the field.
 
-    The defect reduction leaves a remainder of positive valuation whose
-    small root is the limit of r -> r^2 + remainder; the witness shifts
-    it back.  Roots come in pairs r, r+1; this returns the one whose
-    reduced part is topologically small.
+    The defect reduction leaves a remainder of positive valuation, whose
+    small root is rem + rem^2 + rem^4 + ..., summed below working_prec;
+    the witness shifts it back.  Roots come in pairs r, r+1; this
+    returns the one whose reduced part is topologically small.
     """
     d = as_defect(a)
     if not d.ideal.is_zero:
@@ -212,14 +205,10 @@ def solve_artin_schreier(a: Series,
     rem = d.reduced
     if rem.is_zero:
         return d.witness
-    r = s_zero(a.field)
-    for _ in range(working_prec + 2):
-        nxt = s_truncate(s_add(s_mul(r, r), rem), working_prec)
-        if nxt == r:
-            break
-        r = nxt
-    else:
-        raise AssertionError("Artin-Schreier iteration failed to stabilise")
+    r = term = s_truncate(rem, working_prec)
+    while term.coeffs and term.lead < working_prec:
+        term = s_truncate(s_square(term), working_prec)
+        r = s_add(r, term)
     return s_add(d.witness, r)
 
 
@@ -234,12 +223,10 @@ def solve_quadratic(c: Series, d: Series,
     if c.looks_zero:
         if not c.is_exact:
             raise UndeterminedAtPrecision("linear coefficient 0 to precision only")
-        try:
-            s = s_sqrt(d)
-        except ValueError:
-            return None
-        return (s, s)
-    r = solve_artin_schreier(s_div(d, s_mul(c, c), working_prec), working_prec)
+        xi, eta = s_split(d)
+        return None if eta.coeffs else (xi, xi)
+    r = solve_artin_schreier(s_div(d, s_square(c), working_prec),
+                             working_prec)
     if r is None:
         return None
     y0 = s_mul(c, r)

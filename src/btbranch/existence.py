@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .defects import QuadPoly, REDUCIBLE_INSEP, classify, solve_quadratic
-from .gf2 import ff_sqrt, ff_trace
+from .defects import QuadPoly, classify, solve_quadratic
+from .gf2 import ff_trace
 from .mat2 import (Mat2, discriminant_params, is_scalar, m_add, m_mul,
                    m_scalar, m_scale, sym_product)
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
-                     s_div, s_from_terms, s_mul, s_one, s_parse, s_sqrt,
-                     s_zero)
+                     s_div, s_from_terms, s_mul, s_one, s_parse, s_split,
+                     s_square, s_zero)
 
 
 class DegenerateForm(Exception):
@@ -59,6 +59,15 @@ class ExistenceVerdict:
 
 # -- the cyclic presentation and the residue symbol -----------------
 
+def _disc(spec: AlgebraSpec) -> Series:
+    """Delta, refusing one that is zero only as far as it is known."""
+    delta = spec.disc
+    if delta.looks_zero and not delta.is_exact:
+        raise UndeterminedAtPrecision(
+            "discriminant vanishes to precision only")
+    return delta
+
+
 def cyclic_presentation(spec: AlgebraSpec) -> tuple[Series, Series]:
     """Rewrite the algebra as [a, b): u^2+u = a, v^2 = b, vu = (u+1)v.
 
@@ -68,30 +77,29 @@ def cyclic_presentation(spec: AlgebraSpec) -> tuple[Series, Series]:
     """
     m1, m2, lam = spec.m1, spec.m2, spec.lam
     fld = lam.field
-    delta = spec.disc
+    delta = _disc(spec)
     if delta.is_zero:
         raise DegenerateForm("the datum with Delta = 0 is not quaternion")
     if not m1.a.is_zero:
-        return s_div(m1.b, s_mul(m1.a, m1.a)), delta
+        return s_div(m1.b, s_square(m1.a)), delta
     if not m2.a.is_zero:
-        return s_div(m2.b, s_mul(m2.a, m2.a)), delta
+        return s_div(m2.b, s_square(m2.a)), delta
     # both traces vanish, so Delta = lambda^2 and lambda != 0
     if m1.b.is_zero or m2.b.is_zero:
         return s_zero(fld), s_one(fld)
-    return s_div(s_mul(m1.b, m2.b), s_mul(lam, lam)), m2.b
+    return s_div(s_mul(m1.b, m2.b), s_square(lam)), m2.b
 
 
 def splits(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> bool:
     """Whether the cyclic algebra [a, b) is a matrix algebra.
 
     By the residue formula the obstruction is the residue-field trace of
-    the t^-1 coefficient of a db/b.  The formal derivative keeps only
-    odd exponents of b, everything else being a square.
+    the t^-1 coefficient of a db/b.  With b = xi^2 + t eta^2 the formal
+    derivative is eta^2, squares having derivative zero.
     """
     if b.is_zero:
         raise ValueError("the second symbol argument must be nonzero")
-    db = s_from_terms(b.field, {e - 1: c for e, c in b.terms() if e % 2},
-                      None if b.prec is None else b.prec - 1)
+    db = s_square(s_split(b)[1])
     form = s_mul(a, s_div(db, b, working_prec))
     return ff_trace(a.field, form.coeff(-1)) == 0
 
@@ -197,17 +205,10 @@ def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
 
 # -- explicit witnesses ---------------------------------------------
 
-def _root_of(m: QuadPoly, working_prec: int) -> Series | None:
-    if m.kind == REDUCIBLE_INSEP:
-        return s_sqrt(m.b)
-    roots = solve_quadratic(m.a, m.b, working_prec)
-    return None if roots is None else roots[0]
-
-
 def _witness_first_reducible(lam, m1, m2, working_prec):
     """A pair with q1 realising a root of the reducible m1."""
     fld = lam.field
-    alpha = _root_of(m1, working_prec)
+    alpha = solve_quadratic(m1.a, m1.b, working_prec)[0]
     z, o = s_zero(fld), s_one(fld)
     if not m1.a.is_zero:
         q1 = Mat2(s_add(m1.a, alpha), z, z, alpha)
@@ -235,42 +236,29 @@ def _witness_commutative(lam, m1, m2, working_prec):
     fld = lam.field
     b1, b2 = m1.b, m2.b
     z, o = s_zero(fld), s_one(fld)
-    eta = Mat2(z, o, z, z)
-    sq1 = m1.kind == REDUCIBLE_INSEP
-    sq2 = m2.kind == REDUCIBLE_INSEP
+    nil = Mat2(z, o, z, z)
+    # split b_i = xi_i^2 + t eta_i^2; b_i is a square iff eta_i = 0
+    (xi1, et1), (xi2, et2) = s_split(b1), s_split(b2)
+    sq1, sq2 = et1.looks_zero, et2.looks_zero
     if sq1 and sq2:
         if b1.is_zero and b2.is_zero:
             return None  # only multiples of one nilpotent commute
-        r1, r2 = s_sqrt(b1), s_sqrt(b2)
-        q1 = m_add(m_scalar(r1), eta)
-        if r1 == r2:
-            q2 = m_add(m_scalar(r2), m_scale(s_parse(fld, "t"), eta))
+        q1 = m_add(m_scalar(xi1), nil)
+        if xi1 == xi2:
+            q2 = m_add(m_scalar(xi2), m_scale(s_parse(fld, "t"), nil))
         else:
-            q2 = m_add(m_scalar(r2), eta)
+            q2 = m_add(m_scalar(xi2), nil)
         return q1, q2
     if sq1 != sq2:
         return None  # a square and a non-square can never commute here
-    # both inseparable irreducible: split b_i = xi^2 + t * eta_i^2
-    xi1, et1 = _even_odd_root(b1)
-    xi2, et2 = _even_odd_root(b2)
+    # both inseparable irreducible
     s = s_div(et2, et1, working_prec)
     c = s_add(xi2, s_mul(s, xi1))
-    if c.is_zero:
-        return None  # b2/b1 is a square, so q2 would be a multiple of q1
+    if c.looks_zero:
+        return None  # b2/b1 is a square as far as known: q2 ~ q1
     q1 = Mat2(z, b1, o, z)
     q2 = m_add(m_scalar(c), m_scale(s, q1))
     return q1, q2
-
-
-def _even_odd_root(b: Series) -> tuple[Series, Series]:
-    """Write b = xi^2 + t eta^2 (possible for any exact series)."""
-    fld = b.field
-    even = {e: c for e, c in b.terms() if e % 2 == 0}
-    odd = {e: c for e, c in b.terms() if e % 2}
-    xi = s_from_terms(fld, {e // 2: ff_sqrt(fld, c) for e, c in even.items()})
-    eta = s_from_terms(fld, {(e - 1) // 2: ff_sqrt(fld, c)
-                             for e, c in odd.items()})
-    return xi, eta
 
 
 def verify_witness(spec: AlgebraSpec, q1: Mat2, q2: Mat2) -> bool:
@@ -313,7 +301,7 @@ COMMUTATIVE_NOTE = ("every realising pair lies in a two-dimensional "
 
 def decide(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC) -> ExistenceVerdict:
     """Decide realisability and construct a witness pair where possible."""
-    delta = spec.disc
+    delta = _disc(spec)
     m1, m2, lam = spec.m1, spec.m2, spec.lam
     if not delta.is_zero:
         if m1.reducible:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .defects import QuadPoly, classify
 from .series import (DEFAULT_PREC, Series, _split_top, s_add, s_inv, s_mul,
-                     s_parse, s_render, s_zero, val_ge)
+                     s_parse, s_render, s_square, s_zero, val_ge)
 
 
 class ScalarMatrix(Exception):
@@ -113,8 +113,8 @@ def discriminant_params(a1: Series, b1: Series, a2: Series, b2: Series,
     Invariant under lam -> lam + a1 a2, i.e. under swapping a generator
     with its conjugate.
     """
-    return s_add(s_add(s_mul(lam, lam), s_mul(s_mul(a1, a2), lam)),
-                 s_add(s_mul(s_mul(a1, a1), b2), s_mul(s_mul(a2, a2), b1)))
+    return s_add(s_add(s_square(lam), s_mul(s_mul(a1, a2), lam)),
+                 s_add(s_mul(s_square(a1), b2), s_mul(s_square(a2), b1)))
 
 
 def discriminant(q1: Mat2, q2: Mat2) -> Series:

@@ -35,7 +35,7 @@ from .gf2 import field
 from .mat2 import (Mat2, NonIntegral, ScalarMatrix, companion, m_add, m_conj,
                    m_mul, m_scalar, m_scale, make_pair)
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
-                     s_monomial, s_mul, s_one, s_random, s_zero)
+                     s_monomial, s_mul, s_one, s_random, s_square, s_zero)
 from .tree import (Vertex, enumerate_window, measure_branch,
                    measure_intersection, oracle_branch)
 
@@ -79,7 +79,7 @@ def _rand_quad(rng, fld, kind, prec):
             a = s_random(fld, rng, 0, 2, nonzero=True)
         if kind == REDUCIBLE_INSEP:
             c = s_random(fld, rng, 0, 2)
-            b = s_mul(c, c)
+            b = s_square(c)
         elif kind == RAMIFIED_SEP:
             b = s_mul(s_monomial(fld, rng.choice((1, 1, 3))),
                       _rand_unit(rng, fld, 1))
@@ -367,6 +367,8 @@ def _grid_basis(fld, artin: bool, lo: int = _GRID_LO, hi: int = _GRID_HI):
     for e in range(lo, hi + 1):
         for k in range(fld.tau):
             h = s_monomial(fld, e, 1 << k)
+            # the plain product, not s_square: this check must not
+            # share quad_defect's Frobenius
             image = s_mul(h, h)
             if artin:
                 image = s_add(image, h)

@@ -230,22 +230,48 @@ def s_truncate(a: Series, n: int) -> Series:
     return Series(a.field, a.lead, a.coeffs, _min_prec(a.prec, n))
 
 
+def s_square(a: Series) -> Series:
+    """The Frobenius a -> a^2, which is additive in characteristic 2.
+
+    The cross terms cancel, so each term c t^e squares to c^2 t^(2e) on
+    its own, and a series known mod t^N has its square known mod t^(2N).
+    """
+    out = [0] * (2 * len(a.coeffs))
+    out[::2] = (ff_mul(a.field, c, c) for c in a.coeffs)
+    return Series(a.field, 2 * a.lead, tuple(out),
+                  None if a.prec is None else 2 * a.prec)
+
+
+def s_split(a: Series) -> tuple[Series, Series]:
+    """The unique xi, eta with a = xi^2 + t eta^2.
+
+    Even-exponent terms c t^(2k) give xi its term sqrt(c) t^k, odd ones
+    c t^(2k+1) give eta its term sqrt(c) t^k.  Known mod t^N, a pins xi
+    down mod t^ceil(N/2) and eta mod t^floor(N/2).
+    """
+    fld, lead, cs = a.field, a.lead, a.coeffs
+
+    def half(start, prec):
+        return Series(fld, (lead + start) // 2,
+                      tuple(ff_sqrt(fld, c) for c in cs[start::2]), prec)
+
+    even = lead % 2  # index of the first even-exponent coefficient
+    if a.prec is None:
+        return half(even, None), half(1 - even, None)
+    return half(even, (a.prec + 1) // 2), half(1 - even, a.prec // 2)
+
+
 def s_sqrt(a: Series) -> Series:
     """The unique square root in characteristic 2.
 
     Squares are exactly the series supported on even exponents; a visible
     odd-exponent coefficient means there is no root and raises ValueError.
     """
-    odd = [e for e, _ in a.terms() if e % 2]
-    if odd:
-        raise ValueError(f"not a square: odd-exponent term at t^{odd[0]}")
-    prec = None if a.prec is None else (a.prec + 1) // 2
-    terms = {e // 2: ff_sqrt(a.field, c) for e, c in a.terms()}
-    return s_from_terms(a.field, terms, prec)
-
-
-def s_square(a: Series) -> Series:
-    return s_mul(a, a)
+    xi, eta = s_split(a)
+    if eta.coeffs:
+        raise ValueError(
+            f"not a square: odd-exponent term at t^{2 * eta.lead + 1}")
+    return xi
 
 
 # -- grammar --------------------------------------------------------

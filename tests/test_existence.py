@@ -13,7 +13,7 @@ from btbranch.existence import (DegenerateForm, algebra_spec,
 from btbranch.gf2 import field
 from btbranch.mat2 import make_pair
 from btbranch.series import (UndeterminedAtPrecision, s_add, s_mul, s_one,
-                             s_parse, s_random, s_render, s_zero)
+                             s_parse, s_random, s_render, s_truncate, s_zero)
 
 F1 = field(1)
 
@@ -58,6 +58,44 @@ def test_presentation_of_the_division_datum():
 def test_presentation_refuses_a_vanishing_discriminant():
     with pytest.raises(DegenerateForm):
         cyclic_presentation(_spec("0", "0", "t", "0", "t^3"))
+
+
+@pytest.mark.parametrize("datum, completions", [
+    # Delta = lam^2 + lam: lam = 0 gives condition iii, lam = t^4 gives i
+    (("0 (mod t^4)", "1", "0", "1", "0"), {"0": "iii", "t^4": "i"}),
+    # Delta = lam^2 + b2 is 0 mod t^6
+    (("0 (mod t^3)", "1", "0", "0", "0"), {"0": "iii", "t^3": "i"}),
+])
+def test_discriminant_zero_to_precision_only_is_refused(datum, completions):
+    spec = _spec(*datum)
+    assert spec.disc.looks_zero and not spec.disc.is_exact
+    with pytest.raises(UndeterminedAtPrecision, match="precision only"):
+        decide(spec, 64)
+    with pytest.raises(UndeterminedAtPrecision, match="precision only"):
+        cyclic_presentation(spec)
+    for lam, condition in completions.items():
+        verdict = decide(_spec(lam, *datum[1:]), 64)
+        assert verdict.matched_condition == condition
+
+
+def test_commutative_witness_carries_the_precision_of_its_data():
+    # b2 = t^3 + g*t^4 known mod t^5: the split of b2 gives q2 = c + s q1,
+    # known only as far as b2 is, and agreeing there with the witness of
+    # the exact completion
+    fld = field(2)
+
+    def witness(b2):
+        spec = algebra_spec(*(s_parse(fld, x) for x in ("0", "0", "t", "0")),
+                            s_parse(fld, b2), 64)
+        verdict = decide(spec, 64)
+        assert verdict.matched_condition == "v"
+        return verdict.witness[1]
+    q2 = witness("t^3 + g*t^4 (mod t^5)")
+    exact = witness("t^3 + g*t^4")
+    for e in "abcd":
+        got, want = getattr(q2, e), getattr(exact, e)
+        assert got.prec is not None and want.prec is None
+        assert s_truncate(want, got.prec) == got
 
 
 # the five realisability conditions

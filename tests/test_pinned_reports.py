@@ -1,0 +1,34 @@
+"""The bytes of the cheap fixed-seed self-test reports, pinned by sha256.
+
+A change to any of them is a change to the instance stream, to the report
+format or to a verdict, and has to be made on purpose.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from btbranch.selftest import run_selftest
+
+PINNED = [
+    (dict(seed=7, count=30),
+     "b1a6345bda6d2d705d87785668e4b6c07bddbc7eb4c1dd1f369d68b24a4bf3b0"),
+    (dict(seed=7, count=30, radius=6, prec=4),
+     "aaa5ef0607809e9d7683dabe5fba6b1f3e97faf166e4f51acdb56faccc62ed45"),
+    (dict(seed=7, count=30, radius=6, prec=6),
+     "ce4b1d0f60c0da57ede546faf2826315863f361e127ec81135c33a07123157d3"),
+    (dict(seed=7, count=30, radius=6, prec=10),
+     "2b666d3d9b016965f3754d32a3bb07e5c29e7781d42b121afa7519f4933d5a23"),
+    (dict(seed=3, tau=2, count=20, radius=4),
+     "0c751179e9c56a29c1fd4a22da0418be22b18addaede62f8a117623076424dd9"),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, digest", PINNED,
+    ids=[",".join(f"{k}={v}" for k, v in kw.items()) for kw, _ in PINNED])
+def test_report_bytes_are_pinned(kwargs, digest):
+    text = run_selftest(**kwargs).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -190,6 +190,27 @@ def test_cli_exists_runs_the_searches_on_the_box(capsys, box, zero_divisor,
     assert rec["pair_hit"] == pair_hit
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_exists_takes_a_negative_box_after_a_space(capsys, fmt):
+    argv = ["exists", "--lambda", "t", "--m1", "1,0", "--m2", "1,t+t^2",
+            "--format", fmt]
+    code, glued, _ = run_cli(capsys, argv + ["--search-box=-1,1"])
+    assert code == 0
+    code, spaced, _ = run_cli(capsys, argv + ["--search-box", "-1,1"])
+    assert code == 0
+    assert spaced == glued
+
+
+def test_cli_exists_refuses_a_discriminant_zero_to_precision_only(capsys):
+    code, out, err = run_cli(capsys, ["exists", "--lambda", "0 (mod t^4)",
+                                      "--m1", "1,0", "--m2", "1,0"])
+    assert code == 3
+    assert out == "" and "discriminant vanishes to precision only" in err
+    code, out, _ = run_cli(capsys, ["exists", "--lambda", "0",
+                                    "--m1", "1,0", "--m2", "1,0"])
+    assert code == 0 and "condition iii" in out
+
+
 @pytest.mark.parametrize("box", ["1", "2,1", "a,b", "1,2,3", ""])
 def test_cli_exists_rejects_a_malformed_search_box(capsys, box):
     code, _, err = run_cli(capsys, ["exists", "--lambda", "0",
@@ -309,3 +330,60 @@ def test_cli_oracle_dot_builds_each_oracle_set_once(tmp_path, capsys,
     s2 = real(m_parse(fld, q2), w)
     groups = {"violet": s1 & s2, "lightblue": s1 - s2, "salmon": s2 - s1}
     assert target.read_text() == tree.dot_export(w, groups, "oracle")
+
+
+# each subcommand takes only the flags it reads
+
+_BASE_ARGV = {
+    "defect": ["defect", "as", "t"],
+    "classify": ["classify", "0", "t"],
+    "branch": ["branch", "[[0,0],[1,1]]"],
+    "relpos": ["relpos", "[[0,1],[0,0]]", "[[t,1],[t^2,t]]"],
+    "df": ["df", "--lambda", "t^-2", "--m1", "1,0", "--m2", "1,0"],
+    "oracle": ["oracle", "[[0,1],[0,0]]", "[[t,1],[t^2,t]]"],
+    "exists": ["exists", "--lambda", "0", "--m1", "1,1", "--m2", "0,t"],
+    "selftest": ["selftest", "--count", "1"],
+}
+_FLAGS = {"--tau": "1", "--modulus": "0b11", "--format": "text",
+          "--prec": "64", "--radius": "2", "--margin": "2", "--seed": "7",
+          "--dot": "window.dot"}
+_READS = {
+    "defect": set(),
+    "classify": {"--prec"},
+    "branch": {"--prec", "--radius", "--dot"},
+    "relpos": {"--prec"},
+    "df": {"--prec"},
+    "oracle": {"--prec", "--radius", "--margin", "--dot"},
+    "exists": {"--prec"},
+    "selftest": {"--prec", "--radius", "--margin", "--seed"},
+}
+
+
+def test_each_subcommand_has_exactly_the_flags_it_reads(capsys):
+    parser = cli._build_parser()
+    accepted = 0
+    for command, argv in _BASE_ARGV.items():
+        for flag, value in _FLAGS.items():
+            try:
+                parser.parse_args(argv + [flag, value])
+                ok = True
+            except SystemExit:
+                ok = False
+            assert ok == (flag in _READS[command]
+                          | {"--tau", "--modulus", "--format"})
+            accepted += ok
+    capsys.readouterr()
+    assert accepted == 39  # of 8 subcommands x 8 flags
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in _BASE_ARGV
+    for flag in ("--prec", "--radius", "--margin", "--seed", "--dot")
+    if flag not in _READS[command]])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
+        tmp_path, capsys, command, flag):
+    value = str(tmp_path / "out.dot") if flag == "--dot" else _FLAGS[flag]
+    code, out, err = run_cli(capsys, _BASE_ARGV[command] + [flag, value])
+    assert code == 2
+    assert out == "" and f"unrecognized arguments: {flag}" in err
+    assert not (tmp_path / "out.dot").exists()
