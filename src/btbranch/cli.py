@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(arg)
         for flag in flags:
             cmd.add_argument(flag, **_FLAGS[flag])
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=func, parser=cmd)
         return cmd
 
     pd = command("defect", _cmd_defect, "defect ideal of an element")
@@ -309,7 +309,10 @@ def main(argv=None) -> int:
     if "--search-box" in argv[:-1]:
         i = argv.index("--search-box")
         argv[i:i + 2] = [f"--search-box={argv[i + 1]}"]
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        # reported by the subcommand, whose usage lists the flags it takes
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = _config_from(args)
         return args.func(cfg, args)

@@ -11,6 +11,9 @@ with equally explicit witness pairs.
 
 Everything symbolic here is backed by searches: a zero divisor found by
 search_zero_divisor is a proof of splitting, independent of the symbol.
+Both searches evaluate the reduced norm as one quadratic form, computed
+once per datum from the structure constants, and they enumerate: solving
+the form for a root would be the Artin-Schreier question decide answers.
 """
 
 from __future__ import annotations
@@ -150,6 +153,40 @@ def _nrd(tab, x):
     return out
 
 
+def _norm_form(spec: AlgebraSpec):
+    """The reduced norm as a quadratic form on the basis (1, Q1, Q2, Q1Q2).
+
+    Returns n and p with nrd(sum x_i B_i) = sum n_i x_i^2 + sum_{i<j}
+    p_ij x_i x_j: n_i = nrd(B_i) and p_ij = nrd(B_i + B_j) + n_i + n_j,
+    the polar form.  Ten _nrd calls, once per datum.
+    """
+    tab = _mul_table(spec)
+    fld = spec.lam.field
+    z, o = s_zero(fld), s_one(fld)
+
+    def vec(*ones):
+        return tuple(o if i in ones else z for i in range(4))
+    n = [_nrd(tab, vec(i)) for i in range(4)]
+    p = {(i, j): s_add(s_add(_nrd(tab, vec(i, j)), n[i]), n[j])
+         for i, j in itertools.combinations(range(4), 2)}
+    return n, p
+
+
+def _form(a, b, c, u, v):
+    """a u^2 + b u v + c v^2, leaving out each term with a zero coordinate.
+
+    As in _nrd, a left-out term carries no precision, so the value is
+    exact whenever the terms that remain are.
+    """
+    # squares as products: the searches share no Frobenius with decide
+    if u.is_zero:
+        return s_mul(c, s_mul(v, v))
+    au2 = s_mul(a, s_mul(u, u))
+    if v.is_zero:
+        return au2
+    return s_add(s_add(au2, s_mul(b, s_mul(u, v))), s_mul(c, s_mul(v, v)))
+
+
 def _small_elements(fld, lo, hi, max_terms=2):
     """All series with at most max_terms terms supported on lo..hi."""
     exps = range(lo, hi + 1)
@@ -166,19 +203,21 @@ def search_zero_divisor(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     """Look for a nonzero element of reduced norm zero.
 
     A hit is a proof that the (quaternion) algebra splits: the returned
-    coordinates in (1, Q1, Q2, Q1Q2) have reduced norm zero.  Exhausting
-    the box proves nothing.
+    coordinates in (1, Q1, Q2, Q1Q2) have reduced norm zero.  Each
+    candidate u B_i + v B_j is tested on the norm form of the plane
+    (B_i, B_j), n_i u^2 + p_ij u v + n_j v^2.  Exhausting the box proves
+    nothing.
     """
-    tab = _mul_table(spec)
+    n, p = _norm_form(spec)
     fld = spec.lam.field
-    for coords in itertools.product(_small_elements(fld, lo, hi, max_terms),
-                                    repeat=2):
-        for pattern in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-            x = [s_zero(fld)] * 4
-            x[pattern[0]], x[pattern[1]] = coords
-            if all(c.is_zero for c in x):
-                continue
-            if _nrd(tab, x).is_zero:
+    for u, v in itertools.product(_small_elements(fld, lo, hi, max_terms),
+                                  repeat=2):
+        if u.is_zero and v.is_zero:
+            continue
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            if _form(n[i], p[i, j], n[j], u, v).is_zero:
+                x = [s_zero(fld)] * 4
+                x[i], x[j] = u, v
                 return tuple(x)
     return None
 
@@ -188,17 +227,26 @@ def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     """Look for (x,y),(z,w) with C(x,y,z,w) = lambda; None if none in the box.
 
     C is the pairing realised by norm-zero combinations, and y w C = y w
-    lambda says exactly that (x + z) + y Q1 + w Q2 has reduced norm zero,
-    which is what is tested, so the comparison stays exact.
+    lambda says exactly that s + e has reduced norm zero, where s = x + z
+    and e = y Q1 + w Q2.  On the plane (1, e) the norm form reads
+    s^2 + c s + k with c = p_01 y + p_02 w and k = nrd(e), so each
+    distinct s is tested once per (y, w), against the first (x, z) in
+    the box that sums to it, and the comparison stays exact.
     """
-    tab = _mul_table(spec)
+    n, p = _norm_form(spec)
     fld = spec.lam.field
-    zero = s_zero(fld)
+    one = s_one(fld)
     pool = list(_small_elements(fld, lo, hi, max_terms))
     nonzero = [s for s in pool if not s.is_zero]
+    first = {}
+    for x, z in itertools.product(pool, repeat=2):
+        first.setdefault(s_add(x, z), (x, z))
     for y, w in itertools.product(nonzero, repeat=2):
-        for x, z in itertools.product(pool, repeat=2):
-            if _nrd(tab, (s_add(x, z), y, w, zero)).is_zero:
+        k = _form(n[1], p[1, 2], n[2], y, w)
+        c = s_add(s_mul(p[0, 1], y), s_mul(p[0, 2], w))
+        for s, (x, z) in first.items():
+            value = k if s.is_zero else _form(n[0], c, k, s, one)
+            if value.is_zero:
                 return (x, y, z, w)
     return None
 

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import btbranch.existence as existence
 from btbranch.existence import (DegenerateForm, algebra_spec,
                                 cyclic_presentation, decide, search_pair,
                                 search_zero_divisor, splits, verify_witness,
-                                _mul_table, _nrd, _small_elements)
+                                _form, _mul_table, _norm_form, _nrd,
+                                _small_elements)
 from btbranch.gf2 import field
 from btbranch.mat2 import make_pair
 from btbranch.series import (UndeterminedAtPrecision, s_add, s_mul, s_one,
@@ -293,10 +297,9 @@ def _reference_search_pair(spec, lo, hi, max_terms):
     return None
 
 
-@st.composite
-def _datum(draw):
-    """A random datum over F_2 or F_4; two of three shapes have Delta = 0."""
-    fld = field(draw(st.integers(1, 2)))
+def _coefficients(draw, taus):
+    """lambda, a1, b1, a2, b2 in one of three shapes, two with Delta = 0."""
+    fld = field(draw(st.sampled_from(taus)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     lam, a1, b1, a2, b2 = (s_random(fld, rng, -1, 2) for _ in range(5))
     shape = draw(st.sampled_from(("generic", "traceless", "unit trace")))
@@ -306,9 +309,30 @@ def _datum(draw):
         a1 = s_one(fld)
         b2 = s_add(s_add(s_mul(lam, lam), s_mul(a2, lam)),
                    s_mul(s_mul(a2, a2), b1))
-    spec = algebra_spec(lam, a1, b1, a2, b2, 64)
+    return (lam, a1, b1, a2, b2), shape, rng
+
+
+@st.composite
+def _datum(draw):
+    """A random exact datum over F_2 or F_4."""
+    coeffs, shape, rng = _coefficients(draw, (1, 2))
+    spec = algebra_spec(*coeffs, 64)
     if shape != "generic":
         assert spec.disc.is_zero
+    return spec, rng
+
+
+@st.composite
+def _truncated_datum(draw, taus=(1, 2, 3)):
+    """A datum with one or two coefficients known only mod t^1..t^5."""
+    coeffs, _, rng = _coefficients(draw, taus)
+    coeffs = list(coeffs)
+    for i in draw(st.sets(st.integers(0, 4), min_size=1, max_size=2)):
+        coeffs[i] = s_truncate(coeffs[i], draw(st.integers(1, 5)))
+    try:
+        spec = algebra_spec(*coeffs, 64)
+    except UndeterminedAtPrecision:  # a trace that is 0 to precision only
+        assume(False)
     return spec, rng
 
 
@@ -334,9 +358,48 @@ def test_reduced_norm_is_the_scalar_of_x_times_its_conjugate(datum):
             == _nrd(tab, (s_add(x[0], z), y, w, s_zero(fld))))
 
 
+def _agree(got, want):
+    """Equal when exact; otherwise equal below the lower precision."""
+    assert got.is_exact == want.is_exact
+    assert got.is_zero == want.is_zero
+    if got.is_exact:
+        assert got == want
+    else:
+        floor = min(got.prec, want.prec)
+        assert s_truncate(got, floor) == s_truncate(want, floor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_datum(), _truncated_datum()))
+def test_norm_form_reproduces_the_reduced_norm(datum):
+    spec, rng = datum
+    fld = spec.lam.field
+    zero, one = s_zero(fld), s_one(fld)
+    tab = _mul_table(spec)
+    n, p = _norm_form(spec)
+
+    def coordinate(nonzero=False):
+        if not nonzero and rng.random() < 0.25:
+            return zero
+        return s_random(fld, rng, -1, 1, nonzero=True)
+    # the two-coordinate vectors of the zero-divisor search
+    for i, j in p:
+        u, v = coordinate(), coordinate()
+        x = [zero] * 4
+        x[i], x[j] = u, v
+        _agree(_form(n[i], p[i, j], n[j], u, v), _nrd(tab, x))
+    # the (s, y, w, 0) vectors of the pair search, as it evaluates them
+    s, y, w = coordinate(), coordinate(True), coordinate(True)
+    k = _form(n[1], p[1, 2], n[2], y, w)
+    c = s_add(s_mul(p[0, 1], y), s_mul(p[0, 2], w))
+    value = k if s.is_zero else _form(n[0], c, k, s, one)
+    _agree(value, _nrd(tab, (s, y, w, zero)))
+
+
 # boxes (lo, hi, max_terms) small enough for the reference searches
 _BOXES = {1: ((-1, 1, 1), (0, 1, 1), (0, 1, 2)),
-          2: ((0, 0, 1), (1, 1, 1), (-1, -1, 1))}
+          2: ((0, 0, 1), (1, 1, 1), (-1, -1, 1)),
+          3: ((0, 0, 1), (0, 1, 1))}
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,6 +410,113 @@ def test_searches_return_the_reference_first_hit(datum, data):
     assert (search_zero_divisor(spec, *box)
             == _reference_search_zero_divisor(spec, *box))
     assert search_pair(spec, *box) == _reference_search_pair(spec, *box)
+
+
+@pytest.mark.parametrize("datum, box", [
+    (("0", "0", "1", "1", "t"), (0, 1, 1)),
+    (("0", "0", "1", "t", "t^3"), (-1, 1, 1)),
+])
+def test_pair_search_returns_the_first_of_two_hitting_sums(datum, box):
+    # on the first (y, w) = (t, w) that hits, x + z = t and x + z = 1 + t
+    # both do; the double loop over (x, z) meets (0, t) first
+    spec = _spec(*datum)
+    found = search_pair(spec, *box)
+    assert found == _reference_search_pair(spec, *box)
+    assert [s_render(c) for c in found[::2]] == ["0", "t"]
+
+
+def _nrd_search_zero_divisor(spec, lo, hi, max_terms):
+    """The zero-divisor search before the norm form: _nrd on each candidate."""
+    tab = _mul_table(spec)
+    fld = spec.lam.field
+    for coords in itertools.product(_small_elements(fld, lo, hi, max_terms),
+                                    repeat=2):
+        for pattern in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            x = [s_zero(fld)] * 4
+            x[pattern[0]], x[pattern[1]] = coords
+            if all(c.is_zero for c in x):
+                continue
+            if _nrd(tab, x).is_zero:
+                return tuple(x)
+    return None
+
+
+def _nrd_search_pair(spec, lo, hi, max_terms):
+    """The pair search before the norm form: _nrd on each (x + z, y, w, 0).
+
+    _nrd is a function of the vector, so remembering whether it vanished
+    on a vector changes no answer; it makes tau 3 affordable.
+    """
+    tab = _mul_table(spec)
+    fld = spec.lam.field
+    zero = s_zero(fld)
+    pool = list(_small_elements(fld, lo, hi, max_terms))
+    nonzero = [s for s in pool if not s.is_zero]
+    vanishes = {}
+    for y, w in itertools.product(nonzero, repeat=2):
+        for x, z in itertools.product(pool, repeat=2):
+            vec = (s_add(x, z), y, w, zero)
+            if vec not in vanishes:
+                vanishes[vec] = _nrd(tab, vec).is_zero
+            if vanishes[vec]:
+                return (x, y, z, w)
+    return None
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(tau, box) for tau, boxes in _BOXES.items()
+                        for box in boxes]), st.data())
+def test_searches_on_truncated_data_return_the_reference_first_hit(case,
+                                                                   data):
+    # a norm that is zero only to the precision of the data is no hit,
+    # so both searches must keep exactly the _nrd searches' exactness
+    tau, box = case
+    spec, _ = data.draw(_truncated_datum((tau,)))
+    assert (search_zero_divisor(spec, *box)
+            == _nrd_search_zero_divisor(spec, *box))
+    assert search_pair(spec, *box) == _nrd_search_pair(spec, *box)
+
+
+def test_pair_search_tests_each_sum_once(monkeypatch):
+    # the double loop over (x, z) made |pool|^2 |nonzero|^2 = 8,100 norm
+    # evaluations on this box; one per distinct x + z makes 2,997
+    fld = field(2)
+    spec = algebra_spec(*(s_parse(fld, x) for x in ("0", "1", "1", "0", "t")),
+                        64)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return _form(*args)
+    monkeypatch.setattr(existence, "_form", counting)
+    assert search_pair(spec, -1, 1, 1) is None
+    pool = list(_small_elements(fld, -1, 1, 1))
+    sums = {s_add(x, z) for x, z in itertools.product(pool, repeat=2)}
+    assert 0 < calls <= len(sums) * (len(pool) - 1) ** 2
+
+
+def test_searches_share_nothing_with_the_symbol():
+    # a search that called the Artin-Schreier solver or the symbol would
+    # no longer be independent evidence for the verdict of decide
+    module = ast.parse(Path(existence.__file__).read_text())
+    banned = {"decide", "splits", "cyclic_presentation", "_disc", "s_split",
+              "s_sqrt", "s_square", "defects"}
+    for node in module.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "defects":
+            banned.update(alias.asname or alias.name for alias in node.names)
+    assert "solve_quadratic" in banned
+    functions = {node.name: node for node in module.body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("_mul_table", "_nrd", "_norm_form", "_form",
+                 "_small_elements", "search_zero_divisor", "search_pair"):
+        used = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        assert not used & banned, (name, used & banned)
 
 
 # brute force searches

@@ -386,4 +386,19 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
     code, out, err = run_cli(capsys, _BASE_ARGV[command] + [flag, value])
     assert code == 2
     assert out == "" and f"unrecognized arguments: {flag}" in err
+    assert err.startswith(f"usage: btbranch {command} ")
     assert not (tmp_path / "out.dot").exists()
+
+
+def test_an_unknown_flag_is_reported_with_the_subcommand_usage(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, ["selftest", "--count", "2",
+                                      "--dot", "x"])
+    assert code == 2 and out == ""
+    usage, message = err.split("\nbtbranch selftest: error: ")
+    assert usage.startswith("usage: btbranch selftest ")
+    for flag in ("--count", "--seed", "--radius", "--margin", "--prec"):
+        assert flag in usage
+    assert message == "unrecognized arguments: --dot x\n"
+    assert list(tmp_path.iterdir()) == []
