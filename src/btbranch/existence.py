@@ -172,19 +172,34 @@ def _norm_form(spec: AlgebraSpec):
     return n, p
 
 
-def _form(a, b, c, u, v):
-    """a u^2 + b u v + c v^2, leaving out each term with a zero coordinate.
+def _monomials(u, v):
+    """(u^2, u v, v^2), with None for each one that has a zero coordinate."""
+    # squares as products: the searches share no Frobenius with decide
+    uu = None if u.is_zero else s_mul(u, u)
+    vv = None if v.is_zero else s_mul(v, v)
+    uv = None if uu is None or vv is None else s_mul(u, v)
+    return uu, uv, vv
+
+
+def _form_at(a, b, c, monomials):
+    """a u^2 + b u v + c v^2 from _monomials(u, v), leaving out each term
+    with a zero coordinate.
 
     As in _nrd, a left-out term carries no precision, so the value is
     exact whenever the terms that remain are.
     """
-    # squares as products: the searches share no Frobenius with decide
-    if u.is_zero:
-        return s_mul(c, s_mul(v, v))
-    au2 = s_mul(a, s_mul(u, u))
-    if v.is_zero:
+    uu, uv, vv = monomials
+    if uu is None:
+        return s_zero(a.field) if vv is None else s_mul(c, vv)
+    au2 = s_mul(a, uu)
+    if vv is None:
         return au2
-    return s_add(s_add(au2, s_mul(b, s_mul(u, v))), s_mul(c, s_mul(v, v)))
+    return s_add(s_add(au2, s_mul(b, uv)), s_mul(c, vv))
+
+
+def _form(a, b, c, u, v):
+    """a u^2 + b u v + c v^2, as _form_at."""
+    return _form_at(a, b, c, _monomials(u, v))
 
 
 def _small_elements(fld, lo, hi, max_terms=2):
@@ -205,8 +220,8 @@ def search_zero_divisor(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     A hit is a proof that the (quaternion) algebra splits: the returned
     coordinates in (1, Q1, Q2, Q1Q2) have reduced norm zero.  Each
     candidate u B_i + v B_j is tested on the norm form of the plane
-    (B_i, B_j), n_i u^2 + p_ij u v + n_j v^2.  Exhausting the box proves
-    nothing.
+    (B_i, B_j), n_i u^2 + p_ij u v + n_j v^2; u^2, u v and v^2 are built
+    once per (u, v).  Exhausting the box proves nothing.
     """
     n, p = _norm_form(spec)
     fld = spec.lam.field
@@ -214,8 +229,9 @@ def search_zero_divisor(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
                                   repeat=2):
         if u.is_zero and v.is_zero:
             continue
+        monomials = _monomials(u, v)  # shared by the six planes
         for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-            if _form(n[i], p[i, j], n[j], u, v).is_zero:
+            if _form_at(n[i], p[i, j], n[j], monomials).is_zero:
                 x = [s_zero(fld)] * 4
                 x[i], x[j] = u, v
                 return tuple(x)
@@ -231,7 +247,8 @@ def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     and e = y Q1 + w Q2.  On the plane (1, e) the norm form reads
     s^2 + c s + k with c = p_01 y + p_02 w and k = nrd(e), so each
     distinct s is tested once per (y, w), against the first (x, z) in
-    the box that sums to it, and the comparison stays exact.
+    the box that sums to it, and the comparison stays exact.  s^2 is
+    built once per s.
     """
     n, p = _norm_form(spec)
     fld = spec.lam.field
@@ -241,11 +258,12 @@ def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     first = {}
     for x, z in itertools.product(pool, repeat=2):
         first.setdefault(s_add(x, z), (x, z))
+    sums = [(s, _monomials(s, one), xz) for s, xz in first.items()]
     for y, w in itertools.product(nonzero, repeat=2):
         k = _form(n[1], p[1, 2], n[2], y, w)
         c = s_add(s_mul(p[0, 1], y), s_mul(p[0, 2], w))
-        for s, (x, z) in first.items():
-            value = k if s.is_zero else _form(n[0], c, k, s, one)
+        for s, monomials, (x, z) in sums:
+            value = k if s.is_zero else _form_at(n[0], c, k, monomials)
             if value.is_zero:
                 return (x, y, z, w)
     return None

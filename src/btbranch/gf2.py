@@ -3,11 +3,15 @@
 Elements are plain ints whose bits are the coefficients of the basis
 1, g, g^2, ... modulo a fixed irreducible polynomial over F_2.  tau = 1
 degenerates to F_2 with modulus x (so every element is 0 or 1).
+
+Multiplication, inverses and square roots read log/exp tables of the
+multiplicative group, built on first use from the carry-less multiply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def _poly_deg(p: int) -> int:
@@ -74,6 +78,31 @@ class FieldConfig:
     def elements(self):
         return range(self.order)
 
+    @cached_property
+    def tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(log, exp) for the cyclic group of the 2^tau - 1 units.
+
+        exp[k] is w^k for a primitive element w, found by search: g need
+        not be one (modulo x^4+x^3+x^2+x+1, g has order 5).  exp is stored
+        twice over, so exp[log x + log y] = x y needs no reduction.
+        log[0] is a placeholder; callers test for zero first.  Built on
+        first use and kept out of __eq__, __hash__ and repr, which see
+        only (tau, modulus).
+        """
+        units = self.order - 1
+        for w in range(1, self.order):
+            exp = [1]
+            x = w
+            while x != 1:
+                exp.append(x)
+                x = _poly_mulmod(x, w, self.modulus)
+            if len(exp) == units:
+                break
+        log = [0] * self.order
+        for k, x in enumerate(exp):
+            log[x] = k
+        return tuple(log), tuple(exp + exp)
+
 
 def field(tau: int, modulus: int | None = None) -> FieldConfig:
     """F_(2^tau); by default modulo the lowest irreducible of degree tau."""
@@ -86,29 +115,25 @@ def field(tau: int, modulus: int | None = None) -> FieldConfig:
 
 
 def ff_mul(cfg: FieldConfig, x: int, y: int) -> int:
-    return _poly_mulmod(x, y, cfg.modulus)
-
-
-def ff_pow(cfg: FieldConfig, x: int, e: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = ff_mul(cfg, r, x)
-        x = ff_mul(cfg, x, x)
-        e >>= 1
-    return r
+    if not x or not y:
+        return 0
+    log, exp = cfg.tables
+    return exp[log[x] + log[y]]
 
 
 def ff_inv(cfg: FieldConfig, x: int) -> int:
     if x == 0:
         raise ZeroDivisionError("inverse of 0 in the residue field")
-    # x^(2^tau - 2); the group has order 2^tau - 1
-    return ff_pow(cfg, x, cfg.order - 2)
+    log, exp = cfg.tables
+    return exp[cfg.order - 1 - log[x]]
 
 
 def ff_sqrt(cfg: FieldConfig, x: int) -> int:
     """Unique square root: the inverse of the Frobenius, x^(2^(tau-1))."""
-    return ff_pow(cfg, x, 1 << (cfg.tau - 1))
+    if not x:
+        return 0
+    log, exp = cfg.tables
+    return exp[(log[x] << (cfg.tau - 1)) % (cfg.order - 1)]
 
 
 def ff_trace(cfg: FieldConfig, x: int) -> int:

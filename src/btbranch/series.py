@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from math import inf
 
-from .gf2 import FieldConfig, ff_inv, ff_mul, ff_sqrt
+from .gf2 import FieldConfig, ff_inv
 
 #: relative precision used when inverting a non-monomial series
 DEFAULT_PREC = 64
@@ -37,22 +37,28 @@ class Series:
     prec: int | None = None
 
     def __post_init__(self):
-        lead, coeffs, prec = self.lead, list(self.coeffs), self.prec
-        if prec is not None:
-            keep = prec - lead
-            coeffs = coeffs[:max(keep, 0)]
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            lead += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            lead = 0
-        for c in coeffs:
-            if not 0 <= c < self.field.order:
-                raise ValueError(f"coefficient {c} outside F_(2^{self.field.tau})")
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        lead, coeffs, prec = self.lead, tuple(self.coeffs), self.prec
+        lo, hi = 0, len(coeffs)
+        if prec is not None and hi > prec - lead:
+            hi = max(prec - lead, 0)
+        while lo < hi and coeffs[lo] == 0:
+            lo += 1
+        while hi > lo and coeffs[hi - 1] == 0:
+            hi -= 1
+        if lo == hi:
+            lead, coeffs = 0, ()
+        else:
+            if lo or hi < len(coeffs):
+                lead, coeffs = lead + lo, coeffs[lo:hi]
+            order = self.field.order
+            if min(coeffs) < 0 or max(coeffs) >= order:
+                c = next(c for c in coeffs if not 0 <= c < order)
+                raise ValueError(
+                    f"coefficient {c} outside F_(2^{self.field.tau})")
+        if lead != self.lead:
+            object.__setattr__(self, "lead", lead)
+        if coeffs is not self.coeffs:
+            object.__setattr__(self, "coeffs", coeffs)
 
     # -- predicates -------------------------------------------------
 
@@ -176,19 +182,24 @@ def s_mul(a: Series, b: Series) -> Series:
     prec = _min_prec(None if pa is None else (None if pa == inf else pa),
                      None if pb is None else (None if pb == inf else pb))
     fld = a.field
+    if len(b.coeffs) == 1 and len(a.coeffs) != 1:
+        a, b = b, a
+    log, exp = fld.tables
     if len(a.coeffs) == 1:
         c = a.coeffs[0]
-        scaled = b.coeffs if c == 1 else tuple(ff_mul(fld, c, y) for y in b.coeffs)
+        if c == 1:
+            scaled = b.coeffs
+        else:
+            lc = log[c]
+            scaled = tuple([exp[lc + log[y]] if y else 0 for y in b.coeffs])
         return Series(fld, a.lead + b.lead, scaled, prec)
-    if len(b.coeffs) == 1:
-        return s_mul(b, a)
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    logs_b = [(j, log[y]) for j, y in enumerate(b.coeffs) if y]
     for i, x in enumerate(a.coeffs):
-        if not x:
-            continue
-        for j, y in enumerate(b.coeffs):
-            if y:
-                out[i + j] ^= ff_mul(fld, x, y)
+        if x:
+            lx = log[x]
+            for j, ly in logs_b:
+                out[i + j] ^= exp[lx + ly]
     return Series(fld, a.lead + b.lead, tuple(out), prec)
 
 
@@ -206,18 +217,22 @@ def s_inv(a: Series, working_prec: int = DEFAULT_PREC) -> Series:
         return s_monomial(a.field, -a.lead, ff_inv(a.field, a.coeffs[0]))
     rel = working_prec if a.prec is None else min(a.prec - a.lead, working_prec)
     fld = a.field
+    log, exp = fld.tables
     u = a.coeffs  # unit part, u[0] != 0
-    c0 = ff_inv(fld, u[0])
+    log_c0 = log[ff_inv(fld, u[0])]
+    logs_u = [(i, log[c]) for i, c in enumerate(u[1:rel], 1) if c]
     out = [0] * rel
-    for k in range(rel):
-        if k == 0:
-            out[0] = c0
-            continue
+    out[0] = exp[log_c0]
+    for k in range(1, rel):
         acc = 0
-        for i in range(1, min(k, len(u) - 1) + 1):
-            if u[i] and out[k - i]:
-                acc ^= ff_mul(fld, u[i], out[k - i])
-        out[k] = ff_mul(fld, c0, acc)
+        for i, li in logs_u:
+            if i > k:
+                break
+            y = out[k - i]
+            if y:
+                acc ^= exp[li + log[y]]
+        if acc:
+            out[k] = exp[log_c0 + log[acc]]
     return Series(fld, -a.lead, tuple(out), -a.lead + rel)
 
 
@@ -236,8 +251,9 @@ def s_square(a: Series) -> Series:
     The cross terms cancel, so each term c t^e squares to c^2 t^(2e) on
     its own, and a series known mod t^N has its square known mod t^(2N).
     """
+    log, exp = a.field.tables
     out = [0] * (2 * len(a.coeffs))
-    out[::2] = (ff_mul(a.field, c, c) for c in a.coeffs)
+    out[::2] = [exp[2 * log[c]] if c else 0 for c in a.coeffs]
     return Series(a.field, 2 * a.lead, tuple(out),
                   None if a.prec is None else 2 * a.prec)
 
@@ -250,10 +266,13 @@ def s_split(a: Series) -> tuple[Series, Series]:
     down mod t^ceil(N/2) and eta mod t^floor(N/2).
     """
     fld, lead, cs = a.field, a.lead, a.coeffs
+    log, exp = fld.tables
+    shift, units = fld.tau - 1, fld.order - 1  # sqrt(c) = c^(2^(tau-1))
 
     def half(start, prec):
-        return Series(fld, (lead + start) // 2,
-                      tuple(ff_sqrt(fld, c) for c in cs[start::2]), prec)
+        roots = [exp[(log[c] << shift) % units] if c else 0
+                 for c in cs[start::2]]
+        return Series(fld, (lead + start) // 2, tuple(roots), prec)
 
     even = lead % 2  # index of the first even-exponent coefficient
     if a.prec is None:

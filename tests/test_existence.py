@@ -12,7 +12,7 @@ import btbranch.existence as existence
 from btbranch.existence import (DegenerateForm, algebra_spec,
                                 cyclic_presentation, decide, search_pair,
                                 search_zero_divisor, splits, verify_witness,
-                                _form, _mul_table, _norm_form, _nrd,
+                                _form, _form_at, _mul_table, _norm_form, _nrd,
                                 _small_elements)
 from btbranch.gf2 import field
 from btbranch.mat2 import make_pair
@@ -488,8 +488,8 @@ def test_pair_search_tests_each_sum_once(monkeypatch):
     def counting(*args):
         nonlocal calls
         calls += 1
-        return _form(*args)
-    monkeypatch.setattr(existence, "_form", counting)
+        return _form_at(*args)
+    monkeypatch.setattr(existence, "_form_at", counting)
     assert search_pair(spec, -1, 1, 1) is None
     pool = list(_small_elements(fld, -1, 1, 1))
     sums = {s_add(x, z) for x, z in itertools.product(pool, repeat=2)}
@@ -508,8 +508,9 @@ def test_searches_share_nothing_with_the_symbol():
     assert "solve_quadratic" in banned
     functions = {node.name: node for node in module.body
                  if isinstance(node, ast.FunctionDef)}
-    for name in ("_mul_table", "_nrd", "_norm_form", "_form",
-                 "_small_elements", "search_zero_divisor", "search_pair"):
+    for name in ("_mul_table", "_nrd", "_norm_form", "_monomials", "_form_at",
+                 "_form", "_small_elements", "search_zero_divisor",
+                 "search_pair"):
         used = set()
         for node in ast.walk(functions[name]):
             if isinstance(node, ast.Name):

@@ -4,11 +4,65 @@ import random
 
 import pytest
 
-from btbranch.gf2 import (FieldConfig, ff_artin_schreier_root, ff_inv,
-                          ff_mul, ff_pow, ff_sqrt, ff_trace, field)
+from btbranch.gf2 import (FieldConfig, _poly_mulmod, ff_artin_schreier_root,
+                          ff_inv, ff_mul, ff_sqrt, ff_trace, field)
 
 
 SMALL_TAUS = (1, 2, 3, 4)
+
+
+def ff_pow(cfg, x, e):
+    """Square-and-multiply on the carry-less multiply: the reference."""
+    r = 1
+    while e:
+        if e & 1:
+            r = _poly_mulmod(r, x, cfg.modulus)
+        x = _poly_mulmod(x, x, cfg.modulus)
+        e >>= 1
+    return r
+
+
+def _check_tables_against_the_reference(cfg, xs, ys):
+    for x in xs:
+        for y in ys:
+            assert ff_mul(cfg, x, y) == _poly_mulmod(x, y, cfg.modulus)
+        assert ff_sqrt(cfg, x) == ff_pow(cfg, x, 1 << (cfg.tau - 1))
+        if x:
+            assert ff_inv(cfg, x) == ff_pow(cfg, x, cfg.order - 2)
+
+
+@pytest.mark.parametrize("tau", range(1, 17))
+def test_tables_agree_with_the_carry_less_reference(tau):
+    # exhaustive up to tau 6, a seeded sample above
+    cfg = field(tau)
+    if tau <= 6:
+        xs = ys = cfg.elements()
+    else:
+        rng = random.Random(tau)
+        xs = [0, 1, cfg.order - 1] + [rng.randrange(cfg.order)
+                                      for _ in range(60)]
+        ys = [0, 1, cfg.order - 1] + [rng.randrange(cfg.order)
+                                      for _ in range(20)]
+    _check_tables_against_the_reference(cfg, xs, ys)
+
+
+def test_tables_need_no_primitive_root_of_the_modulus():
+    # modulo x^4 + x^3 + x^2 + x + 1 the root g has order 5, not 15
+    cfg = field(4, 0b11111)
+    assert ff_pow(cfg, 0b10, 5) == 1
+    log, exp = cfg.tables
+    assert sorted(exp[:cfg.order - 1]) == list(range(1, cfg.order))
+    _check_tables_against_the_reference(cfg, cfg.elements(), cfg.elements())
+
+
+def test_tables_stay_out_of_equality_hash_and_repr():
+    a, b = field(2), field(2)
+    before = (a == b, hash(a) == hash(b), repr(a))
+    a.tables
+    assert (a == b, hash(a) == hash(b), repr(a)) == before == (
+        True, True, "FieldConfig(tau=2, modulus=7)")
+    b.tables
+    assert a == b and hash(a) == hash(b)
 
 
 def test_default_moduli_cover_one_through_eight():

@@ -158,6 +158,14 @@ def test_cli_builds_residue_fields_up_to_degree_sixteen(capsys):
         assert "out of supported range" in err
 
 
+def test_cli_classify_over_a_modulus_whose_root_is_not_primitive(capsys):
+    # modulo x^4 + x^3 + x^2 + x + 1 the root g has order 5, not 15
+    code, out, _ = run_cli(capsys, ["classify", "--tau", "4", "--modulus",
+                                    "0b11111", "g^3*t^-1 + g", "g + t"])
+    assert code == 0
+    assert out == "reducible_sep (cell A^s), jump t=None, defect (0)\n"
+
+
 def test_cli_distance_prints_the_prediction(capsys):
     code, out, _ = run_cli(capsys, ["df", "--lambda", "t^-2",
                                     "--m1", "1,0", "--m2", "1,0"])

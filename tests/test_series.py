@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from btbranch import gf2
 from btbranch.gf2 import field
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
                              s_from_terms, s_inv, s_monomial, s_mul, s_one,
-                             s_parse, s_random, s_render, s_sqrt, s_square,
-                             s_truncate, s_val, s_zero, val_ge)
+                             s_parse, s_random, s_render, s_split, s_sqrt,
+                             s_square, s_truncate, s_val, s_zero, val_ge)
 
 F1 = field(1)
 F2 = field(2)
@@ -42,9 +45,79 @@ def test_precision_truncates_stored_coefficients():
     assert a.prec == 2
 
 
+def _canonical_reference(fld, lead, coeffs, prec):
+    """The list-popping canonicaliser that Series replaced: the reference."""
+    coeffs = list(coeffs)
+    if prec is not None:
+        keep = prec - lead
+        coeffs = coeffs[:max(keep, 0)]
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+        lead += 1
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        lead = 0
+    for c in coeffs:
+        if not 0 <= c < fld.order:
+            raise ValueError(f"coefficient {c} outside F_(2^{fld.tau})")
+    return lead, tuple(coeffs), prec
+
+
+def _outcome(build, *args):
+    try:
+        a = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return (a.lead, a.coeffs, a.prec) if isinstance(a, Series) else a
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3), st.data())
+def test_canonical_form_matches_the_reference(tau, data):
+    # leading and trailing zeros, prec below, at and above lead, and now
+    # and then a coefficient outside the field
+    fld = field(tau)
+    coeff = st.one_of(st.integers(1, fld.order - 1),
+                      st.integers(-2, fld.order + 1))
+    body = data.draw(st.lists(coeff, max_size=6))
+    coeffs = (data.draw(st.integers(0, 3)) * [0] + body
+              + data.draw(st.integers(0, 3)) * [0])
+    lead = data.draw(st.integers(-5, 5))
+    prec = data.draw(st.one_of(
+        st.none(), st.integers(lead - 3, lead + len(coeffs) + 3)))
+    assert (_outcome(Series, fld, lead, tuple(coeffs), prec)
+            == _outcome(_canonical_reference, fld, lead, coeffs, prec))
+
+
 def test_coefficient_outside_field_is_rejected():
     with pytest.raises(ValueError):
         Series(F1, 0, (2,))
+
+
+@pytest.mark.parametrize("fld, terms, message", [
+    (F1, {0: 2}, "coefficient 2 outside F_(2^1)"),
+    (F2, {-1: 0, 0: 1, 3: 4, 5: -1}, "coefficient 4 outside F_(2^2)"),
+    (F3, {2: -3}, "coefficient -3 outside F_(2^3)"),
+])
+def test_coefficient_outside_field_gets_one_message(fld, terms, message):
+    lo = min(terms)
+    coeffs = tuple(terms.get(e, 0) for e in range(lo, max(terms) + 1))
+    assert _outcome(_canonical_reference, fld, lo, coeffs, None) == message
+    with pytest.raises(ValueError) as direct:
+        Series(fld, lo, coeffs)
+    with pytest.raises(ValueError) as from_terms:
+        s_from_terms(fld, terms)
+    assert str(direct.value) == str(from_terms.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("g^2*t", "g^2 is not reduced in F_(2^2)"),
+    ("-1*t", "bad coefficient monomial '-1'"),
+])
+def test_parse_refuses_a_coefficient_outside_the_field(text, message):
+    # the grammar cannot spell one, so the range check is never reached
+    assert _outcome(s_parse, F2, text) == message
 
 
 def test_coeff_beyond_precision_raises():
@@ -125,6 +198,37 @@ def test_inverse_of_a_unit_works_to_working_precision():
         diff = s_add(prod, s_one(F2))
         # single-term units invert exactly, the rest to the asked precision
         assert diff.is_zero or (diff.looks_zero and diff.prec >= 32)
+
+
+def test_series_arithmetic_reads_the_tables_not_the_multiply(monkeypatch):
+    # count every call to the carry-less multiply and to ff_mul, under
+    # each name a btbranch module binds them by
+    calls = Counter()
+    for name in ("_poly_mulmod", "ff_mul"):
+        original = getattr(gf2, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        for module in [m for key, m in sys.modules.items()
+                       if key.split(".")[0] == "btbranch"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    for fld in (F1, F2):
+        fld.tables
+        rng = random.Random(fld.tau)
+        a, b = (s_random(fld, rng, 0, 12, nonzero=True) for _ in range(2))
+        unit = s_add(s_one(fld), s_random(fld, rng, 1, 12))
+        s_mul(a, b)
+        s_mul(s_monomial(fld, 3, fld.order - 1), b)
+        s_inv(unit)
+        s_square(a)
+        s_split(a)
+    assert calls == Counter()
+    # the counters are wired: fresh tables and the trace still call them
+    field(3, 0b1101).tables
+    gf2.ff_trace(F2, 3)
+    assert calls["_poly_mulmod"] > 0 and calls["ff_mul"] > 0
 
 
 def test_division_by_inexact_zero_is_undetermined():
