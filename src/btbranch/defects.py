@@ -80,7 +80,7 @@ def as_defect(a: Series) -> DefectResult:
         v = a.lead
         if v > 0:
             return DefectResult(Ideal.zero(), h, a)
-        u = a.coeffs[0]
+        u = a.coeff(v)
         if v == 0:
             c = ff_artin_schreier_root(fld, u)
             if c is None:  # u has trace 1
@@ -108,7 +108,7 @@ def quad_defect(a: Series) -> DefectResult:
     """
     xi, eta = s_split(a)
     reduced = s_add(a, s_square(xi))
-    if eta.coeffs:
+    if not eta.looks_zero:
         return DefectResult(Ideal.of_val(2 * eta.lead + 1), xi, reduced)
     if a.is_exact:
         return DefectResult(Ideal.zero(), xi, reduced)
@@ -206,7 +206,7 @@ def solve_artin_schreier(a: Series,
     if rem.is_zero:
         return d.witness
     r = term = s_truncate(rem, working_prec)
-    while term.coeffs and term.lead < working_prec:
+    while not term.looks_zero and term.lead < working_prec:
         term = s_truncate(s_square(term), working_prec)
         r = s_add(r, term)
     return s_add(d.witness, r)
@@ -224,7 +224,7 @@ def solve_quadratic(c: Series, d: Series,
         if not c.is_exact:
             raise UndeterminedAtPrecision("linear coefficient 0 to precision only")
         xi, eta = s_split(d)
-        return None if eta.coeffs else (xi, xi)
+        return (xi, xi) if eta.looks_zero else None
     r = solve_artin_schreier(s_div(d, s_square(c), working_prec),
                              working_prec)
     if r is None:

@@ -227,21 +227,25 @@ def _val_sum_capped(x: Series, y: Series, cap: int) -> int:
     """min(cap, val(x + y)), certified, without building x + y.
 
     Only the coefficients below min(cap, prec) can matter, and a vertex
-    level keeps that to a handful, so they are read off the two operands
-    instead of adding two series of working-precision length.  Raises
-    when the sum looks zero below cap.
+    level keeps that to a handful, so the two operands' lanes are aligned,
+    masked below that bound and XORed, and the lowest set bit is read.
+    Raises when the sum looks zero below cap.
     """
-    if x.field != y.field:
+    fld = x.field
+    if y.field is not fld and y.field != fld:
         raise ValueError("mixed residue fields")
     prec = _min_prec(x.prec, y.prec)
     hi = cap if prec is None else min(cap, prec)
-    xl, xc, yl, yc = x.lead, x.coeffs, y.lead, y.coeffs
-    nx, ny = len(xc), len(yc)
-    lo = min(xl if xc else hi, yl if yc else hi)
-    for e in range(lo, hi):
-        i, j = e - xl, e - yl
-        if (xc[i] if 0 <= i < nx else 0) != (yc[j] if 0 <= j < ny else 0):
-            return e
+    lo = min(x.lead if x.bits else hi, y.lead if y.bits else hi)
+    if lo < hi:
+        w = fld.tau
+        diff = 0
+        for s in (x, y):
+            if s.bits:
+                diff ^= s.bits << (s.lead - lo) * w
+        diff &= (1 << (hi - lo) * w) - 1
+        if diff:
+            return lo + ((diff & -diff).bit_length() - 1) // w
     if prec is None or prec >= cap:
         return cap
     raise UndeterminedAtPrecision(

@@ -45,7 +45,7 @@ from .tree import (Vertex, enumerate_window, measure_branch,
 def _rand_unit(rng, fld, hi=2):
     while True:
         u = s_random(fld, rng, 0, hi)
-        if u.coeffs and u.lead == 0:
+        if not u.looks_zero and u.lead == 0:
             return u
 
 
@@ -350,12 +350,11 @@ _CAP = {True: 2, False: 7}  # keyed by artin
 
 def _low_bit(a: Series):
     """The lowest nonzero bit of a: its exponent, then the coefficient bit."""
-    c = a.coeffs[0]
-    return a.lead, (c & -c).bit_length() - 1
+    return a.lead, (a.bits & -a.bits).bit_length() - 1
 
 
 def _reduce(a: Series, basis: dict) -> Series:
-    while a.coeffs and (key := _low_bit(a)) in basis:
+    while not a.looks_zero and (key := _low_bit(a)) in basis:
         a = s_add(a, basis[key])
     return a
 
@@ -373,7 +372,7 @@ def _grid_basis(fld, artin: bool, lo: int = _GRID_LO, hi: int = _GRID_HI):
             if artin:
                 image = s_add(image, h)
             image = _reduce(image, basis)
-            if image.coeffs:
+            if not image.looks_zero:
                 basis[_low_bit(image)] = image
     return basis
 
@@ -382,7 +381,7 @@ def _grid_best_val(a: Series, basis: dict, artin: bool):
     """Best valuation of a + substitution over the grid; None when a
     substitution kills the element outright or reaches the cap."""
     rest = _reduce(a, basis)
-    if not rest.coeffs or rest.lead >= _CAP[artin]:
+    if rest.looks_zero or rest.lead >= _CAP[artin]:
         return None
     return rest.lead
 

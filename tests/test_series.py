@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import sys
 from collections import Counter
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from btbranch import gf2
-from btbranch.gf2 import field
+from btbranch.gf2 import ff_inv, ff_mul, ff_sqrt, field
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
                              s_from_terms, s_inv, s_monomial, s_mul, s_one,
                              s_parse, s_random, s_render, s_split, s_sqrt,
@@ -127,6 +129,38 @@ def test_coeff_beyond_precision_raises():
         a.coeff(3)
 
 
+def test_hash_is_the_hash_of_the_coefficient_tuple():
+    # Vertex hashes, and so set iteration order, are built on this value
+    rng = random.Random(5)
+    for fld in (F1, F2, F3):
+        for prec in (None, 3, 40):
+            a = s_random(fld, rng, -4, 70)
+            a = Series(fld, a.lead, a.coeffs, prec)
+            assert hash(a) == hash((a.field, a.lead, a.coeffs, a.prec))
+
+
+def test_equal_series_from_every_route_are_equal_and_hash_equal():
+    parsed = s_parse(F2, "g*t^-1 + (1+g)*t^2 (mod t^4)")
+    built = Series(F2, -2, (0, 2, 0, 0, 3, 0, 1, 2, 3), 4)
+    summed = s_add(s_mul(s_monomial(F2, -1, 3), s_parse(F2, "(1+g) + t^3")),
+                   s_parse(F2, "t^5 (mod t^4)"))
+    assert parsed == built == summed
+    assert hash(parsed) == hash(built) == hash(summed)
+    assert s_add(summed, summed) == s_parse(F2, "0 (mod t^4)")
+
+
+def test_series_are_immutable():
+    a = s_parse(F2, "g*t^-1 + t (mod t^3)")
+    for name in ("field", "lead", "bits", "prec", "coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.lead, a.coeffs, a.prec) == (-1, (2, 0, 1), 3)
+    # copies and pickles are rebuilt through the constructor
+    assert copy.deepcopy(a) == a == pickle.loads(pickle.dumps(a))
+
+
 # -- valuation ------------------------------------------------------
 
 def test_valuation_of_exact_zero_is_infinite():
@@ -231,6 +265,26 @@ def test_series_arithmetic_reads_the_tables_not_the_multiply(monkeypatch):
     assert calls["_poly_mulmod"] > 0 and calls["ff_mul"] > 0
 
 
+def test_adding_an_exact_zero_builds_nothing(monkeypatch):
+    operands = [s_parse(F2, "g*t^-3 + t^5"), s_parse(F1, "1 + t (mod t^9)"),
+                Series(F1, 0, (), 4), s_random(F3, random.Random(1), -2, 60)]
+    zeros = [s_zero(a.field) for a in operands]
+    built = []
+    canonicalise = Series.__post_init__
+
+    def counting(self):
+        built.append(self)
+        canonicalise(self)
+    monkeypatch.setattr(Series, "__post_init__", counting)
+    for a, z in zip(operands, zeros):
+        assert s_add(a, z) is a and s_add(z, a) is a
+    assert built == []
+    # a zero that lowers the precision truncates the other operand
+    cut = s_add(operands[0], Series(F2, 0, (), 2))
+    assert (cut.lead, cut.coeffs, cut.prec) == (-3, (2,), 2)
+    assert len(built) == 2
+
+
 def test_division_by_inexact_zero_is_undetermined():
     with pytest.raises(UndeterminedAtPrecision):
         s_div(s_one(F1), Series(F1, 0, (), prec=4))
@@ -296,3 +350,126 @@ def test_random_series_respects_the_support_box():
         a = s_random(F1, rng, -2, 3, nonzero=True)
         assert not a.looks_zero
         assert all(-2 <= e <= 3 for e, _ in a.terms())
+
+
+# -- the list-based operations the packed lanes replaced: references --
+#
+# Each reads coeffs, works on plain lists with the residue field's own
+# ff_mul, ff_inv and ff_sqrt, and canonicalises with the list-popping
+# reference above, so nothing here runs the packed code under test.
+
+def _ref_min_prec(p, q):
+    return q if p is None else p if q is None else min(p, q)
+
+
+def _ref_add(a, b):
+    prec = _ref_min_prec(a.prec, b.prec)
+    if not a.coeffs and not b.coeffs:
+        return _canonical_reference(a.field, 0, (), prec)
+    lo = min(a.lead, b.lead)
+    hi = max(a.lead + len(a.coeffs), b.lead + len(b.coeffs))
+    coeffs = [0] * (hi - lo)
+    for s in (a, b):
+        for i, c in enumerate(s.coeffs):
+            coeffs[s.lead - lo + i] ^= c
+    return _canonical_reference(a.field, lo, coeffs, prec)
+
+
+def _ref_val_lower_bound(a):
+    if a.coeffs:
+        return a.lead
+    return math.inf if a.prec is None else a.prec
+
+
+def _ref_mul(a, b):
+    fld = a.field
+    if a.is_zero or b.is_zero:
+        return _canonical_reference(fld, 0, (), None)
+    precs = [p + _ref_val_lower_bound(other)
+             for p, other in ((a.prec, b), (b.prec, a)) if p is not None]
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] ^= ff_mul(fld, x, y)
+    return _canonical_reference(fld, a.lead + b.lead, out,
+                                min(precs) if precs else None)
+
+
+def _ref_inv(a, working_prec=64):
+    fld = a.field
+    if not a.coeffs:
+        if a.prec is None:
+            raise ZeroDivisionError("inverse of the zero series")
+        raise UndeterminedAtPrecision(
+            "inverse of a series that is 0 to known precision")
+    u = a.coeffs
+    if len(u) == 1 and a.prec is None:
+        return _canonical_reference(fld, -a.lead, (ff_inv(fld, u[0]),), None)
+    rel = working_prec if a.prec is None else min(a.prec - a.lead, working_prec)
+    c0 = ff_inv(fld, u[0])
+    out = [c0] + [0] * (rel - 1)
+    for k in range(1, rel):
+        acc = 0
+        for i in range(1, min(k, len(u) - 1) + 1):
+            acc ^= ff_mul(fld, u[i], out[k - i])
+        out[k] = ff_mul(fld, c0, acc)
+    return _canonical_reference(fld, -a.lead, out, -a.lead + rel)
+
+
+def _ref_square(a):
+    out = [0] * (2 * len(a.coeffs))
+    out[::2] = [ff_mul(a.field, c, c) for c in a.coeffs]
+    return _canonical_reference(a.field, 2 * a.lead, out,
+                                None if a.prec is None else 2 * a.prec)
+
+
+def _ref_split(a):
+    even = a.lead % 2
+    precs = ((None, None) if a.prec is None
+             else ((a.prec + 1) // 2, a.prec // 2))
+    return tuple(
+        _canonical_reference(a.field, (a.lead + start) // 2,
+                             [ff_sqrt(a.field, c) for c in a.coeffs[start::2]],
+                             prec)
+        for start, prec in zip((even, 1 - even), precs))
+
+
+def _lanes_crossing_64_bits(fld, data):
+    """A series of 0-70 terms, exact or truncated anywhere from below
+    its lead to beyond its last term, with a lead of either sign."""
+    coeffs = data.draw(st.lists(st.integers(0, fld.order - 1), max_size=70))
+    lead = data.draw(st.integers(-40, 40))
+    prec = data.draw(st.one_of(
+        st.none(), st.integers(lead - 3, lead + len(coeffs) + 3)))
+    return Series(fld, lead, coeffs, prec)
+
+
+def _same_outcome(op, *args):
+    try:
+        return op(*args)
+    except (ValueError, ZeroDivisionError, UndeterminedAtPrecision) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _triple(a):
+    return a.lead, a.coeffs, a.prec
+
+
+@pytest.mark.parametrize("op, ref, arity", [
+    (s_add, _ref_add, 2), (s_mul, _ref_mul, 2), (s_inv, _ref_inv, 1),
+    (s_square, _ref_square, 1), (s_split, _ref_split, 1),
+], ids=["s_add", "s_mul", "s_inv", "s_square", "s_split"])
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_packed_lanes_match_the_list_references(op, ref, arity, tau, data):
+    fld = field(tau)
+    args = [_lanes_crossing_64_bits(fld, data) for _ in range(arity)]
+    if op is s_inv:
+        args.append(data.draw(st.integers(1, 80)))
+
+    def packed(*xs):
+        out = op(*xs)
+        return (tuple(map(_triple, out)) if isinstance(out, tuple)
+                else _triple(out))
+    assert _same_outcome(packed, *args) == _same_outcome(ref, *args)
+
