@@ -178,8 +178,8 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
             ends = (ProjPoint.finite(s_div(B, c, working_prec)),
                     ProjPoint.infinity())
         else:
-            roots = solve_quadratic(s_div(c, C, working_prec),
-                                    s_div(B, C, working_prec), working_prec)
+            y = s_inv(C, working_prec)
+            roots = solve_quadratic(s_mul(c, y), s_mul(B, y), working_prec)
             if roots is None:
                 raise AssertionError("reducible separable matrix with "
                                      "irreducible fixed-point quadratic")
@@ -199,7 +199,7 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
     if C.looks_zero:
         raise AssertionError(f"vanishing corner entry in class {m.kind}")
     y = s_inv(C, working_prec)
-    x = s_div(A, C, working_prec)
+    x = s_mul(A, y)
     if m.kind == UNRAMIFIED_SEP:
         xi = s_add(x, s_mul(s_mul(c, y), m.defect.witness))
         lvl = s_val(c) - s_val(C)

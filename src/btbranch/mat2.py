@@ -149,18 +149,21 @@ class PairConfig:
 
 def make_pair(q1: Mat2, q2: Mat2,
               working_prec: int = DEFAULT_PREC) -> PairConfig:
+    coeffs = []
     for i, q in ((1, q1), (2, q2)):
         if is_scalar(q):
             raise ScalarMatrix(f"generator {i} is scalar")
-        for name, x in (("trace", trace(q)), ("determinant", det(q))):
+        tr, dt = trace(q), det(q)
+        for name, x in (("trace", tr), ("determinant", dt)):
             if not val_ge(x, 0):
                 raise NonIntegral(f"{name} of generator {i} has negative valuation")
+        coeffs.append((tr, dt))
     # the pairing itself may sit outside the integer ring (two foliages
     # with different ends can be arbitrarily far apart), so only the
     # generators are checked
     lam = sym_product(q1, q2)
-    return PairConfig(q1, q2, min_poly(q1, working_prec),
-                      min_poly(q2, working_prec), lam)
+    m1, m2 = (classify(tr, dt, working_prec) for tr, dt in coeffs)
+    return PairConfig(q1, q2, m1, m2, lam)
 
 
 # -- grammar --------------------------------------------------------

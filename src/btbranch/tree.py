@@ -7,21 +7,28 @@ set of vertices whose order contains q.  ``member`` evaluates that
 containment exactly; everything else in this module is bookkeeping on a
 finite window of the tree plus certified measurements on oracle sets.
 
-Windows are balls around the base vertex B_0^[0].  Balls are
-geodesically convex, so graph distances measured inside a window agree
-with tree distances, and a breadth-first search toward the complement
-of a member set under-approximates nothing once it stays clear of the
-window boundary.  That is the whole certification story: a measured
-quantity is trusted only where the boundary provably cannot interfere.
+Windows are balls around the base vertex B_0^[0], built by one
+breadth-first search that records each inner vertex's neighbour list as
+it expands it; a boundary vertex's only neighbour inside is the vertex
+it was found from.  Centers are packed series, so a child's center is
+its parent's with one lane set, and every adjacency list holds the
+window's own vertex objects.  Balls are geodesically convex, so graph
+distances measured inside a window agree with tree distances, and a
+breadth-first search toward the complement of a member set
+under-approximates nothing once it stays clear of the window boundary.
+That is the whole certification story: a measured quantity is trusted
+only where the boundary provably cannot interfere.
 
 A branch is a subtree, hence convex (Serre, *Trees*), and so is the
 window; their intersection is therefore connected in the window graph.
 Every walk over the window is one breadth-first search, ``_bfs``, and
 the convexity is used twice.  ``grow`` scans the window for one vertex
 that passes a test and walks only through passing vertices from there;
-``oracle_branch`` is ``grow`` with the membership test and never
-consults a predicted shape.  The measurements walk only inside the
-member set, except ``set_distance``, which has to cross non-members.
+it returns the set in window order, as a full scan builds it, by
+sorting what it found on ``Window.index``.  ``oracle_branch`` is
+``grow`` with the membership test and never consults a predicted shape.
+The measurements walk only inside the member set, except
+``set_distance``, which has to cross non-members.
 """
 
 from __future__ import annotations
@@ -30,18 +37,27 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 from .mat2 import Mat2, det, trace
-from .series import (Series, UndeterminedAtPrecision, s_add, s_from_terms,
-                     s_mul, s_render, s_val, val_ge)
+from .series import (Series, UndeterminedAtPrecision, _make, s_add, s_mul,
+                     s_render, s_val, s_zero, val_ge)
 
 INFINITE_DEPTH = 10 ** 9
 
 
 def reduce_center(z: Series, r: int) -> Series:
-    """z mod t^r as an exact series; needs z known at least mod t^r."""
+    """z mod t^r as an exact series; needs z known at least mod t^r.
+
+    The lanes of z below r - lead, masked; z itself when it is exact and
+    has no lane at or above r.
+    """
     if z.prec is not None and z.prec < r:
         raise UndeterminedAtPrecision(
             f"center known mod t^{z.prec} but needed mod t^{r}")
-    return s_from_terms(z.field, {e: c for e, c in z.terms() if e < r})
+    bits, n = z.bits, (r - z.lead) * z.field.tau
+    if bits >> max(n, 0):
+        bits = bits & (1 << n) - 1 if n > 0 else 0
+    elif z.prec is None:
+        return z
+    return _make(z.field, z.lead, bits, None)
 
 
 @dataclass(frozen=True)
@@ -76,17 +92,31 @@ def tree_distance(v: Vertex, w: Vertex) -> int:
 
 
 def vertex_neighbors(v: Vertex) -> list[Vertex]:
-    """The 2^tau + 1 adjacent balls: one up a level, 2^tau down."""
-    fld = v.center.field
-    out = [Vertex(v.r - 1, v.center)]
+    """The 2^tau + 1 adjacent balls: one up a level, then 2^tau down, one
+    for each residue c in ``elements()`` order.
+
+    The center z of v is reduced mod t^r, so z + c t^r -- c XORed into
+    lane r - lead -- is already reduced mod t^(r+1).
+    """
+    z, r = v.center, v.r
+    fld = z.field
+    lead = z.lead if z.bits else r
+    shift = (r - lead) * fld.tau
+    out = [Vertex(r - 1, z)]
     for c in fld.elements():
-        out.append(Vertex(v.r + 1, s_add(v.center, s_from_terms(fld, {v.r: c}))))
+        out.append(Vertex(r + 1, _make(fld, lead, z.bits ^ c << shift, None)
+                          if c else z))
     return out
 
 
 @dataclass
 class Window:
-    """All vertices within ``radius`` of the base vertex, with adjacency."""
+    """All vertices within ``radius`` of the base vertex, with adjacency.
+
+    ``vertices`` is in breadth-first order, ``index`` maps each vertex to
+    its position there, and every ``adj`` list holds the window's own
+    vertex objects.
+    """
 
     fld: object
     radius: int
@@ -94,6 +124,7 @@ class Window:
     vertices: list[Vertex]
     dist_root: dict[Vertex, int]
     adj: dict[Vertex, list[Vertex]] = dc_field(repr=False, default_factory=dict)
+    index: dict[Vertex, int] = dc_field(repr=False, default_factory=dict)
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.dist_root
@@ -103,22 +134,35 @@ class Window:
 
 
 def enumerate_window(fld, radius: int) -> Window:
-    root = Vertex(0, s_from_terms(fld, {}))
-    dist = {root: 0}
+    """The ball of ``radius`` around B_0^[0], by one breadth-first search.
+
+    Each vertex inside the ball is expanded once, and its neighbour list,
+    all inside the ball, is recorded then.  A vertex on the boundary is
+    not expanded: its one neighbour inside the ball is the vertex it was
+    found from.
+    """
+    root = Vertex(0, s_zero(fld))
     order = [root]
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        if dist[v] == radius:
-            continue
+    index = {root: 0}
+    depth = [0]
+    parent = [None]
+    adj = {}
+    for i, v in enumerate(order):
+        if depth[i] == radius:
+            break
+        nbrs = []
         for w in vertex_neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
+            j = index.get(w)
+            if j is None:
+                j = index[w] = len(order)
                 order.append(w)
-                queue.append(w)
-    win = Window(fld, radius, root, order, dist)
-    win.adj = {v: [w for w in vertex_neighbors(v) if w in dist] for v in order}
-    return win
+                depth.append(depth[i] + 1)
+                parent.append(v)
+            nbrs.append(order[j])
+        adj[v] = nbrs
+    for v, p in zip(order[len(adj):], parent[len(adj):]):
+        adj[v] = [] if p is None else [p]
+    return Window(fld, radius, root, order, dict(zip(order, depth)), adj, index)
 
 
 # -- the membership oracle ------------------------------------------
@@ -139,8 +183,7 @@ def member(q: Mat2, v: Vertex) -> bool:
         return False
     if not val_ge(s_add(q.a, cz), 0):
         return False
-    quad = s_add(s_add(s_mul(s_mul(q.c, z), z),
-                       s_mul(s_add(q.a, q.d), z)), q.b)
+    quad = s_add(s_add(s_mul(cz, z), s_mul(s_add(q.a, q.d), z)), q.b)
     return val_ge(quad, r)
 
 
@@ -186,7 +229,7 @@ def grow(window: Window, test) -> set[Vertex]:
     if first is None:
         return set()
     found, _, _ = _bfs(window, [first], inside=test)
-    return {v for v in window.vertices if v in found}
+    return set(sorted(found, key=window.index.__getitem__))
 
 
 def oracle_branch(q: Mat2, window: Window) -> set[Vertex]:
@@ -420,7 +463,7 @@ def dot_export(window: Window, groups: dict[str, set[Vertex]] | None = None,
                title: str = "window") -> str:
     """GraphViz rendering of a window; groups map fill colors to sets."""
     groups = groups or {}
-    idx = {v: i for i, v in enumerate(window.vertices)}
+    idx = window.index
     lines = [f'graph "{title}" {{', "  node [shape=circle, fontsize=8];"]
     for v, i in idx.items():
         color = next((c for c, s in groups.items() if v in s), None)

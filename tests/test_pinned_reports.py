@@ -23,6 +23,8 @@ PINNED = [
      "2b666d3d9b016965f3754d32a3bb07e5c29e7781d42b121afa7519f4933d5a23"),
     (dict(seed=3, tau=2, count=20, radius=4),
      "0c751179e9c56a29c1fd4a22da0418be22b18addaede62f8a117623076424dd9"),
+    (dict(seed=5, tau=3, count=5, radius=4),
+     "2c0a0f743b078692d55f806aa240dbb8b15cbd602374e60e1b4b6a86d91c6611"),
 ]
 
 

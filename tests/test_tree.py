@@ -6,6 +6,7 @@ from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import btbranch.geometry as geometry
 import btbranch.tree as tree
@@ -15,8 +16,9 @@ from btbranch.gf2 import field
 from btbranch.mat2 import (Mat2, companion, m_conj, m_mul, make_pair,
                            min_poly)
 from btbranch.selftest import _PAIR_STRATEGIES
-from btbranch.series import (UndeterminedAtPrecision, s_monomial, s_one,
-                             s_parse, s_random, s_truncate, s_zero)
+from btbranch.series import (Series, UndeterminedAtPrecision, s_add,
+                             s_from_terms, s_monomial, s_one, s_parse,
+                             s_random, s_truncate, s_zero)
 from btbranch.tree import (INFINITE_DEPTH, Vertex, complete_in_window,
                            dot_export, enumerate_window, is_path_set,
                            local_depths, measure_branch, measure_intersection,
@@ -114,8 +116,91 @@ def test_window_distances_and_boundary():
 def test_window_adjacency_matches_neighbor_enumeration():
     w = enumerate_window(F1, 2)
     for v in w.vertices:
-        inside = {n for n in vertex_neighbors(v) if n in w}
-        assert set(w.adj[v]) == inside
+        assert w.adj[v] == [n for n in vertex_neighbors(v) if n in w]
+
+
+# -- the s_from_terms window the packed one replaced: references --
+#
+# Each builds every center through s_from_terms from the terms of the
+# series, and the reference window runs its search, then builds every
+# neighbour list afresh, so nothing here runs the packed code under test.
+# A center the references hand to Vertex is already reduced, so Vertex
+# keeps it as it is.
+
+def _ref_reduce_center(z, r):
+    if z.prec is not None and z.prec < r:
+        raise UndeterminedAtPrecision(
+            f"center known mod t^{z.prec} but needed mod t^{r}")
+    return s_from_terms(z.field, {e: c for e, c in z.terms() if e < r})
+
+
+def _ref_vertex_neighbors(v):
+    fld = v.center.field
+    out = [Vertex(v.r - 1, _ref_reduce_center(v.center, v.r - 1))]
+    for c in fld.elements():
+        z = s_add(v.center, s_from_terms(fld, {v.r: c}))
+        out.append(Vertex(v.r + 1, _ref_reduce_center(z, v.r + 1)))
+    return out
+
+
+def _ref_enumerate_window(fld, radius):
+    root = Vertex(0, s_from_terms(fld, {}))
+    dist = {root: 0}
+    order = [root]
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        if dist[v] == radius:
+            continue
+        for w in _ref_vertex_neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                order.append(w)
+                queue.append(w)
+    adj = {v: [w for w in _ref_vertex_neighbors(v) if w in dist]
+           for v in order}
+    return order, dist, adj
+
+
+def _series_triple(z):
+    return z.lead, z.coeffs, z.prec
+
+
+@pytest.mark.parametrize("tau, radius", [(1, 8), (2, 4), (3, 3)])
+def test_window_matches_the_reference_enumeration(tau, radius):
+    w = enumerate_window(field(tau), radius)
+    order, dist, adj = _ref_enumerate_window(field(tau), radius)
+    assert w.vertices == order
+    assert [(v.r, _series_triple(v.center), hash(v)) for v in w.vertices] == [
+        (v.r, _series_triple(v.center), hash(v)) for v in order]
+    assert list(w.dist_root.items()) == list(dist.items())
+    assert list(w.adj) == list(adj)
+    assert all(w.adj[v] == adj[v] for v in order)
+    assert w.index == {v: i for i, v in enumerate(w.vertices)}
+    # every neighbour list holds the window's own vertex objects
+    assert all(w.vertices[w.index[x]] is x
+               for nbrs in w.adj.values() for x in nbrs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_reduce_center_matches_the_reference(tau, data):
+    fld = field(tau)
+    coeffs = data.draw(st.lists(st.integers(0, fld.order - 1), max_size=12))
+    lead = data.draw(st.integers(-6, 6))
+    top = lead + len(coeffs)
+    prec = data.draw(st.one_of(st.none(), st.integers(lead - 2, top + 2)))
+    z = Series(fld, lead, coeffs, prec)
+    hi = top if prec is None else max(top, prec)
+    r = data.draw(st.integers(lead - 3, hi + 3))
+
+    def outcome(fn):
+        try:
+            out = fn(z, r)
+        except UndeterminedAtPrecision as exc:
+            return str(exc)
+        return _series_triple(out)
+    assert outcome(reduce_center) == outcome(_ref_reduce_center)
 
 
 # membership
