@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 
 from .defects import classify
 from .existence import (DegenerateForm, algebra_spec, decide, search_pair,
@@ -27,44 +27,14 @@ from .geometry import (InfiniteFoliage, branch_shape, fake_distance,
                        predict_relpos)
 from .gf2 import field
 from .mat2 import NonIntegral, ScalarMatrix, m_parse, m_render, make_pair
-from .series import UndeterminedAtPrecision, s_parse, s_render
+from .series import DEFAULT_PREC, UndeterminedAtPrecision, s_parse, s_render
 from .tree import dot_export, enumerate_window, oracle_branch
 from .selftest import compare_pair, run_selftest
 from . import defects
 
 
-@dataclass
-class RunConfig:
-    tau: int = 1
-    modulus: int | None = None
-    prec: int = 64
-    window_radius: int = 8
-    margin: int = 2
-    seed: int = 7
-    format: str = "text"
-    dot: str | None = None
-
-    def validate(self):
-        if self.prec < 1:
-            raise ValueError("--prec must be at least 1")
-        if self.window_radius < 0 or self.margin < 0:
-            raise ValueError("--radius and --margin must be nonnegative")
-
-    @property
-    def fld(self):
-        return field(self.tau, self.modulus)
-
-
-def _config_from(args) -> RunConfig:
-    """The flags the subcommand has; the others keep their defaults."""
-    cfg = RunConfig(**{f.name: getattr(args, f.name)
-                       for f in fields(RunConfig) if hasattr(args, f.name)})
-    cfg.validate()
-    return cfg
-
-
-def _emit(cfg: RunConfig, text: str, record: dict) -> None:
-    if cfg.format == "json":
+def _emit(args, text: str, record: dict) -> None:
+    if args.format == "json":
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
         print(text)
@@ -91,21 +61,21 @@ def _relpos_record(pred) -> dict:
 
 # -- subcommands ----------------------------------------------------
 
-def _cmd_defect(cfg: RunConfig, args) -> int:
-    fld = cfg.fld
+def _cmd_defect(args) -> int:
+    fld = field(args.tau, args.modulus)
     a = s_parse(fld, args.element)
     res = (defects.as_defect if args.map == "as" else defects.quad_defect)(a)
-    _emit(cfg,
+    _emit(args,
           f"defect {res.ideal.render()}  witness {s_render(res.witness)}",
           {"ideal": res.ideal.render(), "ideal_val": res.ideal.val,
            "witness": s_render(res.witness)})
     return 0
 
 
-def _cmd_classify(cfg: RunConfig, args) -> int:
-    fld = cfg.fld
-    m = classify(s_parse(fld, args.a), s_parse(fld, args.b), cfg.prec)
-    _emit(cfg,
+def _cmd_classify(args) -> int:
+    fld = field(args.tau, args.modulus)
+    m = classify(s_parse(fld, args.a), s_parse(fld, args.b), args.prec)
+    _emit(args,
           f"{m.kind} (cell {m.cell}), jump t={m.t}, "
           f"defect {m.defect.ideal.render()}",
           {"class": m.kind, "cell": m.cell, "t": m.t,
@@ -114,24 +84,24 @@ def _cmd_classify(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_branch(cfg: RunConfig, args) -> int:
-    fld = cfg.fld
+def _cmd_branch(args) -> int:
+    fld = field(args.tau, args.modulus)
     q = m_parse(fld, args.matrix)
-    shape = branch_shape(q, cfg.prec)
-    _emit(cfg, shape.render(), _shape_record(shape))
-    if cfg.dot:
-        window = enumerate_window(fld, cfg.window_radius)
+    shape = branch_shape(q, args.prec)
+    _emit(args, shape.render(), _shape_record(shape))
+    if args.dot:
+        window = enumerate_window(fld, args.window_radius)
         members = oracle_branch(q, window)
-        with open(cfg.dot, "w") as fh:
+        with open(args.dot, "w") as fh:
             fh.write(dot_export(window, {"lightblue": members}, "branch"))
     return 0
 
 
-def _cmd_relpos(cfg: RunConfig, args) -> int:
-    fld = cfg.fld
-    pair = make_pair(m_parse(fld, args.q1), m_parse(fld, args.q2), cfg.prec)
+def _cmd_relpos(args) -> int:
+    fld = field(args.tau, args.modulus)
+    pair = make_pair(m_parse(fld, args.q1), m_parse(fld, args.q2), args.prec)
     pred = predict_relpos(pair)
-    _emit(cfg, pred.render(), _relpos_record(pred))
+    _emit(args, pred.render(), _relpos_record(pred))
     return 0
 
 
@@ -142,53 +112,53 @@ def _parse_quad(fld, text: str):
     return s_parse(fld, parts[0]), s_parse(fld, parts[1])
 
 
-def _cmd_df(cfg: RunConfig, args) -> int:
-    fld = cfg.fld
+def _cmd_df(args) -> int:
+    fld = field(args.tau, args.modulus)
     lam = s_parse(fld, args.lam)
     a1, b1 = _parse_quad(fld, args.m1)
     a2, b2 = _parse_quad(fld, args.m2)
-    d = fake_distance(lam, classify(a1, b1, cfg.prec),
-                      classify(a2, b2, cfg.prec))
-    _emit(cfg, f"stem distance {d.render()}",
+    d = fake_distance(lam, classify(a1, b1, args.prec),
+                      classify(a2, b2, args.prec))
+    _emit(args, f"stem distance {d.render()}",
           {"kind": d.kind, "twice": d.twice, "value": d.render()})
     return 0
 
 
-def _cmd_oracle(cfg: RunConfig, args) -> int:
-    fld = cfg.fld
-    pair = make_pair(m_parse(fld, args.q1), m_parse(fld, args.q2), cfg.prec)
-    window = enumerate_window(fld, cfg.window_radius)
+def _cmd_oracle(args) -> int:
+    fld = field(args.tau, args.modulus)
+    pair = make_pair(m_parse(fld, args.q1), m_parse(fld, args.q2), args.prec)
+    window = enumerate_window(fld, args.window_radius)
     sets = None
-    if cfg.dot:
+    if args.dot:
         sets = (oracle_branch(pair.q1, window), oracle_branch(pair.q2, window))
-    status, why, pred, meas = compare_pair(pair, window, cfg.margin, cfg.prec,
-                                           sets=sets)
+    status, why, pred, meas = compare_pair(pair, window, args.margin,
+                                           args.prec, sets=sets)
     verdict = {"matched": "MATCH", "mismatched": f"MISMATCH ({why})",
                "skipped": f"UNDETERMINED ({why})"}[status]
     meas_text = "not taken" if meas is None else ", ".join(
         f"{k}={v}" for k, v in asdict(meas).items() if v not in (None, ""))
     ok = status == "matched"
-    _emit(cfg,
+    _emit(args,
           f"predicted: {pred.render()}\nmeasured:  {meas_text}\n"
           f"verdict: {verdict}",
           {"predicted": _relpos_record(pred),
            "measured": None if meas is None else asdict(meas),
            "match": ok, "note": "" if ok else why})
-    if cfg.dot:
+    if args.dot:
         s1, s2 = sets
         groups = {"violet": s1 & s2, "lightblue": s1 - s2, "salmon": s2 - s1}
-        with open(cfg.dot, "w") as fh:
+        with open(args.dot, "w") as fh:
             fh.write(dot_export(window, groups, "oracle"))
     return {"matched": 0, "mismatched": 1, "skipped": 3}[status]
 
 
-def _cmd_exists(cfg: RunConfig, args) -> int:
-    fld = cfg.fld
+def _cmd_exists(args) -> int:
+    fld = field(args.tau, args.modulus)
     lam = s_parse(fld, args.lam)
     a1, b1 = _parse_quad(fld, args.m1)
     a2, b2 = _parse_quad(fld, args.m2)
-    spec = algebra_spec(lam, a1, b1, a2, b2, cfg.prec)
-    verdict = decide(spec, cfg.prec)
+    spec = algebra_spec(lam, a1, b1, a2, b2, args.prec)
+    verdict = decide(spec, args.prec)
     lines = [f"exists: {'yes' if verdict.exists else 'no'} "
              f"(condition {verdict.matched_condition})"]
     rec = {"exists": verdict.exists,
@@ -210,14 +180,14 @@ def _cmd_exists(cfg: RunConfig, args) -> int:
         lines.append(f"zero divisor search: "
                      f"{'hit' if zd else 'no hit in box'}")
         lines.append(f"norm-form search: {'hit' if pr else 'no hit in box'}")
-    _emit(cfg, "\n".join(lines), rec)
+    _emit(args, "\n".join(lines), rec)
     return 0
 
 
-def _cmd_selftest(cfg: RunConfig, args) -> int:
-    rep = run_selftest(cfg.seed, cfg.tau, cfg.modulus, args.count,
-                       cfg.window_radius, cfg.margin, cfg.prec)
-    _emit(cfg, rep.render().rstrip("\n"), rep.record())
+def _cmd_selftest(args) -> int:
+    rep = run_selftest(args.seed, args.tau, args.modulus, args.count,
+                       args.window_radius, args.margin, args.prec)
+    _emit(args, rep.render().rstrip("\n"), rep.record())
     return 0 if rep.passing else 1
 
 
@@ -235,14 +205,27 @@ def _search_box(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 #: the flags beyond --tau, --modulus and --format, each given only to
 #: the subcommands that read it
 _FLAGS = {
-    "--prec": dict(type=int, default=64,
+    "--prec": dict(type=_at_least(1), default=DEFAULT_PREC,
                    help="working precision for inexact arithmetic"),
-    "--radius": dict(dest="window_radius", type=int, default=8,
+    "--radius": dict(dest="window_radius", type=_at_least(0), default=8,
                      help="window radius for measurements"),
-    "--margin": dict(type=int, default=2,
+    "--margin": dict(type=_at_least(0), default=2,
                      help="boundary margin for certification"),
     "--seed": dict(type=int, default=7),
     "--dot": dict(metavar="PATH", default=None,
@@ -314,8 +297,7 @@ def main(argv=None) -> int:
         # reported by the subcommand, whose usage lists the flags it takes
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        cfg = _config_from(args)
-        return args.func(cfg, args)
+        return args.func(args)
     except UndeterminedAtPrecision as exc:
         print(f"precision: {exc}", file=sys.stderr)
         return 3

@@ -11,9 +11,13 @@ with equally explicit witness pairs.
 
 Everything symbolic here is backed by searches: a zero divisor found by
 search_zero_divisor is a proof of splitting, independent of the symbol.
-Both searches evaluate the reduced norm as one quadratic form, computed
-once per datum from the structure constants, and they enumerate: solving
-the form for a root would be the Artin-Schreier question decide answers.
+Both searches evaluate the reduced norm as one quadratic form on the
+basis (1, Q1, Q2, Q1Q2), whose coefficients are monomials in the datum:
+n = (1, b1, b2, b1 b2) on the squares and p_01 = a1, p_02 = a2, p_03 =
+lambda + a1 a2, p_12 = lambda, p_13 = a2 b1, p_23 = a1 b2 on the cross
+terms.  Its Pfaffian p_01 p_23 + p_02 p_13 + p_03 p_12 is Delta.  They
+enumerate: solving the form for a root would be the Artin-Schreier
+question decide answers.
 """
 
 from __future__ import annotations
@@ -109,66 +113,18 @@ def splits(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> bool:
 
 # -- searches (independent of the symbol machinery) -----------------
 
-def _mul_table(spec: AlgebraSpec):
-    """Structure constants: coordinates of B_i B_j in (1, Q1, Q2, Q1Q2)."""
-    fld = spec.lam.field
-    z, o = s_zero(fld), s_one(fld)
-    a1, b1 = spec.m1.a, spec.m1.b
-    a2, b2 = spec.m2.a, spec.m2.b
-    lam = spec.lam
-    lam_aa = s_add(lam, s_mul(a1, a2))
-    tab = {}
-    tab[0, 0] = (o, z, z, z)
-    for j, unit in ((1, (z, o, z, z)), (2, (z, z, o, z)), (3, (z, z, z, o))):
-        tab[0, j] = tab[j, 0] = unit
-    tab[1, 1] = (b1, a1, z, z)
-    tab[2, 2] = (b2, z, a2, z)
-    tab[1, 2] = (z, z, z, o)
-    tab[2, 1] = (lam, a2, a1, o)
-    tab[1, 3] = (z, z, b1, a1)
-    tab[3, 1] = (s_mul(a2, b1), lam_aa, b1, z)
-    tab[2, 3] = (s_mul(a1, b2), b2, lam_aa, z)
-    tab[3, 2] = (z, b2, z, a2)
-    tab[3, 3] = (s_mul(b1, b2), z, z, lam_aa)
-    return tab
-
-
-def _nrd(tab, x):
-    """Reduced norm of x = sum x_i B_i, the scalar coordinate of x (x + trd x).
-
-    x^2 = trd(x) x + nrd(x) in characteristic 2.  trd(B_i) is the B_i
-    coordinate of B_i^2 for i > 0, and trd(1) = 2 = 0.
-    """
-    conj0 = x[0]  # the scalar coordinate of x + trd(x)
-    for i in (1, 2, 3):
-        if not x[i].is_zero:
-            conj0 = s_add(conj0, s_mul(x[i], tab[i, i][i]))
-    conj = (conj0,) + tuple(x[1:])
-    out = s_zero(x[0].field)
-    for i, xi in enumerate(x):
-        for j, cj in enumerate(conj):
-            c = tab[i, j][0]
-            if not (xi.is_zero or cj.is_zero or c.is_zero):
-                out = s_add(out, s_mul(s_mul(xi, cj), c))
-    return out
-
-
 def _norm_form(spec: AlgebraSpec):
     """The reduced norm as a quadratic form on the basis (1, Q1, Q2, Q1Q2).
 
     Returns n and p with nrd(sum x_i B_i) = sum n_i x_i^2 + sum_{i<j}
-    p_ij x_i x_j: n_i = nrd(B_i) and p_ij = nrd(B_i + B_j) + n_i + n_j,
-    the polar form.  Ten _nrd calls, once per datum.
+    p_ij x_i x_j; each coefficient is a monomial in the datum.
     """
-    tab = _mul_table(spec)
-    fld = spec.lam.field
-    z, o = s_zero(fld), s_one(fld)
-
-    def vec(*ones):
-        return tuple(o if i in ones else z for i in range(4))
-    n = [_nrd(tab, vec(i)) for i in range(4)]
-    p = {(i, j): s_add(s_add(_nrd(tab, vec(i, j)), n[i]), n[j])
-         for i, j in itertools.combinations(range(4), 2)}
+    lam = spec.lam
+    a1, b1 = spec.m1.a, spec.m1.b
+    a2, b2 = spec.m2.a, spec.m2.b
+    n = [s_one(lam.field), b1, b2, s_mul(b1, b2)]
+    p = {(0, 1): a1, (0, 2): a2, (0, 3): s_add(lam, s_mul(a1, a2)),
+         (1, 2): lam, (1, 3): s_mul(a2, b1), (2, 3): s_mul(a1, b2)}
     return n, p
 
 
@@ -185,8 +141,8 @@ def _form_at(a, b, c, monomials):
     """a u^2 + b u v + c v^2 from _monomials(u, v), leaving out each term
     with a zero coordinate.
 
-    As in _nrd, a left-out term carries no precision, so the value is
-    exact whenever the terms that remain are.
+    A left-out term carries no precision, so the value is exact whenever
+    the terms that remain are.
     """
     uu, uv, vv = monomials
     if uu is None:
@@ -195,11 +151,6 @@ def _form_at(a, b, c, monomials):
     if vv is None:
         return au2
     return s_add(s_add(au2, s_mul(b, uv)), s_mul(c, vv))
-
-
-def _form(a, b, c, u, v):
-    """a u^2 + b u v + c v^2, as _form_at."""
-    return _form_at(a, b, c, _monomials(u, v))
 
 
 def _small_elements(fld, lo, hi, max_terms=2):
@@ -260,7 +211,7 @@ def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
         first.setdefault(s_add(x, z), (x, z))
     sums = [(s, _monomials(s, one), xz) for s, xz in first.items()]
     for y, w in itertools.product(nonzero, repeat=2):
-        k = _form(n[1], p[1, 2], n[2], y, w)
+        k = _form_at(n[1], p[1, 2], n[2], _monomials(y, w))
         c = s_add(s_mul(p[0, 1], y), s_mul(p[0, 2], w))
         for s, monomials, (x, z) in sums:
             value = k if s.is_zero else _form_at(n[0], c, k, monomials)

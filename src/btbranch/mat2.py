@@ -39,11 +39,6 @@ class Mat2:
         return f"Mat2({m_render(self)!r})"
 
 
-def m_from_rows(rows) -> Mat2:
-    (a, b), (c, d) = rows
-    return Mat2(a, b, c, d)
-
-
 def m_scalar(x: Series) -> Mat2:
     z = s_zero(x.field)
     return Mat2(x, z, z, x)
@@ -117,11 +112,6 @@ def discriminant_params(a1: Series, b1: Series, a2: Series, b2: Series,
                  s_add(s_mul(s_square(a1), b2), s_mul(s_square(a2), b1)))
 
 
-def discriminant(q1: Mat2, q2: Mat2) -> Series:
-    return discriminant_params(trace(q1), det(q1), trace(q2), det(q2),
-                               sym_product(q1, q2))
-
-
 def min_poly(q: Mat2, working_prec: int = DEFAULT_PREC) -> QuadPoly:
     """X^2 + tr(q) X + det(q), classified.
 
@@ -189,5 +179,5 @@ def m_parse(cfg, text: str) -> Mat2:
         cells = list(_split_top(_strip_brackets(row), ","))
         if len(cells) != 2:
             raise ValueError(f"expected 2 entries per row, got {len(cells)}")
-        entries.append([s_parse(cfg, cell) for cell in cells])
-    return m_from_rows(entries)
+        entries += [s_parse(cfg, cell) for cell in cells]
+    return Mat2(*entries)

@@ -257,7 +257,6 @@ def local_depths(members: set[Vertex], window: Window) -> dict[Vertex, int]:
 class MeasuredBranch:
     """Certified summary of one oracle set: its deep core and depth."""
 
-    members: set[Vertex]
     core: set[Vertex]
     depth: int | None
     certified: bool
@@ -275,18 +274,17 @@ def measure_branch(members: set[Vertex], window: Window,
     to the ball of radius (radius - D), and depth = D - 1 is exact.
     """
     if not members:
-        return MeasuredBranch(members, set(), None, False, "empty set")
+        return MeasuredBranch(set(), None, False, "empty set")
     ld = local_depths(members, window)
     certified = {v: d for v, d in ld.items()
                  if d <= window.boundary_distance(v)}
     if not certified:
-        return MeasuredBranch(members, set(), None, False,
-                              "no certified vertex")
+        return MeasuredBranch(set(), None, False, "no certified vertex")
     dstar = max(certified.values())
     guard = any(d == dstar and window.boundary_distance(v) >= dstar + margin
                 for v, d in certified.items())
     core = {v for v, d in certified.items() if d == dstar}
-    return MeasuredBranch(members, core, dstar - 1, guard,
+    return MeasuredBranch(core, dstar - 1, guard,
                           "" if guard else "depth maximum too close to boundary")
 
 

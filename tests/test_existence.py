@@ -12,7 +12,7 @@ import btbranch.existence as existence
 from btbranch.existence import (DegenerateForm, algebra_spec,
                                 cyclic_presentation, decide, search_pair,
                                 search_zero_divisor, splits, verify_witness,
-                                _form, _form_at, _mul_table, _norm_form, _nrd,
+                                _form_at, _monomials, _norm_form,
                                 _small_elements)
 from btbranch.gf2 import field
 from btbranch.mat2 import make_pair
@@ -194,6 +194,70 @@ def test_unramified_irreducible_pair_is_rejected():
 # the structure constants behave like an algebra
 
 
+def _mul_table(spec):
+    """Structure constants: coordinates of B_i B_j in (1, Q1, Q2, Q1Q2)."""
+    fld = spec.lam.field
+    z, o = s_zero(fld), s_one(fld)
+    a1, b1 = spec.m1.a, spec.m1.b
+    a2, b2 = spec.m2.a, spec.m2.b
+    lam = spec.lam
+    lam_aa = s_add(lam, s_mul(a1, a2))
+    tab = {}
+    tab[0, 0] = (o, z, z, z)
+    for j, unit in ((1, (z, o, z, z)), (2, (z, z, o, z)), (3, (z, z, z, o))):
+        tab[0, j] = tab[j, 0] = unit
+    tab[1, 1] = (b1, a1, z, z)
+    tab[2, 2] = (b2, z, a2, z)
+    tab[1, 2] = (z, z, z, o)
+    tab[2, 1] = (lam, a2, a1, o)
+    tab[1, 3] = (z, z, b1, a1)
+    tab[3, 1] = (s_mul(a2, b1), lam_aa, b1, z)
+    tab[2, 3] = (s_mul(a1, b2), b2, lam_aa, z)
+    tab[3, 2] = (z, b2, z, a2)
+    tab[3, 3] = (s_mul(b1, b2), z, z, lam_aa)
+    return tab
+
+
+def _nrd(tab, x):
+    """Reduced norm of x = sum x_i B_i, the scalar coordinate of x (x + trd x).
+
+    x^2 = trd(x) x + nrd(x) in characteristic 2.  trd(B_i) is the B_i
+    coordinate of B_i^2 for i > 0, and trd(1) = 2 = 0.
+    """
+    conj0 = x[0]  # the scalar coordinate of x + trd(x)
+    for i in (1, 2, 3):
+        if not x[i].is_zero:
+            conj0 = s_add(conj0, s_mul(x[i], tab[i, i][i]))
+    conj = (conj0,) + tuple(x[1:])
+    out = s_zero(x[0].field)
+    for i, xi in enumerate(x):
+        for j, cj in enumerate(conj):
+            c = tab[i, j][0]
+            if not (xi.is_zero or cj.is_zero or c.is_zero):
+                out = s_add(out, s_mul(s_mul(xi, cj), c))
+    return out
+
+
+def _polar_norm_form(spec):
+    """The norm form by polarisation: n_i = nrd(B_i), p_ij = nrd(B_i + B_j)
+    + n_i + n_j, ten _nrd calls on the structure constants."""
+    tab = _mul_table(spec)
+    fld = spec.lam.field
+    z, o = s_zero(fld), s_one(fld)
+
+    def vec(*ones):
+        return tuple(o if i in ones else z for i in range(4))
+    n = [_nrd(tab, vec(i)) for i in range(4)]
+    p = {(i, j): s_add(s_add(_nrd(tab, vec(i, j)), n[i]), n[j])
+         for i, j in itertools.combinations(range(4), 2)}
+    return n, p
+
+
+def _form(a, b, c, u, v):
+    """a u^2 + b u v + c v^2, as the searches evaluate it."""
+    return _form_at(a, b, c, _monomials(u, v))
+
+
 def _alg_mul(tab, x, y):
     """Product of two elements given by coordinates in (1, Q1, Q2, Q1Q2)."""
     fld = x[0].field
@@ -313,9 +377,9 @@ def _coefficients(draw, taus):
 
 
 @st.composite
-def _datum(draw):
-    """A random exact datum over F_2 or F_4."""
-    coeffs, shape, rng = _coefficients(draw, (1, 2))
+def _datum(draw, taus=(1, 2)):
+    """A random exact datum, over F_2 or F_4 unless taus says otherwise."""
+    coeffs, shape, rng = _coefficients(draw, taus)
     spec = algebra_spec(*coeffs, 64)
     if shape != "generic":
         assert spec.disc.is_zero
@@ -367,6 +431,31 @@ def _agree(got, want):
     else:
         floor = min(got.prec, want.prec)
         assert s_truncate(got, floor) == s_truncate(want, floor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_datum((1, 2, 3)), _truncated_datum()))
+def test_closed_norm_form_is_the_polarised_reduced_norm(datum):
+    # the monomials of _norm_form against ten _nrd calls on the structure
+    # constants: equal on exact data, and on truncated data equal below
+    # the lower precision, the closed form never the less precise
+    spec, _ = datum
+    n, p = _norm_form(spec)
+    ref_n, ref_p = _polar_norm_form(spec)
+    assert list(p) == list(ref_p)
+    for got, want in zip(n + list(p.values()), ref_n + list(ref_p.values())):
+        if want.is_exact:
+            assert got == want
+        else:
+            assert got.is_exact or got.prec >= want.prec
+            assert s_truncate(got, want.prec) == s_truncate(want, want.prec)
+    if all(c.is_exact for c in (spec.lam, spec.m1.a, spec.m1.b, spec.m2.a,
+                                spec.m2.b)):
+        # the Pfaffian of the form is the Delta that decide reads
+        pfaffian = s_add(s_add(s_mul(p[0, 1], p[2, 3]),
+                               s_mul(p[0, 2], p[1, 3])),
+                         s_mul(p[0, 3], p[1, 2]))
+        assert pfaffian == spec.disc
 
 
 @settings(max_examples=150, deadline=None)
@@ -508,9 +597,8 @@ def test_searches_share_nothing_with_the_symbol():
     assert "solve_quadratic" in banned
     functions = {node.name: node for node in module.body
                  if isinstance(node, ast.FunctionDef)}
-    for name in ("_mul_table", "_nrd", "_norm_form", "_monomials", "_form_at",
-                 "_form", "_small_elements", "search_zero_divisor",
-                 "search_pair"):
+    for name in ("_norm_form", "_monomials", "_form_at", "_small_elements",
+                 "search_zero_divisor", "search_pair"):
         used = set()
         for node in ast.walk(functions[name]):
             if isinstance(node, ast.Name):

@@ -299,6 +299,17 @@ def test_negative_count_is_a_usage_error(capsys):
     assert out == "" and "count must be nonnegative" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--prec", "0"],
+    ["oracle", "[[0,1],[0,0]]", "[[t,1],[t^2,t]]", "--radius", "-1"],
+    ["selftest", "--margin", "-1"],
+])
+def test_an_out_of_range_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: btbranch {argv[0]} ")
+
+
 def test_cli_selftest_smoke(capsys):
     code, out, _ = run_cli(capsys, ["selftest", "--count", "5",
                                     "--radius", "6", "--seed", "11"])
