@@ -17,13 +17,16 @@ n = (1, b1, b2, b1 b2) on the squares and p_01 = a1, p_02 = a2, p_03 =
 lambda + a1 a2, p_12 = lambda, p_13 = a2 b1, p_23 = a1 b2 on the cross
 terms.  Its Pfaffian p_01 p_23 + p_02 p_13 + p_03 p_12 is Delta.  They
 enumerate: solving the form for a root would be the Artin-Schreier
-question decide answers.
+question decide answers.  Everything that does not depend on the
+candidate is built once, so each candidate is tested with table
+lookups, shifts and XORs of packed ints.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import xor
 
 from .defects import QuadPoly, classify, solve_quadratic
 from .gf2 import ff_trace
@@ -112,6 +115,17 @@ def splits(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> bool:
 
 
 # -- searches (independent of the symbol machinery) -----------------
+#
+# The searches test candidates on packed ints, the lanes of series.py:
+# every value they compare is an exact Laurent polynomial laid out on one
+# common base exponent, so a sum is an XOR and a candidate hits exactly
+# when the XOR of its terms is 0.  Each coefficient c of the norm form is
+# scaled by every residue-field unit once per datum; a term c u v is then
+# one of those copies shifted into place per pair of terms of u and v,
+# and c u^2 is the same product with v = u, never a Frobenius.
+
+_PLANES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
 
 def _norm_form(spec: AlgebraSpec):
     """The reduced norm as a quadratic form on the basis (1, Q1, Q2, Q1Q2).
@@ -128,31 +142,6 @@ def _norm_form(spec: AlgebraSpec):
     return n, p
 
 
-def _monomials(u, v):
-    """(u^2, u v, v^2), with None for each one that has a zero coordinate."""
-    # squares as products: the searches share no Frobenius with decide
-    uu = None if u.is_zero else s_mul(u, u)
-    vv = None if v.is_zero else s_mul(v, v)
-    uv = None if uu is None or vv is None else s_mul(u, v)
-    return uu, uv, vv
-
-
-def _form_at(a, b, c, monomials):
-    """a u^2 + b u v + c v^2 from _monomials(u, v), leaving out each term
-    with a zero coordinate.
-
-    A left-out term carries no precision, so the value is exact whenever
-    the terms that remain are.
-    """
-    uu, uv, vv = monomials
-    if uu is None:
-        return s_zero(a.field) if vv is None else s_mul(c, vv)
-    au2 = s_mul(a, uu)
-    if vv is None:
-        return au2
-    return s_add(s_add(au2, s_mul(b, uv)), s_mul(c, vv))
-
-
 def _small_elements(fld, lo, hi, max_terms=2):
     """All series with at most max_terms terms supported on lo..hi."""
     exps = range(lo, hi + 1)
@@ -164,6 +153,63 @@ def _small_elements(fld, lo, hi, max_terms=2):
                 yield s_from_terms(fld, dict(zip(pos, cs)))
 
 
+def _base(n, p, lo: int) -> int:
+    """The exponent of lane 0 of every packed value of a search.
+
+    Each term is a coefficient times t^(e1 + e2) with e1, e2 >= lo, so
+    none starts below the lowest lead of a nonzero coefficient plus 2 lo.
+    """
+    return min(c.lead for c in (*n, *p.values()) if c.bits) + 2 * lo
+
+
+def _packed(a: Series, base: int) -> int:
+    """The lanes of a on base: lane i holds the coefficient of t^(base+i)."""
+    return a.bits << (a.lead - base) * a.field.tau if a.bits else 0
+
+
+def _terms(a: Series, lo: int):
+    """The terms c t^e of a, as (log c, the lane offset (e - lo) tau)."""
+    fld = a.field
+    log = fld.tables[0]
+    return [(log[c], (e - lo) * fld.tau) for e, c in a.terms()]
+
+
+def _scalings(coeff: Series, base: int, lo: int):
+    """exp[k] coeff packed on base - 2 lo, for k over two periods of the
+    log table, so that a sum of two logs indexes it.
+
+    exp[k] c is exp[k + log c], one lookup per term c t^e of coeff.
+    """
+    exp = coeff.field.tables[1]
+    terms = _terms(coeff, base - 2 * lo)
+    row = []
+    for k in range(coeff.field.order - 1):
+        x = 0
+        for kc, h in terms:
+            x ^= exp[k + kc] << h
+        row.append(x)
+    return row + row
+
+
+def _cross(scalings, u_terms, v_terms) -> int:
+    """coeff u v packed on base, from _scalings(coeff) and the _terms of u
+    and v: one lookup, shift and XOR per pair of terms."""
+    x = 0
+    for ku, hu in u_terms:
+        for kv, hv in v_terms:
+            x ^= scalings[ku + kv] << hu + hv
+    return x
+
+
+def _first_root(row_y, row_w, k):
+    """The first index i with row_y[i] ^ row_w[i] == k, or None.
+
+    search_pair calls it once per (y, w), on one entry per distinct sum.
+    """
+    values = list(map(xor, row_y, row_w))
+    return values.index(k) if k in values else None
+
+
 def search_zero_divisor(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
                         max_terms: int = 1):
     """Look for a nonzero element of reduced norm zero.
@@ -171,21 +217,44 @@ def search_zero_divisor(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     A hit is a proof that the (quaternion) algebra splits: the returned
     coordinates in (1, Q1, Q2, Q1Q2) have reduced norm zero.  Each
     candidate u B_i + v B_j is tested on the norm form of the plane
-    (B_i, B_j), n_i u^2 + p_ij u v + n_j v^2; u^2, u v and v^2 are built
-    once per (u, v).  Exhausting the box proves nothing.
+    (B_i, B_j), n_i u^2 + p_ij u v + n_j v^2.  The four n_i u^2 are
+    built once per element u, so a candidate costs, per plane, one XOR
+    of packed ints and one lookup, shift and XOR per pair of terms of u
+    and v (one pair at max_terms = 1).  A term with a zero coordinate is
+    left out; one with an inexact coefficient is never exact, so no plane
+    that keeps it can hit.  Exhausting the box proves nothing.
     """
     n, p = _norm_form(spec)
     fld = spec.lam.field
-    for u, v in itertools.product(_small_elements(fld, lo, hi, max_terms),
-                                  repeat=2):
-        if u.is_zero and v.is_zero:
-            continue
-        monomials = _monomials(u, v)  # shared by the six planes
-        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-            if _form_at(n[i], p[i, j], n[j], monomials).is_zero:
-                x = [s_zero(fld)] * 4
-                x[i], x[j] = u, v
-                return tuple(x)
+    base = _base(n, p, lo)
+    n_scaled = [_scalings(c, base, lo) for c in n]
+    p_scaled = {ij: _scalings(p[ij], base, lo) for ij in _PLANES}
+    elements = []
+    for u in _small_elements(fld, lo, hi, max_terms):
+        terms = _terms(u, lo)
+        squares = [_cross(row, terms, terms) for row in n_scaled]
+        elements.append((u, terms, squares))
+    # the planes that can hit, by which of u and v are nonzero
+    live = {}
+    for u_in, v_in in ((True, True), (True, False), (False, True)):
+        live[u_in, v_in] = [
+            (i, j, p_scaled[i, j]) for i, j in _PLANES
+            if (n[i].is_exact or not u_in) and (n[j].is_exact or not v_in)
+            and (p[i, j].is_exact or not (u_in and v_in))]
+    for u, u_terms, u_squares in elements:
+        for v, v_terms, v_squares in elements:
+            if not (u_terms or v_terms):
+                continue
+            pairs = [(ku + kv, hu + hv) for ku, hu in u_terms
+                     for kv, hv in v_terms]
+            for i, j, scaled in live[bool(u_terms), bool(v_terms)]:
+                x = u_squares[i] ^ v_squares[j]
+                for k, h in pairs:
+                    x ^= scaled[k] << h
+                if not x:
+                    coords = [s_zero(fld)] * 4
+                    coords[i], coords[j] = u, v
+                    return tuple(coords)
     return None
 
 
@@ -198,24 +267,50 @@ def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     and e = y Q1 + w Q2.  On the plane (1, e) the norm form reads
     s^2 + c s + k with c = p_01 y + p_02 w and k = nrd(e), so each
     distinct s is tested once per (y, w), against the first (x, z) in
-    the box that sums to it, and the comparison stays exact.  s^2 is
-    built once per s.
+    the box that sums to it.  s^2 + p_01 y s and p_02 w s are built once
+    per element and sum, b_1 y^2 and b_2 w^2 once per element, and k
+    once per (y, w), so a candidate costs one XOR and one comparison of
+    packed ints.  The comparison stays exact: with k inexact nothing
+    hits, and with c inexact only s = 0 can.
     """
     n, p = _norm_form(spec)
+    if not (n[1].is_exact and n[2].is_exact and p[1, 2].is_exact):
+        return None  # k = b1 y^2 + lambda y w + b2 w^2 is never exact
     fld = spec.lam.field
-    one = s_one(fld)
+    base = _base(n, p, lo)
     pool = list(_small_elements(fld, lo, hi, max_terms))
-    nonzero = [s for s in pool if not s.is_zero]
+    zero = pool[0]
     first = {}
-    for x, z in itertools.product(pool, repeat=2):
-        first.setdefault(s_add(x, z), (x, z))
-    sums = [(s, _monomials(s, one), xz) for s, xz in first.items()]
-    for y, w in itertools.product(nonzero, repeat=2):
-        k = _form_at(n[1], p[1, 2], n[2], _monomials(y, w))
-        c = s_add(s_mul(p[0, 1], y), s_mul(p[0, 2], w))
-        for s, monomials, (x, z) in sums:
-            value = k if s.is_zero else _form_at(n[0], c, k, monomials)
-            if value.is_zero:
+    packed = [_packed(x, lo) for x in pool]
+    for (x, px), (z, pz) in itertools.product(zip(pool, packed), repeat=2):
+        first.setdefault(px ^ pz, (x, z))
+    one, b1, b2, p01, p02, p12 = (
+        _scalings(c, base, lo)
+        for c in (n[0], n[1], n[2], p[0, 1], p[0, 2], p[1, 2]))
+    sums = []
+    for x, z in itertools.islice(first.values(), 1, None):  # s = 0 first
+        s_terms = _terms(s_add(x, z), lo)
+        sums.append((_cross(one, s_terms, s_terms), s_terms, (x, z)))
+    nonzero = pool[1:]
+    terms = [_terms(y, lo) for y in nonzero]
+    b1_squares = [_cross(b1, t, t) for t in terms]
+    b2_squares = [_cross(b2, t, t) for t in terms]
+    if p[0, 1].is_exact and p[0, 2].is_exact:
+        # s^2 + p_01 y s by y and p_02 w s by w, one entry per sum
+        rows_y = [[sq ^ _cross(p01, t, st) for sq, st, _ in sums]
+                  for t in terms]
+        rows_w = [[_cross(p02, t, st) for _, st, _ in sums] for t in terms]
+    else:  # c is inexact: only s = 0 can hit
+        rows_y = rows_w = [[]] * len(nonzero)
+    for y, y_terms, b1yy, row_y in zip(nonzero, terms, b1_squares, rows_y):
+        for w, w_terms, b2ww, row_w in zip(nonzero, terms, b2_squares,
+                                           rows_w):
+            k = b1yy ^ b2ww ^ _cross(p12, y_terms, w_terms)
+            if not k:
+                return (zero, y, zero, w)
+            hit = _first_root(row_y, row_w, k)
+            if hit is not None:
+                x, z = sums[hit][2]
                 return (x, y, z, w)
     return None
 

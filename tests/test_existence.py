@@ -12,10 +12,9 @@ import btbranch.existence as existence
 from btbranch.existence import (DegenerateForm, algebra_spec,
                                 cyclic_presentation, decide, search_pair,
                                 search_zero_divisor, splits, verify_witness,
-                                _form_at, _monomials, _norm_form,
-                                _small_elements)
+                                _norm_form, _small_elements)
 from btbranch.gf2 import field
-from btbranch.mat2 import make_pair
+from btbranch.mat2 import Mat2, det, make_pair, sym_product, trace
 from btbranch.series import (UndeterminedAtPrecision, s_add, s_mul, s_one,
                              s_parse, s_random, s_render, s_truncate, s_zero)
 
@@ -253,9 +252,72 @@ def _polar_norm_form(spec):
     return n, p
 
 
+def _monomials(u, v):
+    """(u^2, u v, v^2), with None for each one that has a zero coordinate."""
+    uu = None if u.is_zero else s_mul(u, u)
+    vv = None if v.is_zero else s_mul(v, v)
+    uv = None if uu is None or vv is None else s_mul(u, v)
+    return uu, uv, vv
+
+
+def _form_at(a, b, c, monomials):
+    """a u^2 + b u v + c v^2 from _monomials(u, v), leaving out each term
+    with a zero coordinate.
+
+    A left-out term carries no precision, so the value is exact whenever
+    the terms that remain are.
+    """
+    uu, uv, vv = monomials
+    if uu is None:
+        return s_zero(a.field) if vv is None else s_mul(c, vv)
+    au2 = s_mul(a, uu)
+    if vv is None:
+        return au2
+    return s_add(s_add(au2, s_mul(b, uv)), s_mul(c, vv))
+
+
 def _form(a, b, c, u, v):
-    """a u^2 + b u v + c v^2, as the searches evaluate it."""
+    """a u^2 + b u v + c v^2, on series, leaving out zero coordinates."""
     return _form_at(a, b, c, _monomials(u, v))
+
+
+def _form_search_zero_divisor(spec, lo, hi, max_terms):
+    """The zero-divisor search on series: _form_at on each plane."""
+    n, p = _norm_form(spec)
+    fld = spec.lam.field
+    for u, v in itertools.product(_small_elements(fld, lo, hi, max_terms),
+                                  repeat=2):
+        if u.is_zero and v.is_zero:
+            continue
+        monomials = _monomials(u, v)  # shared by the six planes
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            if _form_at(n[i], p[i, j], n[j], monomials).is_zero:
+                x = [s_zero(fld)] * 4
+                x[i], x[j] = u, v
+                return tuple(x)
+    return None
+
+
+def _form_search_pair(spec, lo, hi, max_terms):
+    """The pair search on series: s^2 + c s + k by _form_at, once per
+    distinct s = x + z and (y, w)."""
+    n, p = _norm_form(spec)
+    fld = spec.lam.field
+    one = s_one(fld)
+    pool = list(_small_elements(fld, lo, hi, max_terms))
+    nonzero = [s for s in pool if not s.is_zero]
+    first = {}
+    for x, z in itertools.product(pool, repeat=2):
+        first.setdefault(s_add(x, z), (x, z))
+    sums = [(s, _monomials(s, one), xz) for s, xz in first.items()]
+    for y, w in itertools.product(nonzero, repeat=2):
+        k = _form_at(n[1], p[1, 2], n[2], _monomials(y, w))
+        c = s_add(s_mul(p[0, 1], y), s_mul(p[0, 2], w))
+        for s, monomials, (x, z) in sums:
+            value = k if s.is_zero else _form_at(n[0], c, k, monomials)
+            if value.is_zero:
+                return (x, y, z, w)
+    return None
 
 
 def _alg_mul(tab, x, y):
@@ -362,17 +424,24 @@ def _reference_search_pair(spec, lo, hi, max_terms):
 
 
 def _coefficients(draw, taus):
-    """lambda, a1, b1, a2, b2 in one of three shapes, two with Delta = 0."""
+    """lambda, a1, b1, a2, b2 in one of four shapes: two with Delta = 0,
+    and one read off a matrix pair, which the searches often hit."""
     fld = field(draw(st.sampled_from(taus)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     lam, a1, b1, a2, b2 = (s_random(fld, rng, -1, 2) for _ in range(5))
-    shape = draw(st.sampled_from(("generic", "traceless", "unit trace")))
+    shape = draw(st.sampled_from(("generic", "traceless", "unit trace",
+                                  "matrix pair")))
     if shape == "traceless":
         lam = a1 = a2 = s_zero(fld)
     elif shape == "unit trace":
         a1 = s_one(fld)
         b2 = s_add(s_add(s_mul(lam, lam), s_mul(a2, lam)),
                    s_mul(s_mul(a2, a2), b1))
+    elif shape == "matrix pair":
+        q1, q2 = (Mat2(*(s_random(fld, rng, 0, 1) for _ in range(4)))
+                  for _ in range(2))
+        lam, a1, b1 = sym_product(q1, q2), trace(q1), det(q1)
+        a2, b2 = trace(q2), det(q2)
     return (lam, a1, b1, a2, b2), shape, rng
 
 
@@ -381,7 +450,7 @@ def _datum(draw, taus=(1, 2)):
     """A random exact datum, over F_2 or F_4 unless taus says otherwise."""
     coeffs, shape, rng = _coefficients(draw, taus)
     spec = algebra_spec(*coeffs, 64)
-    if shape != "generic":
+    if shape in ("traceless", "unit trace"):
         assert spec.disc.is_zero
     return spec, rng
 
@@ -566,23 +635,95 @@ def test_searches_on_truncated_data_return_the_reference_first_hit(case,
     assert search_pair(spec, *box) == _nrd_search_pair(spec, *box)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(tau, box) for tau, boxes in _BOXES.items()
+                        for box in boxes if (tau, box) != (3, (0, 1, 1))]),
+       st.integers(0, 4),
+       st.integers(1, 5), st.data())
+def test_one_truncated_coefficient_keeps_the_reference_first_hit(
+        case, which, prec, data):
+    # exactly one of lambda, a1, b1, a2, b2 known mod t^prec: each term
+    # that carries it must keep every plane and sum it remains in from
+    # hitting, as in the _nrd searches and the pair-form search.  The
+    # determinant of left multiplication is no reference here: it reads
+    # every structure constant, so a truncated a1 leaves it inexact on
+    # the plane (Q1, Q2), whose norm form has no a1 term.  The tau-3 box
+    # 0..1 costs these references about 2 s a datum; the series-loop
+    # test below covers it
+    tau, box = case
+    coeffs, _, _ = _coefficients(data.draw, (tau,))
+    coeffs = list(coeffs)
+    coeffs[which] = s_truncate(coeffs[which], prec)
+    try:
+        spec = algebra_spec(*coeffs, 64)
+    except UndeterminedAtPrecision:  # a trace that is 0 to precision only
+        assume(False)
+    assert (search_zero_divisor(spec, *box)
+            == _nrd_search_zero_divisor(spec, *box))
+    found = search_pair(spec, *box)
+    assert found == _nrd_search_pair(spec, *box)
+    assert found == _reference_search_pair(spec, *box)
+
+
+def test_zero_divisor_search_leaves_out_terms_with_a_zero_coordinate():
+    # b2 = 0 exactly, so n_2 v^2 = 0 on the plane (1, Q2) with u = 0;
+    # the inexact p_02 = a2 multiplies u v = 0 and is left out.  Keeping
+    # it would skip every plane up to (Q2, Q1Q2) and return (0, 0, 0, 1)
+    spec = _spec("1 (mod t)", "1", "1", "t (mod t^2)", "0")
+    found = search_zero_divisor(spec, 0, 0, 1)
+    assert [s_render(c) for c in found] == ["0", "0", "1", "0"]
+    assert found == _nrd_search_zero_divisor(spec, 0, 0, 1)
+
+
+def test_pair_search_with_an_inexact_trace_hits_only_at_a_zero_sum():
+    # with a1 known mod t^3, c = a1 y + a2 w is inexact: the exact
+    # datum's first hit, at x + z = t^-1 + 1, no longer counts, and the
+    # first (y, w) with k exactly 0 hits at x + z = 0 instead
+    for a1, hit in (("t^2", ["t^-1", "t^-1", "1", "1"]),
+                    ("t^2 (mod t^3)", ["0", "t", "0", "t^-1"])):
+        spec = _spec("t^-1", a1, "0", "0", "t")
+        found = search_pair(spec, -1, 1, 1)
+        assert [s_render(c) for c in found] == hit
+        assert found == _nrd_search_pair(spec, -1, 1, 1)
+
+
+# boxes on which the series loops of the searches stay cheap
+_WIDE_BOXES = {1: ((-2, 2, 1), (-1, 2, 2), (1, 3, 2)),
+               2: ((-1, 1, 1), (0, 1, 2), (2, 3, 1)),
+               3: ((0, 1, 1), (0, 0, 2), (1, 1, 1))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_datum((1, 2, 3)), _truncated_datum()), st.data())
+def test_searches_return_the_series_loop_first_hit(datum, data):
+    # the packed-int searches against the same loops on series, on exact
+    # and truncated data and on boxes too wide for the other references
+    spec, _ = datum
+    box = data.draw(st.sampled_from(_WIDE_BOXES[spec.lam.field.tau]))
+    assert (search_zero_divisor(spec, *box)
+            == _form_search_zero_divisor(spec, *box))
+    assert search_pair(spec, *box) == _form_search_pair(spec, *box)
+
+
 def test_pair_search_tests_each_sum_once(monkeypatch):
     # the double loop over (x, z) made |pool|^2 |nonzero|^2 = 8,100 norm
-    # evaluations on this box; one per distinct x + z makes 2,997
+    # evaluations on this box; one per (y, w) and distinct nonzero x + z
+    # makes 2,916, and the sum 0 is k = 0
     fld = field(2)
     spec = algebra_spec(*(s_parse(fld, x) for x in ("0", "1", "1", "0", "t")),
                         64)
-    calls = 0
+    first_root = existence._first_root
+    candidates = 0
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return _form_at(*args)
-    monkeypatch.setattr(existence, "_form_at", counting)
+    def counting(row_y, row_w, k):
+        nonlocal candidates
+        candidates += len(row_y)
+        return first_root(row_y, row_w, k)
+    monkeypatch.setattr(existence, "_first_root", counting)
     assert search_pair(spec, -1, 1, 1) is None
     pool = list(_small_elements(fld, -1, 1, 1))
     sums = {s_add(x, z) for x, z in itertools.product(pool, repeat=2)}
-    assert 0 < calls <= len(sums) * (len(pool) - 1) ** 2
+    assert 0 < candidates <= len(sums) * (len(pool) - 1) ** 2
 
 
 def test_searches_share_nothing_with_the_symbol():
@@ -597,7 +738,8 @@ def test_searches_share_nothing_with_the_symbol():
     assert "solve_quadratic" in banned
     functions = {node.name: node for node in module.body
                  if isinstance(node, ast.FunctionDef)}
-    for name in ("_norm_form", "_monomials", "_form_at", "_small_elements",
+    for name in ("_norm_form", "_small_elements", "_base", "_packed",
+                 "_terms", "_scalings", "_cross", "_first_root",
                  "search_zero_divisor", "search_pair"):
         used = set()
         for node in ast.walk(functions[name]):
