@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2 import ff_artin_schreier_root, ff_sqrt
-from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
-                     s_div, s_monomial, s_mul, s_split, s_square, s_truncate,
-                     s_zero)
+from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _make,
+                     _square_bits, s_add, s_div, s_monomial, s_mul, s_split,
+                     s_square, s_zero)
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,11 @@ def solve_artin_schreier(a: Series,
     small root is rem + rem^2 + rem^4 + ..., summed below working_prec;
     the witness shifts it back.  Roots come in pairs r, r+1; this
     returns the one whose reduced part is topologically small.
+
+    The tail is summed on packed lanes laid out from t^0: each term is
+    the Frobenius of the one before, masked below the precision of the
+    sum, min(prec(rem), working_prec), and XORed in.  Exponents only
+    grow under squaring, so nothing masked off could come back below it.
     """
     d = as_defect(a)
     if not d.ideal.is_zero:
@@ -205,11 +210,15 @@ def solve_artin_schreier(a: Series,
     rem = d.reduced
     if rem.is_zero:
         return d.witness
-    r = term = s_truncate(rem, working_prec)
-    while not term.looks_zero and term.lead < working_prec:
-        term = s_truncate(s_square(term), working_prec)
-        r = s_add(r, term)
-    return s_add(d.witness, r)
+    fld = rem.field
+    prec = working_prec if rem.prec is None else min(rem.prec, working_prec)
+    mask = (1 << prec * fld.tau) - 1
+    term = rem.bits << rem.lead * fld.tau & mask
+    r = 0
+    while term:
+        r ^= term
+        term = _square_bits(fld, term) & mask
+    return s_add(d.witness, _make(fld, 0, r, prec))
 
 
 def solve_quadratic(c: Series, d: Series,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import xor
 
 from .defects import QuadPoly, classify, solve_quadratic
@@ -47,8 +48,9 @@ class AlgebraSpec:
     m1: QuadPoly
     m2: QuadPoly
 
-    @property
+    @cached_property
     def disc(self) -> Series:
+        """Delta of the datum, computed on first read and kept."""
         return discriminant_params(self.m1.a, self.m1.b,
                                    self.m2.a, self.m2.b, self.lam)
 
@@ -106,10 +108,17 @@ def splits(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> bool:
     By the residue formula the obstruction is the residue-field trace of
     the t^-1 coefficient of a db/b.  With b = xi^2 + t eta^2 the formal
     derivative is eta^2, squares having derivative zero.
+
+    Only terms of 1/b up to t^(-1 - val a - val db) reach t^-1, so when
+    a, b and db are visibly nonzero b is inverted to val b - val a -
+    val db terms (at least one, at most working_prec).
     """
     if b.is_zero:
         raise ValueError("the second symbol argument must be nonzero")
     db = s_square(s_split(b)[1])
+    if a.bits and b.bits and db.bits:
+        working_prec = min(working_prec,
+                           max(1, b.lead - a.lead - db.lead))
     form = s_mul(a, s_div(db, b, working_prec))
     return ff_trace(a.field, form.coeff(-1)) == 0
 

@@ -5,11 +5,19 @@ The standard involution on M_2 swaps the diagonal: bar([[a,b],[c,d]]) =
 and q + bar(q) = tr(q), q * bar(q) = det(q) as scalars.  An element is
 integral when tr and det are integral; its *entries* are allowed
 negative valuation.
+
+A matrix is classified once: min_poly keeps (tr, det) and the classified
+polynomial, per working precision, in the instance ``__dict__``, where
+functools.cached_property keeps its values on frozen dataclasses.  They
+are not fields, so ==, hash, repr, fields() and asdict() never see them,
+and the values are functions of the fields, so a copy that lacks them
+recomputes the same ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .defects import QuadPoly, classify
 from .series import (DEFAULT_PREC, Series, _split_top, s_add, s_inv, s_mul,
@@ -112,13 +120,29 @@ def discriminant_params(a1: Series, b1: Series, a2: Series, b2: Series,
                  s_add(s_mul(s_square(a1), b2), s_mul(s_square(a2), b1)))
 
 
+def _trace_det(q: Mat2) -> tuple[Series, Series]:
+    """(tr(q), det(q)), computed once and kept on q."""
+    memo = q.__dict__
+    coeffs = memo.get("_trace_det")
+    if coeffs is None:
+        coeffs = memo["_trace_det"] = trace(q), det(q)
+    return coeffs
+
+
 def min_poly(q: Mat2, working_prec: int = DEFAULT_PREC) -> QuadPoly:
     """X^2 + tr(q) X + det(q), classified.
 
     For non-scalar q this is the minimal polynomial; a scalar s gives
-    the square of X + s and classifies as reducible inseparable.
+    the square of X + s and classifies as reducible inseparable.  The
+    result is kept on q keyed by working_prec (see the module
+    docstring), so a second call at the same precision classifies
+    nothing; a refusal is not kept and is raised again.
     """
-    return classify(trace(q), det(q), working_prec)
+    polys = q.__dict__.setdefault("_min_poly", {})
+    m = polys.get(working_prec)
+    if m is None:
+        m = polys[working_prec] = classify(*_trace_det(q), working_prec)
+    return m
 
 
 @dataclass(frozen=True)
@@ -131,29 +155,34 @@ class PairConfig:
     m2: QuadPoly
     lam: Series
 
-    @property
+    @cached_property
     def disc(self) -> Series:
+        """Delta of the pair, computed on first read and kept."""
         return discriminant_params(self.m1.a, self.m1.b,
                                    self.m2.a, self.m2.b, self.lam)
 
 
 def make_pair(q1: Mat2, q2: Mat2,
               working_prec: int = DEFAULT_PREC) -> PairConfig:
-    coeffs = []
+    """Validate and classify a generating pair.
+
+    Raises ScalarMatrix or NonIntegral for the first generator before
+    looking at the second, and classifies only once both pass.  The
+    classifications are min_poly's, kept on q1 and q2, so branch_shape
+    at the same working_prec finds them.
+    """
     for i, q in ((1, q1), (2, q2)):
         if is_scalar(q):
             raise ScalarMatrix(f"generator {i} is scalar")
-        tr, dt = trace(q), det(q)
-        for name, x in (("trace", tr), ("determinant", dt)):
+        for name, x in zip(("trace", "determinant"), _trace_det(q)):
             if not val_ge(x, 0):
                 raise NonIntegral(f"{name} of generator {i} has negative valuation")
-        coeffs.append((tr, dt))
     # the pairing itself may sit outside the integer ring (two foliages
     # with different ends can be arbitrarily far apart), so only the
     # generators are checked
     lam = sym_product(q1, q2)
-    m1, m2 = (classify(tr, dt, working_prec) for tr, dt in coeffs)
-    return PairConfig(q1, q2, m1, m2, lam)
+    return PairConfig(q1, q2, min_poly(q1, working_prec),
+                      min_poly(q2, working_prec), lam)
 
 
 # -- grammar --------------------------------------------------------

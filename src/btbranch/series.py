@@ -226,10 +226,8 @@ def _ones(nbits: int, stride: int) -> int:
     return ((1 << n) - 1) // ((1 << stride) - 1)
 
 
-#: _SPREAD[b] moves bit i of the byte b to bit 2i; _SPREAD_BYTES[b] is
-#: that as two little-endian bytes
+#: _SPREAD[b] moves bit i of the byte b to bit 2i
 _SPREAD = tuple(sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256))
-_SPREAD_BYTES = tuple(v.to_bytes(2, "little") for v in _SPREAD)
 
 
 def _square_bits(fld: FieldConfig, x: int) -> int:
@@ -237,14 +235,12 @@ def _square_bits(fld: FieldConfig, x: int) -> int:
 
     Squaring over F_2 spreads bits apart, bit i to bit 2i, so lane i of
     x becomes the square of its polynomial in lanes 2i, 2i+1; each such
-    pair is then reduced by the modulus in place, top bit first.
+    pair is then reduced by the modulus in place, top bit first.  A
+    byte is spread by table; a wider x by reading its binary digits as
+    base-4 digits, one C call (bases that are powers of 2 are exempt
+    from the int-string digit limit).
     """
-    if x < 256:
-        out = _SPREAD[x]
-    else:
-        spread = [_SPREAD_BYTES[b]
-                  for b in x.to_bytes((x.bit_length() + 7) // 8, "little")]
-        out = int.from_bytes(b"".join(spread), "little")
+    out = _SPREAD[x] if x < 256 else int(bin(x)[2:], 4)
     w = fld.tau
     if w > 1 and out:
         ones = _ones(out.bit_length(), 2 * w)

@@ -11,7 +11,8 @@ from btbranch.defects import (KINDS, RAMIFIED_INSEP, RAMIFIED_SEP,
                               solve_artin_schreier, solve_quadratic)
 from btbranch.gf2 import field
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_mul,
-                             s_parse, s_random, s_val, s_zero, val_ge)
+                             s_parse, s_random, s_square, s_truncate, s_val,
+                             s_zero, val_ge)
 
 F1 = field(1)
 F2 = field(2)
@@ -152,6 +153,60 @@ def test_artin_schreier_solver_meets_its_precision():
 
 def test_artin_schreier_solver_refuses_the_obstructed_case():
     assert solve_artin_schreier(s_parse(F1, "1")) is None
+
+
+def _ref_solve_artin_schreier(a, working_prec):
+    """The Series loop the packed tail replaced: a truncate, a square
+    and an add per doubling."""
+    d = as_defect(a)
+    if not d.ideal.is_zero:
+        return None
+    rem = d.reduced
+    if rem.is_zero:
+        return d.witness
+    r = term = s_truncate(rem, working_prec)
+    while not term.looks_zero and term.lead < working_prec:
+        term = s_truncate(s_square(term), working_prec)
+        r = s_add(r, term)
+    return s_add(d.witness, r)
+
+
+@st.composite
+def _artin_schreier_input(draw, tau):
+    """h^2 + h + rem, with a pole part h and a tail rem reaching past
+    t^65, or a plain random series; truncated or exact."""
+    fld = field(tau)
+    coeff = st.integers(0, fld.order - 1)
+    if draw(st.booleans()):
+        h = Series(fld, draw(st.integers(-6, 0)),
+                   draw(st.lists(coeff, max_size=7)))
+        rem = Series(fld, draw(st.integers(1, 40)),
+                     draw(st.lists(coeff, max_size=80)))
+        a = s_add(s_add(s_square(h), h), rem)
+    else:
+        a = Series(fld, draw(st.integers(-8, 8)),
+                   draw(st.lists(coeff, max_size=20)))
+    prec = draw(st.one_of(st.none(), st.integers(-2, 130)))
+    return a if prec is None else s_truncate(a, prec)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UndeterminedAtPrecision as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3), st.sampled_from((3, 4, 64, 65)), st.data())
+def test_artin_schreier_tail_matches_the_series_loop(tau, wp, data):
+    a = data.draw(_artin_schreier_input(tau))
+    got = _outcome(solve_artin_schreier, a, wp)
+    want = _outcome(_ref_solve_artin_schreier, a, wp)
+    assert got == want
+    if isinstance(got, Series):  # lead, lanes and precision alike
+        assert (got.lead, got.bits, got.prec) == (want.lead, want.bits,
+                                                  want.prec)
 
 
 def test_quadratic_solver_returns_both_roots():

@@ -13,10 +13,11 @@ from btbranch.existence import (DegenerateForm, algebra_spec,
                                 cyclic_presentation, decide, search_pair,
                                 search_zero_divisor, splits, verify_witness,
                                 _norm_form, _small_elements)
-from btbranch.gf2 import field
+from btbranch.gf2 import ff_trace, field
 from btbranch.mat2 import Mat2, det, make_pair, sym_product, trace
-from btbranch.series import (UndeterminedAtPrecision, s_add, s_mul, s_one,
-                             s_parse, s_random, s_render, s_truncate, s_zero)
+from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
+                             s_mul, s_one, s_parse, s_random, s_render,
+                             s_split, s_square, s_truncate, s_zero)
 
 F1 = field(1)
 
@@ -47,6 +48,39 @@ def test_symbol_splitting_fixed_values(a, b, expected):
 def test_symbol_needs_a_nonzero_second_argument():
     with pytest.raises(ValueError):
         splits(_p("1"), _p("0"), 64)
+
+
+def _splits_reference(a, b, working_prec=64):
+    """The symbol with b inverted to all working_prec terms."""
+    if b.is_zero:
+        raise ValueError("the second symbol argument must be nonzero")
+    db = s_square(s_split(b)[1])
+    form = s_mul(a, s_div(db, b, working_prec))
+    return ff_trace(a.field, form.coeff(-1)) == 0
+
+
+@st.composite
+def _symbol_argument(draw, fld):
+    coeffs = draw(st.lists(st.integers(0, fld.order - 1), max_size=12))
+    x = Series(fld, draw(st.integers(-6, 6)), coeffs)
+    prec = draw(st.one_of(st.none(), st.integers(-8, 20)))
+    return x if prec is None else s_truncate(x, prec)
+
+
+def _symbol_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError, UndeterminedAtPrecision) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3), st.sampled_from((3, 4, 64)), st.data())
+def test_symbol_inverts_only_the_terms_it_reads(tau, wp, data):
+    fld = field(tau)
+    a, b = (data.draw(_symbol_argument(fld)) for _ in range(2))
+    assert (_symbol_outcome(splits, a, b, wp)
+            == _symbol_outcome(_splits_reference, a, b, wp))
 
 
 # reduction to a cyclic presentation
@@ -748,6 +782,30 @@ def test_searches_share_nothing_with_the_symbol():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
         assert not used & banned, (name, used & banned)
+
+
+def test_the_datum_discriminant_is_kept_and_invisible():
+    spec = _spec("t", "1", "t", "t", "1 + t")
+    fresh = algebra_spec(spec.lam, spec.m1.a, spec.m1.b, spec.m2.a,
+                         spec.m2.b, 64)
+    assert spec.disc is spec.disc and spec.disc == fresh.disc
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh)
+
+
+def test_searches_never_read_the_matrix_memo():
+    # the classification kept on a Mat2 is the predictor's; a search
+    # that read it would lean on the classifier it is evidence against
+    module = ast.parse(Path(existence.__file__).read_text())
+    functions = {node.name: node for node in module.body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("search_zero_divisor", "search_pair", "_norm_form"):
+        used = {node.id for node in ast.walk(functions[name])
+                if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Attribute)}
+        assert not used & {"min_poly", "_trace_det", "_min_poly",
+                           "__dict__"}, name
 
 
 # brute force searches

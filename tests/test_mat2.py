@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import asdict, fields
 
 import pytest
 
-from btbranch.defects import RAMIFIED_SEP, REDUCIBLE_INSEP
+import btbranch.mat2 as mat2
+from btbranch.defects import RAMIFIED_SEP, REDUCIBLE_INSEP, classify
+from btbranch.geometry import branch_shape
 from btbranch.gf2 import field
 from btbranch.mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix,
                            companion, det, discriminant_params, is_scalar,
@@ -172,3 +176,48 @@ def test_pair_config_carries_the_classified_factors():
     assert isinstance(pair, PairConfig)
     assert pair.m1.kind == RAMIFIED_SEP
     assert val_ge(pair.disc, 0)
+
+
+# -- classifying each matrix once -----------------------------------
+
+def test_a_pair_and_its_two_branches_classify_each_generator_once(
+        monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return classify(*args)
+    monkeypatch.setattr(mat2, "classify", counting)
+    q1 = companion(s_parse(F1, "1 + t"), s_parse(F1, "t"))
+    q2 = companion(s_parse(F1, "t"), s_parse(F1, "1"))
+    make_pair(q1, q2, 64)
+    branch_shape(q1, 64)
+    branch_shape(q2, 64)
+    assert calls == 2
+
+
+def test_the_min_poly_memo_is_invisible():
+    q = companion(s_parse(F1, "1 + t"), s_parse(F1, "t"))
+    fresh = Mat2(q.a, q.b, q.c, q.d)
+    at_64, at_8 = min_poly(q, 64), min_poly(q, 8)
+    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+    assert len(fields(Mat2)) == 4 and asdict(q) == asdict(fresh)
+    assert pickle.loads(pickle.dumps(q)) == q
+    # the memo is keyed by working precision
+    assert at_64.defect.reduced.prec != at_8.defect.reduced.prec
+    assert at_8 == classify(trace(q), det(q), 8)
+    assert min_poly(q, 64) is at_64 and min_poly(fresh, 8) == at_8
+
+
+def test_the_pair_discriminant_is_kept_and_invisible():
+    q1 = companion(s_parse(F1, "t"), s_parse(F1, "t"))
+    q2 = companion(s_parse(F1, "1"), s_parse(F1, "1"))
+    pair = make_pair(q1, q2)
+    fresh = PairConfig(pair.q1, pair.q2, pair.m1, pair.m2, pair.lam)
+    assert pair.disc is pair.disc
+    assert pair.disc == discriminant_params(pair.m1.a, pair.m1.b, pair.m2.a,
+                                            pair.m2.b, pair.lam)
+    assert pair == fresh and hash(pair) == hash(fresh)
+    assert repr(pair) == repr(fresh)
+    assert "disc" not in {f.name for f in fields(PairConfig)}

@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from btbranch import gf2
 from btbranch.gf2 import ff_inv, ff_mul, ff_sqrt, field
-from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
-                             s_from_terms, s_inv, s_monomial, s_mul, s_one,
-                             s_parse, s_random, s_render, s_split, s_sqrt,
-                             s_square, s_truncate, s_val, s_zero, val_ge)
+from btbranch.series import (Series, UndeterminedAtPrecision, _ones,
+                             _square_bits, s_add, s_div, s_from_terms, s_inv,
+                             s_monomial, s_mul, s_one, s_parse, s_random,
+                             s_render, s_split, s_sqrt, s_square, s_truncate,
+                             s_val, s_zero, val_ge)
 
 F1 = field(1)
 F2 = field(2)
@@ -473,3 +474,38 @@ def test_packed_lanes_match_the_list_references(op, ref, arity, tau, data):
                 else _triple(out))
     assert _same_outcome(packed, *args) == _same_outcome(ref, *args)
 
+
+
+# -- the byte-table spread the base-4 read replaced: reference ------
+
+_REF_SPREAD_BYTES = tuple(
+    sum((b >> i & 1) << 2 * i for i in range(8)).to_bytes(2, "little")
+    for b in range(256))
+
+
+def _ref_square_bits(fld, x):
+    """Spread byte by byte through a table of two-byte strings, then
+    reduce each lane pair by the modulus, top bit first."""
+    spread = [_REF_SPREAD_BYTES[b]
+              for b in x.to_bytes((x.bit_length() + 7) // 8, "little")]
+    out = int.from_bytes(b"".join(spread), "little")
+    w = fld.tau
+    if w > 1 and out:
+        ones = _ones(out.bit_length(), 2 * w)
+        for d in range(2 * w - 2, w - 1, -1):
+            out ^= (out >> d & ones) * (fld.modulus << d - w)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 600), st.data())
+def test_square_bits_matches_the_byte_table_spread(tau, width, data):
+    fld = field(tau)
+    # whole lanes only, as a Series stores them
+    x = data.draw(st.integers(0, (1 << width // tau * tau) - 1))
+    assert _square_bits(fld, x) == _ref_square_bits(fld, x)
+
+
+def test_square_bits_spreads_past_the_int_string_digit_limit():
+    x = (1 << 20000) - 1  # 20,000 binary digits, above the 4,300 limit
+    assert _square_bits(F1, x) == _ref_square_bits(F1, x)

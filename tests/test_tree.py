@@ -626,6 +626,21 @@ def test_tree_imports_nothing_from_the_predictor():
         assert not {"defects", "geometry"} & set(name.split(".")), name
 
 
+def test_tree_never_reads_the_matrix_memo():
+    # min_poly keeps the predictor's classification on each Mat2; the
+    # oracle computes trace and determinant afresh and never looks there
+    names = set()
+    for node in ast.walk(ast.parse(Path(tree.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"min_poly", "make_pair", "_trace_det", "_min_poly",
+                        "__dict__"}
+
+
 @pytest.mark.parametrize("tau", (1, 2))
 def test_foliage_read_off_the_matrix_is_the_inseparable_reducible_kind(tau):
     fld = field(tau)
