@@ -88,9 +88,10 @@ def _cmd_branch(args) -> int:
     fld = field(args.tau, args.modulus)
     q = m_parse(fld, args.matrix)
     shape = branch_shape(q, args.prec)
+    # the window is built first, so a radius it refuses prints nothing
+    window = enumerate_window(fld, args.window_radius) if args.dot else None
     _emit(args, shape.render(), _shape_record(shape))
     if args.dot:
-        window = enumerate_window(fld, args.window_radius)
         members = oracle_branch(q, window)
         with open(args.dot, "w") as fh:
             fh.write(dot_export(window, {"lightblue": members}, "branch"))

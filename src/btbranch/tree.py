@@ -4,41 +4,44 @@ Vertices are balls B_z^[r]: a center z mod t^r and an integer level r.
 The maximal order attached to B_z^[r] is g M_2(O) g^-1 for
 g = [[z, t^r], [1, 0]], and the branch of an integral matrix q is the
 set of vertices whose order contains q.  ``member`` evaluates that
-containment exactly; everything else in this module is bookkeeping on a
-finite window of the tree plus certified measurements on oracle sets.
+containment exactly, on the packed lanes of the entries and the center;
+everything else in this module is bookkeeping on a finite window of the
+tree plus certified measurements on oracle sets.
 
 Windows are balls around the base vertex B_0^[0], built by one
-breadth-first search that records each inner vertex's neighbour list as
-it expands it; a boundary vertex's only neighbour inside is the vertex
-it was found from.  Centers are packed series, so a child's center is
-its parent's with one lane set, and every adjacency list holds the
-window's own vertex objects.  Balls are geodesically convex, so graph
-distances measured inside a window agree with tree distances, and a
-breadth-first search toward the complement of a member set
+breadth-first search over packed centers: a child's center is its
+parent's with one lane set.  The window is a tree, so every neighbour of
+an expanded vertex other than the one it was found from is new, and the
+search records each neighbour list by window position (``Window.nbrs``)
+without looking a vertex up; a boundary vertex's only neighbour inside
+is the vertex it was found from.  Balls are geodesically convex, so
+graph distances measured inside a window agree with tree distances, and
+a breadth-first search toward the complement of a member set
 under-approximates nothing once it stays clear of the window boundary.
 That is the whole certification story: a measured quantity is trusted
 only where the boundary provably cannot interfere.
 
 A branch is a subtree, hence convex (Serre, *Trees*), and so is the
 window; their intersection is therefore connected in the window graph.
-Every walk over the window is one breadth-first search, ``_bfs``, and
-the convexity is used twice.  ``grow`` scans the window for one vertex
-that passes a test and walks only through passing vertices from there;
-it returns the set in window order, as a full scan builds it, by
-sorting what it found on ``Window.index``.  ``oracle_branch`` is
-``grow`` with the membership test and never consults a predicted shape.
-The measurements walk only inside the member set, except
-``set_distance``, which has to cross non-members.
+Every walk over the window runs on window positions, not on vertices:
+the public functions take and return vertex sets, translate them
+through ``Window.index`` once on entry and read ``Window.vertices`` on
+exit, and in between walk ``Window.nbrs`` on ints.  ``grow`` scans the
+window for one vertex that passes a test and walks only through passing
+vertices from there, testing each vertex once; it returns the set in
+window order, as a full scan builds it.  ``oracle_branch`` is ``grow``
+with the membership test and never consults a predicted shape.  The
+measurements are breadth-first searches, ``_bfs``, that walk only inside
+the member set, except ``set_distance``, which has to cross non-members.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 from .mat2 import Mat2, det, trace
-from .series import (Series, UndeterminedAtPrecision, _make, s_add, s_mul,
-                     s_render, s_val, s_zero, val_ge)
+from .series import (Series, UndeterminedAtPrecision, _clmul, _lane_mul,
+                     _make, _min_prec, s_add, s_render, s_val, s_zero)
 
 INFINITE_DEPTH = 10 ** 9
 
@@ -109,13 +112,22 @@ def vertex_neighbors(v: Vertex) -> list[Vertex]:
     return out
 
 
+#: the most vertices ``enumerate_window`` builds: every radius the
+#: self-test uses fits (tau 1 up to radius 17, tau 2 up to 8, tau 3 up
+#: to 6), and a larger request fails at once instead of filling memory
+MAX_WINDOW_VERTICES = 400_000
+
+
 @dataclass
 class Window:
     """All vertices within ``radius`` of the base vertex, with adjacency.
 
-    ``vertices`` is in breadth-first order, ``index`` maps each vertex to
-    its position there, and every ``adj`` list holds the window's own
-    vertex objects.
+    ``vertices`` is in breadth-first order and ``index`` maps each vertex
+    to its position there.  The walks read the window by position:
+    ``nbrs[i]`` lists the positions of the neighbours of vertex i and
+    ``dist[i]`` is its distance to the root.  ``adj`` and ``dist_root``
+    are the same two tables keyed by vertex, for callers that hold
+    vertices; every ``adj`` list holds the window's own vertex objects.
     """
 
     fld: object
@@ -123,8 +135,10 @@ class Window:
     root: Vertex
     vertices: list[Vertex]
     dist_root: dict[Vertex, int]
-    adj: dict[Vertex, list[Vertex]] = dc_field(repr=False, default_factory=dict)
-    index: dict[Vertex, int] = dc_field(repr=False, default_factory=dict)
+    adj: dict[Vertex, list[Vertex]] = dc_field(repr=False)
+    index: dict[Vertex, int] = dc_field(repr=False)
+    nbrs: list[list[int]] = dc_field(repr=False)
+    dist: list[int] = dc_field(repr=False)
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.dist_root
@@ -133,39 +147,106 @@ class Window:
         return self.radius - self.dist_root[v]
 
 
+def _check_window_size(fld, radius: int) -> None:
+    """Refuse a radius whose ball holds more than MAX_WINDOW_VERTICES.
+
+    The ball of radius r in the (q + 1)-regular tree, q = 2^tau, holds
+    1 + (q + 1)(q^r - 1)/(q - 1) vertices; the spheres are summed until
+    the total passes the limit, so a huge radius costs a few steps.
+    """
+    if radius < 0:
+        raise ValueError(f"window radius must be >= 0, got {radius}")
+    q = fld.order
+    size, sphere = 1, q + 1
+    for r in range(1, radius + 1):
+        size += sphere
+        if size > MAX_WINDOW_VERTICES:
+            raise ValueError(
+                f"a window of radius {radius} over F_(2^{fld.tau}) holds more "
+                f"than {MAX_WINDOW_VERTICES:,} vertices; the largest radius "
+                f"within that limit is {r - 1}")
+        sphere *= q
+
+
 def enumerate_window(fld, radius: int) -> Window:
     """The ball of ``radius`` around B_0^[0], by one breadth-first search.
 
-    Each vertex inside the ball is expanded once, and its neighbour list,
-    all inside the ball, is recorded then.  A vertex on the boundary is
-    not expanded: its one neighbour inside the ball is the vertex it was
-    found from.
+    Each vertex inside the ball is expanded once, into the neighbours of
+    ``vertex_neighbors`` in its order: the one up a level, then one down
+    a level for each residue c.  All of them are new except the vertex
+    it was found from, its parent, whose slot is known without a lookup:
+    a vertex found as a child has its parent up, and a vertex found as
+    the up neighbour of a child has it down, in the slot of that child's
+    residue at the vertex's level.  A vertex on the boundary is not
+    expanded: its one neighbour inside the ball is its parent.
+    Raises ValueError for a negative radius or one whose ball holds more
+    than MAX_WINDOW_VERTICES vertices, before building anything.
     """
+    _check_window_size(fld, radius)
+    w, residues = fld.tau, fld.elements()
+    mask = (1 << w) - 1
     root = Vertex(0, s_zero(fld))
     order = [root]
-    index = {root: 0}
     depth = [0]
-    parent = [None]
-    adj = {}
+    parent = [-1]
+    parent_slot = [-1]
+    nbrs = []
     for i, v in enumerate(order):
         if depth[i] == radius:
             break
-        nbrs = []
-        for w in vertex_neighbors(v):
-            j = index.get(w)
-            if j is None:
-                j = index[w] = len(order)
-                order.append(w)
-                depth.append(depth[i] + 1)
-                parent.append(v)
-            nbrs.append(order[j])
-        adj[v] = nbrs
-    for v, p in zip(order[len(adj):], parent[len(adj):]):
-        adj[v] = [] if p is None else [p]
-    return Window(fld, radius, root, order, dict(zip(order, depth)), adj, index)
+        d, p, ps = depth[i] + 1, parent[i], parent_slot[i]
+        z, r = v.center, v.r
+        lead = z.lead if z.bits else r
+        shift = (r - lead) * w
+        nb = []
+        if ps == 0:
+            nb.append(p)
+        else:
+            # the up neighbour is new, and this vertex is its child for
+            # the residue of z at t^(r-1)
+            nb.append(len(order))
+            order.append(Vertex(r - 1, z))
+            depth.append(d)
+            parent.append(i)
+            parent_slot.append(1 + (z.bits >> shift - w & mask
+                                    if shift >= w else 0))
+        for slot, c in enumerate(residues, 1):
+            if slot == ps:
+                nb.append(p)
+                continue
+            nb.append(len(order))
+            order.append(Vertex(r + 1, _make(fld, lead, z.bits ^ c << shift,
+                                             None) if c else z))
+            depth.append(d)
+            parent.append(i)
+            parent_slot.append(0)
+        nbrs.append(nb)
+    nbrs.extend([p] if p >= 0 else [] for p in parent[len(nbrs):])
+    index = {v: i for i, v in enumerate(order)}
+    adj = {v: [order[j] for j in nb] for v, nb in zip(order, nbrs)}
+    return Window(fld, radius, root, order, dict(zip(order, depth)), adj,
+                  index, nbrs, depth)
 
 
 # -- the membership oracle ------------------------------------------
+
+def _val_at_least(bits: int, base: int, prec, k: int, w: int) -> bool:
+    """val >= k for the lanes ``bits`` (lane 0 at exponent ``base``) of a
+    value known below ``prec``, as ``series.val_ge`` decides it.
+
+    Lanes at or above prec may hold anything: only the lanes below
+    min(k, prec) are read.  A nonzero one settles val < k; none settles
+    val >= k if prec reaches k, and otherwise nothing is settled.
+    """
+    m = k if prec is None or prec >= k else prec
+    n = (m - base) * w
+    if n > 0 and bits & (1 << n) - 1:
+        return False
+    if m == k:
+        return True
+    raise UndeterminedAtPrecision(
+        f"cannot certify val >= {k} from prec {prec}")
+
 
 def member(q: Mat2, v: Vertex) -> bool:
     """Whether q lies in the maximal order of v.  Exact for exact input.
@@ -173,38 +254,74 @@ def member(q: Mat2, v: Vertex) -> bool:
     Conjugating by g = [[z, t^r], [1, 0]] sends q = [[A,B],[C,D]] to
     [[Cz+D, C t^r], [t^-r (Cz^2+(A+D)z+B), A+Cz]], so membership is four
     valuation bounds, the interesting one being the characteristic
-    quadratic of q evaluated at the center.
+    quadratic of q evaluated at the center, read here as
+    (A + Cz + D) z + B.
+
+    Everything runs on the packed lanes of the entries and of z, with no
+    Series built: products are carry-less at tau 1 and lane products
+    above, sums are aligned XORs.  The center is exact, so multiplying
+    by z shifts the precision by val(z), and each bound carries the
+    precision ``s_mul`` and ``s_add`` would give it, so on truncated
+    input this decides, or raises UndeterminedAtPrecision, exactly where
+    the same four bounds on Series do.
     """
     z, r = v.center, v.r
-    cz = s_mul(q.c, z)
-    if not val_ge(s_add(cz, q.d), 0):
+    a, b, c, d = q.a, q.b, q.c, q.d
+    fld, zb = z.field, z.bits
+    if c.field is not fld and c.field != fld:
+        raise ValueError("mixed residue fields")
+    w = fld.tau
+    if not zb:  # z = 0 exactly, and so are Cz and the z terms
+        return (_val_at_least(d.bits, d.lead, d.prec, 0, w)
+                and _val_at_least(c.bits, c.lead, c.prec, -r, w)
+                and _val_at_least(a.bits, a.lead, a.prec, 0, w)
+                and _val_at_least(b.bits, b.lead, b.prec, r, w))
+    zl, cb, pc = z.lead, c.bits, c.prec
+    czb = _clmul(cb, zb) if w == 1 else _lane_mul(fld, cb, zb)
+    # Cz, A and D on one base exponent e
+    czl = c.lead + zl
+    e = min(czl, a.lead, d.lead)
+    cz = czb << (czl - e) * w
+    dd = d.bits << (d.lead - e) * w
+    pcz = None if pc is None else pc + zl
+    p1 = _min_prec(pcz, d.prec)
+    if not _val_at_least(cz ^ dd, e, p1, 0, w):
         return False
-    if not val_ge(q.c, -r):
+    if not _val_at_least(cb, c.lead, pc, -r, w):
         return False
-    if not val_ge(s_add(q.a, cz), 0):
+    aa = a.bits << (a.lead - e) * w
+    if not _val_at_least(aa ^ cz, e, _min_prec(a.prec, pcz), 0, w):
         return False
-    quad = s_add(s_add(s_mul(cz, z), s_mul(s_add(q.a, q.d), z)), q.b)
-    return val_ge(quad, r)
+    s, ps = aa ^ cz ^ dd, _min_prec(p1, a.prec)
+    s = _clmul(s, zb) if w == 1 else _lane_mul(fld, s, zb)
+    # (A + Cz + D) z sits on base e + zl, known below ps + zl; add B on
+    # the lower of the two bases
+    e4 = min(e + zl, b.lead)
+    quad = s << (e + zl - e4) * w ^ b.bits << (b.lead - e4) * w
+    pq = _min_prec(None if ps is None else ps + zl, b.prec)
+    return _val_at_least(quad, e4, pq, r, w)
 
 
 def _bfs(window: Window, sources, inside=None, stop=None):
-    """Breadth-first walk from ``sources``, entering only vertices the
-    predicate ``inside`` accepts and ending at the first dequeued vertex
-    the predicate ``stop`` accepts.  Returns the depths in discovery
-    order, the parents and the stopping vertex (None if none stopped it).
+    """Breadth-first walk over window positions from ``sources``, entering
+    only positions the predicate ``inside`` accepts and ending at the
+    first dequeued position the predicate ``stop`` accepts.  Returns the
+    depths in discovery order, the parents and the stopping position
+    (None if none stopped it).
     """
+    nbrs = window.nbrs
     depth = dict.fromkeys(sources, 0)
     parent = {}
-    queue = deque(depth)
-    while queue:
-        v = queue.popleft()
+    queue = list(depth)
+    for v in queue:  # the list grows as the walk finds vertices
         if stop is not None and stop(v):
             return depth, parent, v
-        for w in window.adj[v]:
-            if w not in depth and (inside is None or inside(w)):
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                queue.append(w)
+        d = depth[v] + 1
+        for u in nbrs[v]:
+            if u not in depth and (inside is None or inside(u)):
+                depth[u] = d
+                parent[u] = v
+                queue.append(u)
     return depth, parent, None
 
 
@@ -213,9 +330,9 @@ def grow(window: Window, test) -> set[Vertex]:
 
     The window is scanned in window order up to the first passing vertex,
     and the walk from there enters passing vertices only, so ``test``
-    sees the scan prefix, the passing set and its rim.  A convex set -- a
-    branch, a tube around a stem, a horoball -- meets the convex window in
-    a connected set, so the walk reaches all of it.
+    sees the scan prefix, the passing set and its rim, each vertex once.
+    A convex set -- a branch, a tube around a stem, a horoball -- meets
+    the convex window in a connected set, so the walk reaches all of it.
 
     On truncated input the answer is certified: every vertex tested here
     is tested by a full scan too, so this raises UndeterminedAtPrecision
@@ -225,11 +342,23 @@ def grow(window: Window, test) -> set[Vertex]:
     window order, as a full scan builds it, so the tie-breaks further down
     (the realizers of ``set_distance``) do not depend on the walk.
     """
-    first = next((v for v in window.vertices if test(v)), None)
+    verts = window.vertices
+    first = next((i for i, v in enumerate(verts) if test(v)), None)
     if first is None:
         return set()
-    found, _, _ = _bfs(window, [first], inside=test)
-    return set(sorted(found, key=window.index.__getitem__))
+    nbrs = window.nbrs
+    # the scan prefix failed already; every other vertex is tested once
+    tested = bytearray(len(verts))
+    tested[:first + 1] = b"\1" * (first + 1)
+    found = [first]
+    for i in found:  # the list grows as the walk finds members
+        for j in nbrs[i]:
+            if not tested[j]:
+                tested[j] = 1
+                if test(verts[j]):
+                    found.append(j)
+    found.sort()
+    return {verts[i] for i in found}
 
 
 def oracle_branch(q: Mat2, window: Window) -> set[Vertex]:
@@ -238,6 +367,15 @@ def oracle_branch(q: Mat2, window: Window) -> set[Vertex]:
 
 
 # -- certified measurement ------------------------------------------
+
+def _local_depths(window: Window, pos: list[int]) -> list[int]:
+    """``local_depths`` on window positions, ``pos`` the members'."""
+    nbrs = window.nbrs
+    inside = set(pos).__contains__
+    rim = {u for v in pos for u in nbrs[v] if not inside(u)}
+    depth, _, _ = _bfs(window, rim, inside=inside)
+    return [depth.get(v, INFINITE_DEPTH) for v in pos]
+
 
 def local_depths(members: set[Vertex], window: Window) -> dict[Vertex, int]:
     """Distance from each member to the nearest in-window non-member.
@@ -248,9 +386,8 @@ def local_depths(members: set[Vertex], window: Window) -> dict[Vertex, int]:
     runs inward from the rim (non-members next to a member) through
     members only, as every shortest path from a member to the rim does.
     """
-    rim = {w for v in members for w in window.adj[v] if w not in members}
-    depth, _, _ = _bfs(window, rim, inside=members.__contains__)
-    return {v: depth.get(v, INFINITE_DEPTH) for v in members}
+    pos = [window.index[v] for v in members]
+    return dict(zip(members, _local_depths(window, pos)))
 
 
 @dataclass
@@ -275,28 +412,35 @@ def measure_branch(members: set[Vertex], window: Window,
     """
     if not members:
         return MeasuredBranch(set(), None, False, "empty set")
-    ld = local_depths(members, window)
-    certified = {v: d for v, d in ld.items()
-                 if d <= window.boundary_distance(v)}
+    pos = [window.index[v] for v in members]
+    ld = _local_depths(window, pos)
+    radius, dist = window.radius, window.dist
+    # (position, local depth, boundary distance), in member order
+    certified = [(v, d, radius - dist[v]) for v, d in zip(pos, ld)
+                 if d <= radius - dist[v]]
     if not certified:
         return MeasuredBranch(set(), None, False, "no certified vertex")
-    dstar = max(certified.values())
-    guard = any(d == dstar and window.boundary_distance(v) >= dstar + margin
-                for v, d in certified.items())
-    core = {v for v, d in certified.items() if d == dstar}
+    dstar = max(d for _, d, _ in certified)
+    guard = any(d == dstar and bd >= dstar + margin
+                for _, d, bd in certified)
+    verts = window.vertices
+    core = {verts[v] for v, d, _ in certified if d == dstar}
     return MeasuredBranch(core, dstar - 1, guard,
                           "" if guard else "depth maximum too close to boundary")
 
 
 def set_distance(a: set[Vertex], b: set[Vertex], window: Window):
     """Min distance between two disjoint vertex sets, with its realizers."""
-    depth, parent, v = _bfs(window, a, stop=b.__contains__)
+    index = window.index
+    ends = {index[v] for v in b}
+    depth, parent, v = _bfs(window, [index[u] for u in a],
+                            stop=ends.__contains__)
     if v is None:
         return None, None, None
     u = v
-    while u not in a:
+    while u in parent:  # the sources, and only they, have no parent
         u = parent[u]
-    return depth[v], u, v
+    return depth[v], window.vertices[u], window.vertices[v]
 
 
 def set_diameter(members: set[Vertex], window: Window):
@@ -306,14 +450,16 @@ def set_diameter(members: set[Vertex], window: Window):
     path between any two of its vertices, so distances, and the order in
     which each depth is found, are those of a sweep of the whole window.
     """
+    index = window.index
+    inside = {index[v] for v in members}.__contains__
 
     def far(src):
-        depth, _, _ = _bfs(window, [src], inside=members.__contains__)
+        depth, _, _ = _bfs(window, [src], inside=inside)
         v = max(depth, key=depth.get)  # the first found at the largest depth
         return depth[v], v
-    _, a = far(next(iter(members)))
+    _, a = far(index[next(iter(members))])
     d, b = far(a)
-    return d, a, b
+    return d, window.vertices[a], window.vertices[b]
 
 
 def is_path_set(members: set[Vertex], window: Window) -> bool:
@@ -461,18 +607,12 @@ def dot_export(window: Window, groups: dict[str, set[Vertex]] | None = None,
                title: str = "window") -> str:
     """GraphViz rendering of a window; groups map fill colors to sets."""
     groups = groups or {}
-    idx = window.index
     lines = [f'graph "{title}" {{', "  node [shape=circle, fontsize=8];"]
-    for v, i in idx.items():
+    for i, v in enumerate(window.vertices):
         color = next((c for c, s in groups.items() if v in s), None)
         style = f', style=filled, fillcolor="{color}"' if color else ""
         lines.append(f'  n{i} [label="{v.render()}"{style}];')
-    seen = set()
-    for v in window.vertices:
-        for w in window.adj[v]:
-            key = (min(idx[v], idx[w]), max(idx[v], idx[w]))
-            if key not in seen:
-                seen.add(key)
-                lines.append(f"  n{key[0]} -- n{key[1]};")
+    for i, nb in enumerate(window.nbrs):  # each edge from its lower end
+        lines.extend(f"  n{i} -- n{j};" for j in nb if j > i)
     lines.append("}")
     return "\n".join(lines)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -308,6 +309,33 @@ def test_an_out_of_range_flag_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith(f"usage: btbranch {argv[0]} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "[[0,1],[0,0]]", "[[t,1],[t^2,t]]", "--radius", "30"],
+    ["selftest", "--tau", "3"],  # the default radius 8: 21,570,706 vertices
+    ["selftest", "--radius", "1000000000", "--count", "1"],
+    ["branch", "[[0,0],[1,1]]", "--tau", "16", "--radius", "2", "--dot"],
+], ids=["oracle-r30", "selftest-tau3", "selftest-r1e9", "branch-tau16"])
+def test_a_window_too_large_to_build_is_refused_at_once(capsys, tmp_path,
+                                                        argv):
+    target = tmp_path / "window.dot"
+    if argv[-1] == "--dot":
+        argv = argv + [str(target)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("error: a window of radius ")
+    assert "holds more than 400,000 vertices" in err
+    assert "Traceback" not in err
+
+
+def test_branch_reads_the_radius_only_for_its_dot_file(capsys):
+    # without --dot no window is built, so the radius limit does not apply
+    code, out, _ = run_cli(capsys, ["branch", "[[0,0],[1,1]]", "--tau", "16",
+                                    "--radius", "2"])
+    assert code == 0 and out.startswith("line(")
 
 
 def test_cli_selftest_smoke(capsys):

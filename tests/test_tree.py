@@ -17,13 +17,14 @@ from btbranch.mat2 import (Mat2, companion, m_conj, m_mul, make_pair,
                            min_poly)
 from btbranch.selftest import _PAIR_STRATEGIES
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add,
-                             s_from_terms, s_monomial, s_one, s_parse,
-                             s_random, s_truncate, s_zero)
-from btbranch.tree import (INFINITE_DEPTH, Vertex, complete_in_window,
-                           dot_export, enumerate_window, is_path_set,
-                           local_depths, measure_branch, measure_intersection,
-                           member, oracle_branch, reduce_center, set_diameter,
-                           set_distance, tree_distance, vertex_neighbors)
+                             s_from_terms, s_monomial, s_mul, s_one, s_parse,
+                             s_random, s_truncate, s_zero, val_ge)
+from btbranch.tree import (INFINITE_DEPTH, MAX_WINDOW_VERTICES, Vertex,
+                           complete_in_window, dot_export, enumerate_window,
+                           grow, is_path_set, local_depths, measure_branch,
+                           measure_intersection, member, oracle_branch,
+                           reduce_center, set_diameter, set_distance,
+                           tree_distance, vertex_neighbors)
 
 F1 = field(1)
 F2 = field(2)
@@ -119,6 +120,23 @@ def test_window_adjacency_matches_neighbor_enumeration():
         assert w.adj[v] == [n for n in vertex_neighbors(v) if n in w]
 
 
+@pytest.mark.parametrize("tau, largest", [(1, 17), (2, 8), (3, 6), (16, 1)])
+def test_window_size_is_capped(tau, largest):
+    fld = field(tau)
+    q = fld.order
+
+    def ball(r):
+        return 1 + (q + 1) * (q ** r - 1) // (q - 1)
+    assert ball(largest) <= MAX_WINDOW_VERTICES < ball(largest + 1)
+    # the refusal comes before anything is built, even for a huge radius
+    for radius in (largest + 1, 10 ** 9):
+        with pytest.raises(ValueError,
+                           match=f"largest radius .* is {largest}$"):
+            enumerate_window(fld, radius)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        enumerate_window(fld, -1)
+
+
 # -- the s_from_terms window the packed one replaced: references --
 #
 # Each builds every center through s_from_terms from the terms of the
@@ -162,6 +180,33 @@ def _ref_enumerate_window(fld, radius):
     return order, dist, adj
 
 
+def _vertex_keyed_window(fld, radius):
+    """The one-pass window the index-keyed one replaced: it looks every
+    neighbour up in a vertex-keyed index and keeps the objects it finds."""
+    root = Vertex(0, s_zero(fld))
+    order = [root]
+    index = {root: 0}
+    depth = [0]
+    parent = [None]
+    adj = {}
+    for i, v in enumerate(order):
+        if depth[i] == radius:
+            break
+        nbrs = []
+        for w in vertex_neighbors(v):
+            j = index.get(w)
+            if j is None:
+                j = index[w] = len(order)
+                order.append(w)
+                depth.append(depth[i] + 1)
+                parent.append(v)
+            nbrs.append(order[j])
+        adj[v] = nbrs
+    for v, p in zip(order[len(adj):], parent[len(adj):]):
+        adj[v] = [] if p is None else [p]
+    return order, dict(zip(order, depth)), adj
+
+
 def _series_triple(z):
     return z.lead, z.coeffs, z.prec
 
@@ -180,6 +225,19 @@ def test_window_matches_the_reference_enumeration(tau, radius):
     # every neighbour list holds the window's own vertex objects
     assert all(w.vertices[w.index[x]] is x
                for nbrs in w.adj.values() for x in nbrs)
+
+
+@pytest.mark.parametrize("tau, radius", [(1, 0), (1, 8), (2, 4), (3, 3)])
+def test_window_matches_the_vertex_keyed_build(tau, radius):
+    w = enumerate_window(field(tau), radius)
+    order, dist, adj = _vertex_keyed_window(field(tau), radius)
+    assert w.vertices == order
+    assert [hash(v) for v in w.vertices] == [hash(v) for v in order]
+    assert list(w.dist_root.items()) == list(dist.items())
+    assert list(w.adj.items()) == list(adj.items())
+    # the position tables are the vertex-keyed ones, read by position
+    assert w.dist == [dist[v] for v in order]
+    assert w.nbrs == [[w.index[x] for x in adj[v]] for v in order]
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,6 +262,77 @@ def test_reduce_center_matches_the_reference(tau, data):
 
 
 # membership
+
+
+def _series_member(q, v):
+    """The membership test on Series, as ``tree.member`` was before it
+    moved to packed lanes: the reference the packed kernel must equal."""
+    z, r = v.center, v.r
+    cz = s_mul(q.c, z)
+    if not val_ge(s_add(cz, q.d), 0):
+        return False
+    if not val_ge(q.c, -r):
+        return False
+    if not val_ge(s_add(q.a, cz), 0):
+        return False
+    quad = s_add(s_add(s_mul(cz, z), s_mul(s_add(q.a, q.d), z)), q.b)
+    return val_ge(quad, r)
+
+
+def _verdict(fn, *args):
+    """A result, or the class and message of the refusal."""
+    try:
+        return fn(*args)
+    except UndeterminedAtPrecision as exc:
+        return UndeterminedAtPrecision, str(exc)
+
+
+def _entries(fld):
+    """Exact and truncated entries, the precision anywhere from below the
+    lead to past the last term, and the inexact zero among them."""
+    return st.builds(
+        lambda lead, coeffs, cut: Series(
+            fld, lead, coeffs,
+            None if cut is None else lead + cut),
+        st.integers(-3, 3),
+        st.lists(st.integers(0, fld.order - 1), max_size=5),
+        st.one_of(st.none(), st.integers(-3, 7)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_packed_member_equals_the_series_reference(tau, data):
+    fld = field(tau)
+    entry = _entries(fld)
+    r = data.draw(st.integers(-4, 6))  # negative, zero and positive levels
+    lead = r - data.draw(st.integers(0, 6))  # lanes below r survive
+    coeffs = data.draw(st.lists(st.integers(0, fld.order - 1), max_size=8))
+    v = Vertex(r, Series(fld, lead, coeffs))
+    q = Mat2(*(data.draw(entry) for _ in range(4)))
+    if data.draw(st.booleans()):
+        # g x g^-1 with x integral lies in the order of v (g as in member);
+        # a vertex with a center rarely passes all four bounds otherwise
+        g = Mat2(v.center, s_monomial(fld, r), s_one(fld), s_zero(fld))
+        integral = st.builds(lambda lead, coeffs: Series(fld, lead, coeffs),
+                             st.integers(0, 3), st.lists(
+                                 st.integers(0, fld.order - 1), max_size=4))
+        q = m_conj(g, Mat2(*(data.draw(integral) for _ in range(4))))
+        cut = data.draw(st.one_of(st.none(), st.integers(-3, 8)))
+        if cut is not None:
+            q = Mat2(*(s_truncate(x, cut) for x in (q.a, q.b, q.c, q.d)))
+    elif data.draw(st.booleans()):  # the inexact zero in the corner
+        q = Mat2(q.a, q.b, Series(fld, 0, (), data.draw(st.integers(-3, 4))),
+                 q.d)
+    assert _verdict(member, q, v) == _verdict(_series_member, q, v)
+
+
+def test_member_refuses_a_matrix_over_another_field():
+    q = companion(s_parse(F2, "g"), s_parse(F2, "t"))
+    for v in (_v(0), _v(2, "t")):
+        with pytest.raises(ValueError, match="mixed residue fields"):
+            member(q, v)
+        with pytest.raises(ValueError, match="mixed residue fields"):
+            _series_member(q, v)
 
 
 def test_nilpotent_membership_is_a_radius_cutoff():
@@ -236,6 +365,10 @@ def _companions_of_every_class(fld, rng):
     found = {}
     for _ in range(5000):
         a, b = s_random(fld, rng, 0, 2), s_random(fld, rng, 0, 3)
+        if fld.tau >= 3 and rng.randrange(4) == 0:
+            # over F_8 and up a drawn a is rarely 0, and the inseparable
+            # classes need it; tau 1 and 2 draw as they always did
+            a = s_zero(fld)
         found.setdefault(classify(a, b, 64).kind, companion(a, b))
         if len(found) == len(KINDS):
             return [found[k] for k in KINDS]
@@ -262,10 +395,12 @@ def _rand_conjugator(fld, rng):
 def _conjugated_companions(tau, seed):
     fld = field(tau)
     rng = random.Random(seed)
+    # about half the conjugates miss the small tau-3 window, so draw more
+    per = 3 if tau < 3 else 7
     out = []
     for q in _companions_of_every_class(fld, rng):
         out.append(q)
-        out.extend(m_conj(_rand_conjugator(fld, rng), q) for _ in range(3))
+        out.extend(m_conj(_rand_conjugator(fld, rng), q) for _ in range(per))
     return out
 
 
@@ -280,7 +415,21 @@ def _count_members(monkeypatch):
     return calls
 
 
-_WINDOWS = [(1, 6), (2, 4)]
+_WINDOWS = [(1, 6), (2, 4), (3, 3)]
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_packed_member_equals_the_series_reference_on_a_window(tau, radius):
+    w = enumerate_window(field(tau), radius)
+    refused = 0
+    for q in _conjugated_companions(tau, seed=90 + tau):
+        cut = Mat2(*(s_truncate(x, 2) for x in (q.a, q.b, q.c, q.d)))
+        for qt in (q, cut):
+            for v in w.vertices:
+                got = _verdict(member, qt, v)
+                assert got == _verdict(_series_member, qt, v)
+                refused += isinstance(got, tuple)
+    assert refused
 
 
 @pytest.mark.parametrize("tau, radius", _WINDOWS)
@@ -309,6 +458,7 @@ def test_flood_fill_tests_members_and_their_rim_only(tau, radius,
             rim = {u for v in members for u in w.adj[v]} - members
             assert len(calls) <= w.vertices.index(min(
                 members, key=w.vertices.index)) + len(members) + len(rim)
+            assert len(set(calls)) == len(calls)  # each vertex once
         else:
             assert len(calls) == len(w.vertices)
 
@@ -449,6 +599,7 @@ def test_grown_predicted_set_tests_members_and_their_rim_only(
             rim = {u for v in members for u in w.adj[v]} - members
             assert len(calls) <= w.vertices.index(min(
                 members, key=w.vertices.index)) + len(members) + len(rim)
+            assert len(set(calls)) == len(calls)  # each vertex once
         else:
             assert len(calls) == len(w.vertices)
 
@@ -537,6 +688,92 @@ def test_member_only_walks_equal_the_window_walks(tau, radius):
                 a, b, w)
             disjoint += not a & b
     assert disjoint >= 20
+
+
+# -- the vertex-keyed walks the index-keyed ones replaced: references --
+
+def _vertex_bfs(window, sources, inside=None, stop=None):
+    depth = dict.fromkeys(sources, 0)
+    parent = {}
+    queue = deque(depth)
+    while queue:
+        v = queue.popleft()
+        if stop is not None and stop(v):
+            return depth, parent, v
+        for w in window.adj[v]:
+            if w not in depth and (inside is None or inside(w)):
+                depth[w] = depth[v] + 1
+                parent[w] = v
+                queue.append(w)
+    return depth, parent, None
+
+
+def _vertex_grow(window, test):
+    first = next((v for v in window.vertices if test(v)), None)
+    if first is None:
+        return set()
+    found, _, _ = _vertex_bfs(window, [first], inside=test)
+    return set(sorted(found, key=window.index.__getitem__))
+
+
+def _vertex_local_depths(members, window):
+    rim = {w for v in members for w in window.adj[v] if w not in members}
+    depth, _, _ = _vertex_bfs(window, rim, inside=members.__contains__)
+    return {v: depth.get(v, INFINITE_DEPTH) for v in members}
+
+
+def _vertex_set_distance(a, b, window):
+    depth, parent, v = _vertex_bfs(window, a, stop=b.__contains__)
+    if v is None:
+        return None, None, None
+    u = v
+    while u not in a:
+        u = parent[u]
+    return depth[v], u, v
+
+
+def _vertex_set_diameter(members, window):
+    def far(src):
+        depth, _, _ = _vertex_bfs(window, [src], inside=members.__contains__)
+        v = max(depth, key=depth.get)
+        return depth[v], v
+    _, a = far(next(iter(members)))
+    d, b = far(a)
+    return d, a, b
+
+
+@pytest.mark.parametrize("tau, radius", _WINDOWS)
+def test_index_walks_equal_the_vertex_keyed_walks(tau, radius):
+    w = enumerate_window(field(tau), radius)
+    sets = []
+    for q in _conjugated_companions(tau, seed=100 + tau):
+        members = oracle_branch(q, w)
+        want = _vertex_grow(w, lambda v: _series_member(q, v))
+        assert members == want and list(members) == list(want)
+        if members:
+            sets.append(members)
+            core = measure_branch(members, w).core
+            if core:
+                sets.append(core)
+    for shape in _shapes(tau, 110 + tau, (64,)):
+        test = geometry._member_test(shape)
+        got = shape_members(shape, w)
+        assert list(got) == list(_vertex_grow(w, test))
+        assert list(grow(w, test)) == list(got)
+    assert len(sets) >= 20
+    for members in sets:
+        assert (list(local_depths(members, w).items())
+                == list(_vertex_local_depths(members, w).items()))
+        assert (set_diameter(members, w)
+                == _vertex_set_diameter(members, w))
+    pairs = 0
+    for a in sets:
+        for b in sets:
+            if not a & b:
+                assert (set_distance(a, b, w)
+                        == _vertex_set_distance(a, b, w))
+                pairs += 1
+    assert pairs >= 20
 
 
 # measurement
