@@ -28,7 +28,7 @@ from .geometry import (InfiniteFoliage, branch_shape, fake_distance,
 from .gf2 import field
 from .mat2 import NonIntegral, ScalarMatrix, m_parse, m_render, make_pair
 from .series import DEFAULT_PREC, UndeterminedAtPrecision, s_parse, s_render
-from .tree import dot_export, enumerate_window, oracle_branch
+from .tree import dot_export, enumerate_window, largest_radius, oracle_branch
 from .selftest import compare_pair, run_selftest
 from . import defects
 
@@ -89,7 +89,7 @@ def _cmd_branch(args) -> int:
     q = m_parse(fld, args.matrix)
     shape = branch_shape(q, args.prec)
     # the window is built first, so a radius it refuses prints nothing
-    window = enumerate_window(fld, args.window_radius) if args.dot else None
+    window = enumerate_window(fld, _radius(args)) if args.dot else None
     _emit(args, shape.render(), _shape_record(shape))
     if args.dot:
         members = oracle_branch(q, window)
@@ -128,7 +128,7 @@ def _cmd_df(args) -> int:
 def _cmd_oracle(args) -> int:
     fld = field(args.tau, args.modulus)
     pair = make_pair(m_parse(fld, args.q1), m_parse(fld, args.q2), args.prec)
-    window = enumerate_window(fld, args.window_radius)
+    window = enumerate_window(fld, _radius(args))
     sets = None
     if args.dot:
         sets = (oracle_branch(pair.q1, window), oracle_branch(pair.q2, window))
@@ -187,12 +187,31 @@ def _cmd_exists(args) -> int:
 
 def _cmd_selftest(args) -> int:
     rep = run_selftest(args.seed, args.tau, args.modulus, args.count,
-                       args.window_radius, args.margin, args.prec)
+                       _radius(args), args.margin, args.prec)
     _emit(args, rep.render().rstrip("\n"), rep.record())
     return 0 if rep.passing else 1
 
 
 # -- argument plumbing ----------------------------------------------
+
+#: the window radius of a measurement when --radius is not given
+DEFAULT_RADIUS = 8
+
+
+def default_radius(tau: int) -> int:
+    """DEFAULT_RADIUS where its window over F_(2^tau) fits, otherwise
+    the largest radius within MAX_WINDOW_VERTICES (6 at tau 3, 4 at
+    tau 4, ...).  A tau below 1 gets DEFAULT_RADIUS: the field refuses it."""
+    if tau < 1:
+        return DEFAULT_RADIUS
+    return min(DEFAULT_RADIUS, largest_radius(2 ** tau))
+
+
+def _radius(args) -> int:
+    if args.window_radius is None:
+        return default_radius(args.tau)
+    return args.window_radius
+
 
 def _search_box(text: str) -> tuple[int, int]:
     try:
@@ -224,8 +243,10 @@ def _at_least(low: int):
 _FLAGS = {
     "--prec": dict(type=_at_least(1), default=DEFAULT_PREC,
                    help="working precision for inexact arithmetic"),
-    "--radius": dict(dest="window_radius", type=_at_least(0), default=8,
-                     help="window radius for measurements"),
+    "--radius": dict(dest="window_radius", type=_at_least(0), default=None,
+                     help=f"window radius for measurements (default "
+                          f"{DEFAULT_RADIUS}, or the largest whose window "
+                          "fits the vertex limit)"),
     "--margin": dict(type=_at_least(0), default=2,
                      help="boundary margin for certification"),
     "--seed": dict(type=int, default=7),

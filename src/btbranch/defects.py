@@ -1,11 +1,15 @@
 """Artin-Schreier and square defects, and the classification of X^2+aX+b.
 
 as_defect repeatedly absorbs the leading term of a series into the image
-of p(x) = x^2 + x; quad_defect splits it as xi^2 + t eta^2 in one step.
-What is left pins down how far the input sits from that image.  The
-distance is recorded as a fractional ideal of the integer ring, and the
-absorbed part is returned as a witness so callers can reconstruct roots
-and fixed points from it.
+of p(x) = x^2 + x, one lane of its packed ints at a time; quad_defect
+splits it as xi^2 + t eta^2 in one step.  What is left pins down how far
+the input sits from that image.  The distance is recorded as a
+fractional ideal of the integer ring, and the absorbed part is returned
+as a witness.
+
+The classification is also the solver: a reducible polynomial's roots
+come off the defect its classification computed (classified_roots), so
+a caller holding the classification never divides b by a^2 again.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from dataclasses import dataclass
 
 from .gf2 import ff_artin_schreier_root, ff_sqrt
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _make,
-                     _square_bits, s_add, s_div, s_monomial, s_mul, s_split,
-                     s_square, s_zero)
+                     _square_bits, s_add, s_div, s_mul, s_split, s_square)
 
 
 @dataclass(frozen=True)
@@ -68,34 +71,53 @@ def as_defect(a: Series) -> DefectResult:
 
     A leading term of odd negative exponent settles the answer no matter
     what the unknown tail is, so truncated input is often enough.
+
+    The reduction runs on the packed lanes of a, lane 0 at t^lead: the
+    lowest nonzero lane is read, cleared and, for u t^(-2s), replaced by
+    sqrt(u) t^(-s) where that exponent is below prec.  The witness
+    collects its terms on the same lanes, and the witness and the
+    reduced part each become one Series at the end.
     """
-    fld = a.field
-    h = s_zero(fld)
+    fld, bits, lead, prec = a.field, a.bits, a.lead, a.prec
+    w = fld.tau
+    mask = (1 << w) - 1
+    top = None if prec is None else (prec - lead) * w  # first unknown bit
+    x, h = bits, 0
     while True:
-        if a.looks_zero:
-            if a.is_exact or a.prec >= 1:
-                return DefectResult(Ideal.zero(), h, a)
-            raise UndeterminedAtPrecision(
-                f"series vanishes to precision {a.prec}; defect needs it mod t")
-        v = a.lead
+        if not x:
+            if prec is not None and prec < 1:
+                raise UndeterminedAtPrecision(
+                    f"series vanishes to precision {prec}; "
+                    "defect needs it mod t")
+            ideal = Ideal.zero()
+            break
+        i = ((x & -x).bit_length() - 1) // w * w  # the lowest lane's bit
+        v = lead + i // w
         if v > 0:
-            return DefectResult(Ideal.zero(), h, a)
-        u = a.coeff(v)
+            ideal = Ideal.zero()
+            break
+        u = x >> i & mask
         if v == 0:
             c = ff_artin_schreier_root(fld, u)
             if c is None:  # u has trace 1
-                return DefectResult(Ideal.of_val(0), h, a)
-            h = s_add(h, s_monomial(fld, 0, c))
-            a = s_add(a, s_monomial(fld, 0, u))
+                ideal = Ideal.of_val(0)
+                break
+            h |= c << i
+            x ^= u << i
             continue
         if v % 2:
-            return DefectResult(Ideal.of_val(v), h, a)
+            ideal = Ideal.of_val(v)
+            break
         # v = -2s: absorb u*t^(-2s) as p(sqrt(u)*t^(-s)), which costs a
         # new term sqrt(u)*t^(-s) but strictly raises the valuation
-        s = -v // 2
-        step = s_monomial(fld, -s, ff_sqrt(fld, u))
-        h = s_add(h, step)
-        a = s_add(a, s_add(s_monomial(fld, v, u), step))
+        r = ff_sqrt(fld, u)
+        j = (v // 2 - lead) * w
+        h |= r << j
+        x ^= u << i
+        if top is None or j < top:
+            x ^= r << j
+    reduced = a if x == bits else _make(fld, lead, x, prec)
+    return DefectResult(ideal, _make(fld, lead, h, None), reduced)
 
 
 def quad_defect(a: Series) -> DefectResult:
@@ -190,9 +212,10 @@ def classify(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> QuadPoly
 
 # -- root finding ---------------------------------------------------
 
-def solve_artin_schreier(a: Series,
-                         working_prec: int = DEFAULT_PREC) -> Series | None:
-    """A root of r^2 + r = a, or None when there is none in the field.
+def as_root(d: DefectResult,
+            working_prec: int = DEFAULT_PREC) -> Series | None:
+    """The root of r^2 + r = a that the defect d = as_defect(a) leads to,
+    or None when there is none in the field.
 
     The defect reduction leaves a remainder of positive valuation, whose
     small root is rem + rem^2 + rem^4 + ..., summed below working_prec;
@@ -204,7 +227,6 @@ def solve_artin_schreier(a: Series,
     sum, min(prec(rem), working_prec), and XORed in.  Exponents only
     grow under squaring, so nothing masked off could come back below it.
     """
-    d = as_defect(a)
     if not d.ideal.is_zero:
         return None
     rem = d.reduced
@@ -219,6 +241,20 @@ def solve_artin_schreier(a: Series,
         r ^= term
         term = _square_bits(fld, term) & mask
     return s_add(d.witness, _make(fld, 0, r, prec))
+
+
+def solve_artin_schreier(a: Series,
+                         working_prec: int = DEFAULT_PREC) -> Series | None:
+    """A root of r^2 + r = a, or None when there is none in the field:
+    as_root of as_defect(a)."""
+    return as_root(as_defect(a), working_prec)
+
+
+def _root_pair(c: Series, r: Series) -> tuple[Series, Series]:
+    """The roots c r and c r + c of Y^2 + cY + d, from a root r of
+    Z^2 + Z = d / c^2."""
+    y0 = s_mul(c, r)
+    return (y0, s_add(y0, c))
 
 
 def solve_quadratic(c: Series, d: Series,
@@ -236,8 +272,30 @@ def solve_quadratic(c: Series, d: Series,
         return (xi, xi) if eta.looks_zero else None
     r = solve_artin_schreier(s_div(d, s_square(c), working_prec),
                              working_prec)
-    if r is None:
-        return None
-    y0 = s_mul(c, r)
-    return (y0, s_add(y0, c))
+    return None if r is None else _root_pair(c, r)
 
+
+def classified_roots(m: QuadPoly, working_prec: int = DEFAULT_PREC):
+    """Both roots of the classified X^2 + aX + b, or None if it is
+    irreducible, read off m's defect without dividing again.
+
+    working_prec must be the one m was classified at; the roots are then
+    solve_quadratic(m.a, m.b, working_prec), bit for bit and in order:
+    classify reduced the same b/a^2 that solve_quadratic would, and an
+    inseparable split's witness is the xi of the same split of b.
+    """
+    if m.kind == REDUCIBLE_SEP:
+        return _root_pair(m.a, as_root(m.defect, working_prec))
+    if m.kind == REDUCIBLE_INSEP:
+        return (m.defect.witness, m.defect.witness)
+    return None
+
+
+def as_argument(d: DefectResult) -> Series:
+    """The series a that d = as_defect(a) reduced: reduced + h^2 + h.
+
+    Bit for bit a: the reduction added h^2 + h below prec(a) only, and
+    adding it back is masked at the same precision.
+    """
+    h = d.witness
+    return s_add(d.reduced, s_add(s_square(h), h))

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import xor
 
-from .defects import QuadPoly, classify, solve_quadratic
+from .defects import (QuadPoly, as_argument, classified_roots, classify,
+                      solve_quadratic)
 from .gf2 import ff_trace
 from .mat2 import (Mat2, discriminant_params, is_scalar, m_add, m_mul,
                    m_scalar, m_scale, sym_product)
@@ -57,8 +58,22 @@ class AlgebraSpec:
 
 def algebra_spec(lam: Series, a1: Series, b1: Series, a2: Series,
                  b2: Series, working_prec: int = DEFAULT_PREC) -> AlgebraSpec:
-    return AlgebraSpec(lam, classify(a1, b1, working_prec),
+    """The datum, both quadratics classified at working_prec.
+
+    The precision is kept in the instance ``__dict__``, outside the
+    fields (so ==, hash and repr never see it), where decide reads it:
+    at that precision the classifications already hold the roots and
+    the symbol argument.  A spec built otherwise recomputes them.
+    """
+    spec = AlgebraSpec(lam, classify(a1, b1, working_prec),
                        classify(a2, b2, working_prec))
+    spec.__dict__["_working_prec"] = working_prec
+    return spec
+
+
+def _classified_at(spec: AlgebraSpec, working_prec: int) -> bool:
+    """Whether spec's quadratics were classified at working_prec."""
+    return spec.__dict__.get("_working_prec") == working_prec
 
 
 @dataclass(frozen=True)
@@ -92,14 +107,21 @@ def cyclic_presentation(spec: AlgebraSpec) -> tuple[Series, Series]:
     delta = _disc(spec)
     if delta.is_zero:
         raise DegenerateForm("the datum with Delta = 0 is not quaternion")
-    if not m1.a.is_zero:
-        return s_div(m1.b, s_square(m1.a)), delta
-    if not m2.a.is_zero:
-        return s_div(m2.b, s_square(m2.a)), delta
+    for m in (m1, m2):
+        if not m.a.is_zero:
+            return _symbol_argument(spec, m), delta
     # both traces vanish, so Delta = lambda^2 and lambda != 0
     if m1.b.is_zero or m2.b.is_zero:
         return s_zero(fld), s_one(fld)
     return s_div(s_mul(m1.b, m2.b), s_square(lam)), m2.b
+
+
+def _symbol_argument(spec: AlgebraSpec, m: QuadPoly) -> Series:
+    """b/a^2 of the separable factor m, at DEFAULT_PREC: the series its
+    classification reduced when the spec was classified there."""
+    if _classified_at(spec, DEFAULT_PREC):
+        return as_argument(m.defect)
+    return s_div(m.b, s_square(m.a))
 
 
 def splits(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> bool:
@@ -326,10 +348,19 @@ def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
 
 # -- explicit witnesses ---------------------------------------------
 
-def _witness_first_reducible(lam, m1, m2, working_prec):
-    """A pair with q1 realising a root of the reducible m1."""
+def _witness_first_reducible(spec, m1, m2, working_prec):
+    """A pair with q1 realising a root of the reducible m1; m1 and m2
+    are the spec's two quadratics, in either order.
+
+    The root is read off m1's classification when the spec was
+    classified at working_prec, and solved for otherwise.
+    """
+    lam = spec.lam
     fld = lam.field
-    alpha = solve_quadratic(m1.a, m1.b, working_prec)[0]
+    if _classified_at(spec, working_prec):
+        alpha = classified_roots(m1, working_prec)[0]
+    else:
+        alpha = solve_quadratic(m1.a, m1.b, working_prec)[0]
     z, o = s_zero(fld), s_one(fld)
     if not m1.a.is_zero:
         q1 = Mat2(s_add(m1.a, alpha), z, z, alpha)
@@ -426,10 +457,10 @@ def decide(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC) -> ExistenceVerd
     m1, m2, lam = spec.m1, spec.m2, spec.lam
     if not delta.is_zero:
         if m1.reducible:
-            w = _witness_first_reducible(lam, m1, m2, working_prec)
+            w = _witness_first_reducible(spec, m1, m2, working_prec)
             return ExistenceVerdict(True, "i", w)
         if m2.reducible:
-            w = _witness_first_reducible(lam, m2, m1, working_prec)
+            w = _witness_first_reducible(spec, m2, m1, working_prec)
             if w is not None:
                 w = (w[1], w[0])
             return ExistenceVerdict(True, "i", w)
@@ -440,12 +471,12 @@ def decide(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC) -> ExistenceVerd
     # Delta = 0
     if not m1.a.is_zero:
         if m1.reducible:
-            w = _witness_first_reducible(lam, m1, m2, working_prec)
+            w = _witness_first_reducible(spec, m1, m2, working_prec)
             return ExistenceVerdict(True, "iii", w)
         return ExistenceVerdict(False, "none", None)
     if not m2.a.is_zero:
         if m2.reducible:
-            w = _witness_first_reducible(lam, m2, m1, working_prec)
+            w = _witness_first_reducible(spec, m2, m1, working_prec)
             if w is not None:
                 w = (w[1], w[0])
             return ExistenceVerdict(True, "iv", w)

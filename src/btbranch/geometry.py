@@ -19,9 +19,10 @@ from dataclasses import dataclass, fields
 from functools import total_ordering
 
 from .defects import (RAMIFIED_INSEP, RAMIFIED_SEP, REDUCIBLE_INSEP,
-                      REDUCIBLE_SEP, UNRAMIFIED_SEP, solve_quadratic)
+                      REDUCIBLE_SEP, UNRAMIFIED_SEP, classified_roots,
+                      solve_quadratic)
 from .mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix,
-                   discriminant_params, is_scalar, m_add, m_mul, min_poly)
+                   discriminant_params, is_scalar, min_poly, trace)
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _min_prec,
                      s_add, s_div, s_inv, s_mul, s_render, s_sqrt, s_val,
                      val_ge)
@@ -147,19 +148,29 @@ class InfiniteFoliage:
 BranchShape = ThickLine | InfiniteFoliage
 
 
+_STEM_LENGTHS = {REDUCIBLE_SEP: TWO_INF, UNRAMIFIED_SEP: HalfInt.of(0),
+                 RAMIFIED_SEP: HalfInt.of(1), REDUCIBLE_INSEP: INF,
+                 RAMIFIED_INSEP: HalfInt.of(1)}
+
+
 def stem_length_of_kind(kind: str) -> HalfInt:
-    return {REDUCIBLE_SEP: TWO_INF, UNRAMIFIED_SEP: HalfInt.of(0),
-            RAMIFIED_SEP: HalfInt.of(1), REDUCIBLE_INSEP: INF,
-            RAMIFIED_INSEP: HalfInt.of(1)}[kind]
+    return _STEM_LENGTHS[kind]
 
 
 # -- the shape of a branch, symbolically ----------------------------
+
+def _is_one(x: Series) -> bool:
+    return x.bits == 1 and x.lead == 0 and x.prec is None
+
 
 def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
     """Derive the branch of an integral non-scalar matrix.
 
     Separable reducible: the maximal path between the two Moebius fixed
-    points, depth = val(trace).  Unramified: a single ball whose center
+    points, depth = val(trace).  When C = 1 and A D = 0 exactly, as for
+    every companion matrix, the fixed-point quadratic X^2 + cX + B is
+    the minimal polynomial itself, so the ends are read off its
+    classification.  Unramified: a single ball whose center
     is corrected by the Artin-Schreier defect witness.  Ramified (either
     flavour): an edge, displaced along the same center by the jump t.
     Inseparable reducible: the horoball of the unique fixed end.
@@ -175,16 +186,19 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
     if m.kind == REDUCIBLE_SEP:
         depth = s_val(c)
         if C.is_zero:
-            ends = (ProjPoint.finite(s_div(B, c, working_prec)),
-                    ProjPoint.infinity())
+            return ThickLine("maxpath", depth, ends=(
+                ProjPoint.finite(s_div(B, c, working_prec)),
+                ProjPoint.infinity()))
+        if _is_one(C) and (A.is_zero or q.d.is_zero):
+            roots = classified_roots(m, working_prec)
         else:
             y = s_inv(C, working_prec)
             roots = solve_quadratic(s_mul(c, y), s_mul(B, y), working_prec)
             if roots is None:
                 raise AssertionError("reducible separable matrix with "
                                      "irreducible fixed-point quadratic")
-            ends = (ProjPoint.finite(roots[0]), ProjPoint.finite(roots[1]))
-        return ThickLine("maxpath", depth, ends=ends)
+        return ThickLine("maxpath", depth, ends=(
+            ProjPoint.finite(roots[0]), ProjPoint.finite(roots[1])))
 
     if m.kind == REDUCIBLE_INSEP:
         alpha = s_sqrt(d)
@@ -391,8 +405,18 @@ class FoliageContained:
 RelPos = Disjoint | Overlap | SharedRay | SharedMaxPath | FoliageMeet | FoliageContained
 
 
-def _is_zero_matrix(q: Mat2) -> bool:
-    return all(x.is_zero for x in (q.a, q.b, q.c, q.d))
+def _commute(q1: Mat2, q2: Mat2) -> bool:
+    """Whether q1 q2 = q2 q1, without building either product.
+
+    In characteristic 2 the commutator q1 q2 + q2 q1 is [[x, y], [z, x]]
+    with x = b1 c2 + b2 c1, y = b2 tr1 + b1 tr2 and z = c1 tr2 + c2 tr1:
+    the diagonal products a1 a2 and d1 d2 cancel, so the two matrices
+    commute exactly when these three vanish.
+    """
+    tr1, tr2 = trace(q1), trace(q2)
+    return (s_add(s_mul(q1.b, q2.c), s_mul(q2.b, q1.c)).is_zero
+            and s_add(s_mul(q2.b, tr1), s_mul(q1.b, tr2)).is_zero
+            and s_add(s_mul(q1.c, tr2), s_mul(q2.c, tr1)).is_zero)
 
 
 def predict_relpos(pair: PairConfig) -> RelPos:
@@ -408,9 +432,9 @@ def predict_relpos(pair: PairConfig) -> RelPos:
     df = fake_distance(lam, m1, m2)
     if df.kind == "neg_inf":
         if m1.kind == REDUCIBLE_SEP and m2.kind == REDUCIBLE_SEP:
-            commutator = m_add(m_mul(pair.q1, pair.q2),
-                               m_mul(pair.q2, pair.q1))
-            return SharedMaxPath() if _is_zero_matrix(commutator) else SharedRay()
+            if _commute(pair.q1, pair.q2):
+                return SharedMaxPath()
+            return SharedRay()
         lmin = min(stem_length_of_kind(m1.kind), stem_length_of_kind(m2.kind))
         if lmin.kind == "fin":
             return Overlap(lmin.as_int)

@@ -67,8 +67,16 @@ class Series:
 
     def __post_init__(self):
         """Bring (lead, bits) to the canonical form; every construction
-        runs this."""
-        bits, lead, prec = self.bits, self.lead, self.prec
+        runs this.
+
+        An exact series whose lowest bit is set is canonical already:
+        there is nothing to mask and its lowest lane is nonzero.  Such a
+        series returns at once.
+        """
+        bits, prec = self.bits, self.prec
+        if bits & 1 and prec is None:
+            return
+        lead = self.lead
         w = self.field.tau
         if prec is not None and bits:
             n = (prec - lead) * w
@@ -230,6 +238,20 @@ def _ones(nbits: int, stride: int) -> int:
 _SPREAD = tuple(sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256))
 
 
+def _inv8(u: int) -> int:
+    """The inverse of the odd F_2[t] polynomial u mod t^8, by three
+    Newton steps x -> u x^2 from 1."""
+    x = 1
+    for _ in range(3):
+        x = _clmul(_SPREAD[x], u) & 0xFF
+    return x
+
+
+#: _INV8[i] is the inverse of 2i + 1 mod t^8 in F_2[t]: where s_inv's
+#: Newton iteration at tau = 1 starts
+_INV8 = tuple(_inv8(u) for u in range(1, 256, 2))
+
+
 def _square_bits(fld: FieldConfig, x: int) -> int:
     """The lanes of the Frobenius x^2: lane i of x, squared, in lane 2i.
 
@@ -369,8 +391,11 @@ def s_inv(a: Series, working_prec: int = DEFAULT_PREC) -> Series:
     ``working_prec`` terms (or fewer, if the input itself knows fewer).
     At tau = 1 they come from Newton's step x -> u x^2 on the unit part
     u, which in characteristic 2 doubles the number of correct terms each
-    time; at tau >= 2 the term-by-term recurrence on the log/exp tables
-    is the faster of the two on short units.
+    time; it starts from the inverse of u mod t^8 read off _INV8, so 64
+    terms take three steps instead of six.  Each step yields the unique
+    inverse mod t^known, so the seed changes no bit of the result.  At
+    tau >= 2 the term-by-term recurrence on the log/exp tables is the
+    faster of the two on short units.
     """
     fld, u = a.field, a.bits
     if not u:
@@ -383,7 +408,8 @@ def s_inv(a: Series, working_prec: int = DEFAULT_PREC) -> Series:
     rel = working_prec if a.prec is None else min(a.prec - a.lead, working_prec)
     if w == 1:
         u &= (1 << rel) - 1
-        x = known = 1
+        known = min(8, rel)
+        x = _INV8[(u & 0xFF) >> 1] & (1 << known) - 1
         while known < rel:
             known = min(2 * known, rel)
             mask = (1 << known) - 1

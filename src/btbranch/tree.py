@@ -147,25 +147,31 @@ class Window:
         return self.radius - self.dist_root[v]
 
 
-def _check_window_size(fld, radius: int) -> None:
-    """Refuse a radius whose ball holds more than MAX_WINDOW_VERTICES.
+def largest_radius(order: int) -> int:
+    """The largest radius whose window holds at most MAX_WINDOW_VERTICES.
 
-    The ball of radius r in the (q + 1)-regular tree, q = 2^tau, holds
+    The ball of radius r in the (q + 1)-regular tree, q = order, holds
     1 + (q + 1)(q^r - 1)/(q - 1) vertices; the spheres are summed until
-    the total passes the limit, so a huge radius costs a few steps.
+    the total passes the limit, so this takes a few steps.
     """
+    size, sphere, radius = 1, order + 1, 0
+    while size + sphere <= MAX_WINDOW_VERTICES:
+        size += sphere
+        sphere *= order
+        radius += 1
+    return radius
+
+
+def _check_window_size(fld, radius: int) -> None:
+    """Refuse a radius whose ball holds more than MAX_WINDOW_VERTICES."""
     if radius < 0:
         raise ValueError(f"window radius must be >= 0, got {radius}")
-    q = fld.order
-    size, sphere = 1, q + 1
-    for r in range(1, radius + 1):
-        size += sphere
-        if size > MAX_WINDOW_VERTICES:
-            raise ValueError(
-                f"a window of radius {radius} over F_(2^{fld.tau}) holds more "
-                f"than {MAX_WINDOW_VERTICES:,} vertices; the largest radius "
-                f"within that limit is {r - 1}")
-        sphere *= q
+    limit = largest_radius(fld.order)
+    if radius > limit:
+        raise ValueError(
+            f"a window of radius {radius} over F_(2^{fld.tau}) holds more "
+            f"than {MAX_WINDOW_VERTICES:,} vertices; the largest radius "
+            f"within that limit is {limit}")
 
 
 def enumerate_window(fld, radius: int) -> Window:

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from btbranch.defects import (KINDS, RAMIFIED_INSEP, RAMIFIED_SEP,
                               REDUCIBLE_INSEP, REDUCIBLE_SEP, UNRAMIFIED_SEP,
-                              as_defect, classify, quad_defect,
+                              DefectResult, Ideal, as_argument, as_defect,
+                              classified_roots, classify, quad_defect,
                               solve_artin_schreier, solve_quadratic)
-from btbranch.gf2 import field
-from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_mul,
-                             s_parse, s_random, s_square, s_truncate, s_val,
-                             s_zero, val_ge)
+from btbranch.gf2 import ff_artin_schreier_root, ff_sqrt, field
+from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
+                             s_monomial, s_mul, s_parse, s_random, s_square,
+                             s_truncate, s_val, s_zero, val_ge)
 
 F1 = field(1)
 F2 = field(2)
@@ -223,3 +224,133 @@ def test_quadratic_solver_returns_both_roots():
 def test_quadratic_solver_refuses_irreducible_input():
     assert solve_quadratic(s_parse(F1, "1"), s_parse(F1, "1")) is None
     assert solve_quadratic(s_parse(F1, "t"), s_parse(F1, "t")) is None
+
+
+# -- the Series-loop defect the packed reduction replaced: reference --
+
+def _ref_as_defect(a):
+    """as_defect as a loop of Series monomials and s_add."""
+    fld = a.field
+    h = s_zero(fld)
+    while True:
+        if a.looks_zero:
+            if a.is_exact or a.prec >= 1:
+                return DefectResult(Ideal.zero(), h, a)
+            raise UndeterminedAtPrecision(
+                f"series vanishes to precision {a.prec}; defect needs it mod t")
+        v = a.lead
+        if v > 0:
+            return DefectResult(Ideal.zero(), h, a)
+        u = a.coeff(v)
+        if v == 0:
+            c = ff_artin_schreier_root(fld, u)
+            if c is None:
+                return DefectResult(Ideal.of_val(0), h, a)
+            h = s_add(h, s_monomial(fld, 0, c))
+            a = s_add(a, s_monomial(fld, 0, u))
+            continue
+        if v % 2:
+            return DefectResult(Ideal.of_val(v), h, a)
+        s = -v // 2
+        step = s_monomial(fld, -s, ff_sqrt(fld, u))
+        h = s_add(h, step)
+        a = s_add(a, s_add(s_monomial(fld, v, u), step))
+
+
+def _lanes(x):
+    return None if x is None else (x.lead, x.bits, x.prec)
+
+
+def _exact_outcome(fn, *args):
+    """The result with every Series as (lead, bits, prec), or the
+    exception's class and message."""
+    try:
+        out = fn(*args)
+    except (ValueError, ZeroDivisionError, UndeterminedAtPrecision) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, DefectResult):
+        return out.ideal, _lanes(out.witness), _lanes(out.reduced)
+    if isinstance(out, tuple):
+        return tuple(map(_lanes, out))
+    return _lanes(out)
+
+
+@st.composite
+def _deep_poles(draw, tau):
+    """A series with poles down to t^-24, truncated anywhere from below
+    its lead to past its last term, or exact."""
+    fld = field(tau)
+    coeffs = draw(st.lists(st.integers(0, fld.order - 1), max_size=40))
+    lead = draw(st.integers(-24, 4))
+    prec = draw(st.one_of(st.none(),
+                          st.integers(lead - 2, lead + len(coeffs) + 2)))
+    return Series(fld, lead, coeffs, prec)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_as_defect_on_lanes_matches_the_series_loop(tau, deep, data):
+    a = data.draw(_deep_poles(tau) if deep else _artin_schreier_input(tau))
+    assert _exact_outcome(as_defect, a) == _exact_outcome(_ref_as_defect, a)
+
+
+@pytest.mark.parametrize("tau", [1, 2])
+def test_as_defect_on_lanes_matches_on_every_short_pole(tau):
+    # every 0/1 pattern of up to six terms from t^lead, lead -8..0, exact
+    # or cut anywhere from below the lead to past the last term; this
+    # takes in the steps whose new term lands exactly at the precision,
+    # and at tau 2 the constant term 1, which has an Artin-Schreier root
+    fld = field(tau)
+    for lead in range(-8, 1):
+        for pattern in range(1 << 6):
+            coeffs = [pattern >> i & 1 for i in range(6)]
+            for prec in (None, *range(lead - 1, lead + 8)):
+                a = Series(fld, lead, coeffs, prec)
+                assert (_exact_outcome(as_defect, a)
+                        == _exact_outcome(_ref_as_defect, a)), a
+
+
+_WORKING_PRECS = (*range(1, 10), 63, 64, 65, 100)
+
+
+@st.composite
+def _quadratic(draw, tau):
+    """(a, b) of X^2 + aX + b: the sum and product of two random roots,
+    or two random series; either may be truncated."""
+    fld = field(tau)
+    coeff = st.integers(0, fld.order - 1)
+
+    def element(lo, hi):
+        s = Series(fld, draw(st.integers(lo, hi)),
+                   draw(st.lists(coeff, max_size=8)))
+        prec = draw(st.one_of(st.none(), st.integers(-2, 70)))
+        return s if prec is None else s_truncate(s, prec)
+    if draw(st.booleans()):
+        r1, r2 = element(-3, 4), element(-3, 4)
+        return s_add(r1, r2), s_mul(r1, r2)
+    return element(-4, 4), element(-6, 6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(_WORKING_PRECS), st.data())
+def test_classified_roots_are_the_solved_roots(tau, wp, data):
+    a, b = data.draw(_quadratic(tau))
+    try:
+        m = classify(a, b, wp)
+    except UndeterminedAtPrecision:
+        return
+    assert (_exact_outcome(classified_roots, m, wp)
+            == _exact_outcome(solve_quadratic, a, b, wp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(_WORKING_PRECS), st.data())
+def test_the_defect_gives_back_the_series_classify_divided(tau, wp, data):
+    a, b = data.draw(_quadratic(tau))
+    try:
+        m = classify(a, b, wp)
+    except UndeterminedAtPrecision:
+        return
+    if m.separable:
+        assert (_lanes(as_argument(m.defect))
+                == _lanes(s_div(b, s_square(a), wp)))

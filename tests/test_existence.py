@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import btbranch.existence as existence
-from btbranch.existence import (DegenerateForm, algebra_spec,
+from btbranch.existence import (AlgebraSpec, DegenerateForm, algebra_spec,
                                 cyclic_presentation, decide, search_pair,
                                 search_zero_divisor, splits, verify_witness,
                                 _norm_form, _small_elements)
@@ -765,11 +765,13 @@ def test_searches_share_nothing_with_the_symbol():
     # no longer be independent evidence for the verdict of decide
     module = ast.parse(Path(existence.__file__).read_text())
     banned = {"decide", "splits", "cyclic_presentation", "_disc", "s_split",
-              "s_sqrt", "s_square", "defects"}
+              "s_sqrt", "s_square", "defects", "as_root", "classified_roots",
+              "as_argument", "_symbol_argument", "_classified_at",
+              "_working_prec"}
     for node in module.body:
         if isinstance(node, ast.ImportFrom) and node.module == "defects":
             banned.update(alias.asname or alias.name for alias in node.names)
-    assert "solve_quadratic" in banned
+    assert {"solve_quadratic", "classified_roots", "as_argument"} <= banned
     functions = {node.name: node for node in module.body
                  if isinstance(node, ast.FunctionDef)}
     for name in ("_norm_form", "_small_elements", "_base", "_packed",
@@ -847,3 +849,85 @@ def test_search_box_is_respected():
             hit = search(spec, lo, hi, 1)
             assert hit is not None
             assert all(_in_box(c, lo, hi) for c in hit), (lo, hi, hit)
+
+
+# roots and the symbol argument read off the classification
+
+_WORKING_PRECS = (*range(1, 10), 63, 64, 65, 100)
+
+
+def _lanes(x):
+    return x.lead, x.bits, x.prec
+
+
+def _decided(spec, working_prec):
+    """decide's verdict with every witness entry as (lead, bits, prec),
+    or the exception's class and message."""
+    try:
+        v = decide(spec, working_prec)
+    except (ValueError, ZeroDivisionError, UndeterminedAtPrecision) as exc:
+        return type(exc), str(exc)
+    witness = None if v.witness is None else [
+        _lanes(x) for q in v.witness for x in (q.a, q.b, q.c, q.d)]
+    return v.exists, v.matched_condition, v.commutative_note, witness
+
+
+def _presented(spec):
+    try:
+        return tuple(map(_lanes, cyclic_presentation(spec)))
+    except (ValueError, DegenerateForm, UndeterminedAtPrecision) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_WORKING_PRECS), st.booleans(), st.data())
+def test_decide_reads_off_the_classification_what_it_solved(wp, cut, data):
+    coeffs, _, _ = _coefficients(data.draw, (1, 2, 3))
+    if cut:
+        coeffs = [s_truncate(c, data.draw(st.integers(1, 70)))
+                  if data.draw(st.booleans()) else c for c in coeffs]
+    try:
+        spec = algebra_spec(*coeffs, wp)
+    except UndeterminedAtPrecision:
+        assume(False)
+    # the same datum with no recorded precision solves as before
+    unrecorded = AlgebraSpec(spec.lam, spec.m1, spec.m2)
+    assert _decided(spec, wp) == _decided(unrecorded, wp)
+    assert _presented(spec) == _presented(unrecorded)
+
+
+def test_the_classifying_precision_is_kept_and_invisible():
+    spec = _spec("t", "1", "t", "t", "1 + t")
+    unrecorded = AlgebraSpec(spec.lam, spec.m1, spec.m2)
+    assert existence._classified_at(spec, 64)
+    assert not existence._classified_at(spec, 32)
+    assert not existence._classified_at(unrecorded, 64)
+    assert spec == unrecorded and hash(spec) == hash(unrecorded)
+    assert repr(spec) == repr(unrecorded)
+
+
+def test_decide_solves_only_what_was_classified_elsewhere(monkeypatch):
+    solved = []
+    solve = existence.solve_quadratic
+
+    def counting(*args):
+        solved.append(args)
+        return solve(*args)
+    monkeypatch.setattr(existence, "solve_quadratic", counting)
+    spec = _spec("t", "1", "t", "t", "1 + t")  # m1 = X^2 + X + t splits
+    assert spec.m1.reducible
+    at_64 = decide(spec, 64)
+    assert solved == []
+    at_32 = decide(spec, 32)
+    assert len(solved) == 1
+    assert at_64.matched_condition == at_32.matched_condition == "i"
+
+
+def test_the_symbol_argument_is_not_divided_again(monkeypatch):
+    spec = _spec("0", "1", "t", "0", "t")  # the division datum
+    want = _presented(AlgebraSpec(spec.lam, spec.m1, spec.m2))
+
+    def refuse(*args):
+        raise AssertionError("divided b by a^2 again")
+    monkeypatch.setattr(existence, "s_div", refuse)
+    assert _presented(spec) == want

@@ -9,18 +9,21 @@ from hypothesis import given, settings, strategies as st
 
 from btbranch.defects import (QuadPoly, RAMIFIED_INSEP, RAMIFIED_SEP,
                               REDUCIBLE_INSEP, REDUCIBLE_SEP, UNRAMIFIED_SEP,
-                              classify)
+                              classify, solve_quadratic)
 from btbranch.gf2 import field
-from btbranch.geometry import (_val_sum_capped, HalfInt, INF, InfiniteFoliage, NEG_INF,
-                               ProjPoint, SharedMaxPath, SharedRay, ThickLine,
+from btbranch.geometry import (_commute, _val_sum_capped, HalfInt, INF,
+                               InfiniteFoliage, NEG_INF, ProjPoint,
+                               SharedMaxPath, SharedRay, ThickLine,
                                TWO_INF, branch_shape, check_agreement,
                                Disjoint, dist_to_path, fake_distance,
                                FoliageContained, FoliageMeet, Overlap,
                                predict_relpos, shape_member, shape_members,
                                stem_length_of_kind)
-from btbranch.mat2 import (Mat2, PairConfig, companion, m_conj, make_pair)
-from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_one,
-                             s_parse, s_val, s_zero)
+from btbranch.mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix,
+                           companion, m_add, m_conj, m_mul, make_pair,
+                           min_poly)
+from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_inv,
+                             s_mul, s_one, s_parse, s_truncate, s_val, s_zero)
 from btbranch.tree import (MeasuredShape, Vertex, enumerate_window,
                            measure_intersection, oracle_branch, tree_distance)
 
@@ -397,3 +400,101 @@ def test_renders_name_the_configuration():
     assert "maximal" in SharedMaxPath().render()
     assert "edge stem" in FoliageMeet(3, 1, True).render()
     assert "contains" in FoliageContained().render()
+
+
+# ends of a split matrix read off its classification
+
+_WORKING_PRECS = (*range(1, 10), 63, 64, 65, 100)
+
+
+@st.composite
+def _split_matrix(draw, tau):
+    """A matrix with C = 1 and A D = 0 and minimal polynomial
+    (X + r1)(X + r2), r1 and r2 integral and either one possibly
+    truncated: the companion [[0, b], [1, a]] or [[a, b], [1, 0]]."""
+    fld = field(tau)
+    coeff = st.integers(0, fld.order - 1)
+
+    def root():
+        s = Series(fld, draw(st.integers(0, 3)),
+                   draw(st.lists(coeff, max_size=8)))
+        prec = draw(st.one_of(st.none(), st.integers(0, 70)))
+        return s if prec is None else s_truncate(s, prec)
+    r1, r2 = root(), root()
+    a, b = s_add(r1, r2), s_mul(r1, r2)
+    if draw(st.booleans()):
+        return companion(a, b)
+    return Mat2(a, b, s_one(fld), s_zero(fld))
+
+
+def _lanes(x):
+    return x.lead, x.bits, x.prec
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(_WORKING_PRECS), st.data())
+def test_split_ends_are_the_solved_fixed_points(tau, wp, data):
+    q = data.draw(_split_matrix(tau))
+    try:
+        m = min_poly(q, wp)
+        shape = branch_shape(q, wp)
+    except (UndeterminedAtPrecision, ScalarMatrix, NonIntegral):
+        return
+    if m.kind != REDUCIBLE_SEP:
+        return
+    y = s_inv(q.c, wp)
+    want = solve_quadratic(s_mul(m.a, y), s_mul(q.b, y), wp)
+    assert [_lanes(e.value) for e in shape.ends] == list(map(_lanes, want))
+
+
+def test_companion_ends_are_not_solved_again(monkeypatch):
+    import btbranch.geometry as geometry
+
+    def refuse(*args):
+        raise AssertionError("solved a quadratic the classification holds")
+    q = companion(_p("t + t^2"), _p("t^3"))  # (X + t)(X + t^2)
+    monkeypatch.setattr(geometry, "solve_quadratic", refuse)
+    shape = branch_shape(q, 64)
+    assert [e.render() for e in shape.ends] == ["t^2 (mod t^65)",
+                                                "t (mod t^65)"]
+    # a general matrix still solves its own fixed-point quadratic
+    with pytest.raises(AssertionError, match="solved a quadratic"):
+        branch_shape(Mat2(_p("t"), _p("t^3"), _p("t"), _p("t^2")), 64)
+
+
+# commutation from the three combinations that survive in characteristic 2
+
+def _commute_by_products(q1, q2):
+    """The test predict_relpos made before: build q1 q2 + q2 q1 and ask
+    whether every entry is exactly zero."""
+    c = m_add(m_mul(q1, q2), m_mul(q2, q1))
+    return all(x.is_zero for x in (c.a, c.b, c.c, c.d))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_commutation_from_three_combinations(tau, data):
+    fld = field(tau)
+    coeff = st.integers(0, fld.order - 1)
+
+    def element():
+        return Series(fld, data.draw(st.integers(-2, 2)),
+                      data.draw(st.lists(coeff, max_size=4)))
+    q1 = Mat2(*(element() for _ in range(4)))
+    if data.draw(st.booleans()):
+        # x + y q1 commutes with q1
+        x, y = element(), element()
+        q2 = m_add(Mat2(x, s_zero(fld), s_zero(fld), x),
+                   Mat2(*(s_mul(y, e) for e in (q1.a, q1.b, q1.c, q1.d))))
+    else:
+        q2 = Mat2(*(element() for _ in range(4)))
+    assert _commute(q1, q2) == _commute_by_products(q1, q2)
+
+
+def test_truncated_diagonals_commute():
+    # two diagonal matrices commute; the product test saw a1 a2 + a2 a1
+    # as zero only mod t^5 and so called them non-commuting
+    q1 = Mat2(_p("1 + t (mod t^5)"), _p("0"), _p("0"), _p("t"))
+    q2 = Mat2(_p("t^2"), _p("0"), _p("0"), _p("1"))
+    assert _commute(q1, q2)
+    assert not _commute_by_products(q1, q2)

@@ -25,6 +25,13 @@ PINNED = [
      "0c751179e9c56a29c1fd4a22da0418be22b18addaede62f8a117623076424dd9"),
     (dict(seed=5, tau=3, count=5, radius=4),
      "2c0a0f743b078692d55f806aa240dbb8b15cbd602374e60e1b4b6a86d91c6611"),
+    # the invariant digests ROADMAP.md quotes for the larger runs
+    (dict(seed=7, count=500),
+     "1fc4163d0b9ea7520c2dc2b87bbdee2158e15caec2f0c7a6d9b77f1fb6f58fae"),
+    (dict(seed=3, tau=2, count=50, radius=5),
+     "8d99bcacb978f702772da7528ff19d1651ae22874ce88566b8b55840af782ea9"),
+    (dict(seed=5, tau=3, count=20, radius=4),
+     "05e5b3214aa9cb0953af24a6d279d9697b34aad3b38b56f61ee1ebb0a07daeb2"),
 ]
 
 

@@ -313,7 +313,7 @@ def test_an_out_of_range_flag_is_a_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["oracle", "[[0,1],[0,0]]", "[[t,1],[t^2,t]]", "--radius", "30"],
-    ["selftest", "--tau", "3"],  # the default radius 8: 21,570,706 vertices
+    ["selftest", "--tau", "3", "--radius", "8"],  # 21,570,706 vertices
     ["selftest", "--radius", "1000000000", "--count", "1"],
     ["branch", "[[0,0],[1,1]]", "--tau", "16", "--radius", "2", "--dot"],
 ], ids=["oracle-r30", "selftest-tau3", "selftest-r1e9", "branch-tau16"])
@@ -329,6 +329,32 @@ def test_a_window_too_large_to_build_is_refused_at_once(capsys, tmp_path,
     assert err.startswith("error: a window of radius ")
     assert "holds more than 400,000 vertices" in err
     assert "Traceback" not in err
+
+
+def _ball(q, r):
+    """Vertices within r of a vertex of the (q + 1)-regular tree."""
+    return 1 + sum((q + 1) * q ** (k - 1) for k in range(1, r + 1))
+
+
+def test_the_default_radius_is_8_where_its_window_fits(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a window")
+    monkeypatch.setattr(tree, "enumerate_window", refuse)
+    monkeypatch.setattr(cli, "enumerate_window", refuse)
+    got = [cli.default_radius(tau) for tau in range(1, 17)]
+    assert got == [8, 8, 6, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1]
+    for tau, r in enumerate(got, 1):
+        q = 2 ** tau
+        assert _ball(q, r) <= tree.MAX_WINDOW_VERTICES
+        assert r == 8 or _ball(q, r + 1) > tree.MAX_WINDOW_VERTICES
+
+
+def test_a_bare_selftest_runs_from_tau_3_up(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["selftest", "--tau", "4", "--count", "1"])
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    assert out.startswith("selftest seed=7 tau=4 radius=4 ")
 
 
 def test_branch_reads_the_radius_only_for_its_dot_file(capsys):

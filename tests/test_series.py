@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from btbranch import gf2
 from btbranch.gf2 import ff_inv, ff_mul, ff_sqrt, field
-from btbranch.series import (Series, UndeterminedAtPrecision, _ones,
-                             _square_bits, s_add, s_div, s_from_terms, s_inv,
-                             s_monomial, s_mul, s_one, s_parse, s_random,
-                             s_render, s_split, s_sqrt, s_square, s_truncate,
-                             s_val, s_zero, val_ge)
+from btbranch.series import (Series, UndeterminedAtPrecision, _clmul, _make,
+                             _ones, _square_bits, _unpack, s_add, s_div,
+                             s_from_terms, s_inv, s_monomial, s_mul, s_one,
+                             s_parse, s_random, s_render, s_split, s_sqrt,
+                             s_square, s_truncate, s_val, s_zero, val_ge)
 
 F1 = field(1)
 F2 = field(2)
@@ -509,3 +509,77 @@ def test_square_bits_matches_the_byte_table_spread(tau, width, data):
 def test_square_bits_spreads_past_the_int_string_digit_limit():
     x = (1 << 20000) - 1  # 20,000 binary digits, above the 4,300 limit
     assert _square_bits(F1, x) == _ref_square_bits(F1, x)
+
+
+# -- the unseeded Newton inverse the t^8 table replaced: reference --
+
+def _ref_unseeded_inv(a, working_prec=64):
+    """s_inv before its tau-1 Newton iteration was seeded: six doublings
+    from x = 1 to 64 terms.  The tau >= 2 recurrence is as before."""
+    fld, u = a.field, a.bits
+    if not u:
+        if a.prec is None:
+            raise ZeroDivisionError("inverse of the zero series")
+        raise UndeterminedAtPrecision("inverse of a series that is 0 to known precision")
+    w = fld.tau
+    if a.prec is None and not u >> w:
+        return _make(fld, -a.lead, ff_inv(fld, u), None)
+    rel = working_prec if a.prec is None else min(a.prec - a.lead, working_prec)
+    if w == 1:
+        u &= (1 << rel) - 1
+        x = known = 1
+        while known < rel:
+            known = min(2 * known, rel)
+            mask = (1 << known) - 1
+            x = _clmul(_square_bits(fld, x) & mask, u) & mask
+        return _make(fld, -a.lead, x, -a.lead + rel)
+    log, exp = fld.tables
+    lanes = _unpack(u, w)
+    log_c0 = log[ff_inv(fld, lanes[0])]
+    logs_u = [(i, log[c]) for i, c in enumerate(lanes[1:rel], 1) if c]
+    out = [0] * rel
+    out[0] = x = exp[log_c0]
+    for k in range(1, rel):
+        acc = 0
+        for i, li in logs_u:
+            if i > k:
+                break
+            y = out[k - i]
+            if y:
+                acc ^= exp[li + log[y]]
+        if acc:
+            out[k] = c = exp[log_c0 + log[acc]]
+            x |= c << k * w
+    return _make(fld, -a.lead, x, -a.lead + rel)
+
+
+_WORKING_PRECS = (*range(1, 10), 63, 64, 65, 100)
+
+
+def _bits_outcome(op, *args):
+    """(lead, bits, prec) of op's result, or its exception's class and
+    message."""
+    try:
+        out = op(*args)
+    except (ValueError, ZeroDivisionError, UndeterminedAtPrecision) as exc:
+        return type(exc), str(exc)
+    return out.lead, out.bits, out.prec
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(_WORKING_PRECS), st.data())
+def test_seeded_inverse_matches_the_unseeded_newton(tau, wp, data):
+    a = _lanes_crossing_64_bits(field(tau), data)
+    assert (_bits_outcome(s_inv, a, wp)
+            == _bits_outcome(_ref_unseeded_inv, a, wp))
+
+
+@pytest.mark.parametrize("wp", _WORKING_PRECS)
+def test_seeded_inverse_matches_on_every_ten_bit_unit(wp):
+    # every residue of a unit mod t^10, so every seed entry, exact and
+    # truncated at t^9
+    for u in range(1, 1 << 10, 2):
+        for prec in (None, 9):
+            a = Series(F1, -2, [u >> i & 1 for i in range(10)], prec)
+            assert (_bits_outcome(s_inv, a, wp)
+                    == _bits_outcome(_ref_unseeded_inv, a, wp)), (u, prec)
