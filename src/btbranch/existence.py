@@ -17,9 +17,10 @@ n = (1, b1, b2, b1 b2) on the squares and p_01 = a1, p_02 = a2, p_03 =
 lambda + a1 a2, p_12 = lambda, p_13 = a2 b1, p_23 = a1 b2 on the cross
 terms.  Its Pfaffian p_01 p_23 + p_02 p_13 + p_03 p_12 is Delta.  They
 enumerate: solving the form for a root would be the Artin-Schreier
-question decide answers.  Everything that does not depend on the
-candidate is built once, so each candidate is tested with table
-lookups, shifts and XORs of packed ints.
+question decide answers.  What depends only on the datum is built once
+per datum and kept on it (AlgebraSpec.search_tables), the rest that
+does not depend on the candidate once per search, so each candidate is
+tested with table lookups, shifts and XORs of packed ints.
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from operator import xor
+from typing import NamedTuple
 
 from .defects import (QuadPoly, as_argument, classified_roots, classify,
                       solve_quadratic)
 from .gf2 import ff_trace
 from .mat2 import (Mat2, discriminant_params, is_scalar, m_add, m_mul,
                    m_scalar, m_scale, sym_product)
-from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
-                     s_div, s_from_terms, s_mul, s_one, s_parse, s_split,
+from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _make,
+                     _ones, s_add, s_div, s_mul, s_one, s_parse, s_split,
                      s_square, s_zero)
 
 
@@ -54,6 +57,12 @@ class AlgebraSpec:
         """Delta of the datum, computed on first read and kept."""
         return discriminant_params(self.m1.a, self.m1.b,
                                    self.m2.a, self.m2.b, self.lam)
+
+    @cached_property
+    def search_tables(self) -> SearchTables:
+        """The norm-form tables both searches read, built on first read
+        and kept, like disc."""
+        return _search_tables(self)
 
 
 def algebra_spec(lam: Series, a1: Series, b1: Series, a2: Series,
@@ -151,11 +160,22 @@ def splits(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> bool:
 # every value they compare is an exact Laurent polynomial laid out on one
 # common base exponent, so a sum is an XOR and a candidate hits exactly
 # when the XOR of its terms is 0.  Each coefficient c of the norm form is
-# scaled by every residue-field unit once per datum; a term c u v is then
-# one of those copies shifted into place per pair of terms of u and v,
-# and c u^2 is the same product with v = u, never a Frobenius.
+# scaled by every residue-field unit once per datum, in the tables both
+# searches read; a term c u v is then one of those copies shifted into
+# place per pair of terms of u and v, and c u^2 is the same product with
+# v = u, never a Frobenius.  A box element is a list of its terms
+# (log c, lane offset); only the coordinates a search returns become
+# series.
 
 _PLANES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+#: the most candidates one search may test; a larger box is refused
+#: before anything is built
+MAX_SEARCH_CANDIDATES = 2_000_000
+
+
+class SearchBoxTooLarge(ValueError):
+    """The box holds more candidates than MAX_SEARCH_CANDIDATES."""
 
 
 def _norm_form(spec: AlgebraSpec):
@@ -173,24 +193,43 @@ def _norm_form(spec: AlgebraSpec):
     return n, p
 
 
-def _small_elements(fld, lo, hi, max_terms=2):
-    """All series with at most max_terms terms supported on lo..hi."""
-    exps = range(lo, hi + 1)
-    coeffs = range(1, fld.order)
-    yield s_zero(fld)
-    for n in range(1, max_terms + 1):
-        for pos in itertools.combinations(exps, n):
-            for cs in itertools.product(coeffs, repeat=n):
-                yield s_from_terms(fld, dict(zip(pos, cs)))
+class SearchTables(NamedTuple):
+    """What both searches read of one datum; none of it depends on the box.
 
-
-def _base(n, p, lo: int) -> int:
-    """The exponent of lane 0 of every packed value of a search.
-
-    Each term is a coefficient times t^(e1 + e2) with e1, e2 >= lo, so
-    none starts below the lowest lead of a nonzero coefficient plus 2 lo.
+    n and p are the norm form.  Every row is packed on low, the lowest
+    lead of a nonzero coefficient, which no term c t^e of a coefficient
+    starts below: a product with u and v on a box lo..hi then starts at
+    low + 2 lo or above, the base of every value a search compares.
+    n_rows[i] and p_rows[i, j] are the unit-scaled rows of n_i and p_ij
+    (see _unit_rows).  planes[u_in, v_in] lists (i, j, p_rows[i, j]) for
+    the planes on which u B_i + v B_j can hit, by which of u and v are
+    nonzero: a term with a zero coordinate is left out, and one with an
+    inexact coefficient is never exact.
     """
-    return min(c.lead for c in (*n, *p.values()) if c.bits) + 2 * lo
+
+    n: list[Series]
+    p: dict[tuple[int, int], Series]
+    low: int
+    n_rows: list[list[int]]
+    p_rows: dict[tuple[int, int], list[int]]
+    planes: dict[tuple[bool, bool], list[tuple[int, int, list[int]]]]
+
+
+def _search_tables(spec: AlgebraSpec) -> SearchTables:
+    """The tables of spec's datum; AlgebraSpec.search_tables keeps them."""
+    n, p = _norm_form(spec)
+    low = min(c.lead for c in (*n, *p.values()) if c.bits)
+    rows = _unit_rows((*n, *(p[ij] for ij in _PLANES)), low)
+    n_rows = rows[:4]
+    p_rows = dict(zip(_PLANES, rows[4:]))
+    every = [(i, j, p_rows[i, j]) for i, j in _PLANES]
+    planes = {}
+    for u_in, v_in in ((True, True), (True, False), (False, True)):
+        planes[u_in, v_in] = [
+            (i, j, row) for i, j, row in every
+            if (n[i].is_exact or not u_in) and (n[j].is_exact or not v_in)
+            and (p[i, j].is_exact or not (u_in and v_in))]
+    return SearchTables(n, p, low, n_rows, p_rows, planes)
 
 
 def _packed(a: Series, base: int) -> int:
@@ -198,33 +237,90 @@ def _packed(a: Series, base: int) -> int:
     return a.bits << (a.lead - base) * a.field.tau if a.bits else 0
 
 
-def _terms(a: Series, lo: int):
-    """The terms c t^e of a, as (log c, the lane offset (e - lo) tau)."""
-    fld = a.field
-    log = fld.tables[0]
-    return [(log[c], (e - lo) * fld.tau) for e, c in a.terms()]
+def _unit_rows(coeffs, low: int) -> list[list[int]]:
+    """For each coefficient c, exp[k] c packed on low, for k over two
+    periods of the log table, so that a sum of two logs indexes it.
 
-
-def _scalings(coeff: Series, base: int, lo: int):
-    """exp[k] coeff packed on base - 2 lo, for k over two periods of the
-    log table, so that a sum of two logs indexes it.
-
-    exp[k] c is exp[k + log c], one lookup per term c t^e of coeff.
+    Row 0 is c itself, and row k + 1 is row k times w = exp[1], lane by
+    lane: with x_j bit j of a lane x, w x = sum_j x_j (w g^j), so one
+    masked multiply per bit of a lane scales every lane at once.  w is
+    the table's primitive element, which g need not be.
     """
-    exp = coeff.field.tables[1]
-    terms = _terms(coeff, base - 2 * lo)
-    row = []
-    for k in range(coeff.field.order - 1):
-        x = 0
-        for kc, h in terms:
-            x ^= exp[k + kc] << h
-        row.append(x)
-    return row + row
+    fld = coeffs[0].field
+    log, exp = fld.tables
+    tau = fld.tau
+    w_g = [(j, exp[1 + log[1 << j]]) for j in range(tau)]
+    packed = [_packed(c, low) for c in coeffs]
+    ones = _ones(max(packed).bit_length(), tau)
+    out = []
+    for x in packed:
+        row = [x]
+        if x:
+            for _ in range(fld.order - 2):
+                y = 0
+                for j, c in w_g:
+                    y ^= (x >> j & ones) * c
+                row.append(y)
+                x = y
+        else:
+            row *= fld.order - 1
+        out.append(row + row)
+    return out
+
+
+def _box_size(fld, lo: int, hi: int, max_terms: int) -> int:
+    """How many series have at most max_terms terms on lo..hi, counted
+    up to the first partial sum above MAX_SEARCH_CANDIDATES."""
+    width = max(hi - lo + 1, 0)
+    size = 0
+    for k in range(min(max_terms, width) + 1):
+        size += comb(width, k) * (fld.order - 1) ** k
+        if size > MAX_SEARCH_CANDIDATES:
+            break
+    return size
+
+
+def _refuse_over_limit(candidates: int, fld, lo: int, hi: int,
+                       max_terms: int) -> None:
+    if candidates > MAX_SEARCH_CANDIDATES:
+        raise SearchBoxTooLarge(
+            f"a search box {lo},{hi} over F_(2^{fld.tau}) with max_terms "
+            f"{max_terms} holds more than {MAX_SEARCH_CANDIDATES:,} "
+            "candidates")
+
+
+def _box_terms(fld, lo: int, hi: int, max_terms: int):
+    """Every series with at most max_terms terms on lo..hi, as the list
+    of its terms c t^e, (log c, the lane offset (e - lo) tau): zero
+    first, then by number of terms, positions and coefficients."""
+    log = fld.tables[0]
+    logs = [log[c] for c in range(1, fld.order)]
+    offsets = [(e - lo) * fld.tau for e in range(lo, hi + 1)]
+    box = [[]]
+    for n in range(1, min(max_terms, len(offsets)) + 1):
+        for pos in itertools.combinations(offsets, n):
+            for ks in itertools.product(logs, repeat=n):
+                box.append(list(zip(ks, pos)))
+    return box
+
+
+def _lanes(exp, terms) -> int:
+    """A box element from its terms, packed on lo."""
+    x = 0
+    for k, h in terms:
+        x ^= exp[k] << h
+    return x
+
+
+def _element(fld, lo: int, terms) -> Series:
+    """The series of a box element from its terms."""
+    return _make(fld, lo, _lanes(fld.tables[1], terms), None)
 
 
 def _cross(scalings, u_terms, v_terms) -> int:
-    """coeff u v packed on base, from _scalings(coeff) and the _terms of u
-    and v: one lookup, shift and XOR per pair of terms."""
+    """coeff u v packed on the search's base, from the unit-scaled row of
+    coeff and the terms of u and v: one lookup, shift and XOR per pair of
+    terms."""
     x = 0
     for ku, hu in u_terms:
         for kv, hv in v_terms:
@@ -251,40 +347,34 @@ def search_zero_divisor(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     (B_i, B_j), n_i u^2 + p_ij u v + n_j v^2.  The four n_i u^2 are
     built once per element u, so a candidate costs, per plane, one XOR
     of packed ints and one lookup, shift and XOR per pair of terms of u
-    and v (one pair at max_terms = 1).  A term with a zero coordinate is
-    left out; one with an inexact coefficient is never exact, so no plane
-    that keeps it can hit.  Exhausting the box proves nothing.
+    and v (one pair at max_terms = 1).  Only the planes of
+    spec.search_tables that can hit are tested.  Exhausting the box
+    proves nothing; a box of more than MAX_SEARCH_CANDIDATES (u, v,
+    plane) raises SearchBoxTooLarge.
     """
-    n, p = _norm_form(spec)
     fld = spec.lam.field
-    base = _base(n, p, lo)
-    n_scaled = [_scalings(c, base, lo) for c in n]
-    p_scaled = {ij: _scalings(p[ij], base, lo) for ij in _PLANES}
+    size = _box_size(fld, lo, hi, max_terms)
+    _refuse_over_limit(len(_PLANES) * size * size, fld, lo, hi, max_terms)
+    tables = spec.search_tables
     elements = []
-    for u in _small_elements(fld, lo, hi, max_terms):
-        terms = _terms(u, lo)
-        squares = [_cross(row, terms, terms) for row in n_scaled]
-        elements.append((u, terms, squares))
-    # the planes that can hit, by which of u and v are nonzero
-    live = {}
-    for u_in, v_in in ((True, True), (True, False), (False, True)):
-        live[u_in, v_in] = [
-            (i, j, p_scaled[i, j]) for i, j in _PLANES
-            if (n[i].is_exact or not u_in) and (n[j].is_exact or not v_in)
-            and (p[i, j].is_exact or not (u_in and v_in))]
-    for u, u_terms, u_squares in elements:
-        for v, v_terms, v_squares in elements:
+    for terms in _box_terms(fld, lo, hi, max_terms):
+        squares = [_cross(row, terms, terms) for row in tables.n_rows]
+        elements.append((terms, squares))
+    planes = tables.planes
+    for u_terms, u_squares in elements:
+        for v_terms, v_squares in elements:
             if not (u_terms or v_terms):
                 continue
             pairs = [(ku + kv, hu + hv) for ku, hu in u_terms
                      for kv, hv in v_terms]
-            for i, j, scaled in live[bool(u_terms), bool(v_terms)]:
+            for i, j, scaled in planes[bool(u_terms), bool(v_terms)]:
                 x = u_squares[i] ^ v_squares[j]
                 for k, h in pairs:
                     x ^= scaled[k] << h
                 if not x:
                     coords = [s_zero(fld)] * 4
-                    coords[i], coords[j] = u, v
+                    coords[i] = _element(fld, lo, u_terms)
+                    coords[j] = _element(fld, lo, v_terms)
                     return tuple(coords)
     return None
 
@@ -298,32 +388,45 @@ def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     and e = y Q1 + w Q2.  On the plane (1, e) the norm form reads
     s^2 + c s + k with c = p_01 y + p_02 w and k = nrd(e), so each
     distinct s is tested once per (y, w), against the first (x, z) in
-    the box that sums to it.  s^2 + p_01 y s and p_02 w s are built once
-    per element and sum, b_1 y^2 and b_2 w^2 once per element, and k
-    once per (y, w), so a candidate costs one XOR and one comparison of
-    packed ints.  The comparison stays exact: with k inexact nothing
-    hits, and with c inexact only s = 0 can.
+    the box that sums to it; its terms are read off the packed sum.
+    s^2 + p_01 y s and p_02 w s are built once per element and sum,
+    b_1 y^2 and b_2 w^2 once per element, and k once per (y, w), so a
+    candidate costs one XOR and one comparison of packed ints.  The
+    comparison stays exact: with k inexact nothing hits, and with c
+    inexact only s = 0 can.  A box of more than MAX_SEARCH_CANDIDATES
+    ((y, w), s) raises SearchBoxTooLarge.
     """
-    n, p = _norm_form(spec)
+    fld = spec.lam.field
+    size = _box_size(fld, lo, hi, max_terms)
+    sums_size = _box_size(fld, lo, hi, 2 * max_terms)
+    _refuse_over_limit((size - 1) ** 2 * sums_size, fld, lo, hi, max_terms)
+    tables = spec.search_tables
+    n, p = tables.n, tables.p
     if not (n[1].is_exact and n[2].is_exact and p[1, 2].is_exact):
         return None  # k = b1 y^2 + lambda y w + b2 w^2 is never exact
-    fld = spec.lam.field
-    base = _base(n, p, lo)
-    pool = list(_small_elements(fld, lo, hi, max_terms))
-    zero = pool[0]
+    log, exp = fld.tables
+    tau = fld.tau
+    mask = (1 << tau) - 1
+    pool = _box_terms(fld, lo, hi, max_terms)
+    packed = [_lanes(exp, terms) for terms in pool]
     first = {}
-    packed = [_packed(x, lo) for x in pool]
-    for (x, px), (z, pz) in itertools.product(zip(pool, packed), repeat=2):
-        first.setdefault(px ^ pz, (x, z))
-    one, b1, b2, p01, p02, p12 = (
-        _scalings(c, base, lo)
-        for c in (n[0], n[1], n[2], p[0, 1], p[0, 2], p[1, 2]))
+    for x, px in enumerate(packed):
+        for z, pz in enumerate(packed):
+            first.setdefault(px ^ pz, (x, z))
+    one, b1, b2 = tables.n_rows[:3]
+    p01, p02, p12 = (tables.p_rows[ij] for ij in ((0, 1), (0, 2), (1, 2)))
     sums = []
-    for x, z in itertools.islice(first.values(), 1, None):  # s = 0 first
-        s_terms = _terms(s_add(x, z), lo)
-        sums.append((_cross(one, s_terms, s_terms), s_terms, (x, z)))
-    nonzero = pool[1:]
-    terms = [_terms(y, lo) for y in nonzero]
+    for s, xz in itertools.islice(first.items(), 1, None):  # s = 0 first
+        s_terms = []
+        h = 0
+        while s:
+            c = s & mask
+            if c:
+                s_terms.append((log[c], h))
+            s >>= tau
+            h += tau
+        sums.append((_cross(one, s_terms, s_terms), s_terms, xz))
+    terms = pool[1:]
     b1_squares = [_cross(b1, t, t) for t in terms]
     b2_squares = [_cross(b2, t, t) for t in terms]
     if p[0, 1].is_exact and p[0, 2].is_exact:
@@ -332,17 +435,20 @@ def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
                   for t in terms]
         rows_w = [[_cross(p02, t, st) for _, st, _ in sums] for t in terms]
     else:  # c is inexact: only s = 0 can hit
-        rows_y = rows_w = [[]] * len(nonzero)
-    for y, y_terms, b1yy, row_y in zip(nonzero, terms, b1_squares, rows_y):
-        for w, w_terms, b2ww, row_w in zip(nonzero, terms, b2_squares,
-                                           rows_w):
+        rows_y = rows_w = [[]] * len(terms)
+    for y_terms, b1yy, row_y in zip(terms, b1_squares, rows_y):
+        for w_terms, b2ww, row_w in zip(terms, b2_squares, rows_w):
             k = b1yy ^ b2ww ^ _cross(p12, y_terms, w_terms)
             if not k:
-                return (zero, y, zero, w)
-            hit = _first_root(row_y, row_w, k)
-            if hit is not None:
-                x, z = sums[hit][2]
-                return (x, y, z, w)
+                xz = (0, 0)
+            else:
+                hit = _first_root(row_y, row_w, k)
+                if hit is None:
+                    continue
+                xz = sums[hit][2]
+            x, z = (_element(fld, lo, pool[i]) for i in xz)
+            return (x, _element(fld, lo, y_terms), z,
+                    _element(fld, lo, w_terms))
     return None
 
 

@@ -3,7 +3,8 @@
 A suite that cannot fail proves nothing.  Each test here puts one mutant
 in place of a function the self-test reaches, by monkeypatching a module
 name, runs a cheap fixed-seed self-test and requires at least one
-mismatch or disagreement in the suite that owns the mutant.  No file of
+mismatch or disagreement in the suite that owns the mutant.  Every
+mutant the tau-1 run kills must also fail a run over F_4.  No file of
 the package is changed.
 
 The membership mutants are copies of the Series reference of
@@ -27,8 +28,10 @@ from btbranch.defects import Ideal
 from btbranch.geometry import (FoliageContained, FoliageMeet, Overlap,
                                SharedMaxPath, SharedRay, ThickLine)
 from btbranch.series import s_add, s_mul, val_ge
+from btbranch.tree import Vertex
 
 RUN = dict(seed=7, count=100)
+RUN_TAU_2 = dict(seed=3, tau=2, count=40, radius=4)
 
 
 def _series_member(quad_shift=0, bound_c=True):
@@ -55,6 +58,12 @@ def test_the_unedited_copy_reproduces_the_report(monkeypatch):
     assert selftest.run_selftest(**RUN).render() == want
 
 
+def test_the_unedited_copy_reproduces_the_tau_2_report(monkeypatch):
+    want = selftest.run_selftest(**RUN_TAU_2).render()
+    monkeypatch.setattr(tree, "member", _series_member())
+    assert selftest.run_selftest(**RUN_TAU_2).render() == want
+
+
 # Dropping val(cz + d) >= 0 is no mutant: on trace-integral input that
 # bound follows from the one on a + cz, and the run does not change.
 @pytest.mark.parametrize("edit", [dict(quad_shift=1), dict(quad_shift=-1),
@@ -73,15 +82,33 @@ def _deeper(shape):
     return dataclasses.replace(shape, level=shape.level + 1)
 
 
-def test_branch_shape_mutant_is_killed(monkeypatch):
+def _stem_moved(shape):
+    """A vertex or edge stem moved one step, each of its vertices to the
+    child with the same center; other shapes as they are."""
+    if isinstance(shape, ThickLine) and shape.stem:
+        return dataclasses.replace(shape, stem=tuple(
+            Vertex(v.r + 1, v.center) for v in shape.stem))
+    return shape
+
+
+def _edited_shape(edit):
     real = selftest.branch_shape
-    monkeypatch.setattr(selftest, "branch_shape",
-                        lambda q, prec: _deeper(real(q, prec)))
+    return lambda q, prec: edit(real(q, prec))
+
+
+def test_branch_shape_mutant_is_killed(monkeypatch):
+    monkeypatch.setattr(selftest, "branch_shape", _edited_shape(_deeper))
     assert selftest.run_selftest(**RUN).branch_mismatched >= 1
 
 
-@pytest.mark.parametrize("name", ["as_defect", "quad_defect"])
-def test_defect_mutants_are_killed(monkeypatch, name):
+def test_stem_moved_branch_shape_mutant_is_killed(monkeypatch):
+    monkeypatch.setattr(selftest, "branch_shape", _edited_shape(_stem_moved))
+    assert selftest.run_selftest(**RUN).branch_mismatched >= 1
+
+
+def _off_by_one(name):
+    """The defect map ``name`` with the valuation of each nonzero ideal
+    one too large."""
     real = getattr(selftest, name)
 
     def off_by_one(a):
@@ -89,7 +116,12 @@ def test_defect_mutants_are_killed(monkeypatch, name):
         if res.ideal.is_zero:
             return res
         return dataclasses.replace(res, ideal=Ideal(res.ideal.val + 1))
-    monkeypatch.setattr(selftest, name, off_by_one)
+    return off_by_one
+
+
+@pytest.mark.parametrize("name", ["as_defect", "quad_defect"])
+def test_defect_mutants_are_killed(monkeypatch, name):
+    monkeypatch.setattr(selftest, name, _off_by_one(name))
     assert selftest.run_selftest(**RUN).defect_disagreements >= 1
 
 
@@ -117,11 +149,47 @@ def test_relative_position_mutants_are_killed(monkeypatch, edit):
     assert rep.pair_mismatched >= 1
 
 
-def test_negated_splits_is_killed(monkeypatch):
+def _negated_splits():
     real = existence.splits
-    monkeypatch.setattr(existence, "splits",
-                        lambda *args, **kw: not real(*args, **kw))
+    return lambda *args, **kw: not real(*args, **kw)
+
+
+def test_negated_splits_is_killed(monkeypatch):
+    monkeypatch.setattr(existence, "splits", _negated_splits())
     assert selftest.run_selftest(**RUN).symbol_disagreements >= 1
+
+
+# every mutant killed above, as (module, name, the mutant, the count of
+# the owning suite that must be nonzero)
+_KILLED = {
+    "quad-r+1": (tree, "member", lambda: _series_member(quad_shift=1),
+                 "branch_mismatched"),
+    "quad-r-1": (tree, "member", lambda: _series_member(quad_shift=-1),
+                 "branch_mismatched"),
+    "no-c-bound": (tree, "member", lambda: _series_member(bound_c=False),
+                   "branch_mismatched"),
+    "deeper": (selftest, "branch_shape", lambda: _edited_shape(_deeper),
+               "branch_mismatched"),
+    "stem-moved": (selftest, "branch_shape",
+                   lambda: _edited_shape(_stem_moved), "branch_mismatched"),
+    "as_defect": (selftest, "as_defect", lambda: _off_by_one("as_defect"),
+                  "defect_disagreements"),
+    "quad_defect": (selftest, "quad_defect",
+                    lambda: _off_by_one("quad_defect"),
+                    "defect_disagreements"),
+    "negated-splits": (existence, "splits", _negated_splits,
+                       "symbol_disagreements"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_KILLED))
+def test_every_killed_mutant_is_killed_at_tau_2(monkeypatch, mutant):
+    module, name, make, count = _KILLED[mutant]
+    monkeypatch.setattr(module, name, make())
+    rep = selftest.run_selftest(**RUN_TAU_2)
+    assert getattr(rep, count) >= 1
+    if module is tree:  # a membership mutant fails the pair suite too
+        assert rep.pair_mismatched >= 1
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -3,21 +3,23 @@ from __future__ import annotations
 import ast
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import btbranch.existence as existence
-from btbranch.existence import (AlgebraSpec, DegenerateForm, algebra_spec,
+from btbranch.existence import (AlgebraSpec, DegenerateForm,
+                                SearchBoxTooLarge, algebra_spec,
                                 cyclic_presentation, decide, search_pair,
                                 search_zero_divisor, splits, verify_witness,
-                                _norm_form, _small_elements)
+                                _box_terms, _element, _norm_form)
 from btbranch.gf2 import ff_trace, field
 from btbranch.mat2 import Mat2, det, make_pair, sym_product, trace
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
-                             s_mul, s_one, s_parse, s_random, s_render,
-                             s_split, s_square, s_truncate, s_zero)
+                             s_from_terms, s_mul, s_one, s_parse, s_random,
+                             s_render, s_split, s_square, s_truncate, s_zero)
 
 F1 = field(1)
 
@@ -286,6 +288,42 @@ def _polar_norm_form(spec):
     return n, p
 
 
+# the box and the unit-scaled rows built term by term from series:
+# references for _box_terms and _unit_rows
+
+
+def _small_elements(fld, lo, hi, max_terms=2):
+    """All series with at most max_terms terms supported on lo..hi."""
+    exps = range(lo, hi + 1)
+    coeffs = range(1, fld.order)
+    yield s_zero(fld)
+    for n in range(1, max_terms + 1):
+        for pos in itertools.combinations(exps, n):
+            for cs in itertools.product(coeffs, repeat=n):
+                yield s_from_terms(fld, dict(zip(pos, cs)))
+
+
+def _terms(a, lo):
+    """The terms c t^e of a, as (log c, the lane offset (e - lo) tau)."""
+    fld = a.field
+    log = fld.tables[0]
+    return [(log[c], (e - lo) * fld.tau) for e, c in a.terms()]
+
+
+def _scalings(coeff, low):
+    """exp[k] coeff packed on low, for k over two periods of the log
+    table: exp[k] c is exp[k + log c], one lookup per term c t^e."""
+    exp = coeff.field.tables[1]
+    terms = _terms(coeff, low)
+    row = []
+    for k in range(coeff.field.order - 1):
+        x = 0
+        for kc, h in terms:
+            x ^= exp[k + kc] << h
+        row.append(x)
+    return row + row
+
+
 def _monomials(u, v):
     """(u^2, u v, v^2), with None for each one that has a zero coordinate."""
     uu = None if u.is_zero else s_mul(u, u)
@@ -459,8 +497,10 @@ def _reference_search_pair(spec, lo, hi, max_terms):
 
 def _coefficients(draw, taus):
     """lambda, a1, b1, a2, b2 in one of four shapes: two with Delta = 0,
-    and one read off a matrix pair, which the searches often hit."""
-    fld = field(draw(st.sampled_from(taus)))
+    and one read off a matrix pair, which the searches often hit.  An
+    entry of taus is a tau or a pair (tau, modulus)."""
+    tau = draw(st.sampled_from(taus))
+    fld = field(*tau) if isinstance(tau, tuple) else field(tau)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     lam, a1, b1, a2, b2 = (s_random(fld, rng, -1, 2) for _ in range(5))
     shape = draw(st.sampled_from(("generic", "traceless", "unit trace",
@@ -739,6 +779,62 @@ def test_searches_return_the_series_loop_first_hit(datum, data):
     assert search_pair(spec, *box) == _form_search_pair(spec, *box)
 
 
+# F_16 modulo x^4 + x^3 + x^2 + x + 1, where g has order 5: the rows must
+# be scaled by the table's primitive element, not by g
+_G_OF_ORDER_5 = (4, 0b11111)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(_datum((_G_OF_ORDER_5,)), _truncated_datum((_G_OF_ORDER_5,))),
+       st.sampled_from(((0, 0, 1), (1, 1, 1), (-1, -1, 2))))
+def test_searches_where_g_is_not_primitive_return_the_series_loop_first_hit(
+        datum, box):
+    spec, _ = datum
+    assert (search_zero_divisor(spec, *box)
+            == _form_search_zero_divisor(spec, *box))
+    assert search_pair(spec, *box) == _form_search_pair(spec, *box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_datum((1, 2, 3, _G_OF_ORDER_5)),
+                 _truncated_datum((1, 2, 3, _G_OF_ORDER_5))))
+def test_the_unit_rows_are_the_per_term_scalings(datum):
+    # each of the ten rows against exp[k + log c] term by term
+    spec, _ = datum
+    tables = spec.search_tables
+    n, p = _norm_form(spec)
+    assert tables.n == n and tables.p == p
+    assert tables.low == min(c.lead for c in (*n, *p.values()) if c.bits)
+    assert tables.n_rows == [_scalings(c, tables.low) for c in n]
+    assert tables.p_rows == {ij: _scalings(c, tables.low)
+                             for ij, c in p.items()}
+
+
+@pytest.mark.parametrize("tau, modulus, box", [
+    (1, None, (-2, 2, 1)), (1, None, (-1, 2, 3)), (2, None, (-1, 1, 2)),
+    (3, None, (0, 1, 2)), (4, 0b11111, (0, 1, 1)), (2, None, (3, 2, 1)),
+    (2, None, (0, 1, 0)), (1, None, (0, 1, 5))])
+def test_box_terms_are_the_small_elements_in_order(tau, modulus, box):
+    fld = field(tau, modulus)
+    lo = box[0]
+    pool = list(_small_elements(fld, *box))
+    got = _box_terms(fld, *box)
+    assert got == [_terms(u, lo) for u in pool]
+    assert [_element(fld, lo, terms) for terms in got] == pool
+
+
+def test_both_searches_build_the_norm_form_once(monkeypatch):
+    built = []
+    norm_form = existence._norm_form
+    monkeypatch.setattr(existence, "_norm_form",
+                        lambda spec: built.append(spec) or norm_form(spec))
+    spec = _spec("t", "1", "0", "1", "t + t^2")
+    for lo, hi in ((0, 1), (1, 2), (-2, -1)):
+        assert search_zero_divisor(spec, lo, hi, 1) is not None
+        assert search_pair(spec, lo, hi, 1) is not None
+    assert built == [spec]
+
+
 def test_pair_search_tests_each_sum_once(monkeypatch):
     # the double loop over (x, z) made |pool|^2 |nonzero|^2 = 8,100 norm
     # evaluations on this box; one per (y, w) and distinct nonzero x + z
@@ -760,6 +856,49 @@ def test_pair_search_tests_each_sum_once(monkeypatch):
     assert 0 < candidates <= len(sums) * (len(pool) - 1) ** 2
 
 
+#: the code of the searches: every function they call in existence.py,
+#: the tables they read and the property that keeps them on the spec
+_SEARCH_CODE = ("search_zero_divisor", "search_pair",
+                "AlgebraSpec.search_tables", "_search_tables", "_norm_form",
+                "_unit_rows", "_packed", "_box_size", "_refuse_over_limit",
+                "_box_terms", "_lanes", "_element", "_cross", "_first_root")
+
+
+def _module_functions(module):
+    """The functions of a module and the methods of its classes, the
+    latter named Class.method."""
+    functions = {}
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            functions.update((f"{node.name}.{item.name}", item)
+                             for item in node.body
+                             if isinstance(item, ast.FunctionDef))
+    return functions
+
+
+def _names_used(node):
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def test_the_search_code_list_is_complete():
+    # every function of the module that the search code names is in it
+    functions = _module_functions(ast.parse(
+        Path(existence.__file__).read_text()))
+    for name in _SEARCH_CODE:
+        used = _names_used(functions[name])
+        assert used & set(functions) <= set(_SEARCH_CODE), name
+        if "search_tables" in used:
+            assert "AlgebraSpec.search_tables" in _SEARCH_CODE
+
+
 def test_searches_share_nothing_with_the_symbol():
     # a search that called the Artin-Schreier solver or the symbol would
     # no longer be independent evidence for the verdict of decide
@@ -772,17 +911,9 @@ def test_searches_share_nothing_with_the_symbol():
         if isinstance(node, ast.ImportFrom) and node.module == "defects":
             banned.update(alias.asname or alias.name for alias in node.names)
     assert {"solve_quadratic", "classified_roots", "as_argument"} <= banned
-    functions = {node.name: node for node in module.body
-                 if isinstance(node, ast.FunctionDef)}
-    for name in ("_norm_form", "_small_elements", "_base", "_packed",
-                 "_terms", "_scalings", "_cross", "_first_root",
-                 "search_zero_divisor", "search_pair"):
-        used = set()
-        for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    functions = _module_functions(module)
+    for name in _SEARCH_CODE:
+        used = _names_used(functions[name])
         assert not used & banned, (name, used & banned)
 
 
@@ -791,6 +922,7 @@ def test_the_datum_discriminant_is_kept_and_invisible():
     fresh = algebra_spec(spec.lam, spec.m1.a, spec.m1.b, spec.m2.a,
                          spec.m2.b, 64)
     assert spec.disc is spec.disc and spec.disc == fresh.disc
+    assert spec.search_tables is spec.search_tables
     assert spec == fresh and hash(spec) == hash(fresh)
     assert repr(spec) == repr(fresh)
 
@@ -798,16 +930,11 @@ def test_the_datum_discriminant_is_kept_and_invisible():
 def test_searches_never_read_the_matrix_memo():
     # the classification kept on a Mat2 is the predictor's; a search
     # that read it would lean on the classifier it is evidence against
-    module = ast.parse(Path(existence.__file__).read_text())
-    functions = {node.name: node for node in module.body
-                 if isinstance(node, ast.FunctionDef)}
-    for name in ("search_zero_divisor", "search_pair", "_norm_form"):
-        used = {node.id for node in ast.walk(functions[name])
-                if isinstance(node, ast.Name)}
-        used |= {node.attr for node in ast.walk(functions[name])
-                 if isinstance(node, ast.Attribute)}
-        assert not used & {"min_poly", "_trace_det", "_min_poly",
-                           "__dict__"}, name
+    functions = _module_functions(ast.parse(
+        Path(existence.__file__).read_text()))
+    for name in _SEARCH_CODE:
+        assert not _names_used(functions[name]) & {
+            "min_poly", "_trace_det", "_min_poly", "__dict__"}, name
 
 
 # brute force searches
@@ -849,6 +976,55 @@ def test_search_box_is_respected():
             hit = search(spec, lo, hi, 1)
             assert hit is not None
             assert all(_in_box(c, lo, hi) for c in hit), (lo, hi, hit)
+
+
+class _Reached(Exception):
+    """Raised in place of building a search's box."""
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args):
+        raise _Reached
+    monkeypatch.setattr(existence, "_box_terms", refuse)
+    monkeypatch.setattr(existence, "_search_tables", refuse)
+
+
+@pytest.mark.parametrize("search, tau, box", [
+    (search_pair, 8, (-1, 1, 1)),           # 765^2 x 195,841 candidates
+    (search_pair, 5, (-1, 1, 1)),           # 93^2 x 2,977
+    (search_zero_divisor, 8, (-2, 2, 1)),   # 6 x 1,276^2
+    (search_zero_divisor, 1, (-10 ** 6, 10 ** 6, 1)),
+    (search_pair, 1, (-10 ** 6, 10 ** 6, 1)),
+    (search_zero_divisor, 1, (-5, 5, 10 ** 9)),
+    (search_pair, 1, (-5, 5, 10 ** 9)),
+])
+def test_a_box_over_the_limit_is_refused_before_anything_is_built(
+        monkeypatch, search, tau, box):
+    _refuse_to_build(monkeypatch)
+    fld = field(tau)
+    spec = algebra_spec(*(s_parse(fld, x) for x in ("t", "1", "t", "t", "1")),
+                        64)
+    start = time.perf_counter()
+    with pytest.raises(SearchBoxTooLarge, match="holds more than 2,000,000"):
+        search(spec, *box)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("search, tau, box", sorted(
+    {(search, tau, box) for search in (search_zero_divisor, search_pair)
+     for boxes in (_BOXES, _WIDE_BOXES)
+     for tau, by_tau in boxes.items() for box in by_tau}
+    | {(search_zero_divisor, tau, (-2, 2, 1)) for tau in (1, 2, 3, 4)}
+    | {(search_pair, tau, (-1, 1, 1)) for tau in (1, 2, 3, 4)},
+    key=lambda case: (case[0].__name__, case[1:])))
+def test_the_boxes_in_use_fit_under_the_limit(monkeypatch, search, tau, box):
+    # the boxes of the tests above, and the self-test's two boxes up to
+    # tau 4; reaching the build means the box fits
+    _refuse_to_build(monkeypatch)
+    spec = algebra_spec(*(s_parse(field(tau), x)
+                          for x in ("t", "1", "t", "t", "1")), 64)
+    with pytest.raises(_Reached):
+        search(spec, *box)
 
 
 # roots and the symbol argument read off the classification

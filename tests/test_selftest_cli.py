@@ -6,11 +6,15 @@ import time
 import pytest
 
 import btbranch.cli as cli
+import btbranch.existence as existence
+import btbranch.selftest as selftest
 import btbranch.tree as tree
 from btbranch.cli import main
+from btbranch.existence import algebra_spec, search_pair, search_zero_divisor
 from btbranch.gf2 import field
 from btbranch.mat2 import m_parse, make_pair
 from btbranch.selftest import compare_pair, run_selftest
+from btbranch.series import s_parse
 
 
 # the randomised self test
@@ -329,6 +333,41 @@ def test_a_window_too_large_to_build_is_refused_at_once(capsys, tmp_path,
     assert err.startswith("error: a window of radius ")
     assert "holds more than 400,000 vertices" in err
     assert "Traceback" not in err
+
+
+_DIVISION = ["exists", "--lambda", "0", "--m1", "1,1", "--m2", "0,t"]
+
+
+@pytest.mark.parametrize("argv", [
+    _DIVISION + ["--search-box=-1000000,1000000"],
+    _DIVISION + ["--search-box=-1000000,1000000", "--format", "json"],
+    _DIVISION + ["--tau", "8", "--search-box", "-1,1"],
+    _DIVISION + ["--tau", "5", "--search-box", "-1,1"],
+], ids=["tau1-1e6", "tau1-1e6-json", "tau8", "tau5"])
+def test_a_search_box_too_large_to_build_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: a search box ")
+    assert "holds more than 2,000,000 candidates" in err
+    assert "Traceback" not in err
+
+
+def test_the_symbol_suite_leaves_out_a_search_box_over_the_limit(
+        monkeypatch):
+    # at tau 8 both of the suite's boxes are over the limit: each search
+    # is refused before it builds anything and counts as no hit
+    def refuse(*args):
+        raise AssertionError("built a search box")
+    monkeypatch.setattr(existence, "_box_terms", refuse)
+    fld = field(8)
+    spec = algebra_spec(*(s_parse(fld, x) for x in ("t", "1", "t", "t", "1")),
+                        64)
+    for search, lo, hi in ((search_zero_divisor, -2, 2), (search_pair, -1, 1)):
+        assert selftest._hits(search, spec, lo, hi) is False
+    rep = run_selftest(seed=7, tau=8, count=5, radius=1)
+    assert rep.symbol_specs >= 1 and rep.symbol_disagreements == 0
 
 
 def _ball(q, r):
