@@ -15,7 +15,7 @@ from .gf2 import FieldConfig, field
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
                      s_div, s_from_terms, s_inv, s_monomial, s_mul, s_one,
                      s_parse, s_random, s_render, s_split, s_sqrt, s_square,
-                     s_val, s_zero, val_ge)
+                     s_truncate, s_val, s_zero, val_ge)
 from .defects import (KINDS, Ideal, QuadPoly, as_defect, classify,
                       quad_defect, solve_artin_schreier, solve_quadratic)
 from .mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix, companion,
@@ -28,7 +28,7 @@ from .geometry import (BranchShape, Disjoint, FoliageContained, FoliageMeet,
                        HalfInt, InfiniteFoliage, Overlap, ProjPoint, RelPos,
                        SharedMaxPath, SharedRay, ThickLine, branch_shape,
                        check_agreement, fake_distance, predict_relpos,
-                       shape_member, shape_members)
+                       shape_members)
 from .existence import (AlgebraSpec, DegenerateForm, ExistenceVerdict,
                         algebra_spec, cyclic_presentation, decide,
                         search_pair, search_zero_divisor, splits,

@@ -32,8 +32,7 @@ from math import comb
 from operator import xor
 from typing import NamedTuple
 
-from .defects import (QuadPoly, as_argument, classified_roots, classify,
-                      solve_quadratic)
+from .defects import QuadPoly, as_argument, classified_roots, classify
 from .gf2 import ff_trace
 from .mat2 import (Mat2, discriminant_params, is_scalar, m_add, m_mul,
                    m_scalar, m_scale, sym_product)
@@ -69,20 +68,12 @@ def algebra_spec(lam: Series, a1: Series, b1: Series, a2: Series,
                  b2: Series, working_prec: int = DEFAULT_PREC) -> AlgebraSpec:
     """The datum, both quadratics classified at working_prec.
 
-    The precision is kept in the instance ``__dict__``, outside the
-    fields (so ==, hash and repr never see it), where decide reads it:
-    at that precision the classifications already hold the roots and
-    the symbol argument.  A spec built otherwise recomputes them.
+    The classifications hold the roots of a reducible quadratic and the
+    symbol argument b/a^2 of a separable one, at working_prec, where
+    decide reads them: decide(spec, p) needs p = working_prec.
     """
-    spec = AlgebraSpec(lam, classify(a1, b1, working_prec),
+    return AlgebraSpec(lam, classify(a1, b1, working_prec),
                        classify(a2, b2, working_prec))
-    spec.__dict__["_working_prec"] = working_prec
-    return spec
-
-
-def _classified_at(spec: AlgebraSpec, working_prec: int) -> bool:
-    """Whether spec's quadratics were classified at working_prec."""
-    return spec.__dict__.get("_working_prec") == working_prec
 
 
 @dataclass(frozen=True)
@@ -118,19 +109,11 @@ def cyclic_presentation(spec: AlgebraSpec) -> tuple[Series, Series]:
         raise DegenerateForm("the datum with Delta = 0 is not quaternion")
     for m in (m1, m2):
         if not m.a.is_zero:
-            return _symbol_argument(spec, m), delta
+            return as_argument(m.defect), delta  # b/a^2
     # both traces vanish, so Delta = lambda^2 and lambda != 0
     if m1.b.is_zero or m2.b.is_zero:
         return s_zero(fld), s_one(fld)
     return s_div(s_mul(m1.b, m2.b), s_square(lam)), m2.b
-
-
-def _symbol_argument(spec: AlgebraSpec, m: QuadPoly) -> Series:
-    """b/a^2 of the separable factor m, at DEFAULT_PREC: the series its
-    classification reduced when the spec was classified there."""
-    if _classified_at(spec, DEFAULT_PREC):
-        return as_argument(m.defect)
-    return s_div(m.b, s_square(m.a))
 
 
 def splits(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> bool:
@@ -337,7 +320,7 @@ def _first_root(row_y, row_w, k):
     return values.index(k) if k in values else None
 
 
-def search_zero_divisor(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
+def search_zero_divisor(spec: AlgebraSpec, lo: int, hi: int,
                         max_terms: int = 1):
     """Look for a nonzero element of reduced norm zero.
 
@@ -379,8 +362,7 @@ def search_zero_divisor(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
     return None
 
 
-def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
-                max_terms: int = 1):
+def search_pair(spec: AlgebraSpec, lo: int, hi: int, max_terms: int = 1):
     """Look for (x,y),(z,w) with C(x,y,z,w) = lambda; None if none in the box.
 
     C is the pairing realised by norm-zero combinations, and y w C = y w
@@ -456,17 +438,12 @@ def search_pair(spec: AlgebraSpec, lo: int = -4, hi: int = 8,
 
 def _witness_first_reducible(spec, m1, m2, working_prec):
     """A pair with q1 realising a root of the reducible m1; m1 and m2
-    are the spec's two quadratics, in either order.
-
-    The root is read off m1's classification when the spec was
-    classified at working_prec, and solved for otherwise.
+    are the spec's two quadratics, in either order.  The root is read off
+    m1's classification.
     """
     lam = spec.lam
     fld = lam.field
-    if _classified_at(spec, working_prec):
-        alpha = classified_roots(m1, working_prec)[0]
-    else:
-        alpha = solve_quadratic(m1.a, m1.b, working_prec)[0]
+    alpha = classified_roots(m1, working_prec)[0]
     z, o = s_zero(fld), s_one(fld)
     if not m1.a.is_zero:
         q1 = Mat2(s_add(m1.a, alpha), z, z, alpha)
@@ -558,7 +535,10 @@ COMMUTATIVE_NOTE = ("every realising pair lies in a two-dimensional "
 
 
 def decide(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC) -> ExistenceVerdict:
-    """Decide realisability and construct a witness pair where possible."""
+    """Decide realisability and construct a witness pair where possible.
+
+    working_prec must be the one spec was classified at (algebra_spec).
+    """
     delta = _disc(spec)
     m1, m2, lam = spec.m1, spec.m2, spec.lam
     if not delta.is_zero:

@@ -310,10 +310,6 @@ def _member_test(shape: BranchShape):
                       <= shape.depth)
 
 
-def shape_member(shape: BranchShape, v: Vertex) -> bool:
-    return _member_test(shape)(v)
-
-
 def shape_members(shape: BranchShape, window: Window) -> set[Vertex]:
     """The predicted set in the window; every shape is convex, so it grows."""
     return grow(window, _member_test(shape))

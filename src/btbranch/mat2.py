@@ -17,7 +17,6 @@ recomputes the same ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .defects import QuadPoly, classify
 from .series import (DEFAULT_PREC, Series, _split_top, s_add, s_inv, s_mul,
@@ -154,12 +153,6 @@ class PairConfig:
     m1: QuadPoly
     m2: QuadPoly
     lam: Series
-
-    @cached_property
-    def disc(self) -> Series:
-        """Delta of the pair, computed on first read and kept."""
-        return discriminant_params(self.m1.a, self.m1.b,
-                                   self.m2.a, self.m2.b, self.lam)
 
 
 def make_pair(q1: Mat2, q2: Mat2,

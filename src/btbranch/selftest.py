@@ -289,9 +289,10 @@ def _rand_branch_matrix(rng, fld, kind, prec):
 
 
 def _check_foliage(shape, oset, window):
+    inside = {window.index[v] for v in oset}
     leaves = [v for v in oset
               if window.boundary_distance(v) >= 1
-              and sum(1 for w in window.adj[v] if w in oset) == 1]
+              and sum(j in inside for j in window.nbrs[window.index[v]]) == 1]
     if not leaves:
         return "skipped", "no interior leaf visible"
     lvl = min(v.r for v in leaves)
@@ -563,16 +564,20 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
     for idx in range(count):
         strat = _PAIR_STRATEGIES[idx % len(_PAIR_STRATEGIES)]
         report.pair_attempted += 1
-        raw = strat(rng, fld, prec, state)
-        if raw is None:
-            report.pair_skipped += 1
-            report.skipped_list.append(f"pair #{idx}: generation exhausted")
-            continue
+        why = None
         try:
-            pair = make_pair(raw[0], raw[1], prec)
+            raw = strat(rng, fld, prec, state)
+            if raw is None:
+                why = "generation exhausted"
+            else:
+                pair = make_pair(raw[0], raw[1], prec)
         except (ScalarMatrix, NonIntegral) as exc:
+            why = str(exc)
+        except UndeterminedAtPrecision as exc:
+            why = f"undetermined at precision: {exc}"
+        if why is not None:
             report.pair_skipped += 1
-            report.skipped_list.append(f"pair #{idx}: {exc}")
+            report.skipped_list.append(f"pair #{idx}: {why}")
             continue
         cell = _cell_label(pair)
         try:
@@ -610,10 +615,14 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
     for idx in range(2 * count // 5):
         kind = KINDS[idx % len(KINDS)]
         report.branch_attempted += 1
-        q = _rand_branch_matrix(rng, fld, kind, prec)
-        if q is None:
+        try:
+            q = _rand_branch_matrix(rng, fld, kind, prec)
+            why = "generation exhausted" if q is None else None
+        except UndeterminedAtPrecision as exc:
+            why = f"undetermined at precision: {exc}"
+        if why is not None:
             report.branch_skipped += 1
-            report.skipped_list.append(f"branch #{idx}: generation exhausted")
+            report.skipped_list.append(f"branch #{idx}: {why}")
             continue
         try:
             status, detail = _run_branch_instance(q, window, margin, prec)

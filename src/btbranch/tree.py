@@ -23,16 +23,17 @@ only where the boundary provably cannot interfere.
 
 A branch is a subtree, hence convex (Serre, *Trees*), and so is the
 window; their intersection is therefore connected in the window graph.
-Every walk over the window runs on window positions, not on vertices:
-the public functions take and return vertex sets, translate them
-through ``Window.index`` once on entry and read ``Window.vertices`` on
-exit, and in between walk ``Window.nbrs`` on ints.  ``grow`` scans the
-window for one vertex that passes a test and walks only through passing
-vertices from there, testing each vertex once; it returns the set in
-window order, as a full scan builds it.  ``oracle_branch`` is ``grow``
-with the membership test and never consults a predicted shape.  The
-measurements are breadth-first searches, ``_bfs``, that walk only inside
-the member set, except ``set_distance``, which has to cross non-members.
+Every walk over the window runs on window positions, the only way the
+window keeps its tables: the public functions take and return vertex
+sets, translate them through ``Window.index`` once on entry and read
+``Window.vertices`` on exit, and in between walk ``Window.nbrs`` on
+ints.  ``grow`` scans the window for one vertex that passes a test and
+walks only through passing vertices from there, testing each vertex
+once; it returns the set in window order, as a full scan builds it.
+``oracle_branch`` is ``grow`` with the membership test and never
+consults a predicted shape.  The measurements are breadth-first
+searches, ``_bfs``, that walk only inside the member set, except
+``set_distance``, which has to cross non-members.
 """
 
 from __future__ import annotations
@@ -94,24 +95,6 @@ def tree_distance(v: Vertex, w: Vertex) -> int:
     return (v.r - m) + (w.r - m)
 
 
-def vertex_neighbors(v: Vertex) -> list[Vertex]:
-    """The 2^tau + 1 adjacent balls: one up a level, then 2^tau down, one
-    for each residue c in ``elements()`` order.
-
-    The center z of v is reduced mod t^r, so z + c t^r -- c XORed into
-    lane r - lead -- is already reduced mod t^(r+1).
-    """
-    z, r = v.center, v.r
-    fld = z.field
-    lead = z.lead if z.bits else r
-    shift = (r - lead) * fld.tau
-    out = [Vertex(r - 1, z)]
-    for c in fld.elements():
-        out.append(Vertex(r + 1, _make(fld, lead, z.bits ^ c << shift, None)
-                          if c else z))
-    return out
-
-
 #: the most vertices ``enumerate_window`` builds: every radius the
 #: self-test uses fits (tau 1 up to radius 17, tau 2 up to 8, tau 3 up
 #: to 6), and a larger request fails at once instead of filling memory
@@ -120,31 +103,25 @@ MAX_WINDOW_VERTICES = 400_000
 
 @dataclass
 class Window:
-    """All vertices within ``radius`` of the base vertex, with adjacency.
+    """All vertices within ``radius`` of B_0^[0], with adjacency.
 
-    ``vertices`` is in breadth-first order and ``index`` maps each vertex
-    to its position there.  The walks read the window by position:
-    ``nbrs[i]`` lists the positions of the neighbours of vertex i and
-    ``dist[i]`` is its distance to the root.  ``adj`` and ``dist_root``
-    are the same two tables keyed by vertex, for callers that hold
-    vertices; every ``adj`` list holds the window's own vertex objects.
+    ``vertices`` is in breadth-first order, B_0^[0] first, and ``index``
+    maps each vertex to its position there.  The other tables are by
+    position: ``nbrs[i]`` lists the positions of the neighbours of
+    vertex i and ``dist[i]`` is its distance to B_0^[0].
     """
 
-    fld: object
     radius: int
-    root: Vertex
     vertices: list[Vertex]
-    dist_root: dict[Vertex, int]
-    adj: dict[Vertex, list[Vertex]] = dc_field(repr=False)
     index: dict[Vertex, int] = dc_field(repr=False)
     nbrs: list[list[int]] = dc_field(repr=False)
     dist: list[int] = dc_field(repr=False)
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self.dist_root
+        return v in self.index
 
     def boundary_distance(self, v: Vertex) -> int:
-        return self.radius - self.dist_root[v]
+        return self.radius - self.dist[self.index[v]]
 
 
 def largest_radius(order: int) -> int:
@@ -177,10 +154,11 @@ def _check_window_size(fld, radius: int) -> None:
 def enumerate_window(fld, radius: int) -> Window:
     """The ball of ``radius`` around B_0^[0], by one breadth-first search.
 
-    Each vertex inside the ball is expanded once, into the neighbours of
-    ``vertex_neighbors`` in its order: the one up a level, then one down
-    a level for each residue c.  All of them are new except the vertex
-    it was found from, its parent, whose slot is known without a lookup:
+    Each vertex inside the ball is expanded once, into its neighbours in
+    this order: the one up a level, then one down a level for each
+    residue c in ``elements()`` order, with c XORed into the lane of t^r
+    of the center.  All of them are new except the vertex it was found
+    from, its parent, whose slot is known without a lookup:
     a vertex found as a child has its parent up, and a vertex found as
     the up neighbour of a child has it down, in the slot of that child's
     residue at the vertex's level.  A vertex on the boundary is not
@@ -191,8 +169,7 @@ def enumerate_window(fld, radius: int) -> Window:
     _check_window_size(fld, radius)
     w, residues = fld.tau, fld.elements()
     mask = (1 << w) - 1
-    root = Vertex(0, s_zero(fld))
-    order = [root]
+    order = [Vertex(0, s_zero(fld))]
     depth = [0]
     parent = [-1]
     parent_slot = [-1]
@@ -229,9 +206,7 @@ def enumerate_window(fld, radius: int) -> Window:
         nbrs.append(nb)
     nbrs.extend([p] if p >= 0 else [] for p in parent[len(nbrs):])
     index = {v: i for i, v in enumerate(order)}
-    adj = {v: [order[j] for j in nb] for v, nb in zip(order, nbrs)}
-    return Window(fld, radius, root, order, dict(zip(order, depth)), adj,
-                  index, nbrs, depth)
+    return Window(radius, order, index, nbrs, depth)
 
 
 # -- the membership oracle ------------------------------------------
@@ -375,16 +350,8 @@ def oracle_branch(q: Mat2, window: Window) -> set[Vertex]:
 # -- certified measurement ------------------------------------------
 
 def _local_depths(window: Window, pos: list[int]) -> list[int]:
-    """``local_depths`` on window positions, ``pos`` the members'."""
-    nbrs = window.nbrs
-    inside = set(pos).__contains__
-    rim = {u for v in pos for u in nbrs[v] if not inside(u)}
-    depth, _, _ = _bfs(window, rim, inside=inside)
-    return [depth.get(v, INFINITE_DEPTH) for v in pos]
-
-
-def local_depths(members: set[Vertex], window: Window) -> dict[Vertex, int]:
-    """Distance from each member to the nearest in-window non-member.
+    """Distance from each member position in ``pos`` to the nearest
+    in-window non-member.
 
     Values are measured in the window graph, hence over-estimates near
     the boundary; a value is exact once it is <= the vertex's distance
@@ -392,8 +359,11 @@ def local_depths(members: set[Vertex], window: Window) -> dict[Vertex, int]:
     runs inward from the rim (non-members next to a member) through
     members only, as every shortest path from a member to the rim does.
     """
-    pos = [window.index[v] for v in members]
-    return dict(zip(members, _local_depths(window, pos)))
+    nbrs = window.nbrs
+    inside = set(pos).__contains__
+    rim = {u for v in pos for u in nbrs[v] if not inside(u)}
+    depth, _, _ = _bfs(window, rim, inside=inside)
+    return [depth.get(v, INFINITE_DEPTH) for v in pos]
 
 
 @dataclass
@@ -534,8 +504,9 @@ def _measure_paths_meet(stem1, stem2, window, margin, base_certified, dref):
     if not is_path_set(inter, window):
         return MeasuredShape("path", False, length=len(inter) - 1,
                              note="stem intersection is not a path")
+    inside = {window.index[v] for v in inter}
     ends = [v for v in inter
-            if sum(1 for w in window.adj[v] if w in inter) <= 1]
+            if sum(j in inside for j in window.nbrs[window.index[v]]) <= 1]
     cut_ends = [v for v in ends
                 if window.boundary_distance(v) < dref + margin]
     if len(cut_ends) >= 2:

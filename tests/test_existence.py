@@ -5,12 +5,15 @@ import itertools
 import random
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import btbranch.defects as defects
 import btbranch.existence as existence
-from btbranch.existence import (AlgebraSpec, DegenerateForm,
+from btbranch.defects import solve_quadratic
+from btbranch.existence import (DegenerateForm,
                                 SearchBoxTooLarge, algebra_spec,
                                 cyclic_presentation, decide, search_pair,
                                 search_zero_divisor, splits, verify_witness,
@@ -905,8 +908,7 @@ def test_searches_share_nothing_with_the_symbol():
     module = ast.parse(Path(existence.__file__).read_text())
     banned = {"decide", "splits", "cyclic_presentation", "_disc", "s_split",
               "s_sqrt", "s_square", "defects", "as_root", "classified_roots",
-              "as_argument", "_symbol_argument", "_classified_at",
-              "_working_prec"}
+              "as_argument", "solve_quadratic"}
     for node in module.body:
         if isinstance(node, ast.ImportFrom) and node.module == "defects":
             banned.update(alias.asname or alias.name for alias in node.names)
@@ -976,6 +978,13 @@ def test_search_box_is_respected():
             hit = search(spec, lo, hi, 1)
             assert hit is not None
             assert all(_in_box(c, lo, hi) for c in hit), (lo, hi, hit)
+
+
+def test_a_search_has_no_default_box():
+    spec = _spec("t", "1", "0", "1", "t + t^2")
+    for search in (search_zero_divisor, search_pair):
+        with pytest.raises(TypeError):
+            search(spec)
 
 
 class _Reached(Exception):
@@ -1066,42 +1075,52 @@ def test_decide_reads_off_the_classification_what_it_solved(wp, cut, data):
         spec = algebra_spec(*coeffs, wp)
     except UndeterminedAtPrecision:
         assume(False)
-    # the same datum with no recorded precision solves as before
-    unrecorded = AlgebraSpec(spec.lam, spec.m1, spec.m2)
-    assert _decided(spec, wp) == _decided(unrecorded, wp)
-    assert _presented(spec) == _presented(unrecorded)
+    # solving again at the classifying precision gives the same bits
+    with mock.patch.object(existence, "classified_roots",
+                           lambda m, p: solve_quadratic(m.a, m.b, p)):
+        want = _decided(spec, wp)
+    assert _decided(spec, wp) == want
+    presented = _presented(spec)
+    m = next((m for m in (spec.m1, spec.m2) if not m.a.is_zero), None)
+    if m is not None and type(presented[0]) is tuple:
+        assert presented[0] == _lanes(s_div(m.b, s_square(m.a), wp))
 
 
-def test_the_classifying_precision_is_kept_and_invisible():
-    spec = _spec("t", "1", "t", "t", "1 + t")
-    unrecorded = AlgebraSpec(spec.lam, spec.m1, spec.m2)
-    assert existence._classified_at(spec, 64)
-    assert not existence._classified_at(spec, 32)
-    assert not existence._classified_at(unrecorded, 64)
-    assert spec == unrecorded and hash(spec) == hash(unrecorded)
-    assert repr(spec) == repr(unrecorded)
+@pytest.mark.parametrize("wp", [8, 32, 64])
+def test_decide_neither_solves_nor_divides_again(monkeypatch, wp):
+    # m1 = X^2 + X + t splits; the second datum is the division datum,
+    # whose symbol argument is b1/a1^2; the third has Delta = 0 and m1 =
+    # X^2 + X + t + t^2 splits
+    data = [("t", "1", "t", "t", "1 + t"), ("0", "1", "1", "0", "t"),
+            ("t", "1", "t + t^2", "0", "t^2")]
+    specs = [algebra_spec(*map(_p, datum), wp) for datum in data]
+    argument = s_div(specs[1].m1.b, s_square(specs[1].m1.a), wp)
+    divide = existence.s_div
+    quotients = []  # b/a^2 of the spec being decided
 
+    def refuse_solve(*args):
+        raise AssertionError("solved a classified quadratic again")
 
-def test_decide_solves_only_what_was_classified_elsewhere(monkeypatch):
-    solved = []
-    solve = existence.solve_quadratic
-
-    def counting(*args):
-        solved.append(args)
-        return solve(*args)
-    monkeypatch.setattr(existence, "solve_quadratic", counting)
-    spec = _spec("t", "1", "t", "t", "1 + t")  # m1 = X^2 + X + t splits
-    assert spec.m1.reducible
-    at_64 = decide(spec, 64)
-    assert solved == []
-    at_32 = decide(spec, 32)
-    assert len(solved) == 1
-    assert at_64.matched_condition == at_32.matched_condition == "i"
+    def checked_div(a, b, *rest):
+        assert (a, b) not in quotients, "divided b by a^2 again"
+        return divide(a, b, *rest)
+    monkeypatch.setattr(defects, "solve_quadratic", refuse_solve)
+    monkeypatch.setattr(existence, "solve_quadratic", refuse_solve,
+                        raising=False)
+    monkeypatch.setattr(defects, "s_div", checked_div)
+    monkeypatch.setattr(existence, "s_div", checked_div)
+    verdicts = []
+    for spec in specs:
+        quotients[:] = [(m.b, s_square(m.a)) for m in (spec.m1, spec.m2)]
+        verdicts.append(decide(spec, wp))
+    assert [v.matched_condition for v in verdicts] == ["i", "none", "iii"]
+    assert None not in (verdicts[0].witness, verdicts[2].witness)
+    assert cyclic_presentation(specs[1])[0] == argument
 
 
 def test_the_symbol_argument_is_not_divided_again(monkeypatch):
-    spec = _spec("0", "1", "t", "0", "t")  # the division datum
-    want = _presented(AlgebraSpec(spec.lam, spec.m1, spec.m2))
+    spec = _spec("0", "1", "t", "0", "t")  # the argument is b1/a1^2 = t
+    want = _presented(spec)
 
     def refuse(*args):
         raise AssertionError("divided b by a^2 again")

@@ -175,7 +175,8 @@ def test_pair_config_carries_the_classified_factors():
     pair = make_pair(q1, q2)
     assert isinstance(pair, PairConfig)
     assert pair.m1.kind == RAMIFIED_SEP
-    assert val_ge(pair.disc, 0)
+    assert val_ge(discriminant_params(pair.m1.a, pair.m1.b, pair.m2.a,
+                                      pair.m2.b, pair.lam), 0)
 
 
 # -- classifying each matrix once -----------------------------------
@@ -208,16 +209,3 @@ def test_the_min_poly_memo_is_invisible():
     assert at_64.defect.reduced.prec != at_8.defect.reduced.prec
     assert at_8 == classify(trace(q), det(q), 8)
     assert min_poly(q, 64) is at_64 and min_poly(fresh, 8) == at_8
-
-
-def test_the_pair_discriminant_is_kept_and_invisible():
-    q1 = companion(s_parse(F1, "t"), s_parse(F1, "t"))
-    q2 = companion(s_parse(F1, "1"), s_parse(F1, "1"))
-    pair = make_pair(q1, q2)
-    fresh = PairConfig(pair.q1, pair.q2, pair.m1, pair.m2, pair.lam)
-    assert pair.disc is pair.disc
-    assert pair.disc == discriminant_params(pair.m1.a, pair.m1.b, pair.m2.a,
-                                            pair.m2.b, pair.lam)
-    assert pair == fresh and hash(pair) == hash(fresh)
-    assert repr(pair) == repr(fresh)
-    assert "disc" not in {f.name for f in fields(PairConfig)}

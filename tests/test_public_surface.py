@@ -1,0 +1,48 @@
+"""Every public function of the package is called or exported.
+
+A module-level function whose name has no leading underscore is public.
+One that nothing in ``src/`` names and ``__init__`` does not export is
+dead weight: tests alone keep it alive, and it drifts from the code
+that runs.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import btbranch
+
+SRC = Path(btbranch.__file__).parent
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _exported(init):
+    return {alias.asname or alias.name for node in ast.walk(init)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _named(tree):
+    """Every name the module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller_or_an_export():
+    modules = _modules()
+    named = set().union(*map(_named, modules.values()))
+    exported = _exported(modules["__init__"])
+    dead = [f"{module}.{node.name}" for module, tree in modules.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and node.name not in named and node.name not in exported]
+    assert dead == []

@@ -64,6 +64,28 @@ def test_low_precision_skips_instead_of_mismatching(prec):
         assert line.partition(": ")[2].strip(), line
 
 
+@pytest.mark.parametrize("prec", (1, 2, 3, 4))
+@pytest.mark.parametrize("tau, radius", [(1, 5), (2, 3)])
+@pytest.mark.parametrize("seed", (1, 2, 8))
+def test_a_run_at_any_precision_renders_a_report(prec, tau, radius, seed):
+    # an instance whose very generation needs more precision is a skip
+    report = run_selftest(seed=seed, tau=tau, count=10, radius=radius,
+                          prec=prec)
+    assert report.render().startswith(f"selftest seed={seed} tau={tau}")
+    assert report.pair_attempted == 10
+    assert report.pair_safe == report.pair_matched + report.pair_mismatched
+    assert report.pair_attempted == report.pair_safe + report.pair_skipped
+    assert report.branch_attempted == (report.branch_matched
+                                       + report.branch_mismatched
+                                       + report.branch_skipped)
+    symbol_skips = sum(line.startswith("symbol #")
+                       for line in report.skipped_list)
+    assert (len(report.skipped_list)
+            == report.pair_skipped + report.branch_skipped + symbol_skips)
+    for line in report.skipped_list:
+        assert line.partition(": ")[2].strip(), line
+
+
 def test_oracle_tests_a_few_thousand_vertices_not_every_one(monkeypatch):
     # a scan of the whole radius-8 window makes 53,620 membership tests
     # here; growing each branch from one member makes 2,488
@@ -294,6 +316,13 @@ def test_cli_reports_insufficient_precision(capsys):
                                     "--m1", "0,t", "--m2", "0,t"])
     assert code == 3
     assert "precision" in err
+
+
+def test_a_low_precision_selftest_reports_instead_of_aborting(capsys):
+    code, out, err = run_cli(capsys, ["selftest", "--prec", "4"])
+    assert code in (0, 1)
+    assert out.startswith("selftest seed=7") and "\nverdict: " in out
+    assert "precision:" not in err
 
 
 def test_negative_count_is_a_usage_error(capsys):

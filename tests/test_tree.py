@@ -21,10 +21,10 @@ from btbranch.series import (Series, UndeterminedAtPrecision, s_add,
                              s_random, s_truncate, s_zero, val_ge)
 from btbranch.tree import (INFINITE_DEPTH, MAX_WINDOW_VERTICES, Vertex,
                            complete_in_window, dot_export, enumerate_window,
-                           grow, is_path_set, local_depths, measure_branch,
+                           grow, is_path_set, measure_branch,
                            measure_intersection, member, oracle_branch,
                            reduce_center, set_diameter, set_distance,
-                           tree_distance, vertex_neighbors)
+                           tree_distance)
 
 F1 = field(1)
 F2 = field(2)
@@ -84,13 +84,30 @@ def test_distance_is_a_metric_on_a_random_sample():
                 assert d <= tree_distance(a, c) + tree_distance(c, b)
 
 
+def _neighbours(w, v):
+    """The neighbours of the window vertex v, read off ``w.nbrs``."""
+    return [w.vertices[j] for j in w.nbrs[w.index[v]]]
+
+
+def _adjacency(w):
+    """Every neighbour list of the window, keyed by vertex."""
+    return {v: _neighbours(w, v) for v in w.vertices}
+
+
+def _rim(members, w):
+    """The window vertices next to a member that are no members."""
+    return {u for v in members for u in _neighbours(w, v)} - members
+
+
 def test_neighbor_count_is_residue_field_size_plus_one():
-    assert len(vertex_neighbors(Vertex(0, s_zero(F1)))) == 3
-    assert len(vertex_neighbors(Vertex(0, s_zero(F2)))) == 5
+    assert len(enumerate_window(F1, 1).nbrs[0]) == 3
+    assert len(enumerate_window(F2, 1).nbrs[0]) == 5
 
 
 def test_neighbors_sit_at_distance_one():
-    for n in vertex_neighbors(_v(2, "t")):
+    w = enumerate_window(F1, 3)
+    assert len(_neighbours(w, _v(2, "t"))) == 3
+    for n in _neighbours(w, _v(2, "t")):
         assert tree_distance(_v(2, "t"), n) == 1
 
 
@@ -107,17 +124,20 @@ def test_window_size_over_the_two_element_field(radius, count):
 
 def test_window_distances_and_boundary():
     w = enumerate_window(F1, 3)
-    assert w.root.render() == "B[0]^0"
-    assert w.boundary_distance(w.root) == 3
-    assert all(w.dist_root[v] <= 3 for v in w.vertices)
-    far = [v for v in w.vertices if w.dist_root[v] == 3]
+    root = w.vertices[0]
+    assert root.render() == "B[0]^0" and w.dist[0] == 0
+    assert w.boundary_distance(root) == 3
+    assert all(d == tree_distance(root, v) <= 3
+               for v, d in zip(w.vertices, w.dist))
+    far = [v for v, d in zip(w.vertices, w.dist) if d == 3]
     assert all(w.boundary_distance(v) == 0 for v in far)
 
 
 def test_window_adjacency_matches_neighbor_enumeration():
     w = enumerate_window(F1, 2)
     for v in w.vertices:
-        assert w.adj[v] == [n for n in vertex_neighbors(v) if n in w]
+        assert _neighbours(w, v) == [n for n in _ref_vertex_neighbors(v)
+                                     if n in w]
 
 
 @pytest.mark.parametrize("tau, largest", [(1, 17), (2, 8), (3, 6), (16, 1)])
@@ -193,7 +213,7 @@ def _vertex_keyed_window(fld, radius):
         if depth[i] == radius:
             break
         nbrs = []
-        for w in vertex_neighbors(v):
+        for w in _ref_vertex_neighbors(v):
             j = index.get(w)
             if j is None:
                 j = index[w] = len(order)
@@ -218,13 +238,9 @@ def test_window_matches_the_reference_enumeration(tau, radius):
     assert w.vertices == order
     assert [(v.r, _series_triple(v.center), hash(v)) for v in w.vertices] == [
         (v.r, _series_triple(v.center), hash(v)) for v in order]
-    assert list(w.dist_root.items()) == list(dist.items())
-    assert list(w.adj) == list(adj)
-    assert all(w.adj[v] == adj[v] for v in order)
+    assert w.dist == list(dist.values())
+    assert list(_adjacency(w).items()) == list(adj.items())
     assert w.index == {v: i for i, v in enumerate(w.vertices)}
-    # every neighbour list holds the window's own vertex objects
-    assert all(w.vertices[w.index[x]] is x
-               for nbrs in w.adj.values() for x in nbrs)
 
 
 @pytest.mark.parametrize("tau, radius", [(1, 0), (1, 8), (2, 4), (3, 3)])
@@ -233,8 +249,6 @@ def test_window_matches_the_vertex_keyed_build(tau, radius):
     order, dist, adj = _vertex_keyed_window(field(tau), radius)
     assert w.vertices == order
     assert [hash(v) for v in w.vertices] == [hash(v) for v in order]
-    assert list(w.dist_root.items()) == list(dist.items())
-    assert list(w.adj.items()) == list(adj.items())
     # the position tables are the vertex-keyed ones, read by position
     assert w.dist == [dist[v] for v in order]
     assert w.nbrs == [[w.index[x] for x in adj[v]] for v in order]
@@ -455,7 +469,7 @@ def test_flood_fill_tests_members_and_their_rim_only(tau, radius,
         del calls[:]
         assert oracle_branch(q, w) == members
         if members:
-            rim = {u for v in members for u in w.adj[v]} - members
+            rim = _rim(members, w)
             assert len(calls) <= w.vertices.index(min(
                 members, key=w.vertices.index)) + len(members) + len(rim)
             assert len(set(calls)) == len(calls)  # each vertex once
@@ -596,7 +610,7 @@ def test_grown_predicted_set_tests_members_and_their_rim_only(
         del calls[:]
         assert shape_members(shape, w) == members
         if members:
-            rim = {u for v in members for u in w.adj[v]} - members
+            rim = _rim(members, w)
             assert len(calls) <= w.vertices.index(min(
                 members, key=w.vertices.index)) + len(members) + len(rim)
             assert len(set(calls)) == len(calls)  # each vertex once
@@ -607,13 +621,20 @@ def test_grown_predicted_set_tests_members_and_their_rim_only(
 # the member-only walks against walks over the whole window
 
 
+def _local_depths(members, w):
+    """The measured local depths, keyed by vertex."""
+    pos = [w.index[v] for v in members]
+    return dict(zip(members, tree._local_depths(w, pos)))
+
+
 def _local_depths_over_the_window(members, w):
+    adj = _adjacency(w)
     outside = [v for v in w.vertices if v not in members]
     depth = {v: 0 for v in outside}
     queue = deque(outside)
     while queue:
         v = queue.popleft()
-        for u in w.adj[v]:
+        for u in adj[v]:
             if u not in depth:
                 depth[u] = depth[v] + 1
                 queue.append(u)
@@ -621,6 +642,7 @@ def _local_depths_over_the_window(members, w):
 
 
 def _set_distance_over_the_window(a, b, w):
+    adj = _adjacency(w)
     depth = {v: 0 for v in a}
     parent = {}
     queue = deque(a)
@@ -631,7 +653,7 @@ def _set_distance_over_the_window(a, b, w):
             while u not in a:
                 u = parent[u]
             return depth[v], u, v
-        for x in w.adj[v]:
+        for x in adj[v]:
             if x not in depth:
                 depth[x] = depth[v] + 1
                 parent[x] = v
@@ -640,6 +662,8 @@ def _set_distance_over_the_window(a, b, w):
 
 
 def _set_diameter_over_the_window(members, w):
+    adj = _adjacency(w)
+
     def far(src):
         depth = {src: 0}
         queue = deque([src])
@@ -648,7 +672,7 @@ def _set_diameter_over_the_window(members, w):
             v = queue.popleft()
             if v in members and depth[v] > best[0]:
                 best = (depth[v], v)
-            for u in w.adj[v]:
+            for u in adj[v]:
                 if u not in depth:
                     depth[u] = depth[v] + 1
                     queue.append(u)
@@ -676,7 +700,7 @@ def test_member_only_walks_equal_the_window_walks(tau, radius):
     w, sets = _oracle_sets_and_cores(tau, radius, seed=80 + tau)
     assert len(sets) >= 20
     for members in sets:
-        got = local_depths(members, w)
+        got = _local_depths(members, w)
         assert list(got.items()) == list(
             _local_depths_over_the_window(members, w).items())
         assert (set_diameter(members, w)
@@ -693,6 +717,7 @@ def test_member_only_walks_equal_the_window_walks(tau, radius):
 # -- the vertex-keyed walks the index-keyed ones replaced: references --
 
 def _vertex_bfs(window, sources, inside=None, stop=None):
+    adj = _adjacency(window)
     depth = dict.fromkeys(sources, 0)
     parent = {}
     queue = deque(depth)
@@ -700,7 +725,7 @@ def _vertex_bfs(window, sources, inside=None, stop=None):
         v = queue.popleft()
         if stop is not None and stop(v):
             return depth, parent, v
-        for w in window.adj[v]:
+        for w in adj[v]:
             if w not in depth and (inside is None or inside(w)):
                 depth[w] = depth[v] + 1
                 parent[w] = v
@@ -717,7 +742,7 @@ def _vertex_grow(window, test):
 
 
 def _vertex_local_depths(members, window):
-    rim = {w for v in members for w in window.adj[v] if w not in members}
+    rim = _rim(members, window)
     depth, _, _ = _vertex_bfs(window, rim, inside=members.__contains__)
     return {v: depth.get(v, INFINITE_DEPTH) for v in members}
 
@@ -762,7 +787,7 @@ def test_index_walks_equal_the_vertex_keyed_walks(tau, radius):
         assert list(grow(w, test)) == list(got)
     assert len(sets) >= 20
     for members in sets:
-        assert (list(local_depths(members, w).items())
+        assert (list(_local_depths(members, w).items())
                 == list(_vertex_local_depths(members, w).items()))
         assert (set_diameter(members, w)
                 == _vertex_set_diameter(members, w))
@@ -813,7 +838,7 @@ def test_complete_in_window_rejects_a_set_touching_the_rim():
     w = enumerate_window(F1, 3)
     rim = {v for v in w.vertices if w.boundary_distance(v) == 0}
     assert not complete_in_window(rim, w)
-    assert complete_in_window({w.root}, w)
+    assert complete_in_window({w.vertices[0]}, w)
 
 
 def _conjugated_nilpotent_pair(corner):
