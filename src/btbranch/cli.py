@@ -133,17 +133,16 @@ def _cmd_oracle(args) -> int:
     if args.dot:
         sets = (oracle_branch(pair.q1, window), oracle_branch(pair.q2, window))
     status, why, pred, meas = compare_pair(pair, window, args.margin,
-                                           args.prec, sets=sets)
+                                           sets=sets)
     verdict = {"matched": "MATCH", "mismatched": f"MISMATCH ({why})",
                "skipped": f"UNDETERMINED ({why})"}[status]
-    meas_text = "not taken" if meas is None else ", ".join(
-        f"{k}={v}" for k, v in asdict(meas).items() if v not in (None, ""))
+    meas_text = ", ".join(f"{k}={v}" for k, v in asdict(meas).items()
+                          if v not in (None, ""))
     ok = status == "matched"
     _emit(args,
           f"predicted: {pred.render()}\nmeasured:  {meas_text}\n"
           f"verdict: {verdict}",
-          {"predicted": _relpos_record(pred),
-           "measured": None if meas is None else asdict(meas),
+          {"predicted": _relpos_record(pred), "measured": asdict(meas),
            "match": ok, "note": "" if ok else why})
     if args.dot:
         s1, s2 = sets

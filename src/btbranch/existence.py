@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from operator import xor
 from typing import NamedTuple
@@ -272,19 +272,23 @@ def _refuse_over_limit(candidates: int, fld, lo: int, hi: int,
             "candidates")
 
 
+@lru_cache(maxsize=32)
 def _box_terms(fld, lo: int, hi: int, max_terms: int):
-    """Every series with at most max_terms terms on lo..hi, as the list
+    """Every series with at most max_terms terms on lo..hi, as the tuple
     of its terms c t^e, (log c, the lane offset (e - lo) tau): zero
-    first, then by number of terms, positions and coefficients."""
+    first, then by number of terms, positions and coefficients.
+
+    Built once per (field, box, max_terms) and shared, hence immutable:
+    the self-test searches the same two boxes for every datum."""
     log = fld.tables[0]
     logs = [log[c] for c in range(1, fld.order)]
     offsets = [(e - lo) * fld.tau for e in range(lo, hi + 1)]
-    box = [[]]
+    box = [()]
     for n in range(1, min(max_terms, len(offsets)) + 1):
         for pos in itertools.combinations(offsets, n):
             for ks in itertools.product(logs, repeat=n):
-                box.append(list(zip(ks, pos)))
-    return box
+                box.append(tuple(zip(ks, pos)))
+    return tuple(box)
 
 
 def _lanes(exp, terms) -> int:

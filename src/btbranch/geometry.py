@@ -448,11 +448,38 @@ def predict_relpos(pair: PairConfig) -> RelPos:
 _FIELD_WORDS = {"length": "overlap length",
                 "stem_is_edge": "stem vertex/edge parity"}
 
+#: each one-sided measured kind: the field it bounds from below, and the
+#: predicted kinds a window may have seen only part of as that kind
+_ONE_SIDED = {"ray": ("length", {"path"}),
+              "maxpath": ("length", {"path", "ray"}),
+              "contained": ("diameter", {"blob"})}
 
-def check_agreement(pred: RelPos, meas: MeasuredShape) -> tuple[bool, str]:
-    """Does a certified measurement corroborate a prediction?"""
+
+def check_agreement(pred: RelPos,
+                    meas: MeasuredShape) -> tuple[bool | None, str]:
+    """Does a certified measurement corroborate a prediction?
+
+    Returns (True, "ok") when it does, (False, why) when it contradicts
+    the prediction and (None, why) when the window cannot tell.  The
+    two-sided kinds (disjoint, path, blob) must match kind and fields.
+    A one-sided kind (ray, maxpath, contained) says only that the shape
+    reaches at least as far as the window saw: it matches its own kind,
+    leaves a prediction it may be part of undetermined while the
+    predicted length or diameter is at least the one seen, and
+    contradicts one below it and every other kind.
+    """
     if not meas.certified:
-        return False, f"measurement uncertified: {meas.note or meas.kind}"
+        return None, f"measurement uncertified: {meas.note or meas.kind}"
+    if meas.kind in _ONE_SIDED and meas.kind != pred.kind:
+        name, partial = _ONE_SIDED[meas.kind]
+        seen = getattr(meas, name)
+        want = getattr(pred, name, None)  # None: the prediction is unbounded
+        predicted = pred.noun + ("" if want is None else f" of {name} {want}")
+        measured = f"{meas.kind}, visible {name} {seen}"
+        if pred.kind in partial and (want is None or want >= seen):
+            return None, (f"window too small: measured {measured}; "
+                          f"predicted {predicted}")
+        return False, f"predicted {predicted}, measured {measured}"
     if meas.kind != pred.kind:
         return False, f"predicted {pred.noun}, measured {meas.kind}"
     for f in fields(pred):

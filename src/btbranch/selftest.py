@@ -2,10 +2,9 @@
 
 Four independent cross-checks, all driven from one deterministic RNG:
 
-* pair suite: predict_relpos against the windowed measurement on random
-  integral pairs, with a prediction-side dry run deciding whether the
-  window is large enough before the real comparison (so skips never
-  depend on what the oracle saw);
+* pair suite: predict_relpos against one measurement of the two oracle
+  sets on random integral pairs, skipped exactly when check_agreement
+  finds the measurement cannot settle it, so no predicted shape is read;
 * branch suite: branch_shape against per-branch oracle sets and stem
   measurement;
 * defect suite: as_defect / quad_defect against exhaustive minimization
@@ -254,23 +253,15 @@ def _cell_label(pair) -> str:
     return "/".join(sorted((pair.m1.cell, pair.m2.cell)))
 
 
-def compare_pair(pair, window, margin, prec, sets=None):
+def compare_pair(pair, window, margin, sets=None):
     """Returns (status, detail, pred, meas): status in matched/mismatched/
-    skipped; meas is None when the window is too small to look.  ``sets``
-    are the two oracle sets, if the caller built them."""
+    skipped, skipped when the measurement cannot settle the prediction.
+    ``sets`` are the two oracle sets, if the caller built them."""
     pred = predict_relpos(pair)
-    shapes = (branch_shape(pair.q1, prec), branch_shape(pair.q2, prec))
-    predicted_sets = (shape_members(shapes[0], window),
-                      shape_members(shapes[1], window))
-    dry = measure_intersection(pair, window, margin, sets=predicted_sets)
-    ok, why = check_agreement(pred, dry)
-    if not ok:
-        return "skipped", f"window too small for prediction: {why}", pred, None
     meas = measure_intersection(pair, window, margin, sets=sets)
     ok, why = check_agreement(pred, meas)
-    if ok:
-        return "matched", type(pred).__name__, pred, meas
-    return "mismatched", why, pred, meas
+    status = {True: "matched", False: "mismatched", None: "skipped"}[ok]
+    return status, type(pred).__name__ if ok else why, pred, meas
 
 
 # -- branch suite ---------------------------------------------------
@@ -296,6 +287,12 @@ def _check_foliage(shape, oset, window):
     if not leaves:
         return "skipped", "no interior leaf visible"
     lvl = min(v.r for v in leaves)
+    if lvl > shape.level and not shape.end.is_infinity:
+        # the lowest leaf is B_end^[level]; where the filter above drops
+        # it, a higher visible leaf proves nothing
+        low = Vertex(shape.level, shape.end.value)
+        if low not in window or window.boundary_distance(low) < 1:
+            return "skipped", "lowest leaf not visible"
     if lvl != shape.level:
         return "mismatched", f"leaf level {lvl} vs predicted {shape.level}"
     if not shape.end.is_infinity:
@@ -581,8 +578,7 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
             continue
         cell = _cell_label(pair)
         try:
-            status, detail, pred, meas = compare_pair(pair, window, margin,
-                                                      prec)
+            status, detail, pred, meas = compare_pair(pair, window, margin)
         except UndeterminedAtPrecision as exc:
             status, detail = "skipped", f"undetermined at precision: {exc}"
         except ValueError as exc:

@@ -467,6 +467,13 @@ class MeasuredShape:
     number reported was pinned down inside the window per the margin
     rules; an uncertified shape is a request for a larger window, not
     evidence of anything.
+
+    disjoint, path and blob are two-sided: the window saw the whole
+    intersection.  ray, maxpath and contained are one-sided, since no
+    finite window sees a shared end: a ray has one end certified and one
+    cut by the window, a maxpath both ends cut, and their ``length`` is
+    the visible length, a lower bound; contained carries the visible
+    ``diameter`` of the smaller set, a lower bound on that of the meet.
     """
 
     kind: str
@@ -517,9 +524,17 @@ def _measure_paths_meet(stem1, stem2, window, margin, base_certified, dref):
 
 
 def _measure_foliage_meet(s1, s2, window, margin):
+    """Two foliage sets.  A visible containment is one-sided: the true
+    meet holds the smaller set, so its diameter is at least the one the
+    window shows, and that lower bound is all that is certified."""
     if s1 <= s2 or s2 <= s1:
-        side = "1in2" if s1 <= s2 else "2in1"
-        return MeasuredShape("contained", bool(s1 and s2), containment=side)
+        small, side = (s1, "1in2") if s1 <= s2 else (s2, "2in1")
+        if not small:
+            return MeasuredShape("contained", False, containment=side,
+                                 note="a foliage misses the window")
+        diam, _, _ = set_diameter(small, window)
+        return MeasuredShape("contained", True, diameter=diam,
+                             containment=side)
     inter = s1 & s2
     if not inter:
         return _measure_disjoint(s1, s2, window, margin)
@@ -547,10 +562,8 @@ def measure_intersection(pair, window: Window, margin: int = 2,
     stems; every other class has a deep core extracted by
     measure_branch.  The result's ``kind`` is the ``kind`` of the
     predicted position class, so check_agreement compares the two field
-    by field.  ``sets`` substitutes precomputed member sets for the
-    oracle ones: oracle sets a caller keeps for itself, or predicted
-    sets, on which the self-test dry-runs the measurement to decide
-    whether the window is big enough before looking at the real thing.
+    by field.  ``sets`` substitutes the two oracle sets when the caller
+    has built them for itself.
     """
     if sets is None:
         s1 = oracle_branch(pair.q1, window)

@@ -822,8 +822,10 @@ def test_box_terms_are_the_small_elements_in_order(tau, modulus, box):
     lo = box[0]
     pool = list(_small_elements(fld, *box))
     got = _box_terms(fld, *box)
-    assert got == [_terms(u, lo) for u in pool]
+    assert got == tuple(tuple(_terms(u, lo)) for u in pool)
     assert [_element(fld, lo, terms) for terms in got] == pool
+    # kept per (field, box, max_terms), so one box is built once
+    assert _box_terms(field(tau, modulus), *box) is got
 
 
 def test_both_searches_build_the_norm_form_once(monkeypatch):

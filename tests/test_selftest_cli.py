@@ -50,6 +50,19 @@ def test_empty_run_is_trivially_green():
     assert report.defect_checked == 0
 
 
+def test_a_foliage_leaf_on_the_window_boundary_is_a_skip():
+    # the foliage (end t^-4 + t^-2, level -8) has its lowest leaf on the
+    # radius-8 boundary, where the branch suite drops every leaf, so the
+    # lowest leaf it sees there sits higher and proves nothing
+    fld = field(1)
+    q = m_parse(fld, "[[1+t^2+t^4+t^6,1+t^4],[t^8,1+t^2+t^4+t^6]]")
+    for radius, want in ((8, ("skipped", "lowest leaf not visible")),
+                         (9, ("matched", ""))):
+        window = tree.enumerate_window(fld, radius)
+        assert selftest._run_branch_instance(q, window, 2, 64) == want
+    assert run_selftest(seed=55, count=30).passing
+
+
 @pytest.mark.parametrize("prec", (4, 6, 8, 10, 16, 64))
 def test_low_precision_skips_instead_of_mismatching(prec):
     report = run_selftest(seed=7, tau=1, count=30, radius=6, prec=prec)
@@ -272,7 +285,9 @@ def test_cli_oracle_flags_an_uncertified_window(capsys):
     code, out, _ = run_cli(capsys, ["oracle", "[[0,1],[0,0]]",
                                     "[[t^-2,1],[t^-4,t^-2]]", "--radius", "3"])
     assert code == 3
-    assert "verdict: UNDETERMINED (window too small for prediction" in out
+    assert "measured:  kind=contained, certified=False" in out
+    assert ("verdict: UNDETERMINED (measurement uncertified: a foliage "
+            "misses the window)") in out
 
 
 @pytest.mark.parametrize("radius", range(7))
@@ -281,14 +296,20 @@ def test_cli_oracle_compares_like_the_selftest(capsys, radius):
     fld = field(1)
     pair = make_pair(m_parse(fld, q1), m_parse(fld, q2), 64)
     status, why, _, _ = compare_pair(pair, tree.enumerate_window(fld, radius),
-                                     2, 64)
+                                     2)
     code, out, _ = run_cli(capsys, ["oracle", q1, q2,
                                     "--radius", str(radius)])
     verdict = out.splitlines()[-1]
+    # the meet has diameter 2: a window of radius 0-2 sees one foliage
+    # inside the other, a lower bound no larger than the prediction
+    kind = "contained" if radius < 3 else "blob"
+    if radius < 3:
+        assert f"kind=contained, certified=True, diameter={radius}" in out
+        assert why.startswith("window too small: measured contained, "
+                              f"visible diameter {radius}")
     if radius < 5:
         assert status == "skipped" and code == 3
         assert verdict == f"verdict: UNDETERMINED ({why})"
-        assert "measured:  not taken" in out
     else:
         assert status == "matched" and code == 0
         assert verdict == "verdict: MATCH"
@@ -297,7 +318,7 @@ def test_cli_oracle_compares_like_the_selftest(capsys, radius):
     rec = json.loads(out)
     assert rec["match"] == (status == "matched")
     assert rec["note"] == ("" if status == "matched" else why)
-    assert (rec["measured"] is None) == (status == "skipped")
+    assert rec["measured"]["kind"] == kind
 
 
 def test_cli_rejects_garbage_input(capsys):

@@ -13,8 +13,8 @@ import time
 
 from btbranch.selftest import run_selftest
 
-DIGEST = ("e21bc8e4acaedc6b24a3ab7bf3794b8c"
-          "564a401db1aec6684fbd9a8b7d7e854c")
+DIGEST = ("abca39878ef0f884b7fab9d112a42002"
+          "a64d3448c072d1d4306b9fd2deaa4cb7")
 
 
 def test_tau3_selftest_passes_with_every_cell_covered():
