@@ -88,8 +88,7 @@ def _cmd_branch(args) -> int:
     fld = field(args.tau, args.modulus)
     q = m_parse(fld, args.matrix)
     shape = branch_shape(q, args.prec)
-    # the window is built first, so a radius it refuses prints nothing
-    window = enumerate_window(fld, _radius(args)) if args.dot else None
+    window = _window(fld, args) if args.dot else None
     _emit(args, shape.render(), _shape_record(shape))
     if args.dot:
         members = oracle_branch(q, window)
@@ -128,7 +127,7 @@ def _cmd_df(args) -> int:
 def _cmd_oracle(args) -> int:
     fld = field(args.tau, args.modulus)
     pair = make_pair(m_parse(fld, args.q1), m_parse(fld, args.q2), args.prec)
-    window = enumerate_window(fld, _radius(args))
+    window = _window(fld, args)
     sets = None
     if args.dot:
         sets = (oracle_branch(pair.q1, window), oracle_branch(pair.q2, window))
@@ -210,6 +209,15 @@ def _radius(args) -> int:
     if args.window_radius is None:
         return default_radius(args.tau)
     return args.window_radius
+
+
+def _window(fld, args):
+    """The measurement window.  For a --dot file its vertices are listed
+    at once, so a radius too large to list prints nothing."""
+    window = enumerate_window(fld, _radius(args))
+    if args.dot:
+        window.vertices
+    return window
 
 
 def _search_box(text: str) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .defects import QuadPoly, classify
 from .series import (DEFAULT_PREC, Series, _split_top, s_add, s_inv, s_mul,
-                     s_parse, s_render, s_square, s_zero, val_ge)
+                     s_one, s_parse, s_render, s_square, s_zero, val_ge)
 
 
 class ScalarMatrix(Exception):
@@ -95,7 +95,7 @@ def is_scalar(q: Mat2) -> bool:
 def companion(a: Series, b: Series) -> Mat2:
     """The companion matrix of X^2 + aX + b: trace a, determinant b."""
     fld = a.field
-    return Mat2(s_zero(fld), b, s_parse(fld, "1"), a)
+    return Mat2(s_zero(fld), b, s_one(fld), a)
 
 
 def sym_product(q1: Mat2, q2: Mat2) -> Series:

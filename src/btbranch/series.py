@@ -602,9 +602,14 @@ def s_parse(cfg: FieldConfig, text: str) -> Series:
 
 def s_random(cfg: FieldConfig, rng, lo: int, hi: int, *,
              nonzero: bool = False) -> Series:
-    """Random exact series supported on exponents lo..hi inclusive."""
+    """Random exact series supported on exponents lo..hi inclusive.
+
+    One draw per exponent, lowest first, each shifted into its lane.
+    """
+    w = cfg.tau
     while True:
-        terms = {e: rng.randrange(cfg.order) for e in range(lo, hi + 1)}
-        a = s_from_terms(cfg, terms, None)
-        if a.bits or not nonzero:
-            return a
+        bits = 0
+        for i in range(hi - lo + 1):
+            bits |= rng.randrange(cfg.order) << i * w
+        if bits or not nonzero:
+            return _make(cfg, lo, bits, None)

@@ -1,58 +1,37 @@
 """The Bruhat-Tits tree of PGL_2 over the series field, and branch oracles.
 
 Vertices are balls B_z^[r]: a center z mod t^r and an integer level r.
-The maximal order attached to B_z^[r] is g M_2(O) g^-1 for
-g = [[z, t^r], [1, 0]], and the branch of an integral matrix q is the
-set of vertices whose order contains q.  ``member`` evaluates that
-containment exactly, on the packed lanes of the entries and the center;
-everything else in this module is bookkeeping on a finite window of the
-tree plus certified measurements on oracle sets.
-
-Windows are balls around the base vertex B_0^[0], built by one
-breadth-first search over packed centers: a child's center is its
-parent's with one lane set.  The window is a tree, so every neighbour of
-an expanded vertex other than the one it was found from is new, and the
-search records each neighbour list by window position (``Window.nbrs``)
-without looking a vertex up; a boundary vertex's only neighbour inside
-is the vertex it was found from.  Balls are geodesically convex, so
-graph distances measured inside a window agree with tree distances, and
-a breadth-first search toward the complement of a member set
-under-approximates nothing once it stays clear of the window boundary.
-That is the whole certification story: a measured quantity is trusted
-only where the boundary provably cannot interfere.
-
-A branch is a subtree, hence convex (Serre, *Trees*), and so is the
-window; their intersection is therefore connected in the window graph.
-Every walk over the window runs on window positions, the only way the
-window keeps its tables: the public functions take and return vertex
-sets, translate them through ``Window.index`` once on entry and read
-``Window.vertices`` on exit, and in between walk ``Window.nbrs`` on
-ints.  ``grow`` scans the window for one vertex that passes a test and
-walks only through passing vertices from there, testing each vertex
-once; it returns the set in window order, as a full scan builds it.
-``oracle_branch`` is ``grow`` with the membership test and never
-consults a predicted shape.  The measurements are breadth-first
-searches, ``_bfs``, that walk only inside the member set, except
-``set_distance``, which has to cross non-members.
+The branch of an integral matrix q is the set of vertices whose maximal
+order contains q.  A window, the ball of a radius around B_0^[0], is
+walked on int keys and built only where it is read (see ``Window``).
+Balls are geodesically convex, so distances inside a window are tree
+distances, and a measured quantity is trusted only where the window
+boundary provably cannot interfere.  A branch is a subtree, hence convex
+(Serre, *Trees*), so it meets the window in a connected set: ``grow``
+finds one member by a scan in key order and walks through members from
+there, touching the scan prefix, the members and their rim and nothing
+else.  ``oracle_branch`` is ``grow`` with the membership test, decided
+along each edge with a few shifts and XORs; it never consults a
+predicted shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
 
 from .mat2 import Mat2, det, trace
 from .series import (Series, UndeterminedAtPrecision, _clmul, _lane_mul,
                      _make, _min_prec, s_add, s_render, s_val, s_zero)
 
 INFINITE_DEPTH = 10 ** 9
+_new, _set = object.__new__, object.__setattr__
 
 
 def reduce_center(z: Series, r: int) -> Series:
-    """z mod t^r as an exact series; needs z known at least mod t^r.
-
-    The lanes of z below r - lead, masked; z itself when it is exact and
-    has no lane at or above r.
-    """
+    """z mod t^r as an exact series (z itself when it has no lane at or
+    above r); needs z known at least mod t^r."""
     if z.prec is not None and z.prec < r:
         raise UndeterminedAtPrecision(
             f"center known mod t^{z.prec} but needed mod t^{r}")
@@ -66,18 +45,15 @@ def reduce_center(z: Series, r: int) -> Series:
 
 @dataclass(frozen=True)
 class Vertex:
-    """The ball B_z^[r].  The stored center is always reduced mod t^r.
-
-    Vertices are set and dict keys throughout, so the hash of (r, center)
-    -- the value the dataclass would compute -- is taken once, here.
-    """
+    """The ball B_z^[r], its center reduced mod t^r; the hash of
+    (r, center), the one the dataclass would compute, is taken once."""
 
     r: int
     center: Series
 
     def __post_init__(self):
-        object.__setattr__(self, "center", reduce_center(self.center, self.r))
-        object.__setattr__(self, "_hash", hash((self.r, self.center)))
+        _set(self, "center", reduce_center(self.center, self.r))
+        _set(self, "_hash", hash((self.r, self.center)))
 
     def __hash__(self):
         return self._hash
@@ -89,48 +65,29 @@ class Vertex:
         return f"Vertex({self.render()})"
 
 
+def _lowest(v: Vertex) -> int:
+    """The lowest level on the geodesic from B_0^[0] to v."""
+    return min(v.r, 0, v.center.lead) if v.center.bits else min(v.r, 0)
+
+
 def tree_distance(v: Vertex, w: Vertex) -> int:
     """Path distance: (r1 - m) + (r2 - m) with m = min(r1, r2, val(z1+z2))."""
     m = min(v.r, w.r, s_val(s_add(v.center, w.center)))
     return (v.r - m) + (w.r - m)
 
 
-#: the most vertices ``enumerate_window`` builds: every radius the
-#: self-test uses fits (tau 1 up to radius 17, tau 2 up to 8, tau 3 up
-#: to 6), and a larger request fails at once instead of filling memory
+#: the most vertices a window lists or a walk touches, and the most inside
+#: a walked window's boundary: radius 18 at tau 1, 9 at tau 2, 7 at tau 3
 MAX_WINDOW_VERTICES = 400_000
 
 
-@dataclass
-class Window:
-    """All vertices within ``radius`` of B_0^[0], with adjacency.
-
-    ``vertices`` is in breadth-first order, B_0^[0] first, and ``index``
-    maps each vertex to its position there.  The other tables are by
-    position: ``nbrs[i]`` lists the positions of the neighbours of
-    vertex i and ``dist[i]`` is its distance to B_0^[0].
-    """
-
-    radius: int
-    vertices: list[Vertex]
-    index: dict[Vertex, int] = dc_field(repr=False)
-    nbrs: list[list[int]] = dc_field(repr=False)
-    dist: list[int] = dc_field(repr=False)
-
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self.index
-
-    def boundary_distance(self, v: Vertex) -> int:
-        return self.radius - self.dist[self.index[v]]
+class WindowTooLarge(ValueError):
+    """A walk would touch more than MAX_WINDOW_VERTICES vertices."""
 
 
 def largest_radius(order: int) -> int:
-    """The largest radius whose window holds at most MAX_WINDOW_VERTICES.
-
-    The ball of radius r in the (q + 1)-regular tree, q = order, holds
-    1 + (q + 1)(q^r - 1)/(q - 1) vertices; the spheres are summed until
-    the total passes the limit, so this takes a few steps.
-    """
+    """The largest radius whose window holds at most MAX_WINDOW_VERTICES:
+    the spheres of the (order + 1)-regular tree, summed to the limit."""
     size, sphere, radius = 1, order + 1, 0
     while size + sphere <= MAX_WINDOW_VERTICES:
         size += sphere
@@ -139,86 +96,132 @@ def largest_radius(order: int) -> int:
     return radius
 
 
-def _check_window_size(fld, radius: int) -> None:
-    """Refuse a radius whose ball holds more than MAX_WINDOW_VERTICES."""
+def _check_radius(fld, radius: int, listed: bool) -> None:
+    """Refuse a ball (for a walk, its interior) over MAX_WINDOW_VERTICES."""
     if radius < 0:
         raise ValueError(f"window radius must be >= 0, got {radius}")
-    limit = largest_radius(fld.order)
+    limit = largest_radius(fld.order) + (not listed)
     if radius > limit:
         raise ValueError(
             f"a window of radius {radius} over F_(2^{fld.tau}) holds more "
-            f"than {MAX_WINDOW_VERTICES:,} vertices; the largest radius "
-            f"within that limit is {limit}")
+            f"than {MAX_WINDOW_VERTICES:,} vertices"
+            f"{'' if listed else ' inside its boundary'}; the largest "
+            f"radius within that limit is {limit}")
+
+
+class Window:
+    """The vertices within ``radius`` of B_0^[0], walked on demand.
+
+    A key is a 1, then a (tau + 1)-bit slot per step of the path from
+    B_0^[0]: 0 a level up, 1 + c a level down adding c t^r to the center.
+    The path climbs before it descends, so a key holds the level and the
+    center and keys sort in breadth-first order.  The parent of k is
+    k >> (tau + 1); a power of two is B_0^[-a], whose parent is down."""
+
+    def __init__(self, fld, radius: int):
+        self.field, self.radius = fld, radius
+        self._W = fld.tau + 1
+        self._edge = 1 << radius * self._W  # the first boundary key
+        self._slots = tuple(range(fld.order + 1))
+        self._axis = (0,) + self._slots[2:]
+        self._root = Vertex(0, s_zero(fld))
+        self._verts, self._keys = {1: self._root}, {self._root: 1}
+        cap = MAX_WINDOW_VERTICES // (fld.order + 1)  # lists of order + 1
+        self.nbrs = lru_cache(cap)(self._nbrs)
+
+    def __contains__(self, v: Vertex) -> bool:
+        return self.boundary_distance(v) >= 0
+
+    def boundary_distance(self, v: Vertex) -> int:
+        return self.radius + 2 * _lowest(v) - v.r
+
+    def _bd(self, k: int) -> int:
+        return self.radius - (k.bit_length() - 1) // self._W
+
+    def _touch(self, n: int) -> None:
+        if n > MAX_WINDOW_VERTICES:
+            raise WindowTooLarge(
+                f"a walk in the window of radius {self.radius} touches "
+                f"more than {MAX_WINDOW_VERTICES:,} vertices")
+
+    def _children(self, k: int) -> list[int]:
+        kk = k << self._W
+        slots = (self._slots[1:] if k & k - 1 else
+                 self._slots if k == 1 else self._axis)
+        return [kk | s for s in slots]
+
+    def _nbrs(self, k: int) -> list[int]:
+        """k's neighbours in the window, in slot order; ``nbrs`` keeps them."""
+        up = [k >> self._W] if k > 1 else []
+        if k >= self._edge:
+            return up
+        kids = self._children(k)
+        return up + kids if k & k - 1 else kids[:1] + up + kids[1:]
+
+    def _scan(self):
+        """Every key in breadth-first order, as (parent, children) pairs:
+        (None, [1]) first, then the children of each key in turn."""
+        yield None, [1]
+        queue, seen = deque([1] if self.radius else []), 1
+        while queue:
+            kids = self._children(p := queue.popleft())
+            self._touch(seen := seen + len(kids))
+            yield p, kids
+            if kids[0] < self._edge:
+                queue += kids
+
+    def vertex(self, k: int) -> Vertex:
+        """The vertex of key k, made from its parent's on first use."""
+        v = self._verts.get(k)
+        if v is None:
+            p = self.vertex(k >> self._W)
+            z, r, slot = p.center, p.r, k & (1 << self._W) - 1
+            if slot == 0:  # up from B_0^[r], whose center is 0
+                r -= 2
+            elif slot > 1:
+                lead = z.lead if z.bits else r
+                bits = z.bits ^ slot - 1 << (r - lead) * self.field.tau
+                z = _make(self.field, lead, bits, None)
+            v = _new(Vertex)  # the center is reduced already
+            _set(v, "r", r + 1)
+            _set(v, "center", z)
+            _set(v, "_hash", hash((r + 1, z)))
+            if len(self._verts) >= MAX_WINDOW_VERTICES:
+                self._verts, self._keys = {1: self._root}, {self._root: 1}
+            self._verts[k], self._keys[v] = v, k
+        return v
+
+    def key(self, v: Vertex) -> int:
+        """The key of a window vertex: up to the lowest level, then down."""
+        k = self._keys.get(v)
+        if k is None:
+            z, m, w = v.center, _lowest(v), self.field.tau
+            k = 1 << -m * self._W
+            for e in range(m, v.r):
+                c = z.bits >> (e - z.lead) * w if e >= z.lead else 0
+                k = k << self._W | 1 + (c & (1 << w) - 1)
+        return k
+
+    @cached_property
+    def vertices(self) -> list[Vertex]:
+        """Every vertex, in breadth-first order; refuses a ball of more
+        than MAX_WINDOW_VERTICES vertices before building anything."""
+        _check_radius(self.field, self.radius, listed=True)
+        return [self.vertex(k) for _, ks in self._scan() for k in ks]
 
 
 def enumerate_window(fld, radius: int) -> Window:
-    """The ball of ``radius`` around B_0^[0], by one breadth-first search.
-
-    Each vertex inside the ball is expanded once, into its neighbours in
-    this order: the one up a level, then one down a level for each
-    residue c in ``elements()`` order, with c XORed into the lane of t^r
-    of the center.  All of them are new except the vertex it was found
-    from, its parent, whose slot is known without a lookup:
-    a vertex found as a child has its parent up, and a vertex found as
-    the up neighbour of a child has it down, in the slot of that child's
-    residue at the vertex's level.  A vertex on the boundary is not
-    expanded: its one neighbour inside the ball is its parent.
-    Raises ValueError for a negative radius or one whose ball holds more
-    than MAX_WINDOW_VERTICES vertices, before building anything.
-    """
-    _check_window_size(fld, radius)
-    w, residues = fld.tau, fld.elements()
-    mask = (1 << w) - 1
-    order = [Vertex(0, s_zero(fld))]
-    depth = [0]
-    parent = [-1]
-    parent_slot = [-1]
-    nbrs = []
-    for i, v in enumerate(order):
-        if depth[i] == radius:
-            break
-        d, p, ps = depth[i] + 1, parent[i], parent_slot[i]
-        z, r = v.center, v.r
-        lead = z.lead if z.bits else r
-        shift = (r - lead) * w
-        nb = []
-        if ps == 0:
-            nb.append(p)
-        else:
-            # the up neighbour is new, and this vertex is its child for
-            # the residue of z at t^(r-1)
-            nb.append(len(order))
-            order.append(Vertex(r - 1, z))
-            depth.append(d)
-            parent.append(i)
-            parent_slot.append(1 + (z.bits >> shift - w & mask
-                                    if shift >= w else 0))
-        for slot, c in enumerate(residues, 1):
-            if slot == ps:
-                nb.append(p)
-                continue
-            nb.append(len(order))
-            order.append(Vertex(r + 1, _make(fld, lead, z.bits ^ c << shift,
-                                             None) if c else z))
-            depth.append(d)
-            parent.append(i)
-            parent_slot.append(0)
-        nbrs.append(nb)
-    nbrs.extend([p] if p >= 0 else [] for p in parent[len(nbrs):])
-    index = {v: i for i, v in enumerate(order)}
-    return Window(radius, order, index, nbrs, depth)
+    """The ball of ``radius`` around B_0^[0], built as it is read; raises
+    ValueError for a negative radius or one too large to walk."""
+    _check_radius(fld, radius, listed=False)
+    return Window(fld, radius)
 
 
 # -- the membership oracle ------------------------------------------
 
 def _val_at_least(bits: int, base: int, prec, k: int, w: int) -> bool:
-    """val >= k for the lanes ``bits`` (lane 0 at exponent ``base``) of a
-    value known below ``prec``, as ``series.val_ge`` decides it.
-
-    Lanes at or above prec may hold anything: only the lanes below
-    min(k, prec) are read.  A nonzero one settles val < k; none settles
-    val >= k if prec reaches k, and otherwise nothing is settled.
-    """
+    """val >= k for lanes ``bits`` (lane 0 at t^base) known below ``prec``,
+    as ``series.val_ge`` decides it, reading lanes below min(k, prec)."""
     m = k if prec is None or prec >= k else prec
     n = (m - base) * w
     if n > 0 and bits & (1 << n) - 1:
@@ -229,251 +232,267 @@ def _val_at_least(bits: int, base: int, prec, k: int, w: int) -> bool:
         f"cannot certify val >= {k} from prec {prec}")
 
 
+class _Member:
+    """Membership of one matrix q = [[A,B],[C,D]], from packed values.
+
+    g = [[z, t^r], [1, 0]] conjugates q to [[Cz+D, C t^r], [t^-r Q(z),
+    A+Cz]], Q(z) = Cz^2 + (A+D)z + B.  ``verdict`` checks val(Cz+D) >= 0,
+    val C >= -r, val(A+Cz) >= 0 and val Q(z) >= r on a state (r, val z or
+    None for z = 0, L = Cz+D packed from t^e1, Q(z) packed from t^e2) at
+    the precisions ``s_mul`` and ``s_add`` would give, so truncated input
+    raises where the four bounds on Series do."""
+
+    def __init__(self, q: Mat2, fld, e1: int, e2: int):
+        a, b, c, d = q.a, q.b, q.c, q.d
+        if c.field is not fld and c.field != fld:
+            raise ValueError("mixed residue fields")
+        w = self.w = fld.tau
+        self.e1, self.e2, self.c = e1, e2, c
+        self.a = a.bits << (a.lead - e1) * w
+        self.d = d.bits << (d.lead - e1) * w
+        self.b = b.bits << (b.lead - e2) * w
+        self.ad = self.a ^ self.d
+        self.precs = a.prec, b.prec, c.prec, d.prec
+        self.exact = self.precs == (None,) * 4
+        self.low = (1 << max(-e1, 0) * w) - 1  # the lanes of L below t^0
+        self.rmin = -c.lead if c.bits else -INFINITE_DEPTH  # val C >= -r
+        self.mul = _clmul if w == 1 else partial(_lane_mul, fld)
+
+    def verdict(self, state) -> bool:
+        r, vz, ell, quad = state
+        if self.exact:
+            n = (r - self.e2) * self.w
+            return (r >= self.rmin and not ell & self.low
+                    and not (ell ^ self.ad) & self.low
+                    and not (n > 0 and quad & (1 << n) - 1))
+        c, w, e1 = self.c, self.w, self.e1
+        pa, pb, pc, pd = self.precs
+        pcz = None if vz is None or pc is None else pc + vz
+        p1 = _min_prec(pcz, pd)
+        if not (_val_at_least(ell, e1, p1, 0, w)
+                and _val_at_least(c.bits, c.lead, pc, -r, w) and _val_at_least(
+                    ell ^ self.ad, e1, _min_prec(pa, pcz), 0, w)):
+            return False
+        ps = _min_prec(p1, pa)
+        if vz is not None:
+            pb = _min_prec(None if ps is None else ps + vz, pb)
+        return _val_at_least(quad, self.e2, pb, r, w)
+
+
 def member(q: Mat2, v: Vertex) -> bool:
-    """Whether q lies in the maximal order of v.  Exact for exact input.
-
-    Conjugating by g = [[z, t^r], [1, 0]] sends q = [[A,B],[C,D]] to
-    [[Cz+D, C t^r], [t^-r (Cz^2+(A+D)z+B), A+Cz]], so membership is four
-    valuation bounds, the interesting one being the characteristic
-    quadratic of q evaluated at the center, read here as
-    (A + Cz + D) z + B.
-
-    Everything runs on the packed lanes of the entries and of z, with no
-    Series built: products are carry-less at tau 1 and lane products
-    above, sums are aligned XORs.  The center is exact, so multiplying
-    by z shifts the precision by val(z), and each bound carries the
-    precision ``s_mul`` and ``s_add`` would give it, so on truncated
-    input this decides, or raises UndeterminedAtPrecision, exactly where
-    the same four bounds on Series do.
-    """
-    z, r = v.center, v.r
-    a, b, c, d = q.a, q.b, q.c, q.d
-    fld, zb = z.field, z.bits
-    if c.field is not fld and c.field != fld:
-        raise ValueError("mixed residue fields")
-    w = fld.tau
-    if not zb:  # z = 0 exactly, and so are Cz and the z terms
-        return (_val_at_least(d.bits, d.lead, d.prec, 0, w)
-                and _val_at_least(c.bits, c.lead, c.prec, -r, w)
-                and _val_at_least(a.bits, a.lead, a.prec, 0, w)
-                and _val_at_least(b.bits, b.lead, b.prec, r, w))
-    zl, cb, pc = z.lead, c.bits, c.prec
-    czb = _clmul(cb, zb) if w == 1 else _lane_mul(fld, cb, zb)
-    # Cz, A and D on one base exponent e
-    czl = c.lead + zl
-    e = min(czl, a.lead, d.lead)
-    cz = czb << (czl - e) * w
-    dd = d.bits << (d.lead - e) * w
-    pcz = None if pc is None else pc + zl
-    p1 = _min_prec(pcz, d.prec)
-    if not _val_at_least(cz ^ dd, e, p1, 0, w):
-        return False
-    if not _val_at_least(cb, c.lead, pc, -r, w):
-        return False
-    aa = a.bits << (a.lead - e) * w
-    if not _val_at_least(aa ^ cz, e, _min_prec(a.prec, pcz), 0, w):
-        return False
-    s, ps = aa ^ cz ^ dd, _min_prec(p1, a.prec)
-    s = _clmul(s, zb) if w == 1 else _lane_mul(fld, s, zb)
-    # (A + Cz + D) z sits on base e + zl, known below ps + zl; add B on
-    # the lower of the two bases
-    e4 = min(e + zl, b.lead)
-    quad = s << (e + zl - e4) * w ^ b.bits << (b.lead - e4) * w
-    pq = _min_prec(None if ps is None else ps + zl, b.prec)
-    return _val_at_least(quad, e4, pq, r, w)
+    """Whether q lies in the maximal order of v, from scratch: the state
+    of ``_Member`` with L = Cz + D and Q(z) = (L + A) z + B."""
+    z, r, a, c = v.center, v.r, q.a, q.c
+    if not z.bits:  # z = 0 exactly: L = D and Q(z) = B
+        ev = _Member(q, z.field, min(a.lead, q.d.lead), q.b.lead)
+        return ev.verdict((r, None, ev.d, ev.b))
+    vz, w = z.lead, z.field.tau
+    e1 = min(c.lead + vz, a.lead, q.d.lead)
+    ev = _Member(q, z.field, e1, min(e1 + vz, q.b.lead))
+    ell = ev.d ^ ev.mul(c.bits, z.bits) << (c.lead + vz - e1) * w
+    quad = ev.b ^ ev.mul(ell ^ ev.a, z.bits) << (e1 + vz - ev.e2) * w
+    return ev.verdict((r, vz, ell, quad))
 
 
-def _bfs(window: Window, sources, inside=None, stop=None):
-    """Breadth-first walk over window positions from ``sources``, entering
-    only positions the predicate ``inside`` accepts and ending at the
-    first dequeued position the predicate ``stop`` accepts.  Returns the
-    depths in discovery order, the parents and the stopping position
-    (None if none stopped it).
-    """
+def _oracle_test(q: Mat2, window: Window):
+    """``expand(p, ks)``: the keys among ks, neighbours of the tested key
+    p (or [1] for p None), whose vertex holds q.  An edge between levels
+    e and e + 1 adds c t^e to the center, so C c t^e to L and (A+D) c t^e
+    + C c^2 t^2e to Q(z): rows built once per matrix.  A vertex keeps its
+    state if it is interior, as the scan reads it, or passes."""
+    fld, radius, W = window.field, window.radius, window._W
+    low = min(x.lead for x in (q.a, q.b, q.c, q.d))
+    ev = _Member(q, fld, low - radius, low - 2 * radius)
+    mul, w, c = ev.mul, fld.tau, q.c
+    rows = [(mul(c.bits, x), mul(ev.ad, x), mul(c.bits, mul(x, x)))
+            for x in fld.elements()]
+    levels = [None] * (2 * radius)
+    verdict, state, edge, mask = ev.verdict, {}, window._edge, (1 << W) - 1
+
+    def step(e):  # the rows of the edges between levels e and e + 1
+        sl, sq = (c.lead + e - ev.e1) * w, (c.lead + 2 * e - ev.e2) * w
+        levels[e + radius] = [(cx << sl, adx << (radius + e) * w ^ cxx << sq)
+                              for cx, adx, cxx in rows]
+        return levels[e + radius]
+
+    def expand(p, ks):
+        if p is None:
+            s = state[1] = (0, None, ev.d, ev.b)
+            return [1] if verdict(s) else []
+        r, vz, ell, quad = state[p]
+        out = []
+        for k in ks:
+            child = k >> W == p  # else k is the parent of p
+            slot = (k if child else p) & mask
+            if not slot:  # up or down along B_0^[-a], whose center is 0
+                s = (r - 1 if child else r + 1, vz, ell, quad)
+            else:  # the term c t^e comes or goes; vz moves if it is alone
+                e = r if child else r - 1
+                dl, dq = (levels[e + radius] or step(e))[slot - 1]
+                s = (e + child, vz if slot == 1 else (e if vz is None else vz)
+                     if child else (None if vz == e else vz),
+                     ell ^ dl, quad ^ dq)
+            if k < edge:
+                state[k] = s
+            if verdict(s):
+                state[k] = s
+                out.append(k)
+        return out
+    return expand
+
+
+def _bfs(window: Window, sources, inside) -> dict[int, int]:
+    """Breadth-first depths from ``sources`` through keys ``inside``."""
     nbrs = window.nbrs
     depth = dict.fromkeys(sources, 0)
-    parent = {}
     queue = list(depth)
     for v in queue:  # the list grows as the walk finds vertices
-        if stop is not None and stop(v):
-            return depth, parent, v
         d = depth[v] + 1
-        for u in nbrs[v]:
-            if u not in depth and (inside is None or inside(u)):
+        for u in nbrs(v):
+            if u not in depth and inside(u):
                 depth[u] = d
-                parent[u] = v
                 queue.append(u)
-    return depth, parent, None
+    return depth
+
+
+def _grow(window: Window, expand) -> list[int]:
+    """``grow`` on keys: ``expand(p, ks)`` returns the keys of ks,
+    neighbours of the tested key p, that pass; sorted."""
+    first = next((k for p, ks in window._scan() for k in ks
+                  if expand(p, [k])), None)
+    if first is None:
+        return []
+    # every key below first was scanned and failed; the rest are tested once
+    found, tested, nbrs = [first], {first}, window.nbrs
+    for i in found:  # the list grows as the walk finds members
+        new = [j for j in nbrs(i) if j > first and j not in tested]
+        if new:
+            tested.update(new)
+            window._touch(len(tested))
+            found += expand(i, new)
+    found.sort()
+    return found
 
 
 def grow(window: Window, test) -> set[Vertex]:
-    """The window vertices that pass ``test``, when those form a convex set.
-
-    The window is scanned in window order up to the first passing vertex,
-    and the walk from there enters passing vertices only, so ``test``
-    sees the scan prefix, the passing set and its rim, each vertex once.
-    A convex set -- a branch, a tube around a stem, a horoball -- meets
-    the convex window in a connected set, so the walk reaches all of it.
-
-    On truncated input the answer is certified: every vertex tested here
-    is tested by a full scan too, so this raises UndeterminedAtPrecision
-    only where that scan would, and an untested vertex is cut off from the
-    passing set by vertices that fail for every completion, so by
-    convexity it fails for every completion alike.  The set is built in
-    window order, as a full scan builds it, so the tie-breaks further down
-    (the realizers of ``set_distance``) do not depend on the walk.
-    """
-    verts = window.vertices
-    first = next((i for i, v in enumerate(verts) if test(v)), None)
-    if first is None:
-        return set()
-    nbrs = window.nbrs
-    # the scan prefix failed already; every other vertex is tested once
-    tested = bytearray(len(verts))
-    tested[:first + 1] = b"\1" * (first + 1)
-    found = [first]
-    for i in found:  # the list grows as the walk finds members
-        for j in nbrs[i]:
-            if not tested[j]:
-                tested[j] = 1
-                if test(verts[j]):
-                    found.append(j)
-    found.sort()
-    return {verts[i] for i in found}
+    """The window vertices that pass ``test``, when those form a convex set
+    (a branch, a tube, a horoball), which meets the window in a connected
+    set; ``test`` sees the scan prefix, the set and its rim, once each.
+    On truncated input the answer is certified: a full scan tests every
+    vertex tested here, and an untested vertex is cut off from the set
+    by vertices that fail for every completion, so it fails alike."""
+    vertex = window.vertex
+    return {vertex(k) for k in _grow(
+        window, lambda p, ks: [k for k in ks if test(vertex(k))])}
 
 
 def oracle_branch(q: Mat2, window: Window) -> set[Vertex]:
     """The members of the window that lie in the branch of q."""
-    return grow(window, lambda v: member(q, v))
+    return {window.vertex(k) for k in _grow(window, _oracle_test(q, window))}
 
 
-# -- certified measurement ------------------------------------------
+# -- certified measurement, on sets of keys --------------------------
 
-def _local_depths(window: Window, pos: list[int]) -> list[int]:
-    """Distance from each member position in ``pos`` to the nearest
-    in-window non-member.
-
-    Values are measured in the window graph, hence over-estimates near
-    the boundary; a value is exact once it is <= the vertex's distance
-    to the boundary (the certification rule used throughout).  The walk
-    runs inward from the rim (non-members next to a member) through
-    members only, as every shortest path from a member to the rim does.
-    """
-    nbrs = window.nbrs
-    inside = set(pos).__contains__
-    rim = {u for v in pos for u in nbrs[v] if not inside(u)}
-    depth, _, _ = _bfs(window, rim, inside=inside)
-    return [depth.get(v, INFINITE_DEPTH) for v in pos]
+def _local_depths(window: Window, keys: list[int]) -> list[int]:
+    """Distance from each member key to the nearest in-window non-member,
+    walked inward from the rim; exact once <= the boundary distance (the
+    certification rule used throughout)."""
+    inside = set(keys).__contains__
+    rim = {u for v in keys for u in window.nbrs(v) if not inside(u)}
+    depth = _bfs(window, rim, inside)
+    return [depth.get(v, INFINITE_DEPTH) for v in keys]
 
 
 @dataclass
 class MeasuredBranch:
     """Certified summary of one oracle set: its deep core and depth."""
 
-    core: set[Vertex]
+    core: set
     depth: int | None
     certified: bool
     note: str = ""
+
+
+def _measure_branch(keys: list[int], window: Window, margin: int):
+    """``measure_branch`` on keys, with the core as keys."""
+    if not keys:
+        return MeasuredBranch(set(), None, False, "empty set")
+    # (key, local depth, boundary distance), in member order
+    certified = [(k, d, bd) for k, d in zip(keys, _local_depths(window, keys))
+                 if d <= (bd := window._bd(k))]
+    if not certified:
+        return MeasuredBranch(set(), None, False, "no certified vertex")
+    dstar = max(d for _, d, _ in certified)
+    guard = any(d == dstar and bd >= dstar + margin
+                for _, d, bd in certified)
+    core = {k for k, d, _ in certified if d == dstar}
+    note = "" if guard else "depth maximum too close to boundary"
+    return MeasuredBranch(core, dstar - 1, guard, note)
 
 
 def measure_branch(members: set[Vertex], window: Window,
                    margin: int = 2) -> MeasuredBranch:
     """Extract the stem (deepest certified vertices) of a thick shape.
 
-    The maximal certified local depth D must be attained at a vertex
-    at least D + margin away from the window boundary; that excludes
-    the spurious "shells" of uniformly deep vertices that a boundary
-    cut manufactures.  The core is then exactly the true stem clipped
-    to the ball of radius (radius - D), and depth = D - 1 is exact.
-    """
-    if not members:
-        return MeasuredBranch(set(), None, False, "empty set")
-    pos = [window.index[v] for v in members]
-    ld = _local_depths(window, pos)
-    radius, dist = window.radius, window.dist
-    # (position, local depth, boundary distance), in member order
-    certified = [(v, d, radius - dist[v]) for v, d in zip(pos, ld)
-                 if d <= radius - dist[v]]
-    if not certified:
-        return MeasuredBranch(set(), None, False, "no certified vertex")
-    dstar = max(d for _, d, _ in certified)
-    guard = any(d == dstar and bd >= dstar + margin
-                for _, d, bd in certified)
-    verts = window.vertices
-    core = {verts[v] for v, d, _ in certified if d == dstar}
-    return MeasuredBranch(core, dstar - 1, guard,
-                          "" if guard else "depth maximum too close to boundary")
+    The maximal certified local depth D must be attained D + margin from
+    the boundary, excluding the "shells" a cut makes; then the core is
+    the stem clipped to radius - D, and depth = D - 1 is exact."""
+    mb = _measure_branch([window.key(v) for v in members], window, margin)
+    mb.core = {window.vertex(k) for k in mb.core}
+    return mb
 
 
-def set_distance(a: set[Vertex], b: set[Vertex], window: Window):
-    """Min distance between two disjoint vertex sets, with its realizers."""
-    index = window.index
-    ends = {index[v] for v in b}
-    depth, parent, v = _bfs(window, [index[u] for u in a],
-                            stop=ends.__contains__)
-    if v is None:
-        return None, None, None
-    u = v
-    while u in parent:  # the sources, and only they, have no parent
-        u = parent[u]
-    return depth[v], window.vertices[u], window.vertices[v]
+def set_distance(a: set[int], b: set[int], window: Window):
+    """Min distance between two nonempty convex sets of keys, with its
+    realizers: the last key in ``a`` and the first in ``b`` on the
+    geodesic between any vertex of each, which holds their bridge; sets
+    that meet are realized by their first common key in window order."""
+    if a & b:
+        return 0, min(a & b), min(a & b)
+    x, y = next(iter(a)), next(iter(b))
+    up, down = [x], [y]
+    while x != y:  # the larger key is at least as far from the root
+        if x > y:
+            x >>= window._W
+            up.append(x)
+        else:
+            y >>= window._W
+            down.append(y)
+    path = up + down[-2::-1]
+    j = next(i for i, k in enumerate(path) if k in b)
+    i = max(i for i in range(j) if path[i] in a)
+    return j - i, path[i], path[j]
 
 
-def set_diameter(members: set[Vertex], window: Window):
-    """Diameter of a connected set via double sweep, with its realizers.
-
-    Both sweeps stay inside the set: a connected set in a tree holds the
-    path between any two of its vertices, so distances, and the order in
-    which each depth is found, are those of a sweep of the whole window.
-    """
-    index = window.index
-    inside = {index[v] for v in members}.__contains__
-
+def set_diameter(members: set[int], window: Window):
+    """Diameter of a connected set of keys and its realizers, by a double
+    sweep from its first key inside the set, which holds every path."""
     def far(src):
-        depth, _, _ = _bfs(window, [src], inside=inside)
+        depth = _bfs(window, [src], members.__contains__)
         v = max(depth, key=depth.get)  # the first found at the largest depth
         return depth[v], v
-    _, a = far(index[next(iter(members))])
+    _, a = far(min(members))
     d, b = far(a)
-    return d, window.vertices[a], window.vertices[b]
+    return d, a, b
 
 
-def is_path_set(members: set[Vertex], window: Window) -> bool:
-    """A nonempty connected set is a path iff its diameter is size - 1."""
-    d, _, _ = set_diameter(members, window)
-    return d == len(members) - 1
-
-
-def complete_in_window(members: set[Vertex], window: Window,
+def complete_in_window(members: set[int], window: Window,
                        margin: int = 2) -> bool:
-    """Certificate that a convex member set does not continue past the cut.
-
-    If the true set had a vertex outside, convexity would force members
-    at every boundary distance down to 0, so staying ``margin`` clear of
-    the cut proves the window saw everything.
-    """
-    return bool(members) and all(window.boundary_distance(v) >= margin
-                                 for v in members)
+    """Certificate that a convex member set does not continue past the
+    cut: a member outside would force members at every boundary distance
+    down to 0, so staying ``margin`` clear proves the window saw all."""
+    return bool(members) and all(window._bd(k) >= margin for k in members)
 
 
 @dataclass
 class MeasuredShape:
     """What the window measurement actually saw of a stem intersection.
 
-    kind is one of: disjoint, path, ray, maxpath, blob, contained, the
-    same set the predicted position classes in ``geometry`` carry as
-    their ``kind``; each class's fields name the fields compared here.
-    Unset fields do not apply to the kind.  ``certified`` means every
-    number reported was pinned down inside the window per the margin
-    rules; an uncertified shape is a request for a larger window, not
-    evidence of anything.
-
-    disjoint, path and blob are two-sided: the window saw the whole
-    intersection.  ray, maxpath and contained are one-sided, since no
-    finite window sees a shared end: a ray has one end certified and one
-    cut by the window, a maxpath both ends cut, and their ``length`` is
-    the visible length, a lower bound; contained carries the visible
-    ``diameter`` of the smaller set, a lower bound on that of the meet.
+    kind is the ``kind`` of a predicted position class in ``geometry``;
+    unset fields do not apply to it.  ``certified``: every number was
+    pinned down inside the window per the margin rules.  ray, maxpath and
+    contained are one-sided, as no window sees a shared end: ``length``
+    (for contained, the ``diameter`` of the smaller set) is a lower bound.
     """
 
     kind: str
@@ -491,12 +510,8 @@ def _measure_disjoint(a, b, window, margin, base_certified=True, dref=0):
     """Two disjoint sets: their distance, certified when both realizers
     stay dref + margin clear of the window boundary."""
     d, u, v = set_distance(a, b, window)
-    if d is None:
-        return MeasuredShape("disjoint", False,
-                             note="no connecting path in window")
-    ok = (base_certified
-          and window.boundary_distance(u) >= dref + margin
-          and window.boundary_distance(v) >= dref + margin)
+    ok = (base_certified and window._bd(u) >= dref + margin
+          and window._bd(v) >= dref + margin)
     return MeasuredShape("disjoint", ok, distance=d)
 
 
@@ -508,25 +523,19 @@ def _measure_paths_meet(stem1, stem2, window, margin, base_certified, dref):
     if not inter:
         return _measure_disjoint(stem1, stem2, window, margin,
                                  base_certified, dref)
-    if not is_path_set(inter, window):
+    if set_diameter(inter, window)[0] != len(inter) - 1:  # not a path
         return MeasuredShape("path", False, length=len(inter) - 1,
                              note="stem intersection is not a path")
-    inside = {window.index[v] for v in inter}
-    ends = [v for v in inter
-            if sum(j in inside for j in window.nbrs[window.index[v]]) <= 1]
-    cut_ends = [v for v in ends
-                if window.boundary_distance(v) < dref + margin]
-    if len(cut_ends) >= 2:
-        return MeasuredShape("maxpath", base_certified, length=len(inter) - 1)
-    if len(cut_ends) == 1:
-        return MeasuredShape("ray", base_certified, length=len(inter) - 1)
-    return MeasuredShape("path", base_certified, length=len(inter) - 1)
+    cut_ends = sum(window._bd(k) < dref + margin
+                   and sum(map(inter.__contains__, window.nbrs(k))) <= 1
+                   for k in inter)
+    return MeasuredShape(("path", "ray", "maxpath")[min(cut_ends, 2)],
+                         base_certified, length=len(inter) - 1)
 
 
 def _measure_foliage_meet(s1, s2, window, margin):
-    """Two foliage sets.  A visible containment is one-sided: the true
-    meet holds the smaller set, so its diameter is at least the one the
-    window shows, and that lower bound is all that is certified."""
+    """Two foliage sets; a visible containment certifies only a lower
+    bound, the diameter of the smaller set, on that of the true meet."""
     if s1 <= s2 or s2 <= s1:
         small, side = (s1, "1in2") if s1 <= s2 else (s2, "2in1")
         if not small:
@@ -539,7 +548,7 @@ def _measure_foliage_meet(s1, s2, window, margin):
     if not inter:
         return _measure_disjoint(s1, s2, window, margin)
     diam, _, _ = set_diameter(inter, window)
-    mb = measure_branch(inter, window, margin)
+    mb = _measure_branch(list(inter), window, margin)
     if mb.depth is None:
         return MeasuredShape("blob", False, diameter=diam,
                              note="no certified vertex in the meet")
@@ -556,35 +565,24 @@ def _is_foliage(q: Mat2) -> bool:
 
 def measure_intersection(pair, window: Window, margin: int = 2,
                          sets=None) -> MeasuredShape:
-    """Measure the relative position of the two stems of a generating pair.
-
-    Foliage branches (reducible inseparable generators) are their own
-    stems; every other class has a deep core extracted by
-    measure_branch.  The result's ``kind`` is the ``kind`` of the
-    predicted position class, so check_agreement compares the two field
-    by field.  ``sets`` substitutes the two oracle sets when the caller
-    has built them for itself.
-    """
+    """Measure the relative position of the two stems of a generating pair:
+    a foliage is its own stem, another branch has the core measure_branch
+    gives.  ``sets`` are the two oracle sets, if the caller built them."""
     if sets is None:
-        s1 = oracle_branch(pair.q1, window)
-        s2 = oracle_branch(pair.q2, window)
+        s1, s2 = (set(_grow(window, _oracle_test(q, window)))
+                  for q in (pair.q1, pair.q2))
     else:
-        s1, s2 = sets
+        s1, s2 = ({window.key(v) for v in s} for s in sets)
     fol1, fol2 = _is_foliage(pair.q1), _is_foliage(pair.q2)
     if fol1 and fol2:
         return _measure_foliage_meet(s1, s2, window, margin)
-    certified = True
-    dref = 0
-    stems = []
+    certified, dref, stems = True, 0, []
     for s, fol in ((s1, fol1), (s2, fol2)):
-        if fol:
-            stems.append(s)
-            continue
-        mb = measure_branch(s, window, margin)
-        stems.append(mb.core)
-        certified = certified and mb.certified
-        if mb.depth is not None:
-            dref = max(dref, mb.depth + 1)
+        mb = None if fol else _measure_branch(list(s), window, margin)
+        stems.append(s if fol else mb.core)
+        if mb:
+            certified = certified and mb.certified
+            dref = dref if mb.depth is None else max(dref, mb.depth + 1)
     if not stems[0] or not stems[1]:
         return MeasuredShape("disjoint", False, note="missing stem")
     return _measure_paths_meet(stems[0], stems[1], window, margin,
@@ -602,7 +600,9 @@ def dot_export(window: Window, groups: dict[str, set[Vertex]] | None = None,
         color = next((c for c, s in groups.items() if v in s), None)
         style = f', style=filled, fillcolor="{color}"' if color else ""
         lines.append(f'  n{i} [label="{v.render()}"{style}];')
-    for i, nb in enumerate(window.nbrs):  # each edge from its lower end
-        lines.extend(f"  n{i} -- n{j};" for j in nb if j > i)
+    pos = {window.key(v): i for i, v in enumerate(window.vertices)}
+    for k, i in pos.items():  # each edge from its lower end
+        lines.extend(f"  n{i} -- n{pos[j]};" for j in window.nbrs(k)
+                     if pos[j] > i)
     lines.append("}")
     return "\n".join(lines)

@@ -10,8 +10,10 @@ its radius-4 window sees only as a shorter ray, which bounds neither
 length.  No file of the package is changed.
 
 The membership mutants are copies of the Series reference of
-``tree.member`` (kept in ``tests/test_tree.py``) with one edit each; the
-unedited copy reproduces the self-test report byte for byte.  The
+``tree.member`` (kept in ``tests/test_tree.py``) with one edit each,
+put in place of the oracle's walk test ``tree._oracle_test`` vertex by
+vertex; the unedited copy reproduces the self-test report byte for
+byte.  The
 mutants the self-test cannot kill yet are marked ``xfail(strict=True)``
 with the open ROADMAP item that owns them, so the gate fails, and the
 marker has to come off, once that item lands.
@@ -54,15 +56,22 @@ def _series_member(quad_shift=0, bound_c=True):
     return member
 
 
+def _walk_test(member):
+    """The oracle's walk test, deciding each vertex by ``member``."""
+    def make(q, window):
+        return lambda p, ks: [k for k in ks if member(q, window.vertex(k))]
+    return make
+
+
 def test_the_unedited_copy_reproduces_the_report(monkeypatch):
     want = selftest.run_selftest(**RUN).render()
-    monkeypatch.setattr(tree, "member", _series_member())
+    monkeypatch.setattr(tree, "_oracle_test", _walk_test(_series_member()))
     assert selftest.run_selftest(**RUN).render() == want
 
 
 def test_the_unedited_copy_reproduces_the_tau_2_report(monkeypatch):
     want = selftest.run_selftest(**RUN_TAU_2).render()
-    monkeypatch.setattr(tree, "member", _series_member())
+    monkeypatch.setattr(tree, "_oracle_test", _walk_test(_series_member()))
     assert selftest.run_selftest(**RUN_TAU_2).render() == want
 
 
@@ -72,7 +81,8 @@ def test_the_unedited_copy_reproduces_the_tau_2_report(monkeypatch):
                                   dict(bound_c=False)],
                          ids=["quad-r+1", "quad-r-1", "no-c-bound"])
 def test_membership_mutants_are_killed(monkeypatch, edit):
-    monkeypatch.setattr(tree, "member", _series_member(**edit))
+    monkeypatch.setattr(tree, "_oracle_test",
+                        _walk_test(_series_member(**edit)))
     rep = selftest.run_selftest(**RUN)
     assert rep.pair_mismatched >= 1 and rep.branch_mismatched >= 1
 
@@ -166,11 +176,14 @@ def test_negated_splits_is_killed(monkeypatch):
 # every mutant killed above, as (module, name, the mutant, the count of
 # the owning suite that must be nonzero)
 _KILLED = {
-    "quad-r+1": (tree, "member", lambda: _series_member(quad_shift=1),
+    "quad-r+1": (tree, "_oracle_test",
+                 lambda: _walk_test(_series_member(quad_shift=1)),
                  "branch_mismatched"),
-    "quad-r-1": (tree, "member", lambda: _series_member(quad_shift=-1),
+    "quad-r-1": (tree, "_oracle_test",
+                 lambda: _walk_test(_series_member(quad_shift=-1)),
                  "branch_mismatched"),
-    "no-c-bound": (tree, "member", lambda: _series_member(bound_c=False),
+    "no-c-bound": (tree, "_oracle_test",
+                   lambda: _walk_test(_series_member(bound_c=False)),
                    "branch_mismatched"),
     "deeper": (selftest, "branch_shape", lambda: _edited_shape(_deeper),
                "branch_mismatched"),

@@ -103,15 +103,76 @@ def test_oracle_tests_a_few_thousand_vertices_not_every_one(monkeypatch):
     # a scan of the whole radius-8 window makes 53,620 membership tests
     # here; growing each branch from one member makes 2,488
     calls = 0
-    real = tree.member
+    real = tree._oracle_test
 
-    def counting(q, v):
-        nonlocal calls
-        calls += 1
-        return real(q, v)
-    monkeypatch.setattr(tree, "member", counting)
+    def counting(q, w):
+        expand = real(q, w)
+
+        def counted(p, ks):
+            nonlocal calls
+            calls += len(ks)
+            return expand(p, ks)
+        return counted
+    monkeypatch.setattr(tree, "_oracle_test", counting)
     run_selftest(seed=7, count=30)
     assert calls <= 8000
+
+
+def test_the_oracle_touches_only_what_it_reads(monkeypatch):
+    # the radius-6 ball over F_8 holds 337,042 vertices; a run touches the
+    # vertices the walks test, the neighbours they read and the vertices
+    # made for the returned sets and the predicted side's tests
+    touched = set()
+    real_test, real_nbrs = tree._oracle_test, tree.Window._nbrs
+    real_vertex = tree.Window.vertex
+
+    def oracle_test(q, w):
+        expand = real_test(q, w)
+
+        def counted(p, ks):
+            touched.update(ks)
+            return expand(p, ks)
+        return counted
+
+    def nbrs(self, k):
+        touched.add(k)
+        touched.update(real_nbrs(self, k))
+        return real_nbrs(self, k)
+
+    def vertex(self, k):
+        touched.add(k)
+        return real_vertex(self, k)
+    monkeypatch.setattr(tree, "_oracle_test", oracle_test)
+    monkeypatch.setattr(tree.Window, "_nbrs", nbrs)
+    monkeypatch.setattr(tree.Window, "vertex", vertex)
+    run_selftest(seed=5, tau=3, count=20, radius=6)
+    assert 0 < len(touched) <= 40_000
+
+
+@pytest.mark.parametrize("tau, radius", [(3, 7), (4, 5)])
+def test_a_window_one_level_past_the_listing_limit_is_walked(capsys, tau,
+                                                             radius):
+    code, out, _ = run_cli(capsys, ["selftest", "--tau", str(tau), "--radius",
+                                    str(radius), "--count", "2"])
+    assert code == 0
+    assert out.startswith(f"selftest seed=7 tau={tau} radius={radius} ")
+
+
+def test_a_walk_past_the_vertex_limit_is_refused(capsys, monkeypatch):
+    # the branch of the first matrix lies 20 levels up, out of the window,
+    # so the scan for a first member runs past the limit
+    code, out, err = run_cli(capsys, ["oracle", "[[0,t^20],[t^-20,1]]",
+                                      "[[t,1],[t^2,t]]", "--tau", "3",
+                                      "--radius", "7"])
+    assert code == 2 and out == ""
+    assert err == ("error: a walk in the window of radius 7 touches more "
+                   "than 400,000 vertices\n")
+    # in the self-test such a walk is a skip with its reason
+    monkeypatch.setattr(tree, "MAX_WINDOW_VERTICES", 12)
+    rep = run_selftest(seed=7, count=20, radius=3)
+    assert any(line.endswith("touches more than 12 vertices")
+               for line in rep.skipped_list)
+    assert rep.pair_mismatched == rep.branch_mismatched == 0
 
 
 def test_render_is_built_from_the_record():

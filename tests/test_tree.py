@@ -21,7 +21,7 @@ from btbranch.series import (Series, UndeterminedAtPrecision, s_add,
                              s_random, s_truncate, s_zero, val_ge)
 from btbranch.tree import (INFINITE_DEPTH, MAX_WINDOW_VERTICES, Vertex,
                            complete_in_window, dot_export, enumerate_window,
-                           grow, is_path_set, measure_branch,
+                           grow, measure_branch,
                            measure_intersection, member, oracle_branch,
                            reduce_center, set_diameter, set_distance,
                            tree_distance)
@@ -86,7 +86,16 @@ def test_distance_is_a_metric_on_a_random_sample():
 
 def _neighbours(w, v):
     """The neighbours of the window vertex v, read off ``w.nbrs``."""
-    return [w.vertices[j] for j in w.nbrs[w.index[v]]]
+    return [w.vertex(j) for j in w.nbrs(w.key(v))]
+
+
+def _keys(w, vertices):
+    return {w.key(v) for v in vertices}
+
+
+def _dist(w):
+    """Each window vertex's distance to B_0^[0], in window order."""
+    return [w.radius - w.boundary_distance(v) for v in w.vertices]
 
 
 def _adjacency(w):
@@ -100,8 +109,8 @@ def _rim(members, w):
 
 
 def test_neighbor_count_is_residue_field_size_plus_one():
-    assert len(enumerate_window(F1, 1).nbrs[0]) == 3
-    assert len(enumerate_window(F2, 1).nbrs[0]) == 5
+    assert len(enumerate_window(F1, 1).nbrs(1)) == 3  # B_0^[0] has key 1
+    assert len(enumerate_window(F2, 1).nbrs(1)) == 5
 
 
 def test_neighbors_sit_at_distance_one():
@@ -125,11 +134,11 @@ def test_window_size_over_the_two_element_field(radius, count):
 def test_window_distances_and_boundary():
     w = enumerate_window(F1, 3)
     root = w.vertices[0]
-    assert root.render() == "B[0]^0" and w.dist[0] == 0
+    assert root.render() == "B[0]^0" and _dist(w)[0] == 0
     assert w.boundary_distance(root) == 3
     assert all(d == tree_distance(root, v) <= 3
-               for v, d in zip(w.vertices, w.dist))
-    far = [v for v, d in zip(w.vertices, w.dist) if d == 3]
+               for v, d in zip(w.vertices, _dist(w)))
+    far = [v for v, d in zip(w.vertices, _dist(w)) if d == 3]
     assert all(w.boundary_distance(v) == 0 for v in far)
 
 
@@ -148,10 +157,15 @@ def test_window_size_is_capped(tau, largest):
     def ball(r):
         return 1 + (q + 1) * (q ** r - 1) // (q - 1)
     assert ball(largest) <= MAX_WINDOW_VERTICES < ball(largest + 1)
-    # the refusal comes before anything is built, even for a huge radius
-    for radius in (largest + 1, 10 ** 9):
-        with pytest.raises(ValueError,
-                           match=f"largest radius .* is {largest}$"):
+    # a window lists at most the limit; it walks one level further, since
+    # a walk expands interior vertices only, and refuses any larger radius
+    # before anything is built, even a huge one
+    with pytest.raises(ValueError, match=f"largest radius .* is {largest}$"):
+        enumerate_window(fld, largest + 1).vertices
+    for radius in (largest + 2, 10 ** 9):
+        with pytest.raises(ValueError, match=(
+                f"inside its boundary; the largest radius .* is "
+                f"{largest + 1}$")):
             enumerate_window(fld, radius)
     with pytest.raises(ValueError, match="radius must be >= 0"):
         enumerate_window(fld, -1)
@@ -238,9 +252,15 @@ def test_window_matches_the_reference_enumeration(tau, radius):
     assert w.vertices == order
     assert [(v.r, _series_triple(v.center), hash(v)) for v in w.vertices] == [
         (v.r, _series_triple(v.center), hash(v)) for v in order]
-    assert w.dist == list(dist.values())
+    assert _dist(w) == list(dist.values())
     assert list(_adjacency(w).items()) == list(adj.items())
-    assert w.index == {v: i for i, v in enumerate(w.vertices)}
+    # keys ascend in window order, and a window that made none of these
+    # vertices computes the same keys from the vertices themselves
+    keys = [w.key(v) for v in w.vertices]
+    assert keys == sorted(set(keys))
+    fresh = enumerate_window(field(tau), radius)
+    assert [fresh.key(v) for v in order] == keys
+    assert [fresh.vertex(k) for k in reversed(keys)] == order[::-1]
 
 
 @pytest.mark.parametrize("tau, radius", [(1, 0), (1, 8), (2, 4), (3, 3)])
@@ -249,9 +269,9 @@ def test_window_matches_the_vertex_keyed_build(tau, radius):
     order, dist, adj = _vertex_keyed_window(field(tau), radius)
     assert w.vertices == order
     assert [hash(v) for v in w.vertices] == [hash(v) for v in order]
-    # the position tables are the vertex-keyed ones, read by position
-    assert w.dist == [dist[v] for v in order]
-    assert w.nbrs == [[w.index[x] for x in adj[v]] for v in order]
+    # the tables read by key are the vertex-keyed ones
+    assert _dist(w) == [dist[v] for v in order]
+    assert [_neighbours(w, v) for v in order] == [adj[v] for v in order]
 
 
 @settings(max_examples=300, deadline=None)
@@ -419,13 +439,18 @@ def _conjugated_companions(tau, seed):
 
 
 def _count_members(monkeypatch):
+    """The keys the oracle tests, as it tests them."""
     calls = []
-    real = tree.member
+    real = tree._oracle_test
 
-    def counting(q, v):
-        calls.append(v)
-        return real(q, v)
-    monkeypatch.setattr(tree, "member", counting)
+    def counting(q, w):
+        expand = real(q, w)
+
+        def counted(p, ks):
+            calls.extend(ks)
+            return expand(p, ks)
+        return counted
+    monkeypatch.setattr(tree, "_oracle_test", counting)
     return calls
 
 
@@ -541,6 +566,40 @@ def test_flood_fill_on_truncated_input_is_certified(tau, radius):
     assert decided and refused
 
 
+# the walk decides each vertex from its neighbour, as member decides it
+
+
+def _integral_entries(fld):
+    return st.builds(lambda lead, coeffs: Series(fld, lead, coeffs),
+                     st.integers(0, 3),
+                     st.lists(st.integers(0, fld.order - 1), max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_the_walk_decides_every_vertex_as_member_does(tau, data):
+    fld = field(tau)
+    q = Mat2(*(data.draw(_integral_entries(fld)) for _ in range(4)))
+    cut = data.draw(st.one_of(st.none(), st.integers(4, 64)))
+    if cut is not None:
+        q = Mat2(*(s_truncate(x, cut) for x in (q.a, q.b, q.c, q.d)))
+    w = enumerate_window(fld, {1: 6, 2: 3, 3: 2}[tau])
+    expand = tree._oracle_test(q, w)
+
+    def walk(p, k):
+        return bool(expand(p, [k]))
+    kept = []
+    for p, ks in w._scan():  # each vertex from its parent, down the tree
+        for k in ks:
+            got = _outcome(walk, p, k)
+            assert got == _outcome(member, q, w.vertex(k))
+            if k < w._edge or got is True:  # the states the walk keeps
+                kept.append(k)
+    for k in kept[1:]:  # and each parent from its child, up the tree
+        up = k >> w._W
+        assert _outcome(walk, k, up) == _outcome(member, q, w.vertex(up))
+
+
 # predicted sets grow like oracle sets
 
 
@@ -623,8 +682,18 @@ def test_grown_predicted_set_tests_members_and_their_rim_only(
 
 def _local_depths(members, w):
     """The measured local depths, keyed by vertex."""
-    pos = [w.index[v] for v in members]
-    return dict(zip(members, tree._local_depths(w, pos)))
+    keys = [w.key(v) for v in members]
+    return dict(zip(members, tree._local_depths(w, keys)))
+
+
+def _set_diameter(members, w):
+    d, a, b = set_diameter(_keys(w, members), w)
+    return d, w.vertex(a), w.vertex(b)
+
+
+def _set_distance(a, b, w):
+    d, u, v = set_distance(_keys(w, a), _keys(w, b), w)
+    return (d, None, None) if d is None else (d, w.vertex(u), w.vertex(v))
 
 
 def _local_depths_over_the_window(members, w):
@@ -643,9 +712,9 @@ def _local_depths_over_the_window(members, w):
 
 def _set_distance_over_the_window(a, b, w):
     adj = _adjacency(w)
-    depth = {v: 0 for v in a}
+    depth = {v: 0 for v in sorted(a, key=w.key)}  # a in window order
     parent = {}
-    queue = deque(a)
+    queue = deque(depth)
     while queue:
         v = queue.popleft()
         if v in b:
@@ -677,7 +746,7 @@ def _set_diameter_over_the_window(members, w):
                     depth[u] = depth[v] + 1
                     queue.append(u)
         return best
-    _, a = far(next(iter(members)))
+    _, a = far(min(members, key=w.key))  # the first member in window order
     d, b = far(a)
     return d, a, b
 
@@ -703,12 +772,12 @@ def test_member_only_walks_equal_the_window_walks(tau, radius):
         got = _local_depths(members, w)
         assert list(got.items()) == list(
             _local_depths_over_the_window(members, w).items())
-        assert (set_diameter(members, w)
+        assert (_set_diameter(members, w)
                 == _set_diameter_over_the_window(members, w))
     disjoint = 0
     for a in sets:
         for b in sets:
-            assert set_distance(a, b, w) == _set_distance_over_the_window(
+            assert _set_distance(a, b, w) == _set_distance_over_the_window(
                 a, b, w)
             disjoint += not a & b
     assert disjoint >= 20
@@ -738,7 +807,7 @@ def _vertex_grow(window, test):
     if first is None:
         return set()
     found, _, _ = _vertex_bfs(window, [first], inside=test)
-    return set(sorted(found, key=window.index.__getitem__))
+    return set(sorted(found, key=window.key))
 
 
 def _vertex_local_depths(members, window):
@@ -762,7 +831,7 @@ def _vertex_set_diameter(members, window):
         depth, _, _ = _vertex_bfs(window, [src], inside=members.__contains__)
         v = max(depth, key=depth.get)
         return depth[v], v
-    _, a = far(next(iter(members)))
+    _, a = far(min(members, key=window.key))
     d, b = far(a)
     return d, a, b
 
@@ -789,13 +858,13 @@ def test_index_walks_equal_the_vertex_keyed_walks(tau, radius):
     for members in sets:
         assert (list(_local_depths(members, w).items())
                 == list(_vertex_local_depths(members, w).items()))
-        assert (set_diameter(members, w)
+        assert (_set_diameter(members, w)
                 == _vertex_set_diameter(members, w))
     pairs = 0
     for a in sets:
         for b in sets:
             if not a & b:
-                assert (set_distance(a, b, w)
+                assert (_set_distance(a, b, w)
                         == _vertex_set_distance(a, b, w))
                 pairs += 1
     assert pairs >= 20
@@ -809,9 +878,8 @@ def test_split_diagonal_branch_is_the_central_line():
     q = Mat2(s_one(F1), s_zero(F1), s_zero(F1), s_zero(F1))
     mem = oracle_branch(q, w)
     assert mem == {Vertex(r, s_zero(F1)) for r in range(-4, 5)}
-    assert is_path_set(mem, w)
-    diam, a, b = set_diameter(mem, w)
-    assert diam == 8
+    diam, a, b = _set_diameter(mem, w)
+    assert diam == 8 == len(mem) - 1  # a path
     assert {a.r, b.r} == {-4, 4}
     m = measure_branch(mem, w)
     assert m.certified and m.depth == 0
@@ -830,15 +898,15 @@ def test_set_distance_between_disjoint_lines():
     w = enumerate_window(F1, 3)
     a = {Vertex(r, s_zero(F1)) for r in range(-3, 1)}
     b = {Vertex(r, s_zero(F1)) for r in range(2, 4)}
-    d, va, vb = set_distance(a, b, w)
+    d, va, vb = _set_distance(a, b, w)
     assert d == 2 and va.r == 0 and vb.r == 2
 
 
 def test_complete_in_window_rejects_a_set_touching_the_rim():
     w = enumerate_window(F1, 3)
     rim = {v for v in w.vertices if w.boundary_distance(v) == 0}
-    assert not complete_in_window(rim, w)
-    assert complete_in_window({w.vertices[0]}, w)
+    assert not complete_in_window(_keys(w, rim), w)
+    assert complete_in_window({1}, w)  # B_0^[0]
 
 
 def _conjugated_nilpotent_pair(corner):
