@@ -95,12 +95,14 @@ def _disc(spec: AlgebraSpec) -> Series:
     return delta
 
 
-def cyclic_presentation(spec: AlgebraSpec) -> tuple[Series, Series]:
+def cyclic_presentation(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC
+                        ) -> tuple[Series, Series]:
     """Rewrite the algebra as [a, b): u^2+u = a, v^2 = b, vu = (u+1)v.
 
     Needs Delta != 0; with both traces zero the generators are traded
-    for q1 q2 / lambda, and a vanishing norm makes the algebra split
-    outright, reported as the trivial symbol [0, 1).
+    for q1 q2 / lambda, dividing at working_prec (the one spec was
+    classified at, as for decide), and a vanishing norm makes the
+    algebra split outright, reported as the trivial symbol [0, 1).
     """
     m1, m2, lam = spec.m1, spec.m2, spec.lam
     fld = lam.field
@@ -113,7 +115,7 @@ def cyclic_presentation(spec: AlgebraSpec) -> tuple[Series, Series]:
     # both traces vanish, so Delta = lambda^2 and lambda != 0
     if m1.b.is_zero or m2.b.is_zero:
         return s_zero(fld), s_one(fld)
-    return s_div(s_mul(m1.b, m2.b), s_square(lam)), m2.b
+    return s_div(s_mul(m1.b, m2.b), s_square(lam), working_prec), m2.b
 
 
 def splits(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> bool:
@@ -554,7 +556,7 @@ def decide(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC) -> ExistenceVerd
             if w is not None:
                 w = (w[1], w[0])
             return ExistenceVerdict(True, "i", w)
-        a_sym, b_sym = cyclic_presentation(spec)
+        a_sym, b_sym = cyclic_presentation(spec, working_prec)
         if splits(a_sym, b_sym, working_prec):
             return ExistenceVerdict(True, "ii", None)
         return ExistenceVerdict(False, "none", None)

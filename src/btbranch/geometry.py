@@ -117,11 +117,6 @@ class ThickLine:
     ends: tuple[ProjPoint, ProjPoint] | None = None
     stem: tuple[Vertex, ...] = ()
 
-    @property
-    def stem_length(self) -> HalfInt:
-        return {"maxpath": TWO_INF, "vertex": HalfInt.of(0),
-                "edge": HalfInt.of(1)}[self.stem_kind]
-
     def render(self) -> str:
         if self.stem_kind == "maxpath":
             a, b = self.ends
@@ -136,10 +131,6 @@ class InfiniteFoliage:
 
     end: ProjPoint
     level: int
-
-    @property
-    def stem_length(self) -> HalfInt:
-        return INF
 
     def render(self) -> str:
         return f"foliage(end {self.end.render()}, level {self.level})"
@@ -310,9 +301,12 @@ def _member_test(shape: BranchShape):
                       <= shape.depth)
 
 
-def shape_members(shape: BranchShape, window: Window) -> set[Vertex]:
-    """The predicted set in the window; every shape is convex, so it grows."""
-    return grow(window, _member_test(shape))
+def shape_members(shape: BranchShape, window: Window) -> set[int]:
+    """The keys of the predicted set in the window; every shape is convex,
+    so it grows, each key tested as the vertex it decodes to."""
+    test, vertex = _member_test(shape), window.vertex
+    return set(grow(window,
+                    lambda p, ks: [k for k in ks if test(vertex(k))]))
 
 
 # -- fake distance --------------------------------------------------

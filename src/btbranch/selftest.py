@@ -286,28 +286,27 @@ def _rand_branch_matrix(rng, fld, kind, prec):
 
 
 def _check_foliage(shape, oset, window):
-    inside = {window.key(v) for v in oset}.__contains__
-    leaves = [v for v in oset if window.boundary_distance(v) >= 1
-              and sum(map(inside, window.nbrs(window.key(v)))) == 1]
+    leaves = [k for k in oset if window.boundary_distance(k) >= 1
+              and sum(map(oset.__contains__, window.nbrs(k))) == 1]
     if not leaves:
         return "skipped", "no interior leaf visible"
-    lvl = min(v.r for v in leaves)
+    lvl = min(window.vertex(k).r for k in leaves)
     if lvl > shape.level and not shape.end.is_infinity:
         # the lowest leaf is B_end^[level]; where the filter above drops
         # it, a higher visible leaf proves nothing
-        low = Vertex(shape.level, shape.end.value)
-        if low not in window or window.boundary_distance(low) < 1:
+        low = window.key(Vertex(shape.level, shape.end.value))
+        if window.boundary_distance(low) < 1:
             return "skipped", "lowest leaf not visible"
     if lvl != shape.level:
         return "mismatched", f"leaf level {lvl} vs predicted {shape.level}"
     if not shape.end.is_infinity:
         seen = 0
         for r in range(max(shape.level, -window.radius), window.radius + 1):
-            v = Vertex(r, shape.end.value)
-            if v not in window:
+            k = window.key(Vertex(r, shape.end.value))
+            if window.boundary_distance(k) < 0:
                 continue
             seen += 1
-            if v not in oset:
+            if k not in oset:
                 return "mismatched", f"end path misses the branch at level {r}"
         if seen == 0:
             return "skipped", "end path not visible in window"
@@ -319,8 +318,8 @@ def _run_branch_instance(q, window, margin, prec):
     oset = oracle_branch(q, window)
     pset = shape_members(shape, window)
     if oset != pset:
-        extra = len(oset - pset) + len(pset - oset)
-        return "mismatched", f"member sets differ on {extra} vertices"
+        return ("mismatched",
+                f"member sets differ on {len(oset ^ pset)} vertices")
     if isinstance(shape, InfiniteFoliage):
         return _check_foliage(shape, oset, window)
     mb = measure_branch(oset, window, margin)
@@ -328,10 +327,11 @@ def _run_branch_instance(q, window, margin, prec):
         return "skipped", mb.note or "stem not certifiable"
     if mb.depth != shape.depth:
         return "mismatched", f"depth {mb.depth} vs predicted {shape.depth}"
+    core = [window.vertex(k) for k in mb.core]
     if shape.stem_kind == "maxpath":
-        off = [v for v in mb.core if dist_to_path(v, *shape.ends) != 0]
+        off = [v for v in core if dist_to_path(v, *shape.ends) != 0]
     else:
-        off = [v for v in mb.core if v not in shape.stem]
+        off = [v for v in core if v not in shape.stem]
     if off:
         return "mismatched", f"{len(off)} core vertices off the predicted stem"
     return "matched", ""

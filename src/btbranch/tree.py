@@ -3,16 +3,19 @@
 Vertices are balls B_z^[r]: a center z mod t^r and an integer level r.
 The branch of an integral matrix q is the set of vertices whose maximal
 order contains q.  A window, the ball of a radius around B_0^[0], is
-walked on int keys and built only where it is read (see ``Window``).
-Balls are geodesically convex, so distances inside a window are tree
-distances, and a measured quantity is trusted only where the window
-boundary provably cannot interfere.  A branch is a subtree, hence convex
-(Serre, *Trees*), so it meets the window in a connected set: ``grow``
-finds one member by a scan in key order and walks through members from
-there, touching the scan prefix, the members and their rim and nothing
-else.  ``oracle_branch`` is ``grow`` with the membership test, decided
-along each edge with a few shifts and XORs; it never consults a
-predicted shape.
+walked on int keys (see ``Window``), and keys are the one vocabulary of
+measurement: the oracle returns them, and every set a measurement reads
+or compares is a set of keys.  ``Window.vertex`` decodes a key into a
+``Vertex``, for the predictor's tests and for printing.  Balls are
+geodesically convex, so distances inside a window are tree distances,
+and a measured quantity is trusted only where the window boundary
+provably cannot interfere.  A branch is a subtree, hence convex (Serre,
+*Trees*), so it meets the window in a connected set: ``grow`` finds one
+member by a scan in key order and walks through members from there,
+touching the scan prefix, the members and their rim and nothing else.
+``oracle_branch`` is ``grow`` with the membership test, decided along
+each edge with a few shifts and XORs; it never consults a predicted
+shape and makes no ``Vertex``.
 """
 
 from __future__ import annotations
@@ -110,13 +113,15 @@ def _check_radius(fld, radius: int, listed: bool) -> None:
 
 
 class Window:
-    """The vertices within ``radius`` of B_0^[0], walked on demand.
+    """The vertices within ``radius`` of B_0^[0], walked on demand by key.
 
     A key is a 1, then a (tau + 1)-bit slot per step of the path from
     B_0^[0]: 0 a level up, 1 + c a level down adding c t^r to the center.
     The path climbs before it descends, so a key holds the level and the
     center and keys sort in breadth-first order.  The parent of k is
-    k >> (tau + 1); a power of two is B_0^[-a], whose parent is down."""
+    k >> (tau + 1); a power of two is B_0^[-a], whose parent is down.
+    ``vertex`` is the one decoder from a key to a ``Vertex``; ``key``
+    encodes a vertex the predictor names, which may lie outside."""
 
     def __init__(self, fld, radius: int):
         self.field, self.radius = fld, radius
@@ -125,17 +130,12 @@ class Window:
         self._slots = tuple(range(fld.order + 1))
         self._axis = (0,) + self._slots[2:]
         self._root = Vertex(0, s_zero(fld))
-        self._verts, self._keys = {1: self._root}, {self._root: 1}
+        self._verts = {1: self._root}
         cap = MAX_WINDOW_VERTICES // (fld.order + 1)  # lists of order + 1
         self.nbrs = lru_cache(cap)(self._nbrs)
 
-    def __contains__(self, v: Vertex) -> bool:
-        return self.boundary_distance(v) >= 0
-
-    def boundary_distance(self, v: Vertex) -> int:
-        return self.radius + 2 * _lowest(v) - v.r
-
-    def _bd(self, k: int) -> int:
+    def boundary_distance(self, k: int) -> int:
+        """How far key k lies inside the boundary; negative outside."""
         return self.radius - (k.bit_length() - 1) // self._W
 
     def _touch(self, n: int) -> None:
@@ -187,19 +187,18 @@ class Window:
             _set(v, "center", z)
             _set(v, "_hash", hash((r + 1, z)))
             if len(self._verts) >= MAX_WINDOW_VERTICES:
-                self._verts, self._keys = {1: self._root}, {self._root: 1}
-            self._verts[k], self._keys[v] = v, k
+                self._verts = {1: self._root}
+            self._verts[k] = v
         return v
 
     def key(self, v: Vertex) -> int:
-        """The key of a window vertex: up to the lowest level, then down."""
-        k = self._keys.get(v)
-        if k is None:
-            z, m, w = v.center, _lowest(v), self.field.tau
-            k = 1 << -m * self._W
-            for e in range(m, v.r):
-                c = z.bits >> (e - z.lead) * w if e >= z.lead else 0
-                k = k << self._W | 1 + (c & (1 << w) - 1)
+        """The key of v, in the window or not: up to the lowest level on
+        the geodesic from B_0^[0], then down."""
+        z, m, w = v.center, _lowest(v), self.field.tau
+        k = 1 << -m * self._W
+        for e in range(m, v.r):
+            c = z.bits >> (e - z.lead) * w if e >= z.lead else 0
+            k = k << self._W | 1 + (c & (1 << w) - 1)
         return k
 
     @cached_property
@@ -355,9 +354,15 @@ def _bfs(window: Window, sources, inside) -> dict[int, int]:
     return depth
 
 
-def _grow(window: Window, expand) -> list[int]:
-    """``grow`` on keys: ``expand(p, ks)`` returns the keys of ks,
-    neighbours of the tested key p, that pass; sorted."""
+def grow(window: Window, expand) -> list[int]:
+    """The sorted keys that pass, when those form a convex set (a branch,
+    a tube, a horoball), which meets the window in a connected set.
+    ``expand(p, ks)`` returns the keys of ks, neighbours of the tested key
+    p (or [1] for p None), that pass; it sees the scan prefix, the set and
+    its rim, once each.  On truncated input the answer is certified: a
+    full scan tests every key tested here, and an untested key is cut off
+    from the set by keys that fail for every completion, so it fails
+    alike."""
     first = next((k for p, ks in window._scan() for k in ks
                   if expand(p, [k])), None)
     if first is None:
@@ -374,26 +379,14 @@ def _grow(window: Window, expand) -> list[int]:
     return found
 
 
-def grow(window: Window, test) -> set[Vertex]:
-    """The window vertices that pass ``test``, when those form a convex set
-    (a branch, a tube, a horoball), which meets the window in a connected
-    set; ``test`` sees the scan prefix, the set and its rim, once each.
-    On truncated input the answer is certified: a full scan tests every
-    vertex tested here, and an untested vertex is cut off from the set
-    by vertices that fail for every completion, so it fails alike."""
-    vertex = window.vertex
-    return {vertex(k) for k in _grow(
-        window, lambda p, ks: [k for k in ks if test(vertex(k))])}
-
-
-def oracle_branch(q: Mat2, window: Window) -> set[Vertex]:
-    """The members of the window that lie in the branch of q."""
-    return {window.vertex(k) for k in _grow(window, _oracle_test(q, window))}
+def oracle_branch(q: Mat2, window: Window) -> set[int]:
+    """The keys of the window vertices that lie in the branch of q."""
+    return set(grow(window, _oracle_test(q, window)))
 
 
 # -- certified measurement, on sets of keys --------------------------
 
-def _local_depths(window: Window, keys: list[int]) -> list[int]:
+def _local_depths(window: Window, keys) -> list[int]:
     """Distance from each member key to the nearest in-window non-member,
     walked inward from the rim; exact once <= the boundary distance (the
     certification rule used throughout)."""
@@ -407,19 +400,23 @@ def _local_depths(window: Window, keys: list[int]) -> list[int]:
 class MeasuredBranch:
     """Certified summary of one oracle set: its deep core and depth."""
 
-    core: set
+    core: set[int]
     depth: int | None
     certified: bool
     note: str = ""
 
 
-def _measure_branch(keys: list[int], window: Window, margin: int):
-    """``measure_branch`` on keys, with the core as keys."""
+def measure_branch(keys, window: Window, margin: int = 2) -> MeasuredBranch:
+    """Extract the stem (deepest certified keys) of a thick shape.
+
+    The maximal certified local depth D must be attained D + margin from
+    the boundary, excluding the "shells" a cut makes; then the core is
+    the stem clipped to radius - D, and depth = D - 1 is exact."""
     if not keys:
         return MeasuredBranch(set(), None, False, "empty set")
     # (key, local depth, boundary distance), in member order
     certified = [(k, d, bd) for k, d in zip(keys, _local_depths(window, keys))
-                 if d <= (bd := window._bd(k))]
+                 if d <= (bd := window.boundary_distance(k))]
     if not certified:
         return MeasuredBranch(set(), None, False, "no certified vertex")
     dstar = max(d for _, d, _ in certified)
@@ -428,18 +425,6 @@ def _measure_branch(keys: list[int], window: Window, margin: int):
     core = {k for k, d, _ in certified if d == dstar}
     note = "" if guard else "depth maximum too close to boundary"
     return MeasuredBranch(core, dstar - 1, guard, note)
-
-
-def measure_branch(members: set[Vertex], window: Window,
-                   margin: int = 2) -> MeasuredBranch:
-    """Extract the stem (deepest certified vertices) of a thick shape.
-
-    The maximal certified local depth D must be attained D + margin from
-    the boundary, excluding the "shells" a cut makes; then the core is
-    the stem clipped to radius - D, and depth = D - 1 is exact."""
-    mb = _measure_branch([window.key(v) for v in members], window, margin)
-    mb.core = {window.vertex(k) for k in mb.core}
-    return mb
 
 
 def set_distance(a: set[int], b: set[int], window: Window):
@@ -481,7 +466,8 @@ def complete_in_window(members: set[int], window: Window,
     """Certificate that a convex member set does not continue past the
     cut: a member outside would force members at every boundary distance
     down to 0, so staying ``margin`` clear proves the window saw all."""
-    return bool(members) and all(window._bd(k) >= margin for k in members)
+    return bool(members) and all(window.boundary_distance(k) >= margin
+                                 for k in members)
 
 
 @dataclass
@@ -510,8 +496,8 @@ def _measure_disjoint(a, b, window, margin, base_certified=True, dref=0):
     """Two disjoint sets: their distance, certified when both realizers
     stay dref + margin clear of the window boundary."""
     d, u, v = set_distance(a, b, window)
-    ok = (base_certified and window._bd(u) >= dref + margin
-          and window._bd(v) >= dref + margin)
+    ok = (base_certified and window.boundary_distance(u) >= dref + margin
+          and window.boundary_distance(v) >= dref + margin)
     return MeasuredShape("disjoint", ok, distance=d)
 
 
@@ -526,7 +512,7 @@ def _measure_paths_meet(stem1, stem2, window, margin, base_certified, dref):
     if set_diameter(inter, window)[0] != len(inter) - 1:  # not a path
         return MeasuredShape("path", False, length=len(inter) - 1,
                              note="stem intersection is not a path")
-    cut_ends = sum(window._bd(k) < dref + margin
+    cut_ends = sum(window.boundary_distance(k) < dref + margin
                    and sum(map(inter.__contains__, window.nbrs(k))) <= 1
                    for k in inter)
     return MeasuredShape(("path", "ray", "maxpath")[min(cut_ends, 2)],
@@ -548,7 +534,7 @@ def _measure_foliage_meet(s1, s2, window, margin):
     if not inter:
         return _measure_disjoint(s1, s2, window, margin)
     diam, _, _ = set_diameter(inter, window)
-    mb = _measure_branch(list(inter), window, margin)
+    mb = measure_branch(inter, window, margin)
     if mb.depth is None:
         return MeasuredShape("blob", False, diameter=diam,
                              note="no certified vertex in the meet")
@@ -567,18 +553,16 @@ def measure_intersection(pair, window: Window, margin: int = 2,
                          sets=None) -> MeasuredShape:
     """Measure the relative position of the two stems of a generating pair:
     a foliage is its own stem, another branch has the core measure_branch
-    gives.  ``sets`` are the two oracle sets, if the caller built them."""
+    gives.  ``sets`` are the two oracle key sets, if the caller built them."""
     if sets is None:
-        s1, s2 = (set(_grow(window, _oracle_test(q, window)))
-                  for q in (pair.q1, pair.q2))
-    else:
-        s1, s2 = ({window.key(v) for v in s} for s in sets)
+        sets = [oracle_branch(q, window) for q in (pair.q1, pair.q2)]
+    s1, s2 = sets
     fol1, fol2 = _is_foliage(pair.q1), _is_foliage(pair.q2)
     if fol1 and fol2:
         return _measure_foliage_meet(s1, s2, window, margin)
     certified, dref, stems = True, 0, []
     for s, fol in ((s1, fol1), (s2, fol2)):
-        mb = None if fol else _measure_branch(list(s), window, margin)
+        mb = None if fol else measure_branch(s, window, margin)
         stems.append(s if fol else mb.core)
         if mb:
             certified = certified and mb.certified
@@ -591,16 +575,16 @@ def measure_intersection(pair, window: Window, margin: int = 2,
 
 # -- export ---------------------------------------------------------
 
-def dot_export(window: Window, groups: dict[str, set[Vertex]] | None = None,
+def dot_export(window: Window, groups: dict[str, set[int]] | None = None,
                title: str = "window") -> str:
-    """GraphViz rendering of a window; groups map fill colors to sets."""
+    """GraphViz rendering of a window; groups map fill colors to key sets."""
     groups = groups or {}
     lines = [f'graph "{title}" {{', "  node [shape=circle, fontsize=8];"]
-    for i, v in enumerate(window.vertices):
-        color = next((c for c, s in groups.items() if v in s), None)
-        style = f', style=filled, fillcolor="{color}"' if color else ""
-        lines.append(f'  n{i} [label="{v.render()}"{style}];')
     pos = {window.key(v): i for i, v in enumerate(window.vertices)}
+    for k, i in pos.items():
+        color = next((c for c, s in groups.items() if k in s), None)
+        style = f', style=filled, fillcolor="{color}"' if color else ""
+        lines.append(f'  n{i} [label="{window.vertex(k).render()}"{style}];')
     for k, i in pos.items():  # each edge from its lower end
         lines.extend(f"  n{i} -- n{pos[j]};" for j in window.nbrs(k)
                      if pos[j] > i)

@@ -97,6 +97,17 @@ def test_presentation_of_the_division_datum():
     assert (s_render(a_sym), s_render(b_sym)) == ("1", "t")
 
 
+def test_presentation_with_both_traces_zero_divides_at_the_working_prec():
+    # both traces vanish, so the argument is b1 b2 / lambda^2: divided at
+    # 8, the precision the datum was classified at, not at the default
+    spec = algebra_spec(_p("1 + t"), _p("0"), _p("t"), _p("0"), _p("1 + t^3"),
+                        8)
+    a_sym, b_sym = cyclic_presentation(spec, 8)
+    assert a_sym.prec == 9 and s_render(b_sym) == "1 + t^3"
+    wide = cyclic_presentation(spec)[0]
+    assert wide.prec == 65 and s_truncate(wide, 9) == a_sym
+
+
 def test_presentation_refuses_a_vanishing_discriminant():
     with pytest.raises(DegenerateForm):
         cyclic_presentation(_spec("0", "0", "t", "0", "t^3"))

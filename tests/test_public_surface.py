@@ -1,9 +1,10 @@
-"""Every public function of the package is called or exported.
+"""Every public function, method and property of the package is called
+or exported.
 
-A module-level function whose name has no leading underscore is public.
-One that nothing in ``src/`` names and ``__init__`` does not export is
-dead weight: tests alone keep it alive, and it drifts from the code
-that runs.
+A module-level function, or a method or property of a class, whose name
+has no leading underscore is public.  One that nothing in ``src/`` names
+and ``__init__`` does not export is dead weight: tests alone keep it
+alive, and it drifts from the code that runs.
 """
 
 from __future__ import annotations
@@ -42,6 +43,21 @@ def test_every_public_function_has_a_caller_or_an_export():
     exported = _exported(modules["__init__"])
     dead = [f"{module}.{node.name}" for module, tree in modules.items()
             for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and node.name not in named and node.name not in exported]
+    assert dead == []
+
+
+def test_every_public_method_and_property_has_a_caller_or_an_export():
+    # the same scan, one level down: a method or property of a class
+    # whose name has no leading underscore is read somewhere in src/
+    modules = _modules()
+    named = set().union(*map(_named, modules.values()))
+    exported = _exported(modules["__init__"])
+    dead = [f"{module}.{cls.name}.{node.name}"
+            for module, tree in modules.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
             if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("_")
             and node.name not in named and node.name not in exported]

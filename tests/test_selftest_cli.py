@@ -149,6 +149,37 @@ def test_the_oracle_touches_only_what_it_reads(monkeypatch):
     assert 0 < len(touched) <= 40_000
 
 
+def test_the_oracle_makes_no_vertex(monkeypatch):
+    # the oracle and the measurement speak keys: neither the pair suite's
+    # comparisons nor the branch suite's oracle sets decode a key into a
+    # Vertex; only the predicted side and the stem checks do
+    made, running, calls = [], [], {"compare_pair": 0, "oracle_branch": 0}
+    real_vertex = tree.Window.vertex
+
+    def vertex(self, k):
+        if running:
+            made.append((running[-1], k))
+        return real_vertex(self, k)
+
+    def watched(name):
+        real = getattr(selftest, name)
+
+        def run(*args, **kw):
+            calls[name] += 1
+            running.append(name)
+            try:
+                return real(*args, **kw)
+            finally:
+                running.pop()
+        return run
+    monkeypatch.setattr(tree.Window, "vertex", vertex)
+    for name in calls:
+        monkeypatch.setattr(selftest, name, watched(name))
+    run_selftest(seed=7, count=30)
+    assert calls["compare_pair"] == 30 and calls["oracle_branch"] > 0
+    assert made == []
+
+
 @pytest.mark.parametrize("tau, radius", [(3, 7), (4, 5)])
 def test_a_window_one_level_past_the_listing_limit_is_walked(capsys, tau,
                                                              radius):

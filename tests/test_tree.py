@@ -93,9 +93,13 @@ def _keys(w, vertices):
     return {w.key(v) for v in vertices}
 
 
+def _verts(w, keys):
+    return {w.vertex(k) for k in keys}
+
+
 def _dist(w):
     """Each window vertex's distance to B_0^[0], in window order."""
-    return [w.radius - w.boundary_distance(v) for v in w.vertices]
+    return [w.radius - w.boundary_distance(w.key(v)) for v in w.vertices]
 
 
 def _adjacency(w):
@@ -135,18 +139,19 @@ def test_window_distances_and_boundary():
     w = enumerate_window(F1, 3)
     root = w.vertices[0]
     assert root.render() == "B[0]^0" and _dist(w)[0] == 0
-    assert w.boundary_distance(root) == 3
+    assert w.boundary_distance(w.key(root)) == 3
     assert all(d == tree_distance(root, v) <= 3
                for v, d in zip(w.vertices, _dist(w)))
     far = [v for v, d in zip(w.vertices, _dist(w)) if d == 3]
-    assert all(w.boundary_distance(v) == 0 for v in far)
+    assert all(w.boundary_distance(w.key(v)) == 0 for v in far)
 
 
 def test_window_adjacency_matches_neighbor_enumeration():
     w = enumerate_window(F1, 2)
     for v in w.vertices:
-        assert _neighbours(w, v) == [n for n in _ref_vertex_neighbors(v)
-                                     if n in w]
+        inside = [n for n in _ref_vertex_neighbors(v)
+                  if w.boundary_distance(w.key(n)) >= 0]
+        assert _neighbours(w, v) == inside
 
 
 @pytest.mark.parametrize("tau, largest", [(1, 17), (2, 8), (3, 6), (16, 1)])
@@ -392,7 +397,8 @@ def test_membership_survives_an_integral_conjugation():
 
 
 def _full_scan(q, w):
-    return {v for v in w.vertices if member(q, v)}
+    """The keys of the members, in window order."""
+    return {w.key(v) for v in w.vertices if member(q, v)}
 
 
 def _companions_of_every_class(fld, rng):
@@ -494,6 +500,7 @@ def test_flood_fill_tests_members_and_their_rim_only(tau, radius,
         del calls[:]
         assert oracle_branch(q, w) == members
         if members:
+            members = _verts(w, members)
             rim = _rim(members, w)
             assert len(calls) <= w.vertices.index(min(
                 members, key=w.vertices.index)) + len(members) + len(rim)
@@ -509,7 +516,8 @@ def test_scalar_and_non_integral_matrices(tau, radius, monkeypatch):
     x = s_parse(fld, "1 + t")
     zero = s_zero(fld)
     scalar = Mat2(x, zero, zero, x)
-    assert oracle_branch(scalar, w) == set(w.vertices) == _full_scan(scalar, w)
+    assert (oracle_branch(scalar, w) == _keys(w, w.vertices)
+            == _full_scan(scalar, w))
     for q in (companion(s_parse(fld, "t^-1"), zero),
               Mat2(s_monomial(fld, -1), zero, zero, s_monomial(fld, -1))):
         assert _full_scan(q, w) == set()
@@ -604,8 +612,9 @@ def test_the_walk_decides_every_vertex_as_member_does(tau, data):
 
 
 def _full_shape_scan(shape, w):
+    """The keys of the members, in window order."""
     test = geometry._member_test(shape)
-    return {v for v in w.vertices if test(v)}
+    return {w.key(v) for v in w.vertices if test(v)}
 
 
 def _shapes(tau, seed, precs):
@@ -669,6 +678,7 @@ def test_grown_predicted_set_tests_members_and_their_rim_only(
         del calls[:]
         assert shape_members(shape, w) == members
         if members:
+            members = _verts(w, members)
             rim = _rim(members, w)
             assert len(calls) <= w.vertices.index(min(
                 members, key=w.vertices.index)) + len(members) + len(rim)
@@ -757,10 +767,10 @@ def _oracle_sets_and_cores(tau, radius, seed):
     for q in _conjugated_companions(tau, seed):
         members = oracle_branch(q, w)
         if members:
-            sets.append(members)
+            sets.append(_verts(w, members))
             core = measure_branch(members, w).core
             if core:
-                sets.append(core)
+                sets.append(_verts(w, core))
     return w, sets
 
 
@@ -803,11 +813,12 @@ def _vertex_bfs(window, sources, inside=None, stop=None):
 
 
 def _vertex_grow(window, test):
+    """The members, grown over vertices; their keys, in window order."""
     first = next((v for v in window.vertices if test(v)), None)
     if first is None:
         return set()
     found, _, _ = _vertex_bfs(window, [first], inside=test)
-    return set(sorted(found, key=window.key))
+    return set(sorted(map(window.key, found)))
 
 
 def _vertex_local_depths(members, window):
@@ -845,15 +856,16 @@ def test_index_walks_equal_the_vertex_keyed_walks(tau, radius):
         want = _vertex_grow(w, lambda v: _series_member(q, v))
         assert members == want and list(members) == list(want)
         if members:
-            sets.append(members)
+            sets.append(_verts(w, members))
             core = measure_branch(members, w).core
             if core:
-                sets.append(core)
+                sets.append(_verts(w, core))
     for shape in _shapes(tau, 110 + tau, (64,)):
         test = geometry._member_test(shape)
         got = shape_members(shape, w)
         assert list(got) == list(_vertex_grow(w, test))
-        assert list(grow(w, test)) == list(got)
+        grown = grow(w, lambda p, ks: [k for k in ks if test(w.vertex(k))])
+        assert grown == sorted(got)
     assert len(sets) >= 20
     for members in sets:
         assert (list(_local_depths(members, w).items())
@@ -877,19 +889,19 @@ def test_split_diagonal_branch_is_the_central_line():
     w = enumerate_window(F1, 4)
     q = Mat2(s_one(F1), s_zero(F1), s_zero(F1), s_zero(F1))
     mem = oracle_branch(q, w)
-    assert mem == {Vertex(r, s_zero(F1)) for r in range(-4, 5)}
-    diam, a, b = _set_diameter(mem, w)
+    assert mem == _keys(w, {Vertex(r, s_zero(F1)) for r in range(-4, 5)})
+    diam, a, b = _set_diameter(_verts(w, mem), w)
     assert diam == 8 == len(mem) - 1  # a path
     assert {a.r, b.r} == {-4, 4}
     m = measure_branch(mem, w)
     assert m.certified and m.depth == 0
-    assert m.core == {v for v in mem if w.boundary_distance(v) >= 1}
+    assert m.core == {k for k in mem if w.boundary_distance(k) >= 1}
 
 
 def test_ramified_branch_measures_as_a_short_edge():
     w = enumerate_window(F1, 4)
     mem = oracle_branch(companion(s_parse(F1, "t"), s_parse(F1, "t")), w)
-    assert {v.render() for v in mem} == {"B[0]^0", "B[0]^1"}
+    assert {w.vertex(k).render() for k in mem} == {"B[0]^0", "B[0]^1"}
     m = measure_branch(mem, w)
     assert m.certified and m.depth == 0 and m.core == mem
 
@@ -904,7 +916,7 @@ def test_set_distance_between_disjoint_lines():
 
 def test_complete_in_window_rejects_a_set_touching_the_rim():
     w = enumerate_window(F1, 3)
-    rim = {v for v in w.vertices if w.boundary_distance(v) == 0}
+    rim = {v for v in w.vertices if w.boundary_distance(w.key(v)) == 0}
     assert not complete_in_window(_keys(w, rim), w)
     assert complete_in_window({1}, w)  # B_0^[0]
 
