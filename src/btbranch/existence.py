@@ -467,18 +467,19 @@ def _witness_first_reducible(spec, m1, m2, working_prec):
 
 
 def _witness_commutative(lam, m1, m2, working_prec):
-    """Best-effort pair for the doubly traceless, lambda = 0 datum.
+    """A linearly independent pair for the doubly traceless, lambda = 0
+    datum, or None when there is none.
 
-    Both generators then commute, so q2 is forced into K[q1] and a
-    genuinely independent pair only exists for some coefficient shapes;
-    None means no such pair exists at all (which the verdict documents
-    rather than hides).
+    Both generators then commute, so q2 = c + s q1 with b2 = c^2 + s^2 b1,
+    and the pair is independent exactly when c != 0.  Where c is 0 only
+    to its precision, it raises UndeterminedAtPrecision.
     """
     fld = lam.field
     b1, b2 = m1.b, m2.b
     z, o = s_zero(fld), s_one(fld)
     nil = Mat2(z, o, z, z)
-    # split b_i = xi_i^2 + t eta_i^2; b_i is a square iff eta_i = 0
+    # split b_i = xi_i^2 + t eta_i^2; b_i is a square iff eta_i = 0, which
+    # classify has settled exactly
     (xi1, et1), (xi2, et2) = s_split(b1), s_split(b2)
     sq1, sq2 = et1.looks_zero, et2.looks_zero
     if sq1 and sq2:
@@ -492,13 +493,17 @@ def _witness_commutative(lam, m1, m2, working_prec):
         return q1, q2
     if sq1 != sq2:
         return None  # a square and a non-square can never commute here
-    # both inseparable irreducible
+    # both inseparable irreducible: s = eta2/eta1 and c = xi2 + s xi1,
+    # so c = 0 exactly when xi2 eta1 = xi1 eta2
+    cross = s_add(s_mul(xi2, et1), s_mul(xi1, et2))
+    if cross.looks_zero:
+        if not cross.is_exact:
+            raise UndeterminedAtPrecision(
+                f"commutative witness: c is 0 mod t^{cross.prec} only")
+        return None  # b2/b1 is a square: q2 = s q1
     s = s_div(et2, et1, working_prec)
-    c = s_add(xi2, s_mul(s, xi1))
-    if c.looks_zero:
-        return None  # b2/b1 is a square as far as known: q2 ~ q1
     q1 = Mat2(z, b1, o, z)
-    q2 = m_add(m_scalar(c), m_scale(s, q1))
+    q2 = m_add(m_scalar(s_add(xi2, s_mul(s, xi1))), m_scale(s, q1))
     return q1, q2
 
 
@@ -544,6 +549,8 @@ def decide(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC) -> ExistenceVerd
     """Decide realisability and construct a witness pair where possible.
 
     working_prec must be the one spec was classified at (algebra_spec).
+    With both traces and lambda zero (condition v) the pair commutes, and
+    the answer is yes only with a linearly independent witness.
     """
     delta = _disc(spec)
     m1, m2, lam = spec.m1, spec.m2, spec.lam
@@ -573,6 +580,9 @@ def decide(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC) -> ExistenceVerd
                 w = (w[1], w[0])
             return ExistenceVerdict(True, "iv", w)
         return ExistenceVerdict(False, "none", None)
-    # both traces vanish and lambda = 0
+    # both traces vanish and lambda = 0: realised only by a commuting
+    # pair, and only where a linearly independent one exists
     w = _witness_commutative(lam, m1, m2, working_prec)
+    if w is None:
+        return ExistenceVerdict(False, "none", None)
     return ExistenceVerdict(True, "v", w, commutative_note=True)

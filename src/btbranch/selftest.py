@@ -14,8 +14,11 @@ Four independent cross-checks, all driven from one deterministic RNG:
   over the searches' limit is left out: the pair search's from tau 5
   up, the zero-divisor search's from tau 7 up.
 
-A report with the same seed and configuration renders byte-identically;
-skipped instances are listed with reasons rather than dropped.
+One driver runs the four.  A suite draws an instance and checks it:
+matched, mismatched or skipped, with a detail (a symbol datum no check
+reaches is inconclusive).  An instance that runs out of generation,
+precision or window is a skip, listed with its reason, never a mismatch.
+A report with the same seed and configuration renders byte-identically.
 """
 
 from __future__ import annotations
@@ -123,16 +126,19 @@ def _strat_raw(rng, fld, prec, state):
     return m_conj(g1, q1), m_conj(g2, q2)
 
 
+def _companions(rng, fld, prec, k1, k2):
+    """Conjugated companions of two quadratics of kinds k1 and k2."""
+    ms = _rand_quad(rng, fld, k1, prec), _rand_quad(rng, fld, k2, prec)
+    if None in ms:
+        return None
+    return tuple(m_conj(_rand_conjugator(rng, fld), companion(m.a, m.b))
+                 for m in ms)
+
+
 def _strat_companions(rng, fld, prec, state):
     k1, k2 = _ALL_KIND_PAIRS[state["kind_pair"] % len(_ALL_KIND_PAIRS)]
     state["kind_pair"] += 1
-    m1 = _rand_quad(rng, fld, k1, prec)
-    m2 = _rand_quad(rng, fld, k2, prec)
-    if m1 is None or m2 is None:
-        return None
-    q1 = m_conj(_rand_conjugator(rng, fld), companion(m1.a, m1.b))
-    q2 = m_conj(_rand_conjugator(rng, fld), companion(m2.a, m2.b))
-    return q1, q2
+    return _companions(rng, fld, prec, k1, k2)
 
 
 def _nilpotent_pair(rng, fld, lam_part):
@@ -203,15 +209,9 @@ def _strat_shared_ray(rng, fld, prec, state):
 
 def _strat_with_kind(kind):
     def strat(rng, fld, prec, state):
-        m1 = _rand_quad(rng, fld, kind, prec)
         k2 = KINDS[state["second_kind"] % len(KINDS)]
         state["second_kind"] += 1
-        m2 = _rand_quad(rng, fld, k2, prec)
-        if m1 is None or m2 is None:
-            return None
-        q1 = m_conj(_rand_conjugator(rng, fld), companion(m1.a, m1.b))
-        q2 = m_conj(_rand_conjugator(rng, fld), companion(m2.a, m2.b))
-        return q1, q2
+        return _companions(rng, fld, prec, kind, k2)
     return strat
 
 
@@ -254,10 +254,6 @@ def _floor_relpos(pair):
 
 
 # -- pair suite -----------------------------------------------------
-
-def _cell_label(pair) -> str:
-    return "/".join(sorted((pair.m1.cell, pair.m2.cell)))
-
 
 def compare_pair(pair, window, margin, sets=None):
     """Returns (status, detail, pred, meas): status in matched/mismatched/
@@ -415,7 +411,9 @@ def _hits(search, spec, lo, hi) -> bool:
 
 
 def _run_symbol_instance(rng, fld, prec):
-    """Returns (conclusive, disagreement-or-empty).
+    """Returns (status, disagreement-or-empty): "matched" when a check
+    reached the datum and each agreed, "inconclusive" when none reached
+    it, and "skipped" when 100 draws gave Delta = 0.
 
     Raises UndeterminedAtPrecision when a witness identity looks zero but
     is known only below the precision verify_witness trusts.
@@ -430,26 +428,27 @@ def _run_symbol_instance(rng, fld, prec):
         if not spec.disc.is_zero:
             break
     else:
-        return False, "could not draw a nondegenerate datum"
+        return "skipped", "could not draw a nondegenerate datum"
     verdict = decide(spec, prec)
-    conclusive = False
+    status = "inconclusive"
     if spec.m1.reducible or spec.m2.reducible:
-        conclusive = True
+        status = "matched"
         if not verdict.exists:
-            return True, "reducible factor but verdict says no pair"
+            return "mismatched", "reducible factor but verdict says no pair"
     if verdict.witness is not None:
-        conclusive = True
+        status = "matched"
         if not verify_witness(spec, *verdict.witness):
-            return True, "constructed witness fails verification"
+            return "mismatched", "constructed witness fails verification"
     if _hits(search_zero_divisor, spec, -2, 2):
-        conclusive = True
+        status = "matched"
         if not verdict.exists:
-            return True, "zero divisor found but verdict says division"
+            return "mismatched", "zero divisor found but verdict says division"
     if _hits(search_pair, spec, -1, 1):
-        conclusive = True
+        status = "matched"
         if not verdict.exists:
-            return True, "norm-form solution found but verdict says division"
-    return conclusive, ""
+            return ("mismatched",
+                    "norm-form solution found but verdict says division")
+    return status, ""
 
 
 # -- the report -----------------------------------------------------
@@ -486,9 +485,7 @@ class SelfTestReport:
 
     @property
     def passing(self) -> bool:
-        return (self.pair_mismatched == 0 and self.branch_mismatched == 0
-                and self.defect_disagreements == 0
-                and self.symbol_disagreements == 0)
+        return not self.mismatch_list
 
     def record(self) -> dict:
         """The report as plain data: the JSON form, and what render prints."""
@@ -555,6 +552,16 @@ class SelfTestReport:
 def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
                  count: int = 500, radius: int = 8, margin: int = 2,
                  prec: int = DEFAULT_PREC) -> SelfTestReport:
+    """Run the four suites in turn from one RNG and tally one report.
+
+    A suite draws instance idx, giving the instance and its label, or
+    None when generation runs out, and checks it, giving a status and a
+    detail.  This loop alone catches what ends an instance: a draw or
+    check that raises ScalarMatrix, NonIntegral, UndeterminedAtPrecision
+    or WindowTooLarge is a skip with that reason, and any other
+    ValueError from the pair check is a mismatch.  Each skip and mismatch
+    is listed as "{suite} #{idx}[ {label}]: {detail}".
+    """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
@@ -562,107 +569,98 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
     report = SelfTestReport(seed, tau, radius, margin, count)
     window = enumerate_window(fld, radius) if count else None
     state = {"kind_pair": 0, "meet_depth": 0, "second_kind": 0}
-
-    for idx in range(count):
-        strat = _PAIR_STRATEGIES[idx % len(_PAIR_STRATEGIES)]
-        report.pair_attempted += 1
-        why = None
-        try:
-            raw = strat(rng, fld, prec, state)
-            if raw is None:
-                why = "generation exhausted"
-            else:
-                pair = make_pair(raw[0], raw[1], prec)
-        except (ScalarMatrix, NonIntegral) as exc:
-            why = str(exc)
-        except UndeterminedAtPrecision as exc:
-            why = f"undetermined at precision: {exc}"
-        if why is not None:
-            report.pair_skipped += 1
-            report.skipped_list.append(f"pair #{idx}: {why}")
-            continue
-        cell = _cell_label(pair)
-        try:
-            status, detail, pred, meas = compare_pair(pair, window, margin)
-        except UndeterminedAtPrecision as exc:
-            status, detail = "skipped", f"undetermined at precision: {exc}"
-        except WindowTooLarge as exc:
-            status, detail = "skipped", str(exc)
-        except ValueError as exc:
-            status, detail = "mismatched", f"prediction failed: {exc}"
-        if status == "skipped":
-            report.pair_skipped += 1
-            report.cells[f"{cell} skipped"] += 1
-            report.skipped_list.append(f"pair #{idx} {cell}: {detail}")
-            continue
-        report.pair_safe += 1
-        if status == "matched":
-            report.pair_matched += 1
-            report.cells[f"{cell} matched"] += 1
-            report.coverage[f"{cell} {detail}"] += 1
-            if (isinstance(pred, (Disjoint, Overlap))
-                    and RAMIFIED_SEP in (pair.m1.kind, pair.m2.kind)
-                    and fake_distance(pair.lam, pair.m1, pair.m2).kind == "fin"):
-                # only finite stem distances discriminate the two sign
-                # readings of the ramified separable correction
-                report.tsign_total += 1
-                report.tsign_implemented += 1
-                alt = _floor_relpos(pair)
-                if alt is not None and check_agreement(alt, meas)[0]:
-                    report.tsign_floor += 1
-        else:
-            report.pair_mismatched += 1
-            report.cells[f"{cell} mismatched"] += 1
-            report.mismatch_list.append(f"pair #{idx} {cell}: {detail}")
-
-    for idx in range(2 * count // 5):
-        kind = KINDS[idx % len(KINDS)]
-        report.branch_attempted += 1
-        try:
-            q = _rand_branch_matrix(rng, fld, kind, prec)
-            why = "generation exhausted" if q is None else None
-        except UndeterminedAtPrecision as exc:
-            why = f"undetermined at precision: {exc}"
-        if why is not None:
-            report.branch_skipped += 1
-            report.skipped_list.append(f"branch #{idx}: {why}")
-            continue
-        try:
-            status, detail = _run_branch_instance(q, window, margin, prec)
-        except UndeterminedAtPrecision as exc:
-            status, detail = "skipped", f"undetermined at precision: {exc}"
-        except WindowTooLarge as exc:
-            status, detail = "skipped", str(exc)
-        report.branch_classes[f"{kind} {status}"] += 1
-        if status == "matched":
-            report.branch_matched += 1
-        elif status == "skipped":
-            report.branch_skipped += 1
-            report.skipped_list.append(f"branch #{idx} {kind}: {detail}")
-        else:
-            report.branch_mismatched += 1
-            report.mismatch_list.append(f"branch #{idx} {kind}: {detail}")
-
     bases = {artin: _grid_basis(fld, artin) for artin in (True, False)}
-    for idx in range(count):
-        report.defect_checked += 1
+
+    def draw_pair(idx):
+        raw = _PAIR_STRATEGIES[idx % len(_PAIR_STRATEGIES)](rng, fld, prec,
+                                                            state)
+        if raw is not None:
+            pair = make_pair(raw[0], raw[1], prec)
+            return pair, "/".join(sorted((pair.m1.cell, pair.m2.cell)))
+
+    def check_pair(pair):
+        status, detail, pred, meas = compare_pair(pair, window, margin)
+        if (status != "skipped" and isinstance(pred, (Disjoint, Overlap))
+                and RAMIFIED_SEP in (pair.m1.kind, pair.m2.kind)
+                and fake_distance(pair.lam, pair.m1, pair.m2).kind == "fin"):
+            # only finite stem distances discriminate the two sign
+            # readings of the ramified separable correction
+            report.tsign_total += 1
+            report.tsign_implemented += status == "matched"
+            alt = _floor_relpos(pair)
+            if alt is not None and check_agreement(alt, meas)[0]:
+                report.tsign_floor += 1
+        return status, detail
+
+    def tally_pair(status, cell, detail):
+        report.pair_attempted += 1
+        report.pair_safe += status != "skipped"
+        report.pair_matched += status == "matched"
+        report.pair_mismatched += status == "mismatched"
+        report.pair_skipped += status == "skipped"
+        if cell is not None:
+            report.cells[f"{cell} {status}"] += 1
+        if status == "matched":
+            report.coverage[f"{cell} {detail}"] += 1
+
+    def draw_branch(idx):
+        kind = KINDS[idx % len(KINDS)]
+        q = _rand_branch_matrix(rng, fld, kind, prec)
+        return None if q is None else (q, kind)
+
+    def tally_branch(status, kind, detail):
+        report.branch_attempted += 1
+        if kind is not None:
+            report.branch_classes[f"{kind} {status}"] += 1
+        report.branch_matched += status == "matched"
+        report.branch_mismatched += status == "mismatched"
+        report.branch_skipped += status == "skipped"
+
+    def check_defect(_):
         ok, why = _run_defect_instance(rng, fld, bases)
-        if not ok:
-            report.defect_disagreements += 1
-            report.mismatch_list.append(f"defect #{idx}: {why}")
+        return "matched" if ok else "mismatched", why
 
-    for idx in range(2 * count // 5):
+    def tally_defect(status, label, detail):
+        report.defect_checked += 1
+        report.defect_disagreements += status == "mismatched"
+
+    def tally_symbol(status, label, detail):
         report.symbol_specs += 1
-        try:
-            conclusive, why = _run_symbol_instance(rng, fld, prec)
-        except UndeterminedAtPrecision as exc:
-            report.skipped_list.append(
-                f"symbol #{idx}: undetermined at precision: {exc}")
-            continue
-        if conclusive:
-            report.symbol_conclusive += 1
-        if why:
-            report.symbol_disagreements += 1
-            report.mismatch_list.append(f"symbol #{idx}: {why}")
+        report.symbol_conclusive += status in ("matched", "mismatched")
+        report.symbol_disagreements += status == "mismatched"
 
+    suites = (
+        ("pair", count, draw_pair, check_pair, tally_pair),
+        ("branch", 2 * count // 5, draw_branch,
+         lambda q: _run_branch_instance(q, window, margin, prec),
+         tally_branch),
+        ("defect", count, lambda idx: (None, None), check_defect,
+         tally_defect),
+        ("symbol", 2 * count // 5, lambda idx: (None, None),
+         lambda _: _run_symbol_instance(rng, fld, prec), tally_symbol),
+    )
+    listed = {"skipped": report.skipped_list,
+              "mismatched": report.mismatch_list}
+    for name, n, draw, check, tally in suites:
+        for idx in range(n):
+            label = None
+            try:
+                if (drawn := draw(idx)) is None:
+                    status, detail = "skipped", "generation exhausted"
+                else:
+                    instance, label = drawn
+                    status, detail = check(instance)
+            except (ScalarMatrix, NonIntegral, UndeterminedAtPrecision,
+                    WindowTooLarge) as exc:
+                status, detail = "skipped", (
+                    f"undetermined at precision: {exc}"
+                    if isinstance(exc, UndeterminedAtPrecision) else str(exc))
+            except ValueError as exc:
+                if name != "pair":
+                    raise
+                status, detail = "mismatched", f"prediction failed: {exc}"
+            tally(status, label, detail)
+            if status in listed:
+                tag = "" if label is None else f" {label}"
+                listed[status].append(f"{name} #{idx}{tag}: {detail}")
     return report

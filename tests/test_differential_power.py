@@ -26,10 +26,11 @@ import dataclasses
 import pytest
 
 import btbranch.existence as existence
+import btbranch.geometry as geometry
 import btbranch.selftest as selftest
 import btbranch.tree as tree
-from btbranch.defects import Ideal
-from btbranch.geometry import (FoliageContained, FoliageMeet, Overlap,
+from btbranch.defects import RAMIFIED_SEP, Ideal
+from btbranch.geometry import (FoliageContained, FoliageMeet, HalfInt, Overlap,
                                SharedMaxPath, SharedRay, ThickLine)
 from btbranch.series import s_add, s_mul, val_ge
 from btbranch.tree import Vertex
@@ -163,6 +164,33 @@ def test_relative_position_mutants_are_killed(monkeypatch, edit):
     assert rep.pair_mismatched >= 1
 
 
+def _sign_flipped_fake_distance():
+    """fake_distance with each ramified separable jump added, not
+    subtracted: 2 t more per such factor, as the floor reading has it."""
+    real = geometry.fake_distance
+
+    def flipped(lam, m1, m2):
+        df = real(lam, m1, m2)
+        if df.kind != "fin":
+            return df
+        shift = 4 * sum(m.t for m in (m1, m2) if m.kind == RAMIFIED_SEP)
+        return HalfInt("fin", df.twice + shift)
+    return flipped
+
+
+@pytest.mark.parametrize("run", [RUN, dict(seed=3, tau=2, count=50,
+                                           radius=5)],
+                         ids=["tau-1", "tau-2"])
+def test_sign_flipped_fake_distance_fails_gate_6(monkeypatch, run):
+    # patched in geometry only, so the predictor reads the mutant and the
+    # sign tally's own test for a discriminating pair does not
+    monkeypatch.setattr(geometry, "fake_distance",
+                        _sign_flipped_fake_distance())
+    rep = selftest.run_selftest(**run)
+    assert rep.tsign_total > 0
+    assert rep.tsign_implemented < rep.tsign_total
+
+
 def _negated_splits():
     real = existence.splits
     return lambda *args, **kw: not real(*args, **kw)
@@ -214,7 +242,7 @@ def test_every_killed_mutant_is_killed_at_tau_2(monkeypatch, mutant):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: the symbol suite can confirm only 'splits', so no "
+    "ROADMAP item 5: the symbol suite can confirm only 'splits', so no "
     "division verdict is checked"))
 def test_splits_always_true_is_killed(monkeypatch):
     monkeypatch.setattr(existence, "splits", lambda *args, **kw: True)

@@ -212,11 +212,33 @@ def test_doubly_traceless_square_pair_also_has_a_witness():
 
 
 def test_commutative_case_documents_a_missing_witness():
-    # X^2 + t twice: the second generator would be a scalar multiple
+    # X^2 + t and X^2 + t^3: the only commuting candidate is q2 = t q1, a
+    # multiple of q1, so no linearly independent pair realises the datum
     verdict = decide(_spec("0", "0", "t", "0", "t^3"), 64)
-    assert verdict.exists and verdict.matched_condition == "v"
-    assert verdict.commutative_note
+    assert not verdict.exists and verdict.matched_condition == "none"
+    assert not verdict.commutative_note
     assert verdict.witness is None
+
+
+# (b1, b2) = (t, t^3) is the datum of the test above
+@pytest.mark.parametrize("b1, b2", [("1", "t"), ("0", "0"), ("t", "t"),
+                                    ("1", "t^2 + t^3")])
+def test_doubly_traceless_datum_without_an_independent_pair_is_refused(b1,
+                                                                       b2):
+    # lambda = a1 = a2 = 0 makes the pair commute: q2 = c + s q1 with
+    # b2 = c^2 + s^2 b1, and none of these data admits such a c != 0
+    verdict = decide(_spec("0", "0", b1, "0", b2), 64)
+    assert (verdict.exists, verdict.matched_condition) == (False, "none")
+    assert verdict.witness is None and not verdict.commutative_note
+
+
+def test_missing_commutative_witness_on_truncated_data_is_undetermined():
+    # b2 = t^3 mod t^5 gives c = xi2 + (eta2/eta1) xi1 = 0 mod t^3 only;
+    # classify has already settled which b_i are squares
+    with pytest.raises(UndeterminedAtPrecision, match="c is 0 mod t"):
+        decide(_spec("0", "0", "t", "0", "t^3 (mod t^5)"), 64)
+    verdict = decide(_spec("0", "0", "t", "0", "t^3 + t^4 (mod t^5)"), 64)
+    assert verdict.exists and verdict.matched_condition == "v"
 
 
 @pytest.mark.parametrize("prec, verified", [(4, None), (6, None), (8, True),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 
 import pytest
@@ -14,7 +15,7 @@ from btbranch.existence import algebra_spec, search_pair, search_zero_divisor
 from btbranch.gf2 import field
 from btbranch.mat2 import m_parse, make_pair
 from btbranch.selftest import compare_pair, run_selftest
-from btbranch.series import s_parse
+from btbranch.series import UndeterminedAtPrecision, s_parse, s_zero
 
 
 # the randomised self test
@@ -73,8 +74,48 @@ def test_low_precision_skips_instead_of_mismatching(prec):
                        for line in report.skipped_list)
     assert (len(report.skipped_list)
             == report.pair_skipped + report.branch_skipped + symbol_skips)
-    for line in report.skipped_list:
-        assert line.partition(": ")[2].strip(), line
+    for line in report.skipped_list + report.mismatch_list:
+        assert _OUTCOME_LINE.fullmatch(line), line
+
+
+# every skip and mismatch line: "{suite} #{idx}[ {label}]: {reason}"
+_OUTCOME_LINE = re.compile(r"(pair|branch|defect|symbol) #\d+( \S+)?: .*\S.*")
+
+
+def _undetermined(*args, **kw):
+    raise UndeterminedAtPrecision("patched")
+
+
+@pytest.mark.parametrize("suite, name", [("pair", "compare_pair"),
+                                         ("branch", "branch_shape"),
+                                         ("defect", "as_defect"),
+                                         ("symbol", "decide")])
+def test_an_undetermined_instance_in_any_suite_is_a_skip(monkeypatch, suite,
+                                                         name):
+    monkeypatch.setattr(selftest, name, _undetermined)
+    report = run_selftest(seed=7, count=10, radius=6)
+    reason = "undetermined at precision: patched"
+    skips = [line for line in report.skipped_list
+             if line.startswith(f"{suite} #")]
+    assert skips and all(line.endswith(f": {reason}") for line in skips)
+    assert report.passing and report.mismatch_list == []
+
+
+def test_a_symbol_suite_that_draws_only_delta_zero_skips(monkeypatch):
+    # lambda = a1 = a2 = 0 makes Delta = 0 for every b1, b2
+    real = selftest.algebra_spec
+
+    def traceless(lam, a1, b1, a2, b2, prec):
+        zero = s_zero(lam.field)
+        return real(zero, zero, b1, zero, b2, prec)
+    monkeypatch.setattr(selftest, "algebra_spec", traceless)
+    report = run_selftest(seed=7, count=10, radius=6)
+    assert report.symbol_specs == 4 and report.symbol_disagreements == 0
+    assert report.symbol_conclusive == 0 and report.passing
+    assert [line for line in report.skipped_list
+            if line.startswith("symbol #")] == [
+        f"symbol #{idx}: could not draw a nondegenerate datum"
+        for idx in range(4)]
 
 
 @pytest.mark.parametrize("prec", (1, 2, 3, 4))
@@ -312,6 +353,16 @@ def test_cli_exists_on_the_division_datum(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["exists"] is False and rec["condition"] == "none"
+
+
+def test_cli_exists_refuses_a_commuting_datum_without_a_witness(capsys):
+    # X^2 + 1 and X^2 + t: a square and a non-square, which no commuting
+    # linearly independent pair realises
+    code, out, _ = run_cli(capsys, ["exists", "--lambda", "0", "--m1", "0,1",
+                                    "--m2", "0,t", "--search-box=-1,1"])
+    assert code == 0
+    assert out.splitlines()[0] == "exists: no (condition none)"
+    assert "note:" not in out
 
 
 @pytest.mark.parametrize("box, zero_divisor, pair_hit", [
