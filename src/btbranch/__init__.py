@@ -23,7 +23,7 @@ from .mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix, companion,
                    make_pair, min_poly, sym_product)
 from .tree import (MeasuredBranch, MeasuredShape, Vertex, Window, dot_export,
                    enumerate_window, measure_branch, measure_intersection,
-                   member, oracle_branch, tree_distance)
+                   oracle_branch, tree_distance)
 from .geometry import (BranchShape, Disjoint, FoliageContained, FoliageMeet,
                        HalfInt, InfiniteFoliage, Overlap, ProjPoint, RelPos,
                        SharedMaxPath, SharedRay, ThickLine, branch_shape,

@@ -170,7 +170,10 @@ def _cmd_exists(args) -> int:
         rec["witness"] = [m_render(q) for q in verdict.witness]
         lines.append(f"q1 = {m_render(verdict.witness[0])}")
         lines.append(f"q2 = {m_render(verdict.witness[1])}")
-    if args.search_box:
+    if args.search_box and spec.disc.is_zero:
+        lines.append("searches: not run (Delta = 0: the algebra is "
+                     "degenerate, so a hit proves nothing)")
+    elif args.search_box:
         lo, hi = args.search_box
         zd = search_zero_divisor(spec, lo, hi)
         pr = search_pair(spec, lo, hi)

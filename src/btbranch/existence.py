@@ -541,10 +541,6 @@ def verify_witness(spec: AlgebraSpec, q1: Mat2, q2: Mat2) -> bool:
 
 # -- the decision procedure -----------------------------------------
 
-COMMUTATIVE_NOTE = ("every realising pair lies in a two-dimensional "
-                    "commutative subalgebra")
-
-
 def decide(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC) -> ExistenceVerdict:
     """Decide realisability and construct a witness pair where possible.
 

@@ -278,21 +278,6 @@ class _Member:
         return _val_at_least(quad, self.e2, pb, r, w)
 
 
-def member(q: Mat2, v: Vertex) -> bool:
-    """Whether q lies in the maximal order of v, from scratch: the state
-    of ``_Member`` with L = Cz + D and Q(z) = (L + A) z + B."""
-    z, r, a, c = v.center, v.r, q.a, q.c
-    if not z.bits:  # z = 0 exactly: L = D and Q(z) = B
-        ev = _Member(q, z.field, min(a.lead, q.d.lead), q.b.lead)
-        return ev.verdict((r, None, ev.d, ev.b))
-    vz, w = z.lead, z.field.tau
-    e1 = min(c.lead + vz, a.lead, q.d.lead)
-    ev = _Member(q, z.field, e1, min(e1 + vz, q.b.lead))
-    ell = ev.d ^ ev.mul(c.bits, z.bits) << (c.lead + vz - e1) * w
-    quad = ev.b ^ ev.mul(ell ^ ev.a, z.bits) << (e1 + vz - ev.e2) * w
-    return ev.verdict((r, vz, ell, quad))
-
-
 def _oracle_test(q: Mat2, window: Window):
     """``expand(p, ks)``: the keys among ks, neighbours of the tested key
     p (or [1] for p None), whose vertex holds q.  An edge between levels

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from btbranch.defects import (KINDS, RAMIFIED_INSEP, RAMIFIED_SEP,
                               REDUCIBLE_INSEP, REDUCIBLE_SEP, UNRAMIFIED_SEP,
-                              DefectResult, Ideal, as_argument, as_defect,
+                              DefectResult, as_argument, as_defect,
                               classified_roots, classify, quad_defect,
                               solve_artin_schreier, solve_quadratic)
-from btbranch.gf2 import ff_artin_schreier_root, ff_sqrt, field
+from btbranch.gf2 import field
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
-                             s_monomial, s_mul, s_parse, s_random, s_square,
-                             s_truncate, s_val, s_zero, val_ge)
+                             s_mul, s_parse, s_random, s_square, s_truncate,
+                             s_val, val_ge)
+from references import _ref_as_defect, _ref_solve_artin_schreier
 
 F1 = field(1)
 F2 = field(2)
@@ -156,22 +157,6 @@ def test_artin_schreier_solver_refuses_the_obstructed_case():
     assert solve_artin_schreier(s_parse(F1, "1")) is None
 
 
-def _ref_solve_artin_schreier(a, working_prec):
-    """The Series loop the packed tail replaced: a truncate, a square
-    and an add per doubling."""
-    d = as_defect(a)
-    if not d.ideal.is_zero:
-        return None
-    rem = d.reduced
-    if rem.is_zero:
-        return d.witness
-    r = term = s_truncate(rem, working_prec)
-    while not term.looks_zero and term.lead < working_prec:
-        term = s_truncate(s_square(term), working_prec)
-        r = s_add(r, term)
-    return s_add(d.witness, r)
-
-
 @st.composite
 def _artin_schreier_input(draw, tau):
     """h^2 + h + rem, with a pole part h and a tail rem reaching past
@@ -201,6 +186,7 @@ def _outcome(fn, *args):
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 3), st.sampled_from((3, 4, 64, 65)), st.data())
 def test_artin_schreier_tail_matches_the_series_loop(tau, wp, data):
+    # the loop is the reference fixed-point iteration r -> r^2 + rem
     a = data.draw(_artin_schreier_input(tau))
     got = _outcome(solve_artin_schreier, a, wp)
     want = _outcome(_ref_solve_artin_schreier, a, wp)
@@ -226,36 +212,7 @@ def test_quadratic_solver_refuses_irreducible_input():
     assert solve_quadratic(s_parse(F1, "t"), s_parse(F1, "t")) is None
 
 
-# -- the Series-loop defect the packed reduction replaced: reference --
-
-def _ref_as_defect(a):
-    """as_defect as a loop of Series monomials and s_add."""
-    fld = a.field
-    h = s_zero(fld)
-    while True:
-        if a.looks_zero:
-            if a.is_exact or a.prec >= 1:
-                return DefectResult(Ideal.zero(), h, a)
-            raise UndeterminedAtPrecision(
-                f"series vanishes to precision {a.prec}; defect needs it mod t")
-        v = a.lead
-        if v > 0:
-            return DefectResult(Ideal.zero(), h, a)
-        u = a.coeff(v)
-        if v == 0:
-            c = ff_artin_schreier_root(fld, u)
-            if c is None:
-                return DefectResult(Ideal.of_val(0), h, a)
-            h = s_add(h, s_monomial(fld, 0, c))
-            a = s_add(a, s_monomial(fld, 0, u))
-            continue
-        if v % 2:
-            return DefectResult(Ideal.of_val(v), h, a)
-        s = -v // 2
-        step = s_monomial(fld, -s, ff_sqrt(fld, u))
-        h = s_add(h, step)
-        a = s_add(a, s_add(s_monomial(fld, v, u), step))
-
+# -- the packed reduction against the Series-loop defect --------------
 
 def _lanes(x):
     return None if x is None else (x.lead, x.bits, x.prec)

@@ -9,11 +9,10 @@ mutant the tau-1 run kills must also fail a run over F_4, except
 its radius-4 window sees only as a shorter ray, which bounds neither
 length.  No file of the package is changed.
 
-The membership mutants are copies of the Series reference of
-``tree.member`` (kept in ``tests/test_tree.py``) with one edit each,
-put in place of the oracle's walk test ``tree._oracle_test`` vertex by
-vertex; the unedited copy reproduces the self-test report byte for
-byte.  The
+The membership mutants are the Series reference ``_series_member``
+(``tests/references.py``) with one edit each, put in place of the
+oracle's walk test ``tree._oracle_test`` vertex by vertex; the unedited
+reference reproduces the self-test report byte for byte.  The
 mutants the self-test cannot kill yet are marked ``xfail(strict=True)``
 with the open ROADMAP item that owns them, so the gate fails, and the
 marker has to come off, once that item lands.
@@ -22,6 +21,7 @@ marker has to come off, once that item lands.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import pytest
 
@@ -32,29 +32,11 @@ import btbranch.tree as tree
 from btbranch.defects import RAMIFIED_SEP, Ideal
 from btbranch.geometry import (FoliageContained, FoliageMeet, HalfInt, Overlap,
                                SharedMaxPath, SharedRay, ThickLine)
-from btbranch.series import s_add, s_mul, val_ge
 from btbranch.tree import Vertex
+from references import _series_member
 
 RUN = dict(seed=7, count=100)
 RUN_TAU_2 = dict(seed=3, tau=2, count=40, radius=4)
-
-
-def _series_member(quad_shift=0, bound_c=True):
-    """The Series membership test, the quadratic bound moved by
-    ``quad_shift`` and the bound val(c) >= -r kept only if ``bound_c``."""
-
-    def member(q, v):
-        z, r = v.center, v.r
-        cz = s_mul(q.c, z)
-        if not val_ge(s_add(cz, q.d), 0):
-            return False
-        if bound_c and not val_ge(q.c, -r):
-            return False
-        if not val_ge(s_add(q.a, cz), 0):
-            return False
-        quad = s_add(s_add(s_mul(cz, z), s_mul(s_add(q.a, q.d), z)), q.b)
-        return val_ge(quad, r + quad_shift)
-    return member
 
 
 def _walk_test(member):
@@ -66,13 +48,13 @@ def _walk_test(member):
 
 def test_the_unedited_copy_reproduces_the_report(monkeypatch):
     want = selftest.run_selftest(**RUN).render()
-    monkeypatch.setattr(tree, "_oracle_test", _walk_test(_series_member()))
+    monkeypatch.setattr(tree, "_oracle_test", _walk_test(_series_member))
     assert selftest.run_selftest(**RUN).render() == want
 
 
 def test_the_unedited_copy_reproduces_the_tau_2_report(monkeypatch):
     want = selftest.run_selftest(**RUN_TAU_2).render()
-    monkeypatch.setattr(tree, "_oracle_test", _walk_test(_series_member()))
+    monkeypatch.setattr(tree, "_oracle_test", _walk_test(_series_member))
     assert selftest.run_selftest(**RUN_TAU_2).render() == want
 
 
@@ -83,7 +65,7 @@ def test_the_unedited_copy_reproduces_the_tau_2_report(monkeypatch):
                          ids=["quad-r+1", "quad-r-1", "no-c-bound"])
 def test_membership_mutants_are_killed(monkeypatch, edit):
     monkeypatch.setattr(tree, "_oracle_test",
-                        _walk_test(_series_member(**edit)))
+                        _walk_test(partial(_series_member, **edit)))
     rep = selftest.run_selftest(**RUN)
     assert rep.pair_mismatched >= 1 and rep.branch_mismatched >= 1
 
@@ -205,13 +187,13 @@ def test_negated_splits_is_killed(monkeypatch):
 # the owning suite that must be nonzero)
 _KILLED = {
     "quad-r+1": (tree, "_oracle_test",
-                 lambda: _walk_test(_series_member(quad_shift=1)),
+                 lambda: _walk_test(partial(_series_member, quad_shift=1)),
                  "branch_mismatched"),
     "quad-r-1": (tree, "_oracle_test",
-                 lambda: _walk_test(_series_member(quad_shift=-1)),
+                 lambda: _walk_test(partial(_series_member, quad_shift=-1)),
                  "branch_mismatched"),
     "no-c-bound": (tree, "_oracle_test",
-                   lambda: _walk_test(_series_member(bound_c=False)),
+                   lambda: _walk_test(partial(_series_member, bound_c=False)),
                    "branch_mismatched"),
     "deeper": (selftest, "branch_shape", lambda: _edited_shape(_deeper),
                "branch_mismatched"),

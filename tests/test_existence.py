@@ -18,11 +18,14 @@ from btbranch.existence import (DegenerateForm,
                                 cyclic_presentation, decide, search_pair,
                                 search_zero_divisor, splits, verify_witness,
                                 _box_terms, _element, _norm_form)
-from btbranch.gf2 import ff_trace, field
+from btbranch.gf2 import field
 from btbranch.mat2 import Mat2, det, make_pair, sym_product, trace
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
-                             s_from_terms, s_mul, s_one, s_parse, s_random,
-                             s_render, s_split, s_square, s_truncate, s_zero)
+                             s_mul, s_one, s_parse, s_random, s_render,
+                             s_square, s_truncate, s_zero)
+from references import (_form_at, _form_search_pair,
+                        _form_search_zero_divisor, _monomials,
+                        _small_elements, _splits_reference)
 
 F1 = field(1)
 
@@ -53,15 +56,6 @@ def test_symbol_splitting_fixed_values(a, b, expected):
 def test_symbol_needs_a_nonzero_second_argument():
     with pytest.raises(ValueError):
         splits(_p("1"), _p("0"), 64)
-
-
-def _splits_reference(a, b, working_prec=64):
-    """The symbol with b inverted to all working_prec terms."""
-    if b.is_zero:
-        raise ValueError("the second symbol argument must be nonzero")
-    db = s_square(s_split(b)[1])
-    form = s_mul(a, s_div(db, b, working_prec))
-    return ff_trace(a.field, form.coeff(-1)) == 0
 
 
 @st.composite
@@ -324,19 +318,8 @@ def _polar_norm_form(spec):
     return n, p
 
 
-# the box and the unit-scaled rows built term by term from series:
-# references for _box_terms and _unit_rows
-
-
-def _small_elements(fld, lo, hi, max_terms=2):
-    """All series with at most max_terms terms supported on lo..hi."""
-    exps = range(lo, hi + 1)
-    coeffs = range(1, fld.order)
-    yield s_zero(fld)
-    for n in range(1, max_terms + 1):
-        for pos in itertools.combinations(exps, n):
-            for cs in itertools.product(coeffs, repeat=n):
-                yield s_from_terms(fld, dict(zip(pos, cs)))
+# the unit-scaled rows built term by term from series: the reference
+# for _unit_rows
 
 
 def _terms(a, lo):
@@ -360,72 +343,9 @@ def _scalings(coeff, low):
     return row + row
 
 
-def _monomials(u, v):
-    """(u^2, u v, v^2), with None for each one that has a zero coordinate."""
-    uu = None if u.is_zero else s_mul(u, u)
-    vv = None if v.is_zero else s_mul(v, v)
-    uv = None if uu is None or vv is None else s_mul(u, v)
-    return uu, uv, vv
-
-
-def _form_at(a, b, c, monomials):
-    """a u^2 + b u v + c v^2 from _monomials(u, v), leaving out each term
-    with a zero coordinate.
-
-    A left-out term carries no precision, so the value is exact whenever
-    the terms that remain are.
-    """
-    uu, uv, vv = monomials
-    if uu is None:
-        return s_zero(a.field) if vv is None else s_mul(c, vv)
-    au2 = s_mul(a, uu)
-    if vv is None:
-        return au2
-    return s_add(s_add(au2, s_mul(b, uv)), s_mul(c, vv))
-
-
 def _form(a, b, c, u, v):
     """a u^2 + b u v + c v^2, on series, leaving out zero coordinates."""
     return _form_at(a, b, c, _monomials(u, v))
-
-
-def _form_search_zero_divisor(spec, lo, hi, max_terms):
-    """The zero-divisor search on series: _form_at on each plane."""
-    n, p = _norm_form(spec)
-    fld = spec.lam.field
-    for u, v in itertools.product(_small_elements(fld, lo, hi, max_terms),
-                                  repeat=2):
-        if u.is_zero and v.is_zero:
-            continue
-        monomials = _monomials(u, v)  # shared by the six planes
-        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-            if _form_at(n[i], p[i, j], n[j], monomials).is_zero:
-                x = [s_zero(fld)] * 4
-                x[i], x[j] = u, v
-                return tuple(x)
-    return None
-
-
-def _form_search_pair(spec, lo, hi, max_terms):
-    """The pair search on series: s^2 + c s + k by _form_at, once per
-    distinct s = x + z and (y, w)."""
-    n, p = _norm_form(spec)
-    fld = spec.lam.field
-    one = s_one(fld)
-    pool = list(_small_elements(fld, lo, hi, max_terms))
-    nonzero = [s for s in pool if not s.is_zero]
-    first = {}
-    for x, z in itertools.product(pool, repeat=2):
-        first.setdefault(s_add(x, z), (x, z))
-    sums = [(s, _monomials(s, one), xz) for s, xz in first.items()]
-    for y, w in itertools.product(nonzero, repeat=2):
-        k = _form_at(n[1], p[1, 2], n[2], _monomials(y, w))
-        c = s_add(s_mul(p[0, 1], y), s_mul(p[0, 2], w))
-        for s, monomials, (x, z) in sums:
-            value = k if s.is_zero else _form_at(n[0], c, k, monomials)
-            if value.is_zero:
-                return (x, y, z, w)
-    return None
 
 
 def _alg_mul(tab, x, y):
@@ -502,33 +422,6 @@ def _pair_form_numerator(spec, x, y, z, w):
         s_add(s_add(s_add(s_mul(z, z), s_mul(s_mul(m2.a, z), w)),
                     s_mul(s_mul(m2.b, w), w)),
               s_add(s_mul(s_mul(m1.a, z), y), s_mul(s_mul(m2.a, x), w))))
-
-
-def _reference_search_zero_divisor(spec, lo, hi, max_terms):
-    tab = _mul_table(spec)
-    fld = spec.lam.field
-    for coords in itertools.product(_small_elements(fld, lo, hi, max_terms),
-                                    repeat=2):
-        for pattern in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-            x = [s_zero(fld)] * 4
-            x[pattern[0]], x[pattern[1]] = coords
-            if all(c.is_zero for c in x):
-                continue
-            if _det_left_mult(tab, x).is_zero:
-                return tuple(x)
-    return None
-
-
-def _reference_search_pair(spec, lo, hi, max_terms):
-    fld = spec.lam.field
-    pool = list(_small_elements(fld, lo, hi, max_terms))
-    nonzero = [s for s in pool if not s.is_zero]
-    for y, w in itertools.product(nonzero, repeat=2):
-        target = s_mul(s_mul(y, w), spec.lam)
-        for x, z in itertools.product(pool, repeat=2):
-            if _pair_form_numerator(spec, x, y, z, w) == target:
-                return (x, y, z, w)
-    return None
 
 
 def _coefficients(draw, taus):
@@ -664,7 +557,7 @@ def test_norm_form_reproduces_the_reduced_norm(datum):
     _agree(value, _nrd(tab, (s, y, w, zero)))
 
 
-# boxes (lo, hi, max_terms) small enough for the reference searches
+# small boxes (lo, hi, max_terms), and wider ones below
 _BOXES = {1: ((-1, 1, 1), (0, 1, 1), (0, 1, 2)),
           2: ((0, 0, 1), (1, 1, 1), (-1, -1, 1)),
           3: ((0, 0, 1), (0, 1, 1))}
@@ -676,8 +569,8 @@ def test_searches_return_the_reference_first_hit(datum, data):
     spec, _ = datum
     box = data.draw(st.sampled_from(_BOXES[spec.lam.field.tau]))
     assert (search_zero_divisor(spec, *box)
-            == _reference_search_zero_divisor(spec, *box))
-    assert search_pair(spec, *box) == _reference_search_pair(spec, *box)
+            == _form_search_zero_divisor(spec, *box))
+    assert search_pair(spec, *box) == _form_search_pair(spec, *box)
 
 
 @pytest.mark.parametrize("datum, box", [
@@ -689,46 +582,8 @@ def test_pair_search_returns_the_first_of_two_hitting_sums(datum, box):
     # both do; the double loop over (x, z) meets (0, t) first
     spec = _spec(*datum)
     found = search_pair(spec, *box)
-    assert found == _reference_search_pair(spec, *box)
+    assert found == _form_search_pair(spec, *box)
     assert [s_render(c) for c in found[::2]] == ["0", "t"]
-
-
-def _nrd_search_zero_divisor(spec, lo, hi, max_terms):
-    """The zero-divisor search before the norm form: _nrd on each candidate."""
-    tab = _mul_table(spec)
-    fld = spec.lam.field
-    for coords in itertools.product(_small_elements(fld, lo, hi, max_terms),
-                                    repeat=2):
-        for pattern in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-            x = [s_zero(fld)] * 4
-            x[pattern[0]], x[pattern[1]] = coords
-            if all(c.is_zero for c in x):
-                continue
-            if _nrd(tab, x).is_zero:
-                return tuple(x)
-    return None
-
-
-def _nrd_search_pair(spec, lo, hi, max_terms):
-    """The pair search before the norm form: _nrd on each (x + z, y, w, 0).
-
-    _nrd is a function of the vector, so remembering whether it vanished
-    on a vector changes no answer; it makes tau 3 affordable.
-    """
-    tab = _mul_table(spec)
-    fld = spec.lam.field
-    zero = s_zero(fld)
-    pool = list(_small_elements(fld, lo, hi, max_terms))
-    nonzero = [s for s in pool if not s.is_zero]
-    vanishes = {}
-    for y, w in itertools.product(nonzero, repeat=2):
-        for x, z in itertools.product(pool, repeat=2):
-            vec = (s_add(x, z), y, w, zero)
-            if vec not in vanishes:
-                vanishes[vec] = _nrd(tab, vec).is_zero
-            if vanishes[vec]:
-                return (x, y, z, w)
-    return None
 
 
 @settings(max_examples=20, deadline=None)
@@ -737,12 +592,12 @@ def _nrd_search_pair(spec, lo, hi, max_terms):
 def test_searches_on_truncated_data_return_the_reference_first_hit(case,
                                                                    data):
     # a norm that is zero only to the precision of the data is no hit,
-    # so both searches must keep exactly the _nrd searches' exactness
+    # so both searches must keep exactly the reference's exactness
     tau, box = case
     spec, _ = data.draw(_truncated_datum((tau,)))
     assert (search_zero_divisor(spec, *box)
-            == _nrd_search_zero_divisor(spec, *box))
-    assert search_pair(spec, *box) == _nrd_search_pair(spec, *box)
+            == _form_search_zero_divisor(spec, *box))
+    assert search_pair(spec, *box) == _form_search_pair(spec, *box)
 
 
 @settings(max_examples=40, deadline=None)
@@ -754,12 +609,8 @@ def test_one_truncated_coefficient_keeps_the_reference_first_hit(
         case, which, prec, data):
     # exactly one of lambda, a1, b1, a2, b2 known mod t^prec: each term
     # that carries it must keep every plane and sum it remains in from
-    # hitting, as in the _nrd searches and the pair-form search.  The
-    # determinant of left multiplication is no reference here: it reads
-    # every structure constant, so a truncated a1 leaves it inexact on
-    # the plane (Q1, Q2), whose norm form has no a1 term.  The tau-3 box
-    # 0..1 costs these references about 2 s a datum; the series-loop
-    # test below covers it
+    # hitting, as in the reference.  The tau-3 box 0..1 costs about 0.2 s
+    # a datum; the series-loop test below covers it
     tau, box = case
     coeffs, _, _ = _coefficients(data.draw, (tau,))
     coeffs = list(coeffs)
@@ -769,10 +620,8 @@ def test_one_truncated_coefficient_keeps_the_reference_first_hit(
     except UndeterminedAtPrecision:  # a trace that is 0 to precision only
         assume(False)
     assert (search_zero_divisor(spec, *box)
-            == _nrd_search_zero_divisor(spec, *box))
-    found = search_pair(spec, *box)
-    assert found == _nrd_search_pair(spec, *box)
-    assert found == _reference_search_pair(spec, *box)
+            == _form_search_zero_divisor(spec, *box))
+    assert search_pair(spec, *box) == _form_search_pair(spec, *box)
 
 
 def test_zero_divisor_search_leaves_out_terms_with_a_zero_coordinate():
@@ -782,7 +631,7 @@ def test_zero_divisor_search_leaves_out_terms_with_a_zero_coordinate():
     spec = _spec("1 (mod t)", "1", "1", "t (mod t^2)", "0")
     found = search_zero_divisor(spec, 0, 0, 1)
     assert [s_render(c) for c in found] == ["0", "0", "1", "0"]
-    assert found == _nrd_search_zero_divisor(spec, 0, 0, 1)
+    assert found == _form_search_zero_divisor(spec, 0, 0, 1)
 
 
 def test_pair_search_with_an_inexact_trace_hits_only_at_a_zero_sum():
@@ -794,7 +643,7 @@ def test_pair_search_with_an_inexact_trace_hits_only_at_a_zero_sum():
         spec = _spec("t^-1", a1, "0", "0", "t")
         found = search_pair(spec, -1, 1, 1)
         assert [s_render(c) for c in found] == hit
-        assert found == _nrd_search_pair(spec, -1, 1, 1)
+        assert found == _form_search_pair(spec, -1, 1, 1)
 
 
 # boxes on which the series loops of the searches stay cheap
@@ -807,7 +656,7 @@ _WIDE_BOXES = {1: ((-2, 2, 1), (-1, 2, 2), (1, 3, 2)),
 @given(st.one_of(_datum((1, 2, 3)), _truncated_datum()), st.data())
 def test_searches_return_the_series_loop_first_hit(datum, data):
     # the packed-int searches against the same loops on series, on exact
-    # and truncated data and on boxes too wide for the other references
+    # and truncated data and on wider boxes
     spec, _ = datum
     box = data.draw(st.sampled_from(_WIDE_BOXES[spec.lam.field.tau]))
     assert (search_zero_divisor(spec, *box)
@@ -1026,7 +875,7 @@ class _Reached(Exception):
     """Raised in place of building a search's box."""
 
 
-def _refuse_to_build(monkeypatch):
+def _stop_before_building(monkeypatch):
     def refuse(*args):
         raise _Reached
     monkeypatch.setattr(existence, "_box_terms", refuse)
@@ -1044,7 +893,7 @@ def _refuse_to_build(monkeypatch):
 ])
 def test_a_box_over_the_limit_is_refused_before_anything_is_built(
         monkeypatch, search, tau, box):
-    _refuse_to_build(monkeypatch)
+    _stop_before_building(monkeypatch)
     fld = field(tau)
     spec = algebra_spec(*(s_parse(fld, x) for x in ("t", "1", "t", "t", "1")),
                         64)
@@ -1064,7 +913,7 @@ def test_a_box_over_the_limit_is_refused_before_anything_is_built(
 def test_the_boxes_in_use_fit_under_the_limit(monkeypatch, search, tau, box):
     # the boxes of the tests above, and the self-test's two boxes up to
     # tau 4; reaching the build means the box fits
-    _refuse_to_build(monkeypatch)
+    _stop_before_building(monkeypatch)
     spec = algebra_spec(*(s_parse(field(tau), x)
                           for x in ("t", "1", "t", "t", "1")), 64)
     with pytest.raises(_Reached):

@@ -1,5 +1,7 @@
 """The Frobenius s_square and the split a = xi^2 + t eta^2 against the
-hand-built computations they replaced, kept here as references."""
+product s_mul(a, a) and the hand-built computations they replaced, and
+the Artin-Schreier root against the fixed-point iteration; those
+references are in ``tests/references.py``."""
 
 from __future__ import annotations
 
@@ -8,78 +10,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from btbranch.defects import (DefectResult, Ideal, as_defect, quad_defect,
-                              solve_artin_schreier)
-from btbranch.gf2 import ff_sqrt, field
+from btbranch.defects import quad_defect, solve_artin_schreier
+from btbranch.gf2 import field
 from btbranch.series import (UndeterminedAtPrecision, s_add, s_from_terms,
                              s_monomial, s_mul, s_split, s_sqrt, s_square,
-                             s_truncate, s_zero)
-
-
-# -- references: the code before squaring went through the Frobenius --
-
-def _ref_square(a):
-    return s_mul(a, a)
-
-
-def _ref_sqrt(a):
-    odd = [e for e, _ in a.terms() if e % 2]
-    if odd:
-        raise ValueError(f"not a square: odd-exponent term at t^{odd[0]}")
-    prec = None if a.prec is None else (a.prec + 1) // 2
-    terms = {e // 2: ff_sqrt(a.field, c) for e, c in a.terms()}
-    return s_from_terms(a.field, terms, prec)
-
-
-def _ref_quad_defect(a):
-    fld = a.field
-    xi = s_from_terms(fld, {e // 2: ff_sqrt(fld, c)
-                            for e, c in a.terms() if e % 2 == 0},
-                      None if a.prec is None else (a.prec + 1) // 2)
-    odd = [e for e, _ in a.terms() if e % 2]
-    if odd:
-        reduced = s_from_terms(fld, {e: c for e, c in a.terms() if e % 2},
-                               a.prec)
-        return DefectResult(Ideal.of_val(odd[0]), xi, reduced)
-    if a.is_exact:
-        return DefectResult(Ideal.zero(), xi, s_zero(fld))
-    raise UndeterminedAtPrecision(
-        f"no odd-exponent term below precision {a.prec}; square defect open")
-
-
-def _ref_solve_artin_schreier(a, working_prec):
-    """The fixed-point iteration r -> r^2 + rem."""
-    d = as_defect(a)
-    if not d.ideal.is_zero:
-        return None
-    rem = d.reduced
-    if rem.is_zero:
-        return d.witness
-    r = s_zero(a.field)
-    for _ in range(working_prec + 2):
-        nxt = s_truncate(s_add(s_mul(r, r), rem), working_prec)
-        if nxt == r:
-            break
-        r = nxt
-    else:
-        raise AssertionError("Artin-Schreier iteration failed to stabilise")
-    return s_add(d.witness, r)
-
-
-def _ref_even_odd_root(b):
-    """Exact xi, eta with b = xi^2 + t eta^2, ignoring b's precision."""
-    fld = b.field
-    even = {e: c for e, c in b.terms() if e % 2 == 0}
-    odd = {e: c for e, c in b.terms() if e % 2}
-    xi = s_from_terms(fld, {e // 2: ff_sqrt(fld, c) for e, c in even.items()})
-    eta = s_from_terms(fld, {(e - 1) // 2: ff_sqrt(fld, c)
-                             for e, c in odd.items()})
-    return xi, eta
-
-
-def _ref_derivative(b):
-    return s_from_terms(b.field, {e - 1: c for e, c in b.terms() if e % 2},
-                        None if b.prec is None else b.prec - 1)
+                             s_truncate)
+from references import (_ref_derivative, _ref_even_odd_root,
+                        _ref_quad_defect, _ref_solve_artin_schreier,
+                        _ref_sqrt)
 
 
 # -- strategies -----------------------------------------------------
@@ -118,7 +56,7 @@ def _extends(new, ref):
 @settings(max_examples=400, deadline=None)
 @given(_series())
 def test_square_extends_the_product(a):
-    assert _extends(s_square(a), _ref_square(a))
+    assert _extends(s_square(a), s_mul(a, a))
 
 
 def test_square_squares_each_coefficient():
@@ -133,7 +71,7 @@ def test_square_of_a_truncated_series_is_known_to_twice_the_precision():
     fld = field(1)
     a = s_from_terms(fld, {1: 1, 2: 1}, 4)  # t + t^2 + O(t^4)
     assert s_square(a) == s_from_terms(fld, {2: 1, 4: 1}, 8)
-    assert _ref_square(a).prec == 5
+    assert s_mul(a, a).prec == 5
 
 
 # -- the even/odd split ----------------------------------------------

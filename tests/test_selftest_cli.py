@@ -367,13 +367,14 @@ def test_cli_exists_refuses_a_commuting_datum_without_a_witness(capsys):
 
 @pytest.mark.parametrize("box, zero_divisor, pair_hit", [
     ("--search-box=-1,1", ["0", "t^-1", "0", "0"],
-     ["0", "t^-1", "1", "t^-1"]),
+     ["0", "t^-1", "0", "1"]),
     ("--search-box=0,0", ["0", "1", "0", "0"], None),
 ])
 def test_cli_exists_runs_the_searches_on_the_box(capsys, box, zero_divisor,
                                                  pair_hit):
+    # Delta = t^2 + t + 1 is not 0, so the searches run
     code, out, _ = run_cli(capsys, ["exists", "--lambda", "t",
-                                    "--m1", "1,0", "--m2", "1,t+t^2",
+                                    "--m1", "1,0", "--m2", "1,1",
                                     box, "--format", "json"])
     assert code == 0
     rec = json.loads(out)
@@ -381,9 +382,27 @@ def test_cli_exists_runs_the_searches_on_the_box(capsys, box, zero_divisor,
     assert rec["pair_hit"] == pair_hit
 
 
+@pytest.mark.parametrize("datum", [
+    ["--lambda", "0", "--m1", "0,1", "--m2", "0,t"],
+    ["--lambda", "t^2", "--m1", "t,1", "--m2", "t,1"],
+])
+def test_cli_exists_runs_no_search_at_delta_zero(capsys, datum):
+    # a degenerate algebra always has zero divisors, so a hit there
+    # proves nothing: one line says so, and the JSON has no search keys
+    code, out, _ = run_cli(capsys, ["exists", *datum, "--search-box=-1,1"])
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "searches: not run (Delta = 0: the algebra is degenerate, so a hit "
+        "proves nothing)"]
+    code, out, _ = run_cli(capsys, ["exists", *datum, "--search-box=-1,1",
+                                    "--format", "json"])
+    assert code == 0
+    assert not {"zero_divisor", "pair_hit"} & set(json.loads(out))
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_cli_exists_takes_a_negative_box_after_a_space(capsys, fmt):
-    argv = ["exists", "--lambda", "t", "--m1", "1,0", "--m2", "1,t+t^2",
+    argv = ["exists", "--lambda", "t", "--m1", "1,0", "--m2", "1,1",
             "--format", fmt]
     code, glued, _ = run_cli(capsys, argv + ["--search-box=-1,1"])
     assert code == 0

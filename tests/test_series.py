@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from btbranch import gf2
-from btbranch.gf2 import ff_inv, ff_mul, ff_sqrt, field
-from btbranch.series import (Series, UndeterminedAtPrecision, _clmul, _make,
-                             _ones, _square_bits, _unpack, s_add, s_div,
-                             s_from_terms, s_inv, s_monomial, s_mul, s_one,
-                             s_parse, s_random, s_render, s_split, s_sqrt,
-                             s_square, s_truncate, s_val, s_zero, val_ge)
+from btbranch.gf2 import field
+from btbranch.series import (Series, UndeterminedAtPrecision, _square_bits,
+                             s_add, s_div, s_from_terms, s_inv, s_monomial,
+                             s_mul, s_one, s_parse, s_random, s_render,
+                             s_split, s_sqrt, s_square, s_truncate, s_val,
+                             s_zero, val_ge)
+from references import (_canonical_reference, _ref_add, _ref_inv, _ref_mul,
+                        _ref_split, _ref_square, _ref_square_bits)
 
 F1 = field(1)
 F2 = field(2)
@@ -46,25 +48,6 @@ def test_precision_truncates_stored_coefficients():
     a = Series(F1, 0, (1, 1, 1, 1), prec=2)
     assert a.coeffs == (1, 1)
     assert a.prec == 2
-
-
-def _canonical_reference(fld, lead, coeffs, prec):
-    """The list-popping canonicaliser that Series replaced: the reference."""
-    coeffs = list(coeffs)
-    if prec is not None:
-        keep = prec - lead
-        coeffs = coeffs[:max(keep, 0)]
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        lead += 1
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        lead = 0
-    for c in coeffs:
-        if not 0 <= c < fld.order:
-            raise ValueError(f"coefficient {c} outside F_(2^{fld.tau})")
-    return lead, tuple(coeffs), prec
 
 
 def _outcome(build, *args):
@@ -353,87 +336,7 @@ def test_random_series_respects_the_support_box():
         assert all(-2 <= e <= 3 for e, _ in a.terms())
 
 
-# -- the list-based operations the packed lanes replaced: references --
-#
-# Each reads coeffs, works on plain lists with the residue field's own
-# ff_mul, ff_inv and ff_sqrt, and canonicalises with the list-popping
-# reference above, so nothing here runs the packed code under test.
-
-def _ref_min_prec(p, q):
-    return q if p is None else p if q is None else min(p, q)
-
-
-def _ref_add(a, b):
-    prec = _ref_min_prec(a.prec, b.prec)
-    if not a.coeffs and not b.coeffs:
-        return _canonical_reference(a.field, 0, (), prec)
-    lo = min(a.lead, b.lead)
-    hi = max(a.lead + len(a.coeffs), b.lead + len(b.coeffs))
-    coeffs = [0] * (hi - lo)
-    for s in (a, b):
-        for i, c in enumerate(s.coeffs):
-            coeffs[s.lead - lo + i] ^= c
-    return _canonical_reference(a.field, lo, coeffs, prec)
-
-
-def _ref_val_lower_bound(a):
-    if a.coeffs:
-        return a.lead
-    return math.inf if a.prec is None else a.prec
-
-
-def _ref_mul(a, b):
-    fld = a.field
-    if a.is_zero or b.is_zero:
-        return _canonical_reference(fld, 0, (), None)
-    precs = [p + _ref_val_lower_bound(other)
-             for p, other in ((a.prec, b), (b.prec, a)) if p is not None]
-    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] ^= ff_mul(fld, x, y)
-    return _canonical_reference(fld, a.lead + b.lead, out,
-                                min(precs) if precs else None)
-
-
-def _ref_inv(a, working_prec=64):
-    fld = a.field
-    if not a.coeffs:
-        if a.prec is None:
-            raise ZeroDivisionError("inverse of the zero series")
-        raise UndeterminedAtPrecision(
-            "inverse of a series that is 0 to known precision")
-    u = a.coeffs
-    if len(u) == 1 and a.prec is None:
-        return _canonical_reference(fld, -a.lead, (ff_inv(fld, u[0]),), None)
-    rel = working_prec if a.prec is None else min(a.prec - a.lead, working_prec)
-    c0 = ff_inv(fld, u[0])
-    out = [c0] + [0] * (rel - 1)
-    for k in range(1, rel):
-        acc = 0
-        for i in range(1, min(k, len(u) - 1) + 1):
-            acc ^= ff_mul(fld, u[i], out[k - i])
-        out[k] = ff_mul(fld, c0, acc)
-    return _canonical_reference(fld, -a.lead, out, -a.lead + rel)
-
-
-def _ref_square(a):
-    out = [0] * (2 * len(a.coeffs))
-    out[::2] = [ff_mul(a.field, c, c) for c in a.coeffs]
-    return _canonical_reference(a.field, 2 * a.lead, out,
-                                None if a.prec is None else 2 * a.prec)
-
-
-def _ref_split(a):
-    even = a.lead % 2
-    precs = ((None, None) if a.prec is None
-             else ((a.prec + 1) // 2, a.prec // 2))
-    return tuple(
-        _canonical_reference(a.field, (a.lead + start) // 2,
-                             [ff_sqrt(a.field, c) for c in a.coeffs[start::2]],
-                             prec)
-        for start, prec in zip((even, 1 - even), precs))
-
+# -- the packed lanes against the list references ---------------------
 
 def _lanes_crossing_64_bits(fld, data):
     """A series of 0-70 terms, exact or truncated anywhere from below
@@ -475,27 +378,7 @@ def test_packed_lanes_match_the_list_references(op, ref, arity, tau, data):
     assert _same_outcome(packed, *args) == _same_outcome(ref, *args)
 
 
-
-# -- the byte-table spread the base-4 read replaced: reference ------
-
-_REF_SPREAD_BYTES = tuple(
-    sum((b >> i & 1) << 2 * i for i in range(8)).to_bytes(2, "little")
-    for b in range(256))
-
-
-def _ref_square_bits(fld, x):
-    """Spread byte by byte through a table of two-byte strings, then
-    reduce each lane pair by the modulus, top bit first."""
-    spread = [_REF_SPREAD_BYTES[b]
-              for b in x.to_bytes((x.bit_length() + 7) // 8, "little")]
-    out = int.from_bytes(b"".join(spread), "little")
-    w = fld.tau
-    if w > 1 and out:
-        ones = _ones(out.bit_length(), 2 * w)
-        for d in range(2 * w - 2, w - 1, -1):
-            out ^= (out >> d & ones) * (fld.modulus << d - w)
-    return out
-
+# -- the base-4 spread against the byte-table reference ---------------
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 600), st.data())
@@ -511,67 +394,20 @@ def test_square_bits_spreads_past_the_int_string_digit_limit():
     assert _square_bits(F1, x) == _ref_square_bits(F1, x)
 
 
-# -- the unseeded Newton inverse the t^8 table replaced: reference --
-
-def _ref_unseeded_inv(a, working_prec=64):
-    """s_inv before its tau-1 Newton iteration was seeded: six doublings
-    from x = 1 to 64 terms.  The tau >= 2 recurrence is as before."""
-    fld, u = a.field, a.bits
-    if not u:
-        if a.prec is None:
-            raise ZeroDivisionError("inverse of the zero series")
-        raise UndeterminedAtPrecision("inverse of a series that is 0 to known precision")
-    w = fld.tau
-    if a.prec is None and not u >> w:
-        return _make(fld, -a.lead, ff_inv(fld, u), None)
-    rel = working_prec if a.prec is None else min(a.prec - a.lead, working_prec)
-    if w == 1:
-        u &= (1 << rel) - 1
-        x = known = 1
-        while known < rel:
-            known = min(2 * known, rel)
-            mask = (1 << known) - 1
-            x = _clmul(_square_bits(fld, x) & mask, u) & mask
-        return _make(fld, -a.lead, x, -a.lead + rel)
-    log, exp = fld.tables
-    lanes = _unpack(u, w)
-    log_c0 = log[ff_inv(fld, lanes[0])]
-    logs_u = [(i, log[c]) for i, c in enumerate(lanes[1:rel], 1) if c]
-    out = [0] * rel
-    out[0] = x = exp[log_c0]
-    for k in range(1, rel):
-        acc = 0
-        for i, li in logs_u:
-            if i > k:
-                break
-            y = out[k - i]
-            if y:
-                acc ^= exp[li + log[y]]
-        if acc:
-            out[k] = c = exp[log_c0 + log[acc]]
-            x |= c << k * w
-    return _make(fld, -a.lead, x, -a.lead + rel)
-
+# -- the seeded inverse against the list recurrence ---------------------
 
 _WORKING_PRECS = (*range(1, 10), 63, 64, 65, 100)
 
 
-def _bits_outcome(op, *args):
-    """(lead, bits, prec) of op's result, or its exception's class and
-    message."""
-    try:
-        out = op(*args)
-    except (ValueError, ZeroDivisionError, UndeterminedAtPrecision) as exc:
-        return type(exc), str(exc)
-    return out.lead, out.bits, out.prec
+def _inverse(a, wp):
+    return _triple(s_inv(a, wp))
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 3), st.sampled_from(_WORKING_PRECS), st.data())
-def test_seeded_inverse_matches_the_unseeded_newton(tau, wp, data):
+def test_seeded_inverse_matches_the_list_recurrence(tau, wp, data):
     a = _lanes_crossing_64_bits(field(tau), data)
-    assert (_bits_outcome(s_inv, a, wp)
-            == _bits_outcome(_ref_unseeded_inv, a, wp))
+    assert _same_outcome(_inverse, a, wp) == _same_outcome(_ref_inv, a, wp)
 
 
 @pytest.mark.parametrize("wp", _WORKING_PRECS)
@@ -581,5 +417,5 @@ def test_seeded_inverse_matches_on_every_ten_bit_unit(wp):
     for u in range(1, 1 << 10, 2):
         for prec in (None, 9):
             a = Series(F1, -2, [u >> i & 1 for i in range(10)], prec)
-            assert (_bits_outcome(s_inv, a, wp)
-                    == _bits_outcome(_ref_unseeded_inv, a, wp)), (u, prec)
+            assert (_same_outcome(_inverse, a, wp)
+                    == _same_outcome(_ref_inv, a, wp)), (u, prec)

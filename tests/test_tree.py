@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import ast
 import random
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -16,15 +15,16 @@ from btbranch.gf2 import field
 from btbranch.mat2 import (Mat2, companion, m_conj, m_mul, make_pair,
                            min_poly)
 from btbranch.selftest import _PAIR_STRATEGIES
-from btbranch.series import (Series, UndeterminedAtPrecision, s_add,
-                             s_from_terms, s_monomial, s_mul, s_one, s_parse,
-                             s_random, s_truncate, s_zero, val_ge)
-from btbranch.tree import (INFINITE_DEPTH, MAX_WINDOW_VERTICES, Vertex,
-                           complete_in_window, dot_export, enumerate_window,
-                           grow, measure_branch,
-                           measure_intersection, member, oracle_branch,
-                           reduce_center, set_diameter, set_distance,
-                           tree_distance)
+from btbranch.series import (Series, UndeterminedAtPrecision, s_monomial,
+                             s_one, s_parse, s_random, s_truncate, s_zero)
+from btbranch.tree import (MAX_WINDOW_VERTICES, Vertex, complete_in_window,
+                           dot_export, enumerate_window, grow, measure_branch,
+                           measure_intersection, oracle_branch, reduce_center,
+                           set_diameter, set_distance, tree_distance)
+from references import (_local_depths_over_the_window, _ref_enumerate_window,
+                        _ref_reduce_center, _ref_vertex_neighbors,
+                        _series_member, _set_diameter_over_the_window,
+                        _set_distance_over_the_window)
 
 F1 = field(1)
 F2 = field(2)
@@ -176,81 +176,14 @@ def test_window_size_is_capped(tau, largest):
         enumerate_window(fld, -1)
 
 
-# -- the s_from_terms window the packed one replaced: references --
-#
-# Each builds every center through s_from_terms from the terms of the
-# series, and the reference window runs its search, then builds every
-# neighbour list afresh, so nothing here runs the packed code under test.
-# A center the references hand to Vertex is already reduced, so Vertex
-# keeps it as it is.
-
-def _ref_reduce_center(z, r):
-    if z.prec is not None and z.prec < r:
-        raise UndeterminedAtPrecision(
-            f"center known mod t^{z.prec} but needed mod t^{r}")
-    return s_from_terms(z.field, {e: c for e, c in z.terms() if e < r})
-
-
-def _ref_vertex_neighbors(v):
-    fld = v.center.field
-    out = [Vertex(v.r - 1, _ref_reduce_center(v.center, v.r - 1))]
-    for c in fld.elements():
-        z = s_add(v.center, s_from_terms(fld, {v.r: c}))
-        out.append(Vertex(v.r + 1, _ref_reduce_center(z, v.r + 1)))
-    return out
-
-
-def _ref_enumerate_window(fld, radius):
-    root = Vertex(0, s_from_terms(fld, {}))
-    dist = {root: 0}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        if dist[v] == radius:
-            continue
-        for w in _ref_vertex_neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                order.append(w)
-                queue.append(w)
-    adj = {v: [w for w in _ref_vertex_neighbors(v) if w in dist]
-           for v in order}
-    return order, dist, adj
-
-
-def _vertex_keyed_window(fld, radius):
-    """The one-pass window the index-keyed one replaced: it looks every
-    neighbour up in a vertex-keyed index and keeps the objects it finds."""
-    root = Vertex(0, s_zero(fld))
-    order = [root]
-    index = {root: 0}
-    depth = [0]
-    parent = [None]
-    adj = {}
-    for i, v in enumerate(order):
-        if depth[i] == radius:
-            break
-        nbrs = []
-        for w in _ref_vertex_neighbors(v):
-            j = index.get(w)
-            if j is None:
-                j = index[w] = len(order)
-                order.append(w)
-                depth.append(depth[i] + 1)
-                parent.append(v)
-            nbrs.append(order[j])
-        adj[v] = nbrs
-    for v, p in zip(order[len(adj):], parent[len(adj):]):
-        adj[v] = [] if p is None else [p]
-    return order, dict(zip(order, depth)), adj
+# the window against the reference enumeration
 
 
 def _series_triple(z):
     return z.lead, z.coeffs, z.prec
 
 
-@pytest.mark.parametrize("tau, radius", [(1, 8), (2, 4), (3, 3)])
+@pytest.mark.parametrize("tau, radius", [(1, 0), (1, 8), (2, 4), (3, 3)])
 def test_window_matches_the_reference_enumeration(tau, radius):
     w = enumerate_window(field(tau), radius)
     order, dist, adj = _ref_enumerate_window(field(tau), radius)
@@ -266,17 +199,6 @@ def test_window_matches_the_reference_enumeration(tau, radius):
     fresh = enumerate_window(field(tau), radius)
     assert [fresh.key(v) for v in order] == keys
     assert [fresh.vertex(k) for k in reversed(keys)] == order[::-1]
-
-
-@pytest.mark.parametrize("tau, radius", [(1, 0), (1, 8), (2, 4), (3, 3)])
-def test_window_matches_the_vertex_keyed_build(tau, radius):
-    w = enumerate_window(field(tau), radius)
-    order, dist, adj = _vertex_keyed_window(field(tau), radius)
-    assert w.vertices == order
-    assert [hash(v) for v in w.vertices] == [hash(v) for v in order]
-    # the tables read by key are the vertex-keyed ones
-    assert _dist(w) == [dist[v] for v in order]
-    assert [_neighbours(w, v) for v in order] == [adj[v] for v in order]
 
 
 @settings(max_examples=300, deadline=None)
@@ -300,22 +222,7 @@ def test_reduce_center_matches_the_reference(tau, data):
     assert outcome(reduce_center) == outcome(_ref_reduce_center)
 
 
-# membership
-
-
-def _series_member(q, v):
-    """The membership test on Series, as ``tree.member`` was before it
-    moved to packed lanes: the reference the packed kernel must equal."""
-    z, r = v.center, v.r
-    cz = s_mul(q.c, z)
-    if not val_ge(s_add(cz, q.d), 0):
-        return False
-    if not val_ge(q.c, -r):
-        return False
-    if not val_ge(s_add(q.a, cz), 0):
-        return False
-    quad = s_add(s_add(s_mul(cz, z), s_mul(s_add(q.a, q.d), z)), q.b)
-    return val_ge(quad, r)
+# membership, decided by the walk
 
 
 def _verdict(fn, *args):
@@ -324,6 +231,30 @@ def _verdict(fn, *args):
         return fn(*args)
     except UndeterminedAtPrecision as exc:
         return UndeterminedAtPrecision, str(exc)
+
+
+def _walk_verdicts(q, w):
+    """Each window key's verdict as the walk decides it from its parent,
+    breadth first, keyed by vertex: a bool or the refusal."""
+    expand = tree._oracle_test(q, w)
+    return {w.vertex(k): _verdict(lambda: bool(expand(p, [k])))
+            for p, ks in w._scan() for k in ks}
+
+
+def _walked(q, v):
+    """v's verdict as the walk decides it, one edge at a time along the
+    path from B_0^[0], in a window that keeps the state of every vertex
+    on the way (a refusal before v leaves that state in place)."""
+    fld = v.center.field
+    w = tree.Window(fld, 0)
+    k = w.key(v)
+    depth = (k.bit_length() - 1) // w._W
+    w = tree.Window(fld, depth + 1)
+    expand = tree._oracle_test(q, w)
+    path = [k >> i * w._W for i in range(depth, -1, -1)]
+    for p, c in zip([None] + path, path):
+        got = _verdict(lambda: bool(expand(p, [c])))
+    return got
 
 
 def _entries(fld):
@@ -349,8 +280,9 @@ def test_packed_member_equals_the_series_reference(tau, data):
     v = Vertex(r, Series(fld, lead, coeffs))
     q = Mat2(*(data.draw(entry) for _ in range(4)))
     if data.draw(st.booleans()):
-        # g x g^-1 with x integral lies in the order of v (g as in member);
-        # a vertex with a center rarely passes all four bounds otherwise
+        # g x g^-1 with x integral lies in the order of v (g as in the
+        # _Member docstring); a vertex with a center rarely passes all
+        # four bounds otherwise
         g = Mat2(v.center, s_monomial(fld, r), s_one(fld), s_zero(fld))
         integral = st.builds(lambda lead, coeffs: Series(fld, lead, coeffs),
                              st.integers(0, 3), st.lists(
@@ -362,14 +294,14 @@ def test_packed_member_equals_the_series_reference(tau, data):
     elif data.draw(st.booleans()):  # the inexact zero in the corner
         q = Mat2(q.a, q.b, Series(fld, 0, (), data.draw(st.integers(-3, 4))),
                  q.d)
-    assert _verdict(member, q, v) == _verdict(_series_member, q, v)
+    assert _walked(q, v) == _verdict(_series_member, q, v)
 
 
 def test_member_refuses_a_matrix_over_another_field():
     q = companion(s_parse(F2, "g"), s_parse(F2, "t"))
+    with pytest.raises(ValueError, match="mixed residue fields"):
+        oracle_branch(q, enumerate_window(F1, 2))
     for v in (_v(0), _v(2, "t")):
-        with pytest.raises(ValueError, match="mixed residue fields"):
-            member(q, v)
         with pytest.raises(ValueError, match="mixed residue fields"):
             _series_member(q, v)
 
@@ -378,10 +310,10 @@ def test_nilpotent_membership_is_a_radius_cutoff():
     # [[0,t^s],[0,0]] belongs to every vertex of radius at most s
     for s in (0, 1, 2):
         q = Mat2(s_zero(F1), s_monomial(F1, s), s_zero(F1), s_zero(F1))
-        got = [r for r in range(-3, 4) if member(q, Vertex(r, s_zero(F1)))]
+        got = [r for r in range(-3, 4) if _walked(q, Vertex(r, s_zero(F1)))]
         assert got == list(range(-3, s + 1))
         # the cutoff ignores the center
-        assert member(q, Vertex(2, s_parse(F1, "t"))) == (s >= 2)
+        assert _walked(q, Vertex(2, s_parse(F1, "t"))) == (s >= 2)
 
 
 def test_membership_survives_an_integral_conjugation():
@@ -397,8 +329,11 @@ def test_membership_survives_an_integral_conjugation():
 
 
 def _full_scan(q, w):
-    """The keys of the members, in window order."""
-    return {w.key(v) for v in w.vertices if member(q, v)}
+    """The keys of the members, in window order: every vertex decided
+    from its parent, as the walk decides it; refuses where any vertex
+    is undecided."""
+    expand = tree._oracle_test(q, w)
+    return {k for p, ks in w._scan() for k in expand(p, ks)}
 
 
 def _companions_of_every_class(fld, rng):
@@ -470,8 +405,7 @@ def test_packed_member_equals_the_series_reference_on_a_window(tau, radius):
     for q in _conjugated_companions(tau, seed=90 + tau):
         cut = Mat2(*(s_truncate(x, 2) for x in (q.a, q.b, q.c, q.d)))
         for qt in (q, cut):
-            for v in w.vertices:
-                got = _verdict(member, qt, v)
+            for v, got in _walk_verdicts(qt, w).items():
                 assert got == _verdict(_series_member, qt, v)
                 refused += isinstance(got, tuple)
     assert refused
@@ -574,7 +508,7 @@ def test_flood_fill_on_truncated_input_is_certified(tau, radius):
     assert decided and refused
 
 
-# the walk decides each vertex from its neighbour, as member decides it
+# the walk decides each vertex from its neighbour, as the reference does
 
 
 def _integral_entries(fld):
@@ -599,13 +533,14 @@ def test_the_walk_decides_every_vertex_as_member_does(tau, data):
     kept = []
     for p, ks in w._scan():  # each vertex from its parent, down the tree
         for k in ks:
-            got = _outcome(walk, p, k)
-            assert got == _outcome(member, q, w.vertex(k))
+            got = _verdict(walk, p, k)
+            assert got == _verdict(_series_member, q, w.vertex(k))
             if k < w._edge or got is True:  # the states the walk keeps
                 kept.append(k)
     for k in kept[1:]:  # and each parent from its child, up the tree
         up = k >> w._W
-        assert _outcome(walk, k, up) == _outcome(member, q, w.vertex(up))
+        assert _verdict(walk, k, up) == _verdict(_series_member, q,
+                                                 w.vertex(up))
 
 
 # predicted sets grow like oracle sets
@@ -631,13 +566,18 @@ def _shapes(tau, seed, precs):
 @pytest.mark.parametrize("tau, radius", _WINDOWS)
 def test_grown_predicted_set_equals_the_full_scan(tau, radius):
     w = enumerate_window(field(tau), radius)
-    nonempty = 0
-    for shape in _shapes(tau, 50 + tau, (64,)):
-        got = shape_members(shape, w)
-        assert got == _full_shape_scan(shape, w)
-        assert list(got) == list(_full_shape_scan(shape, w))
-        nonempty += bool(got)
-    assert nonempty >= 10
+    for seed in (50 + tau, 110 + tau):
+        nonempty = 0
+        for shape in _shapes(tau, seed, (64,)):
+            got = shape_members(shape, w)
+            assert got == _full_shape_scan(shape, w)
+            assert list(got) == list(_full_shape_scan(shape, w))
+            # and grow on the plain membership test finds the same keys
+            test = geometry._member_test(shape)
+            assert grow(w, lambda p, ks: [k for k in ks
+                                          if test(w.vertex(k))]) == sorted(got)
+            nonempty += bool(got)
+        assert nonempty >= 10
 
 
 @pytest.mark.parametrize("tau, radius", _WINDOWS)
@@ -706,180 +646,41 @@ def _set_distance(a, b, w):
     return (d, None, None) if d is None else (d, w.vertex(u), w.vertex(v))
 
 
-def _local_depths_over_the_window(members, w):
-    adj = _adjacency(w)
-    outside = [v for v in w.vertices if v not in members]
-    depth = {v: 0 for v in outside}
-    queue = deque(outside)
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in depth:
-                depth[u] = depth[v] + 1
-                queue.append(u)
-    return {v: depth.get(v, INFINITE_DEPTH) for v in members}
-
-
-def _set_distance_over_the_window(a, b, w):
-    adj = _adjacency(w)
-    depth = {v: 0 for v in sorted(a, key=w.key)}  # a in window order
-    parent = {}
-    queue = deque(depth)
-    while queue:
-        v = queue.popleft()
-        if v in b:
-            u = v
-            while u not in a:
-                u = parent[u]
-            return depth[v], u, v
-        for x in adj[v]:
-            if x not in depth:
-                depth[x] = depth[v] + 1
-                parent[x] = v
-                queue.append(x)
-    return None, None, None
-
-
-def _set_diameter_over_the_window(members, w):
-    adj = _adjacency(w)
-
-    def far(src):
-        depth = {src: 0}
-        queue = deque([src])
-        best = (0, src)
-        while queue:
-            v = queue.popleft()
-            if v in members and depth[v] > best[0]:
-                best = (depth[v], v)
-            for u in adj[v]:
-                if u not in depth:
-                    depth[u] = depth[v] + 1
-                    queue.append(u)
-        return best
-    _, a = far(min(members, key=w.key))  # the first member in window order
-    d, b = far(a)
-    return d, a, b
-
-
-def _oracle_sets_and_cores(tau, radius, seed):
-    w = enumerate_window(field(tau), radius)
+def _oracle_sets_and_cores(w, seed):
+    """The oracle sets of a seed's companions, each checked against the
+    reference membership on every window vertex, and their cores."""
     sets = []
-    for q in _conjugated_companions(tau, seed):
+    for q in _conjugated_companions(w.field.tau, seed):
         members = oracle_branch(q, w)
+        assert members == {w.key(v) for v in w.vertices
+                           if _series_member(q, v)}
         if members:
             sets.append(_verts(w, members))
             core = measure_branch(members, w).core
             if core:
                 sets.append(_verts(w, core))
-    return w, sets
+    return sets
 
 
 @pytest.mark.parametrize("tau, radius", _WINDOWS)
 def test_member_only_walks_equal_the_window_walks(tau, radius):
-    w, sets = _oracle_sets_and_cores(tau, radius, seed=80 + tau)
-    assert len(sets) >= 20
-    for members in sets:
-        got = _local_depths(members, w)
-        assert list(got.items()) == list(
-            _local_depths_over_the_window(members, w).items())
-        assert (_set_diameter(members, w)
-                == _set_diameter_over_the_window(members, w))
-    disjoint = 0
-    for a in sets:
-        for b in sets:
-            assert _set_distance(a, b, w) == _set_distance_over_the_window(
-                a, b, w)
-            disjoint += not a & b
-    assert disjoint >= 20
-
-
-# -- the vertex-keyed walks the index-keyed ones replaced: references --
-
-def _vertex_bfs(window, sources, inside=None, stop=None):
-    adj = _adjacency(window)
-    depth = dict.fromkeys(sources, 0)
-    parent = {}
-    queue = deque(depth)
-    while queue:
-        v = queue.popleft()
-        if stop is not None and stop(v):
-            return depth, parent, v
-        for w in adj[v]:
-            if w not in depth and (inside is None or inside(w)):
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                queue.append(w)
-    return depth, parent, None
-
-
-def _vertex_grow(window, test):
-    """The members, grown over vertices; their keys, in window order."""
-    first = next((v for v in window.vertices if test(v)), None)
-    if first is None:
-        return set()
-    found, _, _ = _vertex_bfs(window, [first], inside=test)
-    return set(sorted(map(window.key, found)))
-
-
-def _vertex_local_depths(members, window):
-    rim = _rim(members, window)
-    depth, _, _ = _vertex_bfs(window, rim, inside=members.__contains__)
-    return {v: depth.get(v, INFINITE_DEPTH) for v in members}
-
-
-def _vertex_set_distance(a, b, window):
-    depth, parent, v = _vertex_bfs(window, a, stop=b.__contains__)
-    if v is None:
-        return None, None, None
-    u = v
-    while u not in a:
-        u = parent[u]
-    return depth[v], u, v
-
-
-def _vertex_set_diameter(members, window):
-    def far(src):
-        depth, _, _ = _vertex_bfs(window, [src], inside=members.__contains__)
-        v = max(depth, key=depth.get)
-        return depth[v], v
-    _, a = far(min(members, key=window.key))
-    d, b = far(a)
-    return d, a, b
-
-
-@pytest.mark.parametrize("tau, radius", _WINDOWS)
-def test_index_walks_equal_the_vertex_keyed_walks(tau, radius):
     w = enumerate_window(field(tau), radius)
-    sets = []
-    for q in _conjugated_companions(tau, seed=100 + tau):
-        members = oracle_branch(q, w)
-        want = _vertex_grow(w, lambda v: _series_member(q, v))
-        assert members == want and list(members) == list(want)
-        if members:
-            sets.append(_verts(w, members))
-            core = measure_branch(members, w).core
-            if core:
-                sets.append(_verts(w, core))
-    for shape in _shapes(tau, 110 + tau, (64,)):
-        test = geometry._member_test(shape)
-        got = shape_members(shape, w)
-        assert list(got) == list(_vertex_grow(w, test))
-        grown = grow(w, lambda p, ks: [k for k in ks if test(w.vertex(k))])
-        assert grown == sorted(got)
-    assert len(sets) >= 20
-    for members in sets:
-        assert (list(_local_depths(members, w).items())
-                == list(_vertex_local_depths(members, w).items()))
-        assert (_set_diameter(members, w)
-                == _vertex_set_diameter(members, w))
-    pairs = 0
-    for a in sets:
-        for b in sets:
-            if not a & b:
-                assert (_set_distance(a, b, w)
-                        == _vertex_set_distance(a, b, w))
-                pairs += 1
-    assert pairs >= 20
+    for seed in (80 + tau, 100 + tau):
+        sets = _oracle_sets_and_cores(w, seed)
+        assert len(sets) >= 20
+        for members in sets:
+            got = _local_depths(members, w)
+            assert list(got.items()) == list(
+                _local_depths_over_the_window(members, w).items())
+            assert (_set_diameter(members, w)
+                    == _set_diameter_over_the_window(members, w))
+        disjoint = 0
+        for a in sets:
+            for b in sets:
+                assert _set_distance(a, b, w) == (
+                    _set_distance_over_the_window(a, b, w))
+                disjoint += not a & b
+        assert disjoint >= 20
 
 
 # measurement
