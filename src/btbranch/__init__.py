@@ -16,8 +16,7 @@ from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
                      s_div, s_from_terms, s_inv, s_monomial, s_mul, s_one,
                      s_parse, s_random, s_render, s_split, s_sqrt, s_square,
                      s_truncate, s_val, s_zero, val_ge)
-from .defects import (KINDS, Ideal, QuadPoly, as_defect, classify,
-                      quad_defect, solve_artin_schreier, solve_quadratic)
+from .defects import KINDS, Ideal, QuadPoly, as_defect, classify, quad_defect
 from .mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix, companion,
                    discriminant_params, m_conj, m_mul, m_parse, m_render,
                    make_pair, min_poly, sym_product)

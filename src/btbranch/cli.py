@@ -162,9 +162,9 @@ def _cmd_exists(args) -> int:
              f"(condition {verdict.matched_condition})"]
     rec = {"exists": verdict.exists,
            "condition": verdict.matched_condition,
-           "commutative_note": verdict.commutative_note,
+           "commutative_note": verdict.matched_condition == "v",
            "witness": None}
-    if verdict.commutative_note:
+    if rec["commutative_note"]:
         lines.append("note: every realising pair is commutative")
     if args.witness and verdict.witness is not None:
         rec["witness"] = [m_render(q) for q in verdict.witness]

@@ -7,9 +7,11 @@ the input sits from that image.  The distance is recorded as a
 fractional ideal of the integer ring, and the absorbed part is returned
 as a witness.
 
-The classification is also the solver: a reducible polynomial's roots
-come off the defect its classification computed (classified_roots), so
-a caller holding the classification never divides b by a^2 again.
+The classification is also the only solver: a reducible polynomial's
+roots come off the defect its classification computed (classified_roots),
+so a caller holding the classification never divides b by a^2 or
+reduces again.  A matrix's fixed points are these roots moved by a
+Moebius map (geometry.branch_shape), not the roots of a second equation.
 """
 
 from __future__ import annotations
@@ -243,49 +245,18 @@ def as_root(d: DefectResult,
     return s_add(d.witness, _make(fld, 0, r, prec))
 
 
-def solve_artin_schreier(a: Series,
-                         working_prec: int = DEFAULT_PREC) -> Series | None:
-    """A root of r^2 + r = a, or None when there is none in the field:
-    as_root of as_defect(a)."""
-    return as_root(as_defect(a), working_prec)
-
-
-def _root_pair(c: Series, r: Series) -> tuple[Series, Series]:
-    """The roots c r and c r + c of Y^2 + cY + d, from a root r of
-    Z^2 + Z = d / c^2."""
-    y0 = s_mul(c, r)
-    return (y0, s_add(y0, c))
-
-
-def solve_quadratic(c: Series, d: Series,
-                    working_prec: int = DEFAULT_PREC):
-    """Both roots of Y^2 + cY + d, or None if it is irreducible.
-
-    With c != 0 the substitution Y = cZ reduces to an Artin-Schreier
-    equation; with c = 0 the equation is a pure square and the double
-    root is returned twice.
-    """
-    if c.looks_zero:
-        if not c.is_exact:
-            raise UndeterminedAtPrecision("linear coefficient 0 to precision only")
-        xi, eta = s_split(d)
-        return (xi, xi) if eta.looks_zero else None
-    r = solve_artin_schreier(s_div(d, s_square(c), working_prec),
-                             working_prec)
-    return None if r is None else _root_pair(c, r)
-
-
 def classified_roots(m: QuadPoly, working_prec: int = DEFAULT_PREC):
     """Both roots of the classified X^2 + aX + b, or None if it is
     irreducible, read off m's defect without dividing again.
 
-    working_prec must be the one m was classified at; the roots are then
-    solve_quadratic(m.a, m.b, working_prec), bit for bit and in order:
-    classify reduced the same b/a^2 that solve_quadratic would, and an
-    inseparable split's witness is the xi of the same split of b.
+    working_prec must be the one m was classified at.  A separable split
+    has the roots a r and a r + a, where r = as_root(m.defect) solves
+    Z^2 + Z = b/a^2, the series classify reduced; an inseparable split
+    has the double root xi, the witness of the split b = xi^2.
     """
     if m.kind == REDUCIBLE_SEP:
-        return _root_pair(m.a, as_root(m.defect, working_prec))
+        y0 = s_mul(m.a, as_root(m.defect, working_prec))
+        return (y0, s_add(y0, m.a))
     if m.kind == REDUCIBLE_INSEP:
         return (m.defect.witness, m.defect.witness)
     return None

@@ -81,7 +81,6 @@ class ExistenceVerdict:
     exists: bool
     matched_condition: str  # "i" | "ii" | "iii" | "iv" | "v" | "none"
     witness: tuple[Mat2, Mat2] | None = None
-    commutative_note: bool = False
 
 
 # -- the cyclic presentation and the residue symbol -----------------
@@ -581,4 +580,4 @@ def decide(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC) -> ExistenceVerd
     w = _witness_commutative(lam, m1, m2, working_prec)
     if w is None:
         return ExistenceVerdict(False, "none", None)
-    return ExistenceVerdict(True, "v", w, commutative_note=True)
+    return ExistenceVerdict(True, "v", w)

@@ -19,13 +19,11 @@ from dataclasses import dataclass, fields
 from functools import total_ordering
 
 from .defects import (RAMIFIED_INSEP, RAMIFIED_SEP, REDUCIBLE_INSEP,
-                      REDUCIBLE_SEP, UNRAMIFIED_SEP, classified_roots,
-                      solve_quadratic)
+                      REDUCIBLE_SEP, UNRAMIFIED_SEP, classified_roots)
 from .mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix,
                    discriminant_params, is_scalar, min_poly, trace)
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _min_prec,
-                     s_add, s_div, s_inv, s_mul, s_render, s_sqrt, s_val,
-                     val_ge)
+                     s_add, s_div, s_inv, s_mul, s_render, s_val, val_ge)
 from .tree import MeasuredShape, Vertex, Window, grow, tree_distance
 
 # -- exact half-integers with the three infinities ------------------
@@ -150,21 +148,18 @@ def stem_length_of_kind(kind: str) -> HalfInt:
 
 # -- the shape of a branch, symbolically ----------------------------
 
-def _is_one(x: Series) -> bool:
-    return x.bits == 1 and x.lead == 0 and x.prec is None
-
-
 def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
     """Derive the branch of an integral non-scalar matrix.
 
     Separable reducible: the maximal path between the two Moebius fixed
-    points, depth = val(trace).  When C = 1 and A D = 0 exactly, as for
-    every companion matrix, the fixed-point quadratic X^2 + cX + B is
-    the minimal polynomial itself, so the ends are read off its
-    classification.  Unramified: a single ball whose center
-    is corrected by the Artin-Schreier defect witness.  Ramified (either
-    flavour): an edge, displaced along the same center by the jump t.
-    Inseparable reducible: the horoball of the unique fixed end.
+    points, depth = val(trace).  With C != 0 the fixed points are the
+    roots y of the minimal polynomial m, moved by z = (y + A)/C, since
+    C z^2 + (A + D) z + B = m(C z + A)/C; the roots are read off m's
+    classification, so nothing is solved again.  Unramified: a single
+    ball whose center is corrected by the Artin-Schreier defect witness.
+    Ramified (either flavour): an edge, displaced along the same center
+    by the jump t.  Inseparable reducible: the horoball of the unique
+    fixed end.
     """
     if is_scalar(q):
         raise ScalarMatrix("scalar matrices belong to every order")
@@ -172,7 +167,7 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
     if not (val_ge(m.a, 0) and val_ge(m.b, 0)):
         raise NonIntegral("a branch needs an integral trace and determinant")
     A, B, C = q.a, q.b, q.c
-    c, d = m.a, m.b
+    c = m.a
 
     if m.kind == REDUCIBLE_SEP:
         depth = s_val(c)
@@ -180,19 +175,13 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
             return ThickLine("maxpath", depth, ends=(
                 ProjPoint.finite(s_div(B, c, working_prec)),
                 ProjPoint.infinity()))
-        if _is_one(C) and (A.is_zero or q.d.is_zero):
-            roots = classified_roots(m, working_prec)
-        else:
-            y = s_inv(C, working_prec)
-            roots = solve_quadratic(s_mul(c, y), s_mul(B, y), working_prec)
-            if roots is None:
-                raise AssertionError("reducible separable matrix with "
-                                     "irreducible fixed-point quadratic")
-        return ThickLine("maxpath", depth, ends=(
-            ProjPoint.finite(roots[0]), ProjPoint.finite(roots[1])))
+        y = s_inv(C, working_prec)
+        return ThickLine("maxpath", depth, ends=tuple(
+            ProjPoint.finite(s_mul(s_add(r, A), y))
+            for r in classified_roots(m, working_prec)))
 
     if m.kind == REDUCIBLE_INSEP:
-        alpha = s_sqrt(d)
+        alpha = m.defect.witness  # sqrt(det), split off by the square defect
         if C.is_zero:
             # here q + alpha is strictly upper triangular, so the end is
             # infinity and the leaf level is the valuation of its corner

@@ -112,7 +112,7 @@ class Series:
                 and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.field, self.lead, self.coeffs, self.prec))
+        return hash((self.field, self.lead, self.bits, self.prec))
 
     @property
     def coeffs(self) -> tuple[int, ...]:

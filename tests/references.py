@@ -16,12 +16,14 @@ from functools import lru_cache
 
 from btbranch.defects import DefectResult, Ideal, as_defect
 from btbranch.existence import _norm_form
+from btbranch.geometry import InfiniteFoliage
 from btbranch.gf2 import (_poly_mulmod, ff_artin_schreier_root, ff_inv,
                           ff_mul, ff_sqrt, ff_trace)
+from btbranch.mat2 import m_add, m_mul
 from btbranch.series import (UndeterminedAtPrecision, _ones, s_add, s_div,
                              s_from_terms, s_monomial, s_mul, s_one, s_split,
-                             s_square, s_truncate, s_zero, val_ge)
-from btbranch.tree import INFINITE_DEPTH, Vertex
+                             s_square, s_truncate, s_val, s_zero, val_ge)
+from btbranch.tree import INFINITE_DEPTH, Vertex, tree_distance
 
 
 # -- the residue field ------------------------------------------------
@@ -235,7 +237,7 @@ def _ref_as_defect(a):
 
 
 def _ref_solve_artin_schreier(a, working_prec):
-    """solve_artin_schreier: the fixed-point iteration r -> r^2 + rem."""
+    """as_root of as_defect: the fixed-point iteration r -> r^2 + rem."""
     d = as_defect(a)
     if not d.ideal.is_zero:
         return None
@@ -251,6 +253,56 @@ def _ref_solve_artin_schreier(a, working_prec):
     else:
         raise AssertionError("Artin-Schreier iteration failed to stabilise")
     return s_add(d.witness, r)
+
+
+def _ref_solve_quadratic(c, d, working_prec):
+    """classified_roots: Y^2 + cY + d divided, reduced and rooted again."""
+    if c.looks_zero:
+        if not c.is_exact:
+            raise UndeterminedAtPrecision(
+                "linear coefficient 0 to precision only")
+        xi, eta = s_split(d)
+        return (xi, xi) if eta.looks_zero else None
+    r = _ref_solve_artin_schreier(s_div(d, s_square(c), working_prec),
+                                  working_prec)
+    if r is None:
+        return None
+    y0 = s_mul(c, r)
+    return y0, s_add(y0, c)
+
+
+# -- the defect suite's grid minimiser -----------------------------------
+
+_MASK_OFF = 16  # the bit of t^0 in a tau-1 mask; bit e + _MASK_OFF is t^e
+
+
+def _ref_brute_ideal_vals(amask, grid, artin):
+    """_grid_best_val at tau 1: each bitmask substitution, one by one."""
+    # None when a substitution kills the element outright or reaches the cap
+    cap = 2 if artin else 7
+    best = None
+    for hh, hsq in grid:
+        x = amask ^ (hh if artin else hsq)
+        if x == 0:
+            return None
+        v = (x & -x).bit_length() - 1 - _MASK_OFF
+        if best is None or v > best:
+            best = v
+            if best >= cap:
+                return None
+    return best
+
+
+def _ref_enumerated_best_val(a, images, artin):
+    """_grid_best_val: a plus each series image p(h) of a small grid."""
+    best = None
+    for image in images:
+        x = s_add(a, image)
+        if x.is_zero:
+            return None
+        if best is None or x.lead > best:
+            best = x.lead
+    return None if best >= (2 if artin else 7) else best
 
 
 # -- the symbol and the bounded searches ---------------------------------
@@ -390,6 +442,57 @@ def _series_member(q, v, quad_shift=0, bound_c=True):
         return False
     quad = s_add(s_add(s_mul(cz, z), s_mul(s_add(q.a, q.d), z)), q.b)
     return val_ge(quad, r + quad_shift)
+
+
+# -- branch shapes and commutation ---------------------------------------
+
+def _ref_val_capped(x, cap):
+    """_val_sum_capped: min(cap, val(x)) of the built sum x, or a refusal."""
+    if x.coeffs:
+        return min(cap, x.lead)
+    if x.prec is None or x.prec >= cap:
+        return cap
+    raise UndeterminedAtPrecision(
+        f"valuation needed up to {cap}, series is 0 mod t^{x.prec}")
+
+
+def _ref_dist_to_path_by_sums(v, e1, e2):
+    """dist_to_path: each valuation read off a built sum center + end."""
+    finite = [e for e in (e1, e2) if not e.is_infinity]
+    if not finite:
+        raise ValueError("a path needs two distinct ends")
+    if len(finite) == 1:
+        return v.r - _ref_val_capped(s_add(v.center, finite[0].value), v.r)
+    gap = s_add(e1.value, e2.value)
+    if gap.is_zero:
+        raise ValueError("the two ends coincide")
+    m = s_val(gap)
+    best = None
+    for e in finite:
+        p = _ref_val_capped(s_add(v.center, e.value), v.r)
+        d = v.r - p if p >= m else v.r + m - 2 * p
+        best = d if best is None else min(best, d)
+    return best
+
+
+def _ref_shape_member_by_sums(shape, v):
+    """_member_test: membership of v in a shape, from built sums."""
+    if isinstance(shape, InfiniteFoliage):
+        if shape.end.is_infinity:
+            return v.r <= shape.level
+        p = _ref_val_capped(s_add(v.center, shape.end.value), v.r)
+        return v.r + shape.level <= 2 * p
+    if shape.stem_kind == "maxpath":
+        d = _ref_dist_to_path_by_sums(v, *shape.ends)
+    else:
+        d = min(tree_distance(v, u) for u in shape.stem)
+    return d <= shape.depth
+
+
+def _ref_commute_by_products(q1, q2):
+    """_commute: whether every entry of q1 q2 + q2 q1 is exactly zero."""
+    c = m_add(m_mul(q1, q2), m_mul(q2, q1))
+    return all(x.is_zero for x in (c.a, c.b, c.c, c.d))
 
 
 # -- walks over the whole window, on vertices ---------------------------

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from btbranch.defects import (KINDS, RAMIFIED_INSEP, RAMIFIED_SEP,
                               REDUCIBLE_INSEP, REDUCIBLE_SEP, UNRAMIFIED_SEP,
-                              DefectResult, as_argument, as_defect,
-                              classified_roots, classify, quad_defect,
-                              solve_artin_schreier, solve_quadratic)
+                              DefectResult, as_argument, as_defect, as_root,
+                              classified_roots, classify, quad_defect)
 from btbranch.gf2 import field
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
                              s_mul, s_parse, s_random, s_square, s_truncate,
                              s_val, val_ge)
-from references import _ref_as_defect, _ref_solve_artin_schreier
+from references import (_ref_as_defect, _ref_solve_artin_schreier,
+                        _ref_solve_quadratic)
 
 F1 = field(1)
 F2 = field(2)
@@ -142,19 +142,19 @@ def test_classification_is_deterministic_on_random_input():
             assert m.defect.ideal.val == 2 * m.t + 1
 
 
-# -- the two solvers ------------------------------------------------
+# -- the root of a defect, and the classified roots ------------------
 
 def test_artin_schreier_solver_meets_its_precision():
     rng = random.Random(23)
     for _ in range(40):
         a = s_random(F1, rng, 1, 5)  # valuation >= 1 always has a root
-        r = solve_artin_schreier(a, working_prec=24)
+        r = as_root(as_defect(a), working_prec=24)
         residual = s_add(s_add(s_mul(r, r), r), a)
         assert val_ge(residual, 24)
 
 
 def test_artin_schreier_solver_refuses_the_obstructed_case():
-    assert solve_artin_schreier(s_parse(F1, "1")) is None
+    assert as_root(as_defect(s_parse(F1, "1"))) is None
 
 
 @st.composite
@@ -188,7 +188,7 @@ def _outcome(fn, *args):
 def test_artin_schreier_tail_matches_the_series_loop(tau, wp, data):
     # the loop is the reference fixed-point iteration r -> r^2 + rem
     a = data.draw(_artin_schreier_input(tau))
-    got = _outcome(solve_artin_schreier, a, wp)
+    got = _outcome(lambda: as_root(as_defect(a), wp))
     want = _outcome(_ref_solve_artin_schreier, a, wp)
     assert got == want
     if isinstance(got, Series):  # lead, lanes and precision alike
@@ -198,7 +198,7 @@ def test_artin_schreier_tail_matches_the_series_loop(tau, wp, data):
 
 def test_quadratic_solver_returns_both_roots():
     c, d = s_parse(F1, "1"), s_parse(F1, "0")
-    roots = solve_quadratic(c, d)
+    roots = classified_roots(classify(c, d))
     assert roots is not None
     r1, r2 = roots
     assert s_add(r1, r2) == c  # the roots sum to the linear coefficient
@@ -208,8 +208,9 @@ def test_quadratic_solver_returns_both_roots():
 
 
 def test_quadratic_solver_refuses_irreducible_input():
-    assert solve_quadratic(s_parse(F1, "1"), s_parse(F1, "1")) is None
-    assert solve_quadratic(s_parse(F1, "t"), s_parse(F1, "t")) is None
+    for c, d in (("1", "1"), ("t", "t")):
+        m = classify(s_parse(F1, c), s_parse(F1, d))
+        assert classified_roots(m) is None
 
 
 # -- the packed reduction against the Series-loop defect --------------
@@ -297,7 +298,7 @@ def test_classified_roots_are_the_solved_roots(tau, wp, data):
     except UndeterminedAtPrecision:
         return
     assert (_exact_outcome(classified_roots, m, wp)
-            == _exact_outcome(solve_quadratic, a, b, wp))
+            == _exact_outcome(_ref_solve_quadratic, a, b, wp))
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import btbranch.defects as defects
 import btbranch.existence as existence
-from btbranch.defects import solve_quadratic
 from btbranch.existence import (DegenerateForm,
                                 SearchBoxTooLarge, algebra_spec,
                                 cyclic_presentation, decide, search_pair,
@@ -25,7 +24,8 @@ from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
                              s_square, s_truncate, s_zero)
 from references import (_form_at, _form_search_pair,
                         _form_search_zero_divisor, _monomials,
-                        _small_elements, _splits_reference)
+                        _ref_solve_quadratic, _small_elements,
+                        _splits_reference)
 
 F1 = field(1)
 
@@ -166,7 +166,6 @@ def test_reducible_factor_realises_the_datum():
     spec = _spec("0", "1", "0", "0", "t")
     verdict = decide(spec, 64)
     assert verdict.exists and verdict.matched_condition == "i"
-    assert not verdict.commutative_note
     _check_witness(spec, verdict)
 
 
@@ -194,7 +193,6 @@ def test_doubly_traceless_datum_is_commutative():
     spec = _spec("0", "0", "t", "0", "t^2 + t^3")
     verdict = decide(spec, 64)
     assert verdict.exists and verdict.matched_condition == "v"
-    assert verdict.commutative_note
     _check_witness(spec, verdict)
 
 
@@ -210,7 +208,6 @@ def test_commutative_case_documents_a_missing_witness():
     # multiple of q1, so no linearly independent pair realises the datum
     verdict = decide(_spec("0", "0", "t", "0", "t^3"), 64)
     assert not verdict.exists and verdict.matched_condition == "none"
-    assert not verdict.commutative_note
     assert verdict.witness is None
 
 
@@ -223,7 +220,7 @@ def test_doubly_traceless_datum_without_an_independent_pair_is_refused(b1,
     # b2 = c^2 + s^2 b1, and none of these data admits such a c != 0
     verdict = decide(_spec("0", "0", b1, "0", b2), 64)
     assert (verdict.exists, verdict.matched_condition) == (False, "none")
-    assert verdict.witness is None and not verdict.commutative_note
+    assert verdict.witness is None
 
 
 def test_missing_commutative_witness_on_truncated_data_is_undetermined():
@@ -787,16 +784,17 @@ def test_the_search_code_list_is_complete():
 
 
 def test_searches_share_nothing_with_the_symbol():
-    # a search that called the Artin-Schreier solver or the symbol would
-    # no longer be independent evidence for the verdict of decide
+    # a search that read a root off a classification, reduced a defect or
+    # called the symbol would no longer be independent evidence for the
+    # verdict of decide
     module = ast.parse(Path(existence.__file__).read_text())
     banned = {"decide", "splits", "cyclic_presentation", "_disc", "s_split",
               "s_sqrt", "s_square", "defects", "as_root", "classified_roots",
-              "as_argument", "solve_quadratic"}
+              "as_argument", "as_defect"}
     for node in module.body:
         if isinstance(node, ast.ImportFrom) and node.module == "defects":
             banned.update(alias.asname or alias.name for alias in node.names)
-    assert {"solve_quadratic", "classified_roots", "as_argument"} <= banned
+    assert {"classified_roots", "as_root", "as_defect"} <= banned
     functions = _module_functions(module)
     for name in _SEARCH_CODE:
         used = _names_used(functions[name])
@@ -938,7 +936,7 @@ def _decided(spec, working_prec):
         return type(exc), str(exc)
     witness = None if v.witness is None else [
         _lanes(x) for q in v.witness for x in (q.a, q.b, q.c, q.d)]
-    return v.exists, v.matched_condition, v.commutative_note, witness
+    return v.exists, v.matched_condition, witness
 
 
 def _presented(spec):
@@ -961,7 +959,7 @@ def test_decide_reads_off_the_classification_what_it_solved(wp, cut, data):
         assume(False)
     # solving again at the classifying precision gives the same bits
     with mock.patch.object(existence, "classified_roots",
-                           lambda m, p: solve_quadratic(m.a, m.b, p)):
+                           lambda m, p: _ref_solve_quadratic(m.a, m.b, p)):
         want = _decided(spec, wp)
     assert _decided(spec, wp) == want
     presented = _presented(spec)
@@ -982,15 +980,13 @@ def test_decide_neither_solves_nor_divides_again(monkeypatch, wp):
     divide = existence.s_div
     quotients = []  # b/a^2 of the spec being decided
 
-    def refuse_solve(*args):
-        raise AssertionError("solved a classified quadratic again")
+    def refuse_reduce(*args):
+        raise AssertionError("reduced a classified quadratic again")
 
     def checked_div(a, b, *rest):
         assert (a, b) not in quotients, "divided b by a^2 again"
         return divide(a, b, *rest)
-    monkeypatch.setattr(defects, "solve_quadratic", refuse_solve)
-    monkeypatch.setattr(existence, "solve_quadratic", refuse_solve,
-                        raising=False)
+    monkeypatch.setattr(defects, "as_defect", refuse_reduce)
     monkeypatch.setattr(defects, "s_div", checked_div)
     monkeypatch.setattr(existence, "s_div", checked_div)
     verdicts = []

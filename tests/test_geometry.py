@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, replace
+from unittest import mock
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import btbranch.defects as defects
+import btbranch.geometry as geometry
+import btbranch.series as series
 from btbranch.defects import (QuadPoly, RAMIFIED_INSEP, RAMIFIED_SEP,
                               REDUCIBLE_INSEP, REDUCIBLE_SEP, UNRAMIFIED_SEP,
-                              classify, solve_quadratic)
+                              classified_roots, classify)
 from btbranch.gf2 import field
 from btbranch.geometry import (_commute, _member_test, _val_sum_capped,
                                HalfInt, INF, InfiniteFoliage, NEG_INF,
@@ -20,12 +25,14 @@ from btbranch.geometry import (_commute, _member_test, _val_sum_capped,
                                predict_relpos, shape_members,
                                stem_length_of_kind)
 from btbranch.mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix,
-                           companion, m_add, m_conj, m_mul, make_pair,
-                           min_poly)
+                           companion, m_add, m_conj, make_pair, min_poly)
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_inv,
-                             s_mul, s_one, s_parse, s_truncate, s_val, s_zero)
+                             s_mul, s_one, s_parse, s_truncate, s_zero)
 from btbranch.tree import (MeasuredShape, Vertex, enumerate_window,
-                           measure_intersection, oracle_branch, tree_distance)
+                           measure_intersection, oracle_branch)
+from references import (_ref_commute_by_products, _ref_dist_to_path_by_sums,
+                        _ref_shape_member_by_sums, _ref_solve_quadratic,
+                        _ref_val_capped)
 
 F1 = field(1)
 
@@ -155,16 +162,6 @@ def test_distance_to_the_standard_path():
 # the sum-free capped valuation against building the sum
 
 
-def _val_capped(x, cap):
-    """The reference: min(cap, val(x)) of a built series, or a refusal."""
-    if x.coeffs:
-        return min(cap, x.lead)
-    if x.prec is None or x.prec >= cap:
-        return cap
-    raise UndeterminedAtPrecision(
-        f"valuation needed up to {cap}, series is 0 mod t^{x.prec}")
-
-
 def _outcome(fn, *args):
     try:
         return "value", fn(*args)
@@ -192,7 +189,7 @@ def test_sum_free_capped_valuation_equals_capping_the_sum(tau, data):
     x = data.draw(_operand(fld))
     y = data.draw(_operand(fld))
     cap = data.draw(st.integers(-6, 12))
-    want = _outcome(lambda: _val_capped(s_add(x, y), cap))
+    want = _outcome(lambda: _ref_val_capped(s_add(x, y), cap))
     assert _outcome(_val_sum_capped, x, y, cap) == want
     assert _outcome(_val_sum_capped, y, x, cap) == want
 
@@ -209,41 +206,10 @@ def test_sum_free_capped_valuation_on_long_ends_and_short_centers():
             v = Vertex(r, Series(fld, 0, tuple(rng.randrange(fld.order)
                                                for _ in range(max(r, 0)))))
             assert (_outcome(_val_sum_capped, v.center, end, v.r)
-                    == _outcome(lambda: _val_capped(s_add(v.center, end),
-                                                    v.r)))
+                    == _outcome(lambda: _ref_val_capped(s_add(v.center, end),
+                                                        v.r)))
     assert (_outcome(_val_sum_capped, s_one(F1), s_one(field(2)), 3)
             == _outcome(s_add, s_one(F1), s_one(field(2))))
-
-
-def _dist_to_path_by_sums(v, e1, e2):
-    finite = [e for e in (e1, e2) if not e.is_infinity]
-    if not finite:
-        raise ValueError("a path needs two distinct ends")
-    if len(finite) == 1:
-        return v.r - _val_capped(s_add(v.center, finite[0].value), v.r)
-    gap = s_add(e1.value, e2.value)
-    if gap.is_zero:
-        raise ValueError("the two ends coincide")
-    m = s_val(gap)
-    best = None
-    for e in finite:
-        p = _val_capped(s_add(v.center, e.value), v.r)
-        d = v.r - p if p >= m else v.r + m - 2 * p
-        best = d if best is None else min(best, d)
-    return best
-
-
-def _shape_member_by_sums(shape, v):
-    if isinstance(shape, InfiniteFoliage):
-        if shape.end.is_infinity:
-            return v.r <= shape.level
-        p = _val_capped(s_add(v.center, shape.end.value), v.r)
-        return v.r + shape.level <= 2 * p
-    if shape.stem_kind == "maxpath":
-        d = _dist_to_path_by_sums(v, *shape.ends)
-    else:
-        d = min(tree_distance(v, u) for u in shape.stem)
-    return d <= shape.depth
 
 
 def test_predicted_members_and_distances_match_building_the_sums():
@@ -258,12 +224,12 @@ def test_predicted_members_and_distances_match_building_the_sums():
     for sh in shapes:
         for v in w.vertices:
             assert (_outcome(_member, sh, v)
-                    == _outcome(_shape_member_by_sums, sh, v))
+                    == _outcome(_ref_shape_member_by_sums, sh, v))
             if isinstance(sh, ThickLine) and sh.stem_kind == "maxpath":
                 assert (_outcome(dist_to_path, v, *sh.ends)
-                        == _outcome(_dist_to_path_by_sums, v, *sh.ends))
+                        == _outcome(_ref_dist_to_path_by_sums, v, *sh.ends))
         want = _outcome(lambda: {w.key(v) for v in w.vertices
-                                 if _shape_member_by_sums(sh, v)})
+                                 if _ref_shape_member_by_sums(sh, v)})
         assert _outcome(shape_members, sh, w) == want
         refused += want[0] != "value"
     assert refused
@@ -415,10 +381,9 @@ _WORKING_PRECS = (*range(1, 10), 63, 64, 65, 100)
 
 
 @st.composite
-def _split_matrix(draw, tau):
-    """A matrix with C = 1 and A D = 0 and minimal polynomial
-    (X + r1)(X + r2), r1 and r2 integral and either one possibly
-    truncated: the companion [[0, b], [1, a]] or [[a, b], [1, 0]]."""
+def _split_poly(draw, tau):
+    """(a, b) = (r1 + r2, r1 r2) for r1 and r2 integral, either one
+    possibly truncated."""
     fld = field(tau)
     coeff = st.integers(0, fld.order - 1)
 
@@ -428,55 +393,126 @@ def _split_matrix(draw, tau):
         prec = draw(st.one_of(st.none(), st.integers(0, 70)))
         return s if prec is None else s_truncate(s, prec)
     r1, r2 = root(), root()
-    a, b = s_add(r1, r2), s_mul(r1, r2)
+    return s_add(r1, r2), s_mul(r1, r2)
+
+
+@st.composite
+def _split_matrix(draw, tau):
+    """A matrix with C = 1 and A D = 0 and a split minimal polynomial:
+    the companion [[0, b], [1, a]] or [[a, b], [1, 0]]."""
+    a, b = draw(_split_poly(tau))
     if draw(st.booleans()):
         return companion(a, b)
+    fld = field(tau)
     return Mat2(a, b, s_one(fld), s_zero(fld))
+
+
+@st.composite
+def _conjugated_companion(draw, tau):
+    """g [[0, b], [1, a]] g^-1 for a split X^2 + aX + b, with g =
+    [[1 + x y, x], [y, 1]] exact and of determinant 1."""
+    fld = field(tau)
+    coeff = st.integers(0, fld.order - 1)
+    x, y = (Series(fld, draw(st.integers(-1, 2)),
+                   draw(st.lists(coeff, max_size=4))) for _ in range(2))
+    g = Mat2(s_add(s_one(fld), s_mul(x, y)), x, y, s_one(fld))
+    return m_conj(g, companion(*draw(_split_poly(tau))), 64)
+
+
+def _split_matrices(tau):
+    return st.one_of(_split_matrix(tau), _conjugated_companion(tau))
 
 
 def _lanes(x):
     return x.lead, x.bits, x.prec
 
 
+def _agree(x, y):
+    """x and y are equal below their common precision."""
+    return s_add(x, y).looks_zero
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 3), st.sampled_from(_WORKING_PRECS), st.data())
 def test_split_ends_are_the_solved_fixed_points(tau, wp, data):
-    q = data.draw(_split_matrix(tau))
+    q = data.draw(_split_matrices(tau))
     try:
         m = min_poly(q, wp)
         shape = branch_shape(q, wp)
     except (UndeterminedAtPrecision, ScalarMatrix, NonIntegral):
         return
-    if m.kind != REDUCIBLE_SEP:
+    if m.kind != REDUCIBLE_SEP or q.c.is_zero:
         return
+    ends = [e.value for e in shape.ends]
+    for z in ends:  # C z^2 + (A + D) z + B
+        fixed = s_add(s_add(s_mul(q.c, s_mul(z, z)), s_mul(m.a, z)), q.b)
+        assert fixed.looks_zero, (z, fixed)
     y = s_inv(q.c, wp)
-    want = solve_quadratic(s_mul(m.a, y), s_mul(q.b, y), wp)
-    assert [_lanes(e.value) for e in shape.ends] == list(map(_lanes, want))
+    try:
+        want = _ref_solve_quadratic(s_mul(m.a, y), s_mul(q.b, y), wp)
+    except UndeterminedAtPrecision:
+        want = None
+    if want is not None:
+        z1, z2 = ends
+        w1, w2 = want
+        assert ((_agree(z1, w1) and _agree(z2, w2))
+                or (_agree(z1, w2) and _agree(z2, w1))), (ends, want)
+    if q.a.is_zero and q.c == s_one(q.c.field):
+        # a companion keeps the roots of its classification, in order
+        assert (list(map(_lanes, ends))
+                == list(map(_lanes, classified_roots(m, wp))))
 
 
-def test_companion_ends_are_not_solved_again(monkeypatch):
-    import btbranch.geometry as geometry
+def _solving_calls(q, wp):
+    """branch_shape(q, wp) once min_poly(q, wp) is kept, with the number
+    of its as_defect calls and of its s_inv calls."""
+    min_poly(q, wp)
+    counts = Counter()
 
-    def refuse(*args):
-        raise AssertionError("solved a quadratic the classification holds")
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+    inv = counted("s_inv", series.s_inv)
+    with (mock.patch.object(defects, "as_defect",
+                            counted("as_defect", defects.as_defect)),
+          mock.patch.object(series, "s_inv", inv),
+          mock.patch.object(geometry, "s_inv", inv)):
+        shape = branch_shape(q, wp)
+    return shape, counts["as_defect"], counts["s_inv"]
+
+
+def test_companion_ends_are_not_solved_again():
     q = companion(_p("t + t^2"), _p("t^3"))  # (X + t)(X + t^2)
-    monkeypatch.setattr(geometry, "solve_quadratic", refuse)
-    shape = branch_shape(q, 64)
+    shape, reductions, inversions = _solving_calls(q, 64)
+    assert (reductions, inversions) == (0, 1)
     assert [e.render() for e in shape.ends] == ["t^2 (mod t^65)",
                                                 "t (mod t^65)"]
-    # a general matrix still solves its own fixed-point quadratic
-    with pytest.raises(AssertionError, match="solved a quadratic"):
-        branch_shape(Mat2(_p("t"), _p("t^3"), _p("t"), _p("t^2")), 64)
+
+
+def test_split_ends_are_not_solved_again():
+    # a general matrix moves its classified roots to its fixed points
+    q = Mat2(_p("t"), _p("t^3"), _p("t"), _p("t^2"))
+    shape, reductions, inversions = _solving_calls(q, 64)
+    assert (reductions, inversions) == (0, 1)
+    assert shape.stem_kind == "maxpath"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(_WORKING_PRECS), st.data())
+def test_conjugated_split_ends_are_not_solved_again(tau, wp, data):
+    q = data.draw(_conjugated_companion(tau))
+    try:
+        if min_poly(q, wp).kind != REDUCIBLE_SEP:
+            return
+        _, reductions, inversions = _solving_calls(q, wp)
+    except (UndeterminedAtPrecision, ScalarMatrix, NonIntegral):
+        return
+    assert (reductions, inversions) == (0, 1)
 
 
 # commutation from the three combinations that survive in characteristic 2
-
-def _commute_by_products(q1, q2):
-    """The test predict_relpos made before: build q1 q2 + q2 q1 and ask
-    whether every entry is exactly zero."""
-    c = m_add(m_mul(q1, q2), m_mul(q2, q1))
-    return all(x.is_zero for x in (c.a, c.b, c.c, c.d))
-
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 3), st.data())
@@ -495,7 +531,7 @@ def test_commutation_from_three_combinations(tau, data):
                    Mat2(*(s_mul(y, e) for e in (q1.a, q1.b, q1.c, q1.d))))
     else:
         q2 = Mat2(*(element() for _ in range(4)))
-    assert _commute(q1, q2) == _commute_by_products(q1, q2)
+    assert _commute(q1, q2) == _ref_commute_by_products(q1, q2)
 
 
 def test_truncated_diagonals_commute():
@@ -504,4 +540,4 @@ def test_truncated_diagonals_commute():
     q1 = Mat2(_p("1 + t (mod t^5)"), _p("0"), _p("0"), _p("t"))
     q2 = Mat2(_p("t^2"), _p("0"), _p("0"), _p("1"))
     assert _commute(q1, q2)
-    assert not _commute_by_products(q1, q2)
+    assert not _ref_commute_by_products(q1, q2)

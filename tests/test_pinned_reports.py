@@ -41,3 +41,12 @@ PINNED = [
 def test_report_bytes_are_pinned(kwargs, digest):
     text = run_selftest(**kwargs).render()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_every_branch_is_decided_at_precision_six():
+    # deciding the members of branch #10 needs its ends past t^5; they
+    # are its classified roots moved by a Moebius map, which keep that
+    # precision where solving the fixed-point quadratic again does not
+    report = run_selftest(seed=2, count=30, radius=6, prec=6)
+    assert (report.branch_matched, report.branch_mismatched,
+            report.branch_skipped) == (12, 0, 0)

@@ -365,6 +365,20 @@ def test_cli_exists_refuses_a_commuting_datum_without_a_witness(capsys):
     assert "note:" not in out
 
 
+def test_cli_exists_notes_that_condition_v_is_commutative(capsys):
+    # the note and the JSON key are read off the condition
+    datum = ["exists", "--lambda", "0", "--m1", "0,t", "--m2", "0,t^2+t^3"]
+    code, out, _ = run_cli(capsys, datum)
+    assert code == 0
+    assert out.splitlines() == ["exists: yes (condition v)",
+                                "note: every realising pair is commutative"]
+    code, out, _ = run_cli(capsys, [*datum, "--format", "json"])
+    assert json.loads(out)["commutative_note"] is True
+    code, out, _ = run_cli(capsys, ["exists", "--lambda", "0", "--m1", "1,1",
+                                    "--m2", "0,t", "--format", "json"])
+    assert json.loads(out)["commutative_note"] is False
+
+
 @pytest.mark.parametrize("box, zero_divisor, pair_hit", [
     ("--search-box=-1,1", ["0", "t^-1", "0", "0"],
      ["0", "t^-1", "0", "1"]),

@@ -3,7 +3,8 @@
 At tau 1 the reference is the bitmask minimiser the suite used before it
 worked on series: one bit per coefficient, all 8,192 substitutions h on
 exponents -4..8 tried one by one.  At tau 2 it is a direct enumeration
-with series over a smaller grid.
+with series over a smaller grid.  Both references are in
+``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -19,27 +20,23 @@ from btbranch.selftest import (_GRID_HI, _GRID_LO, _grid_basis,
                                _grid_best_val, _run_defect_instance,
                                run_selftest)
 from btbranch.series import s_add, s_from_terms, s_mul, s_random
+from references import (_MASK_OFF, _ref_brute_ideal_vals,
+                        _ref_enumerated_best_val)
 
 F1, F2 = field(1), field(2)
 
 # -- the bitmask reference (tau 1 only) ------------------------------
 
-_OFF = 16
-
 
 def _mask_of(a) -> int:
-    return sum(1 << (e + _OFF) for e, _ in a.terms())
-
-
-def _mask_val(m: int):
-    return (m & -m).bit_length() - 1 - _OFF if m else None
+    return sum(1 << (e + _MASK_OFF) for e, _ in a.terms())
 
 
 def _grid_masks():
     """All (h^2 + h, h^2) mask pairs for h on the substitution grid."""
     exps = range(_GRID_LO, _GRID_HI + 1)
-    singles = [1 << (e + _OFF) for e in exps]
-    squares = [1 << (2 * e + _OFF) for e in exps]
+    singles = [1 << (e + _MASK_OFF) for e in exps]
+    squares = [1 << (2 * e + _MASK_OFF) for e in exps]
     out = []
     for bits in range(1 << len(singles)):
         h = hsq = 0
@@ -55,23 +52,6 @@ def _grid_masks():
     return out
 
 
-def _brute_ideal_vals(amask, grid, artin: bool):
-    """Best valuation of a + substitution over the grid; None when a
-    substitution kills the element outright or reaches the cap."""
-    cap = 2 if artin else 7
-    best = None
-    for hh, hsq in grid:
-        x = amask ^ (hh if artin else hsq)
-        if x == 0:
-            return None
-        v = _mask_val(x)
-        if best is None or v > best:
-            best = v
-            if best >= cap:
-                return None
-    return best
-
-
 _GRID = _grid_masks()
 _BASES_F1 = {artin: _grid_basis(F1, artin) for artin in (True, False)}
 
@@ -80,7 +60,7 @@ _BASES_F1 = {artin: _grid_basis(F1, artin) for artin in (True, False)}
 @given(st.integers(0, 2 ** 32), st.booleans())
 def test_minimiser_matches_the_bitmask_grid_at_tau_one(seed, artin):
     a = s_random(F1, random.Random(seed), -6, 6)
-    want = _brute_ideal_vals(_mask_of(a), _GRID, artin)
+    want = _ref_brute_ideal_vals(_mask_of(a), _GRID, artin)
     assert _grid_best_val(a, _BASES_F1[artin], artin) == want
 
 
@@ -92,7 +72,7 @@ def test_bitmask_grid_sees_every_outcome():
     for _ in range(50):
         a = s_random(F1, rng, -6, 6)
         for artin in (True, False):
-            seen.add(_brute_ideal_vals(_mask_of(a), _GRID, artin) is None)
+            seen.add(_ref_brute_ideal_vals(_mask_of(a), _GRID, artin) is None)
     assert seen == {True, False}
 
 
@@ -117,24 +97,13 @@ _SMALL = {artin: (_small_images(F2, artin),
           for artin in (True, False)}
 
 
-def _enumerated_best_val(a, images, artin):
-    best = None
-    for image in images:
-        x = s_add(a, image)
-        if x.is_zero:
-            return None
-        if best is None or x.lead > best:
-            best = x.lead
-    return None if best >= (2 if artin else 7) else best
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.booleans())
 def test_minimiser_matches_direct_enumeration_over_f4(seed, artin):
     a = s_random(F2, random.Random(seed), -4, 4)
     images, basis = _SMALL[artin]
     assert (_grid_best_val(a, basis, artin)
-            == _enumerated_best_val(a, images, artin))
+            == _ref_enumerated_best_val(a, images, artin))
 
 
 # -- the suite at every tau ------------------------------------------

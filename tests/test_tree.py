@@ -772,7 +772,7 @@ def test_tree_imports_nothing_from_the_predictor():
 def test_tree_never_reads_the_matrix_memo():
     # min_poly keeps the predictor's classification on each Mat2; the
     # oracle computes trace and determinant afresh and never looks there,
-    # nor reads a root off a classification or solves for one
+    # nor reads a root off a classification or reduces a defect for one
     names = set()
     for node in ast.walk(ast.parse(Path(tree.__file__).read_text())):
         if isinstance(node, ast.Name):
@@ -783,8 +783,7 @@ def test_tree_never_reads_the_matrix_memo():
             names.add(node.name)
     assert not names & {"min_poly", "make_pair", "_trace_det", "_min_poly",
                         "__dict__", "classify", "as_defect", "as_root",
-                        "classified_roots", "as_argument", "solve_quadratic",
-                        "solve_artin_schreier"}
+                        "classified_roots", "as_argument", "quad_defect"}
 
 
 @pytest.mark.parametrize("tau", (1, 2))
