@@ -12,11 +12,21 @@ roots come off the defect its classification computed (classified_roots),
 so a caller holding the classification never divides b by a^2 or
 reduces again.  A matrix's fixed points are these roots moved by a
 Moebius map (geometry.branch_shape), not the roots of a second equation.
+
+A polynomial is classified once per process.  The classification is a
+function of (a, b, working_prec) by value, so classify keeps the last
+CLASSIFY_MEMO_SIZE of them: a matrix with another's trace and
+determinant (a conjugate by an exactly invertible matrix, a generator
+of another pair with the same datum) finds its polynomial classified.
+A refusal (UndeterminedAtPrecision) is never kept: it is raised again
+on every call.  classified_roots keeps the two roots of a split on the
+shared QuadPoly, so they are summed once per polynomial as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf2 import ff_artin_schreier_root, ff_sqrt
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _make,
@@ -168,6 +178,11 @@ class QuadPoly:
     (positive for ramified_sep, >= 0 for ramified_insep on integral
     input) and None otherwise.  ``defect`` holds the as/quad defect
     computation the classification came from.
+
+    classified_roots keeps a split's roots in the instance ``__dict__``,
+    as mat2.min_poly keeps a matrix's classification: not a field, so
+    ==, hash and repr never see it, and a copy without it recomputes
+    the same roots.
     """
 
     a: Series
@@ -190,13 +205,28 @@ class QuadPoly:
         return self.kind in (REDUCIBLE_SEP, REDUCIBLE_INSEP)
 
 
+#: how many classified polynomials classify keeps, least recently used
+#: first out; one self-test of 500 instances meets about 230
+CLASSIFY_MEMO_SIZE = 4096
+
+
 def classify(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> QuadPoly:
     """Classify X^2 + aX + b over the Laurent series field.
 
     Separable (a != 0) splits by the defect of b/a^2; inseparable by the
     square defect of b.  Inexact a that merely looks zero cannot be
     classified and raises.
+
+    Equal (a, b, working_prec) share one QuadPoly: a second call with
+    equal arguments returns the first call's answer (see the module
+    docstring).  A call that raises keeps nothing.
     """
+    return _classify(a, b, working_prec)
+
+
+@lru_cache(maxsize=CLASSIFY_MEMO_SIZE)
+def _classify(a: Series, b: Series, working_prec: int) -> QuadPoly:
+    """classify's work, kept by value on its three positional arguments."""
     if a.looks_zero:
         if not a.is_exact:
             raise UndeterminedAtPrecision("linear coefficient 0 to precision only")
@@ -252,11 +282,16 @@ def classified_roots(m: QuadPoly, working_prec: int = DEFAULT_PREC):
     working_prec must be the one m was classified at.  A separable split
     has the roots a r and a r + a, where r = as_root(m.defect) solves
     Z^2 + Z = b/a^2, the series classify reduced; an inseparable split
-    has the double root xi, the witness of the split b = xi^2.
+    has the double root xi, the witness of the split b = xi^2.  The
+    separable pair is kept on m keyed by working_prec (see QuadPoly).
     """
     if m.kind == REDUCIBLE_SEP:
-        y0 = s_mul(m.a, as_root(m.defect, working_prec))
-        return (y0, s_add(y0, m.a))
+        roots = m.__dict__.setdefault("_roots", {})
+        pair = roots.get(working_prec)
+        if pair is None:
+            y0 = s_mul(m.a, as_root(m.defect, working_prec))
+            pair = roots[working_prec] = (y0, s_add(y0, m.a))
+        return pair
     if m.kind == REDUCIBLE_INSEP:
         return (m.defect.witness, m.defect.witness)
     return None

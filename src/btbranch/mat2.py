@@ -12,6 +12,13 @@ functools.cached_property keeps its values on frozen dataclasses.  They
 are not fields, so ==, hash, repr, fields() and asdict() never see them,
 and the values are functions of the fields, so a copy that lacks them
 recomputes the same ones.
+
+A polynomial is classified once as well: defects.classify keeps its
+answers by value, so any matrix whose trace and determinant equal q's
+as series (a conjugate of q by an exactly invertible g, say) gets q's
+QuadPoly without a second reduction.  The memo on the matrix stays in
+front of it, because a matrix's second visit then costs one dictionary
+read instead of hashing two series.
 """
 
 from __future__ import annotations

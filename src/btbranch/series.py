@@ -354,6 +354,11 @@ def s_mul(a: Series, b: Series) -> Series:
         raise ValueError("mixed residue fields")
     x, y = a.bits, b.bits
     pa, pb = a.prec, b.prec
+    # the exact 1 leaves the other operand as it is, precision and all
+    if x == 1 and pa is None and not a.lead:
+        return b
+    if y == 1 and pb is None and not b.lead:
+        return a
     if not x and pa is None or not y and pb is None:
         return _make(fld, 0, 0, None)
     # a known mod t^pa times b of valuation >= vb is known mod t^(pa+vb)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from btbranch import defects
 from btbranch.defects import (KINDS, RAMIFIED_INSEP, RAMIFIED_SEP,
                               REDUCIBLE_INSEP, REDUCIBLE_SEP, UNRAMIFIED_SEP,
-                              DefectResult, as_argument, as_defect, as_root,
-                              classified_roots, classify, quad_defect)
+                              DefectResult, QuadPoly, as_argument, as_defect,
+                              as_root, classified_roots, classify,
+                              quad_defect)
 from btbranch.gf2 import field
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
                              s_mul, s_parse, s_random, s_square, s_truncate,
@@ -312,3 +315,112 @@ def test_the_defect_gives_back_the_series_classify_divided(tau, wp, data):
     if m.separable:
         assert (_lanes(as_argument(m.defect))
                 == _lanes(s_div(b, s_square(a), wp)))
+
+
+# -- the classification memo ----------------------------------------
+
+def _classification(m, wp):
+    """All a classification says, every Series as (lead, bits, prec)."""
+    d = m.defect
+    return (_lanes(m.a), _lanes(m.b), m.kind, m.t, d.ideal, _lanes(d.witness),
+            _lanes(d.reduced), _exact_outcome(classified_roots, m, wp))
+
+
+def _classified(a, b, wp):
+    """classify's QuadPoly, or the message it refused with."""
+    try:
+        return classify(a, b, wp)
+    except UndeterminedAtPrecision as exc:
+        return str(exc)
+
+
+def _entries():
+    return defects._classify.cache_info().currsize
+
+
+def _relabel(x, fld):
+    """x's coefficients read over the field fld."""
+    return Series(fld, x.lead, x.coeffs, x.prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.sampled_from((3, 8, 64)),
+       st.sampled_from((3, 8, 64)), st.data())
+def test_the_classification_memo_is_invisible(tau, wp, wp2, data):
+    a, b = data.draw(_quadratic(tau))
+    # the same lanes over another modulus at tau 3, over F_(2^(tau+1))
+    # below it
+    other = field(3, 0b1101) if tau == 3 else field(tau + 1)
+    keys = [(a, b, wp), (_relabel(a, other), _relabel(b, other), wp)]
+    if wp2 != wp:
+        keys.append((a, b, wp2))
+    defects._classify.cache_clear()
+    kept = [_classified(*key) for key in keys]
+    # each answer has an entry of its own, a refusal none
+    entries = sum(isinstance(m, QuadPoly) for m in kept)
+    assert _entries() == entries
+    for key, m in zip(keys, kept):
+        again = _classified(*key)
+        assert again is m if isinstance(m, QuadPoly) else again == m
+    assert _entries() == entries
+    # bit for bit what a classification into an empty memo says
+    for key, m in zip(keys, kept):
+        defects._classify.cache_clear()
+        fresh = _classified(*key)
+        if isinstance(m, QuadPoly):
+            assert fresh is not m
+            assert _classification(fresh, key[2]) == _classification(m, key[2])
+        else:
+            assert fresh == m and _entries() == 0
+
+
+@pytest.mark.parametrize("a, b", [
+    (Series(F1, 0, (), 4), s_parse(F1, "t")),  # a is 0 to precision 4 only
+    (s_parse(F1, "0"), s_parse(F1, "t^2 (mod t^5)")),  # no odd term below t^5
+    (s_parse(F1, "1"), Series(F1, 0, (), 0)),  # b/a^2 unknown mod t
+])
+def test_a_refusal_is_raised_on_every_call_and_never_kept(a, b):
+    for _ in range(3):
+        with pytest.raises(UndeterminedAtPrecision):
+            classify(a, b)
+        assert _entries() == 0
+
+
+def test_a_patched_kernel_is_reached_once_the_memo_is_cleared(monkeypatch):
+    a, b = s_parse(F1, "1 + t"), s_parse(F1, "t")
+    assert _entries() == 0  # tests/conftest.py empties the memo
+    warm = classify(a, b)
+    calls = 0
+    reduce = defects.as_defect
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return reduce(x)
+    monkeypatch.setattr(defects, "as_defect", counting)
+    assert classify(a, b) is warm and calls == 0  # the memo answers
+    defects._classify.cache_clear()
+    assert classify(a, b) == warm and calls == 1
+
+
+def test_a_split_polynomial_sums_its_roots_once(monkeypatch):
+    m = classify(s_parse(F1, "1"), s_parse(F1, "t"))  # X^2 + X + t splits
+    roots = classified_roots(m, 64)
+    calls = 0
+    root = defects.as_root
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return root(*args)
+    monkeypatch.setattr(defects, "as_root", counting)
+    # equal coefficients parsed afresh meet the same polynomial
+    same = classify(s_parse(F1, "1"), s_parse(F1, "t"))
+    assert same is m and classified_roots(same, 64) is roots and calls == 0
+    # the roots are kept per working precision
+    at_8 = classify(m.a, m.b, 8)
+    assert classified_roots(at_8, 8)[0].prec != roots[0].prec and calls == 1
+    # and not as a field: a copy compares equal and sums them again
+    copy = replace(m)
+    assert copy == m and hash(copy) == hash(m) and repr(copy) == repr(m)
+    assert classified_roots(copy, 64) == roots and calls == 2

@@ -379,6 +379,23 @@ def test_packed_lanes_match_the_list_references(op, ref, arity, tau, data):
     assert _same_outcome(packed, *args) == _same_outcome(ref, *args)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3), st.integers(-45, 115), st.data())
+def test_multiplying_by_the_exact_one_returns_the_operand(tau, cut, data):
+    fld = field(tau)
+    one = s_one(fld)
+    a = _lanes_crossing_64_bits(fld, data)
+    for x in (a, s_truncate(a, cut)):
+        # the second operand when both are the exact 1
+        assert s_mul(one, x) is x
+        assert s_mul(x, one) is (one if x == one else x)
+        # the schoolbook product, bit for bit
+        assert _ref_mul(one, x) == _triple(x) == _ref_mul(x, one)
+    # neither t nor an inexact 1 is the exact unit
+    t, near_one = s_monomial(fld, 1), s_truncate(one, 40)
+    assert s_mul(t, a) is not a and s_mul(near_one, a) is not a
+
+
 # -- the base-4 spread against the byte-table reference ---------------
 
 @settings(max_examples=300, deadline=None)

@@ -770,8 +770,9 @@ def test_tree_imports_nothing_from_the_predictor():
 
 
 def test_tree_never_reads_the_matrix_memo():
-    # min_poly keeps the predictor's classification on each Mat2; the
-    # oracle computes trace and determinant afresh and never looks there,
+    # min_poly keeps the predictor's classification on each Mat2, and
+    # defects.classify keeps every polynomial it classified; the oracle
+    # computes trace and determinant afresh and never looks in either,
     # nor reads a root off a classification or reduces a defect for one
     names = set()
     for node in ast.walk(ast.parse(Path(tree.__file__).read_text())):
@@ -783,7 +784,8 @@ def test_tree_never_reads_the_matrix_memo():
             names.add(node.name)
     assert not names & {"min_poly", "make_pair", "_trace_det", "_min_poly",
                         "__dict__", "classify", "as_defect", "as_root",
-                        "classified_roots", "as_argument", "quad_defect"}
+                        "classified_roots", "as_argument", "quad_defect",
+                        "_classify", "_roots", "CLASSIFY_MEMO_SIZE"}
 
 
 @pytest.mark.parametrize("tau", (1, 2))
