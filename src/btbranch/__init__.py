@@ -17,9 +17,9 @@ from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
                      s_parse, s_random, s_render, s_split, s_sqrt, s_square,
                      s_truncate, s_val, s_zero, val_ge)
 from .defects import KINDS, Ideal, QuadPoly, as_defect, classify, quad_defect
-from .mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix, companion,
-                   discriminant_params, m_conj, m_mul, m_parse, m_render,
-                   make_pair, min_poly, sym_product)
+from .mat2 import (Datum, Mat2, NonIntegral, PairConfig, ScalarMatrix,
+                   companion, discriminant_params, m_conj, m_mul, m_parse,
+                   m_render, make_pair, min_poly, sym_product)
 from .tree import (MeasuredBranch, MeasuredShape, Vertex, Window, dot_export,
                    enumerate_window, measure_branch, measure_intersection,
                    oracle_branch, tree_distance)
@@ -28,10 +28,9 @@ from .geometry import (BranchShape, Disjoint, FoliageContained, FoliageMeet,
                        SharedMaxPath, SharedRay, ThickLine, branch_shape,
                        check_agreement, fake_distance, predict_relpos,
                        shape_members)
-from .existence import (AlgebraSpec, DegenerateForm, ExistenceVerdict,
-                        algebra_spec, cyclic_presentation, decide,
-                        search_pair, search_zero_divisor, splits,
-                        verify_witness)
+from .existence import (DegenerateForm, ExistenceVerdict, algebra_spec,
+                        cyclic_presentation, decide, search_pair,
+                        search_zero_divisor, splits, verify_witness)
 from .selftest import SelfTestReport, run_selftest
 
 __version__ = "0.1.0"

@@ -105,20 +105,20 @@ def _cmd_relpos(args) -> int:
     return 0
 
 
-def _parse_quad(fld, text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'a,b', got {text!r}")
-    return s_parse(fld, parts[0]), s_parse(fld, parts[1])
+def _datum(args):
+    """The datum of --lambda, --m1 and --m2 ("a,b" each) at --prec."""
+    fld = field(args.tau, args.modulus)
+    coeffs = [s_parse(fld, args.lam)]
+    for text in (args.m1, args.m2):
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"expected 'a,b', got {text!r}")
+        coeffs += [s_parse(fld, part) for part in parts]
+    return algebra_spec(*coeffs, args.prec)
 
 
 def _cmd_df(args) -> int:
-    fld = field(args.tau, args.modulus)
-    lam = s_parse(fld, args.lam)
-    a1, b1 = _parse_quad(fld, args.m1)
-    a2, b2 = _parse_quad(fld, args.m2)
-    d = fake_distance(lam, classify(a1, b1, args.prec),
-                      classify(a2, b2, args.prec))
+    d = fake_distance(_datum(args))
     _emit(args, f"stem distance {d.render()}",
           {"kind": d.kind, "twice": d.twice, "value": d.render()})
     return 0
@@ -152,12 +152,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_exists(args) -> int:
-    fld = field(args.tau, args.modulus)
-    lam = s_parse(fld, args.lam)
-    a1, b1 = _parse_quad(fld, args.m1)
-    a2, b2 = _parse_quad(fld, args.m2)
-    spec = algebra_spec(lam, a1, b1, a2, b2, args.prec)
-    verdict = decide(spec, args.prec)
+    datum = _datum(args)
+    verdict = decide(datum)
     lines = [f"exists: {'yes' if verdict.exists else 'no'} "
              f"(condition {verdict.matched_condition})"]
     rec = {"exists": verdict.exists,
@@ -170,13 +166,13 @@ def _cmd_exists(args) -> int:
         rec["witness"] = [m_render(q) for q in verdict.witness]
         lines.append(f"q1 = {m_render(verdict.witness[0])}")
         lines.append(f"q2 = {m_render(verdict.witness[1])}")
-    if args.search_box and spec.disc.is_zero:
+    if args.search_box and datum.disc.is_zero:
         lines.append("searches: not run (Delta = 0: the algebra is "
                      "degenerate, so a hit proves nothing)")
     elif args.search_box:
         lo, hi = args.search_box
-        zd = search_zero_divisor(spec, lo, hi)
-        pr = search_pair(spec, lo, hi)
+        zd = search_zero_divisor(datum, lo, hi)
+        pr = search_pair(datum, lo, hi)
         rec["zero_divisor"] = ([s_render(x) for x in zd] if zd else None)
         rec["pair_hit"] = ([s_render(x) for x in pr] if pr else None)
         lines.append(f"zero divisor search: "

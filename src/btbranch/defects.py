@@ -8,7 +8,7 @@ fractional ideal of the integer ring, and the absorbed part is returned
 as a witness.
 
 The classification is also the only solver: a reducible polynomial's
-roots come off the defect its classification computed (classified_roots),
+roots come off the defect its classification computed (QuadPoly.roots),
 so a caller holding the classification never divides b by a^2 or
 reduces again.  A matrix's fixed points are these roots moved by a
 Moebius map (geometry.branch_shape), not the roots of a second equation.
@@ -19,14 +19,14 @@ CLASSIFY_MEMO_SIZE of them: a matrix with another's trace and
 determinant (a conjugate by an exactly invertible matrix, a generator
 of another pair with the same datum) finds its polynomial classified.
 A refusal (UndeterminedAtPrecision) is never kept: it is raised again
-on every call.  classified_roots keeps the two roots of a split on the
-shared QuadPoly, so they are summed once per polynomial as well.
+on every call.  A QuadPoly records the precision it was classified at,
+and a split's roots are kept on it, summed once per polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gf2 import ff_artin_schreier_root, ff_sqrt
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _make,
@@ -177,12 +177,8 @@ class QuadPoly:
     ``t`` is the ramification jump: defined for the two ramified kinds
     (positive for ramified_sep, >= 0 for ramified_insep on integral
     input) and None otherwise.  ``defect`` holds the as/quad defect
-    computation the classification came from.
-
-    classified_roots keeps a split's roots in the instance ``__dict__``,
-    as mat2.min_poly keeps a matrix's classification: not a field, so
-    ==, hash and repr never see it, and a copy without it recomputes
-    the same roots.
+    computation the classification came from, and ``prec`` the working
+    precision classify used; the roots are summed to it.
     """
 
     a: Series
@@ -190,6 +186,7 @@ class QuadPoly:
     kind: str
     t: int | None
     defect: DefectResult
+    prec: int
 
     @property
     def cell(self) -> str:
@@ -204,6 +201,19 @@ class QuadPoly:
     def reducible(self) -> bool:
         return self.kind in (REDUCIBLE_SEP, REDUCIBLE_INSEP)
 
+    @cached_property
+    def roots(self) -> tuple[Series, Series] | None:
+        """Both roots, or None if irreducible, read off the defect: a r
+        and a r + a with r = as_root(defect, prec) solving Z^2 + Z = b/a^2
+        when separable, the double root xi of b = xi^2 when not.  Not a
+        field: ==, hash and repr never see it."""
+        if self.kind == REDUCIBLE_SEP:
+            y0 = s_mul(self.a, as_root(self.defect, self.prec))
+            return y0, s_add(y0, self.a)
+        if self.kind == REDUCIBLE_INSEP:
+            return self.defect.witness, self.defect.witness
+        return None
+
 
 #: how many classified polynomials classify keeps, least recently used
 #: first out; one self-test of 500 instances meets about 230
@@ -217,9 +227,9 @@ def classify(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> QuadPoly
     square defect of b.  Inexact a that merely looks zero cannot be
     classified and raises.
 
-    Equal (a, b, working_prec) share one QuadPoly: a second call with
-    equal arguments returns the first call's answer (see the module
-    docstring).  A call that raises keeps nothing.
+    Equal (a, b, working_prec) share one QuadPoly, whose prec is
+    working_prec (see the module docstring).  A call that raises keeps
+    nothing.
     """
     return _classify(a, b, working_prec)
 
@@ -231,15 +241,14 @@ def _classify(a: Series, b: Series, working_prec: int) -> QuadPoly:
         if not a.is_exact:
             raise UndeterminedAtPrecision("linear coefficient 0 to precision only")
         d = quad_defect(b)
-        if d.ideal.is_zero:
-            return QuadPoly(a, b, REDUCIBLE_INSEP, None, d)
-        return QuadPoly(a, b, RAMIFIED_INSEP, (d.ideal.val - 1) // 2, d)
-    d = as_defect(s_div(b, s_square(a), working_prec))
-    if d.ideal.is_zero:
-        return QuadPoly(a, b, REDUCIBLE_SEP, None, d)
-    if d.ideal.is_ring:
-        return QuadPoly(a, b, UNRAMIFIED_SEP, None, d)
-    return QuadPoly(a, b, RAMIFIED_SEP, (1 - d.ideal.val) // 2, d)
+        kind, t = ((REDUCIBLE_INSEP, None) if d.ideal.is_zero
+                   else (RAMIFIED_INSEP, (d.ideal.val - 1) // 2))
+    else:
+        d = as_defect(s_div(b, s_square(a), working_prec))
+        kind, t = ((REDUCIBLE_SEP, None) if d.ideal.is_zero
+                   else (UNRAMIFIED_SEP, None) if d.ideal.is_ring
+                   else (RAMIFIED_SEP, (1 - d.ideal.val) // 2))
+    return QuadPoly(a, b, kind, t, d, working_prec)
 
 
 # -- root finding ---------------------------------------------------
@@ -273,28 +282,6 @@ def as_root(d: DefectResult,
         r ^= term
         term = _square_bits(fld, term) & mask
     return s_add(d.witness, _make(fld, 0, r, prec))
-
-
-def classified_roots(m: QuadPoly, working_prec: int = DEFAULT_PREC):
-    """Both roots of the classified X^2 + aX + b, or None if it is
-    irreducible, read off m's defect without dividing again.
-
-    working_prec must be the one m was classified at.  A separable split
-    has the roots a r and a r + a, where r = as_root(m.defect) solves
-    Z^2 + Z = b/a^2, the series classify reduced; an inseparable split
-    has the double root xi, the witness of the split b = xi^2.  The
-    separable pair is kept on m keyed by working_prec (see QuadPoly).
-    """
-    if m.kind == REDUCIBLE_SEP:
-        roots = m.__dict__.setdefault("_roots", {})
-        pair = roots.get(working_prec)
-        if pair is None:
-            y0 = s_mul(m.a, as_root(m.defect, working_prec))
-            pair = roots[working_prec] = (y0, s_add(y0, m.a))
-        return pair
-    if m.kind == REDUCIBLE_INSEP:
-        return (m.defect.witness, m.defect.witness)
-    return None
 
 
 def as_argument(d: DefectResult) -> Series:

@@ -18,24 +18,24 @@ lambda + a1 a2, p_12 = lambda, p_13 = a2 b1, p_23 = a1 b2 on the cross
 terms.  Its Pfaffian p_01 p_23 + p_02 p_13 + p_03 p_12 is Delta.  They
 enumerate: solving the form for a root would be the Artin-Schreier
 question decide answers.  What depends only on the datum is built once
-per datum and kept on it (AlgebraSpec.search_tables), the rest that
-does not depend on the candidate once per search, so each candidate is
-tested with table lookups, shifts and XORs of packed ints.
+per datum and kept in its instance ``__dict__`` (_search_tables), the
+rest that does not depend on the candidate once per search, so each
+candidate is tested with table lookups, shifts and XORs of packed ints.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 from operator import xor
 from typing import NamedTuple
 
-from .defects import QuadPoly, as_argument, classified_roots, classify
+from .defects import as_argument, classify
 from .gf2 import ff_trace
-from .mat2 import (Mat2, discriminant_params, is_scalar, m_add, m_mul,
-                   m_scalar, m_scale, sym_product)
+from .mat2 import (Datum, Mat2, is_scalar, m_add, m_mul, m_scalar, m_scale,
+                   sym_product)
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _make,
                      _ones, s_add, s_div, s_mul, s_one, s_parse, s_split,
                      s_square, s_zero)
@@ -45,35 +45,13 @@ class DegenerateForm(Exception):
     """The datum does not present a quaternion algebra (Delta = 0)."""
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    lam: Series
-    m1: QuadPoly
-    m2: QuadPoly
-
-    @cached_property
-    def disc(self) -> Series:
-        """Delta of the datum, computed on first read and kept."""
-        return discriminant_params(self.m1.a, self.m1.b,
-                                   self.m2.a, self.m2.b, self.lam)
-
-    @cached_property
-    def search_tables(self) -> SearchTables:
-        """The norm-form tables both searches read, built on first read
-        and kept, like disc."""
-        return _search_tables(self)
-
-
 def algebra_spec(lam: Series, a1: Series, b1: Series, a2: Series,
-                 b2: Series, working_prec: int = DEFAULT_PREC) -> AlgebraSpec:
-    """The datum, both quadratics classified at working_prec.
-
-    The classifications hold the roots of a reducible quadratic and the
-    symbol argument b/a^2 of a separable one, at working_prec, where
-    decide reads them: decide(spec, p) needs p = working_prec.
-    """
-    return AlgebraSpec(lam, classify(a1, b1, working_prec),
-                       classify(a2, b2, working_prec))
+                 b2: Series, working_prec: int = DEFAULT_PREC) -> Datum:
+    """The datum, both quadratics classified at working_prec, where the
+    roots of a reducible one and the symbol argument b/a^2 of a
+    separable one are read."""
+    return Datum(lam, classify(a1, b1, working_prec),
+                 classify(a2, b2, working_prec))
 
 
 @dataclass(frozen=True)
@@ -85,27 +63,17 @@ class ExistenceVerdict:
 
 # -- the cyclic presentation and the residue symbol -----------------
 
-def _disc(spec: AlgebraSpec) -> Series:
-    """Delta, refusing one that is zero only as far as it is known."""
-    delta = spec.disc
-    if delta.looks_zero and not delta.is_exact:
-        raise UndeterminedAtPrecision(
-            "discriminant vanishes to precision only")
-    return delta
-
-
-def cyclic_presentation(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC
-                        ) -> tuple[Series, Series]:
+def cyclic_presentation(datum: Datum) -> tuple[Series, Series]:
     """Rewrite the algebra as [a, b): u^2+u = a, v^2 = b, vu = (u+1)v.
 
     Needs Delta != 0; with both traces zero the generators are traded
-    for q1 q2 / lambda, dividing at working_prec (the one spec was
-    classified at, as for decide), and a vanishing norm makes the
-    algebra split outright, reported as the trivial symbol [0, 1).
+    for q1 q2 / lambda, dividing at the datum's precision, and a
+    vanishing norm makes the algebra split outright, reported as the
+    trivial symbol [0, 1).
     """
-    m1, m2, lam = spec.m1, spec.m2, spec.lam
+    m1, m2, lam = datum.m1, datum.m2, datum.lam
     fld = lam.field
-    delta = _disc(spec)
+    delta = datum.checked_disc()
     if delta.is_zero:
         raise DegenerateForm("the datum with Delta = 0 is not quaternion")
     for m in (m1, m2):
@@ -114,7 +82,7 @@ def cyclic_presentation(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC
     # both traces vanish, so Delta = lambda^2 and lambda != 0
     if m1.b.is_zero or m2.b.is_zero:
         return s_zero(fld), s_one(fld)
-    return s_div(s_mul(m1.b, m2.b), s_square(lam), working_prec), m2.b
+    return s_div(s_mul(m1.b, m2.b), s_square(lam), datum.prec), m2.b
 
 
 def splits(a: Series, b: Series, working_prec: int = DEFAULT_PREC) -> bool:
@@ -162,15 +130,15 @@ class SearchBoxTooLarge(ValueError):
     """The box holds more candidates than MAX_SEARCH_CANDIDATES."""
 
 
-def _norm_form(spec: AlgebraSpec):
+def _norm_form(datum: Datum):
     """The reduced norm as a quadratic form on the basis (1, Q1, Q2, Q1Q2).
 
     Returns n and p with nrd(sum x_i B_i) = sum n_i x_i^2 + sum_{i<j}
     p_ij x_i x_j; each coefficient is a monomial in the datum.
     """
-    lam = spec.lam
-    a1, b1 = spec.m1.a, spec.m1.b
-    a2, b2 = spec.m2.a, spec.m2.b
+    lam = datum.lam
+    a1, b1 = datum.m1.a, datum.m1.b
+    a2, b2 = datum.m2.a, datum.m2.b
     n = [s_one(lam.field), b1, b2, s_mul(b1, b2)]
     p = {(0, 1): a1, (0, 2): a2, (0, 3): s_add(lam, s_mul(a1, a2)),
          (1, 2): lam, (1, 3): s_mul(a2, b1), (2, 3): s_mul(a1, b2)}
@@ -199,9 +167,13 @@ class SearchTables(NamedTuple):
     planes: dict[tuple[bool, bool], list[tuple[int, int, list[int]]]]
 
 
-def _search_tables(spec: AlgebraSpec) -> SearchTables:
-    """The tables of spec's datum; AlgebraSpec.search_tables keeps them."""
-    n, p = _norm_form(spec)
+def _search_tables(datum: Datum) -> SearchTables:
+    """The tables of the datum, built on first read and kept in its
+    instance ``__dict__``, as mat2._trace_det keeps a matrix's."""
+    tables = datum.__dict__.get("_search_tables")
+    if tables is not None:
+        return tables
+    n, p = _norm_form(datum)
     low = min(c.lead for c in (*n, *p.values()) if c.bits)
     rows = _unit_rows((*n, *(p[ij] for ij in _PLANES)), low)
     n_rows = rows[:4]
@@ -213,7 +185,9 @@ def _search_tables(spec: AlgebraSpec) -> SearchTables:
             (i, j, row) for i, j, row in every
             if (n[i].is_exact or not u_in) and (n[j].is_exact or not v_in)
             and (p[i, j].is_exact or not (u_in and v_in))]
-    return SearchTables(n, p, low, n_rows, p_rows, planes)
+    tables = datum.__dict__["_search_tables"] = SearchTables(
+        n, p, low, n_rows, p_rows, planes)
+    return tables
 
 
 def _packed(a: Series, base: int) -> int:
@@ -325,7 +299,7 @@ def _first_root(row_y, row_w, k):
     return values.index(k) if k in values else None
 
 
-def search_zero_divisor(spec: AlgebraSpec, lo: int, hi: int,
+def search_zero_divisor(datum: Datum, lo: int, hi: int,
                         max_terms: int = 1):
     """Look for a nonzero element of reduced norm zero.
 
@@ -335,15 +309,15 @@ def search_zero_divisor(spec: AlgebraSpec, lo: int, hi: int,
     (B_i, B_j), n_i u^2 + p_ij u v + n_j v^2.  The four n_i u^2 are
     built once per element u, so a candidate costs, per plane, one XOR
     of packed ints and one lookup, shift and XOR per pair of terms of u
-    and v (one pair at max_terms = 1).  Only the planes of
-    spec.search_tables that can hit are tested.  Exhausting the box
+    and v (one pair at max_terms = 1).  Only the planes of the datum's
+    tables that can hit are tested.  Exhausting the box
     proves nothing; a box of more than MAX_SEARCH_CANDIDATES (u, v,
     plane) raises SearchBoxTooLarge.
     """
-    fld = spec.lam.field
+    fld = datum.lam.field
     size = _box_size(fld, lo, hi, max_terms)
     _refuse_over_limit(len(_PLANES) * size * size, fld, lo, hi, max_terms)
-    tables = spec.search_tables
+    tables = _search_tables(datum)
     elements = []
     for terms in _box_terms(fld, lo, hi, max_terms):
         squares = [_cross(row, terms, terms) for row in tables.n_rows]
@@ -367,7 +341,7 @@ def search_zero_divisor(spec: AlgebraSpec, lo: int, hi: int,
     return None
 
 
-def search_pair(spec: AlgebraSpec, lo: int, hi: int, max_terms: int = 1):
+def search_pair(datum: Datum, lo: int, hi: int, max_terms: int = 1):
     """Look for (x,y),(z,w) with C(x,y,z,w) = lambda; None if none in the box.
 
     C is the pairing realised by norm-zero combinations, and y w C = y w
@@ -383,11 +357,11 @@ def search_pair(spec: AlgebraSpec, lo: int, hi: int, max_terms: int = 1):
     inexact only s = 0 can.  A box of more than MAX_SEARCH_CANDIDATES
     ((y, w), s) raises SearchBoxTooLarge.
     """
-    fld = spec.lam.field
+    fld = datum.lam.field
     size = _box_size(fld, lo, hi, max_terms)
     sums_size = _box_size(fld, lo, hi, 2 * max_terms)
     _refuse_over_limit((size - 1) ** 2 * sums_size, fld, lo, hi, max_terms)
-    tables = spec.search_tables
+    tables = _search_tables(datum)
     n, p = tables.n, tables.p
     if not (n[1].is_exact and n[2].is_exact and p[1, 2].is_exact):
         return None  # k = b1 y^2 + lambda y w + b2 w^2 is never exact
@@ -441,31 +415,31 @@ def search_pair(spec: AlgebraSpec, lo: int, hi: int, max_terms: int = 1):
 
 # -- explicit witnesses ---------------------------------------------
 
-def _witness_first_reducible(spec, m1, m2, working_prec):
-    """A pair with q1 realising a root of the reducible m1; m1 and m2
-    are the spec's two quadratics, in either order.  The root is read off
-    m1's classification.
+def _witness_reducible(datum, swap):
+    """A pair, in the datum's order, whose first generator (the second
+    with swap) realises a root of its reducible quadratic m1, the other
+    one's being m2.  The root is read off m1's classification, and the
+    divisions are made at the datum's precision.
     """
-    lam = spec.lam
+    lam, prec = datum.lam, datum.prec
+    m1, m2 = (datum.m2, datum.m1) if swap else (datum.m1, datum.m2)
     fld = lam.field
-    alpha = classified_roots(m1, working_prec)[0]
+    alpha = m1.roots[0]
     z, o = s_zero(fld), s_one(fld)
     if not m1.a.is_zero:
         q1 = Mat2(s_add(m1.a, alpha), z, z, alpha)
-        p = s_div(s_add(lam, s_mul(m2.a, s_add(m1.a, alpha))), m1.a,
-                  working_prec)
+        p = s_div(s_add(lam, s_mul(m2.a, s_add(m1.a, alpha))), m1.a, prec)
         q2 = Mat2(p, o, s_add(m2.b, s_mul(p, s_add(m2.a, p))), s_add(m2.a, p))
-        return q1, q2
-    # m1 = (X + alpha)^2: take the nilpotent companion of alpha
-    r = s_add(lam, s_mul(alpha, m2.a))
-    if r.is_zero:
-        return None
-    q1 = Mat2(alpha, o, z, alpha)
-    q2 = Mat2(z, s_div(m2.b, r, working_prec), r, m2.a)
-    return q1, q2
+    else:  # m1 = (X + alpha)^2: take the nilpotent companion of alpha
+        r = s_add(lam, s_mul(alpha, m2.a))
+        if r.is_zero:
+            return None
+        q1 = Mat2(alpha, o, z, alpha)
+        q2 = Mat2(z, s_div(m2.b, r, prec), r, m2.a)
+    return (q2, q1) if swap else (q1, q2)
 
 
-def _witness_commutative(lam, m1, m2, working_prec):
+def _witness_commutative(datum):
     """A linearly independent pair for the doubly traceless, lambda = 0
     datum, or None when there is none.
 
@@ -473,8 +447,8 @@ def _witness_commutative(lam, m1, m2, working_prec):
     and the pair is independent exactly when c != 0.  Where c is 0 only
     to its precision, it raises UndeterminedAtPrecision.
     """
-    fld = lam.field
-    b1, b2 = m1.b, m2.b
+    fld = datum.lam.field
+    b1, b2 = datum.m1.b, datum.m2.b
     z, o = s_zero(fld), s_one(fld)
     nil = Mat2(z, o, z, z)
     # split b_i = xi_i^2 + t eta_i^2; b_i is a square iff eta_i = 0, which
@@ -500,13 +474,13 @@ def _witness_commutative(lam, m1, m2, working_prec):
             raise UndeterminedAtPrecision(
                 f"commutative witness: c is 0 mod t^{cross.prec} only")
         return None  # b2/b1 is a square: q2 = s q1
-    s = s_div(et2, et1, working_prec)
+    s = s_div(et2, et1, datum.prec)
     q1 = Mat2(z, b1, o, z)
     q2 = m_add(m_scalar(s_add(xi2, s_mul(s, xi1))), m_scale(s, q1))
     return q1, q2
 
 
-def verify_witness(spec: AlgebraSpec, q1: Mat2, q2: Mat2) -> bool:
+def verify_witness(datum: Datum, q1: Mat2, q2: Mat2) -> bool:
     """Hard check: minimal polynomials, pairing, non-scalarity, independence.
 
     False only on visible evidence: a scalar generator, a nonzero
@@ -515,8 +489,8 @@ def verify_witness(spec: AlgebraSpec, q1: Mat2, q2: Mat2) -> bool:
     identities are trusted when they vanish mod t^8 or deeper; one known
     to vanish only to less raises UndeterminedAtPrecision.
     """
-    identities = [s_add(sym_product(q1, q2), spec.lam)]
-    for m, q in ((spec.m1, q1), (spec.m2, q2)):
+    identities = [s_add(sym_product(q1, q2), datum.lam)]
+    for m, q in ((datum.m1, q1), (datum.m2, q2)):
         if is_scalar(q):
             return False
         lhs = m_add(m_add(m_mul(q, q), m_scale(m.a, q)), m_scalar(m.b))
@@ -540,44 +514,41 @@ def verify_witness(spec: AlgebraSpec, q1: Mat2, q2: Mat2) -> bool:
 
 # -- the decision procedure -----------------------------------------
 
-def decide(spec: AlgebraSpec, working_prec: int = DEFAULT_PREC) -> ExistenceVerdict:
+def decide(datum: Datum, working_prec: int | None = None) -> ExistenceVerdict:
     """Decide realisability and construct a witness pair where possible.
 
-    working_prec must be the one spec was classified at (algebra_spec).
-    With both traces and lambda zero (condition v) the pair commutes, and
-    the answer is yes only with a linearly independent witness.
+    Everything is read at the datum's precision; a working_prec other
+    than it raises ValueError.  With both traces and lambda zero
+    (condition v) the pair commutes, and the answer is yes only with a
+    linearly independent witness.
     """
-    delta = _disc(spec)
-    m1, m2, lam = spec.m1, spec.m2, spec.lam
+    if working_prec is not None and working_prec != datum.prec:
+        raise ValueError(f"the datum was classified at precision "
+                         f"{datum.prec}, not {working_prec}")
+    delta = datum.checked_disc()
+    m1, m2 = datum.m1, datum.m2
     if not delta.is_zero:
-        if m1.reducible:
-            w = _witness_first_reducible(spec, m1, m2, working_prec)
+        if m1.reducible or m2.reducible:
+            w = _witness_reducible(datum, not m1.reducible)
             return ExistenceVerdict(True, "i", w)
-        if m2.reducible:
-            w = _witness_first_reducible(spec, m2, m1, working_prec)
-            if w is not None:
-                w = (w[1], w[0])
-            return ExistenceVerdict(True, "i", w)
-        a_sym, b_sym = cyclic_presentation(spec, working_prec)
-        if splits(a_sym, b_sym, working_prec):
+        a_sym, b_sym = cyclic_presentation(datum)
+        if splits(a_sym, b_sym, datum.prec):
             return ExistenceVerdict(True, "ii", None)
         return ExistenceVerdict(False, "none", None)
     # Delta = 0
     if not m1.a.is_zero:
         if m1.reducible:
-            w = _witness_first_reducible(spec, m1, m2, working_prec)
+            w = _witness_reducible(datum, False)
             return ExistenceVerdict(True, "iii", w)
         return ExistenceVerdict(False, "none", None)
     if not m2.a.is_zero:
         if m2.reducible:
-            w = _witness_first_reducible(spec, m2, m1, working_prec)
-            if w is not None:
-                w = (w[1], w[0])
+            w = _witness_reducible(datum, True)
             return ExistenceVerdict(True, "iv", w)
         return ExistenceVerdict(False, "none", None)
     # both traces vanish and lambda = 0: realised only by a commuting
     # pair, and only where a linearly independent one exists
-    w = _witness_commutative(lam, m1, m2, working_prec)
+    w = _witness_commutative(datum)
     if w is None:
         return ExistenceVerdict(False, "none", None)
     return ExistenceVerdict(True, "v", w)

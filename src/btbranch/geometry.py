@@ -4,8 +4,9 @@ A branch is either a thick line (a stem path fattened by a depth) or an
 infinite foliage (a horoball toward one boundary end).  This module
 derives the shape symbolically from a matrix, materialises shapes back
 into vertex predicates so they can be checked against the membership
-oracle, and predicts the relative position of two stems from nothing
-but the two minimal polynomials and the pairing scalar.
+oracle, and predicts the relative position of two stems from the
+datum of the pair, the two minimal polynomials and the pairing scalar,
+and in one row whether the generators commute.
 
 Half-integers show up because distances are naturally computed on a
 barycentric subdivision; HalfInt keeps them exact and keeps the three
@@ -19,9 +20,9 @@ from dataclasses import dataclass, fields
 from functools import total_ordering
 
 from .defects import (RAMIFIED_INSEP, RAMIFIED_SEP, REDUCIBLE_INSEP,
-                      REDUCIBLE_SEP, UNRAMIFIED_SEP, classified_roots)
-from .mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix,
-                   discriminant_params, is_scalar, min_poly, trace)
+                      REDUCIBLE_SEP, UNRAMIFIED_SEP)
+from .mat2 import (Datum, Mat2, NonIntegral, PairConfig, ScalarMatrix,
+                   is_scalar, min_poly, trace)
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _min_prec,
                      s_add, s_div, s_inv, s_mul, s_render, s_val, val_ge)
 from .tree import MeasuredShape, Vertex, Window, grow, tree_distance
@@ -178,7 +179,7 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
         y = s_inv(C, working_prec)
         return ThickLine("maxpath", depth, ends=tuple(
             ProjPoint.finite(s_mul(s_add(r, A), y))
-            for r in classified_roots(m, working_prec)))
+            for r in m.roots))
 
     if m.kind == REDUCIBLE_INSEP:
         alpha = m.defect.witness  # sqrt(det), split off by the square defect
@@ -300,17 +301,15 @@ def shape_members(shape: BranchShape, window: Window) -> set[int]:
 
 # -- fake distance --------------------------------------------------
 
-def fake_distance(lam: Series, m1, m2) -> HalfInt:
+def fake_distance(datum: Datum) -> HalfInt:
     """The case table: -1/2 val(Delta / product of separable traces^2),
     shifted down by the jump of each ramified separable factor and up by
     the jump of each ramified inseparable one.  -inf when Delta = 0."""
-    delta = discriminant_params(m1.a, m1.b, m2.a, m2.b, lam)
+    delta = datum.checked_disc()
     if delta.is_zero:
         return NEG_INF
-    if delta.looks_zero:
-        raise UndeterminedAtPrecision("discriminant vanishes to precision only")
     twice = -delta.lead
-    for m in (m1, m2):
+    for m in (datum.m1, datum.m2):
         if m.separable:
             twice += 2 * s_val(m.a)
         if m.kind == RAMIFIED_SEP:
@@ -399,8 +398,15 @@ def _commute(q1: Mat2, q2: Mat2) -> bool:
 
 
 def predict_relpos(pair: PairConfig) -> RelPos:
-    """Predict the stem configuration from (m1, m2, lambda) alone."""
-    m1, m2, lam = pair.m1, pair.m2, pair.lam
+    """Predict the stem configuration from the pair's datum (lambda, m1, m2).
+
+    The matrices are read in exactly one row of the case table: Delta = 0
+    with two split separable generators, where whether q1 and q2 commute
+    decides between a shared maximal path and a shared ray.  So the
+    position is a function of the datum and that one bit.
+    """
+    datum = pair.datum
+    m1, m2, lam = datum.m1, datum.m2, datum.lam
     if m1.kind == REDUCIBLE_INSEP and m2.kind == REDUCIBLE_INSEP:
         if lam.is_zero:
             return FoliageContained()
@@ -408,7 +414,7 @@ def predict_relpos(pair: PairConfig) -> RelPos:
         if nl < 0:
             return Disjoint(-nl)
         return FoliageMeet(nl, nl // 2, nl % 2 == 1)
-    df = fake_distance(lam, m1, m2)
+    df = fake_distance(datum)
     if df.kind == "neg_inf":
         if m1.kind == REDUCIBLE_SEP and m2.kind == REDUCIBLE_SEP:
             if _commute(pair.q1, pair.q2):

@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .defects import QuadPoly, classify
-from .series import (DEFAULT_PREC, Series, _split_top, s_add, s_inv, s_mul,
-                     s_one, s_parse, s_render, s_square, s_zero, val_ge)
+from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision,
+                     _split_top, s_add, s_inv, s_mul, s_one, s_parse,
+                     s_render, s_square, s_zero, val_ge)
 
 
 class ScalarMatrix(Exception):
@@ -126,6 +127,44 @@ def discriminant_params(a1: Series, b1: Series, a2: Series, b2: Series,
                  s_add(s_mul(s_square(a1), b2), s_mul(s_square(a2), b1)))
 
 
+@dataclass(frozen=True)
+class Datum:
+    """The pairing lambda and the two classified minimal polynomials: what
+    the paper's results about a pair of generators are functions of.  It
+    holds one working precision; m1 and m2 classified at two raise."""
+
+    lam: Series
+    m1: QuadPoly
+    m2: QuadPoly
+
+    def __post_init__(self):
+        if self.m1.prec != self.m2.prec:
+            raise ValueError(f"m1 and m2 were classified at {self.m1.prec} "
+                             f"and {self.m2.prec}; a datum has one precision")
+
+    @property
+    def prec(self) -> int:
+        return self.m1.prec
+
+    @property
+    def disc(self) -> Series:
+        """Delta, computed on first read and kept, like _trace_det's pair."""
+        delta = self.__dict__.get("_disc")
+        if delta is None:
+            m1, m2 = self.m1, self.m2
+            delta = self.__dict__["_disc"] = discriminant_params(
+                m1.a, m1.b, m2.a, m2.b, self.lam)
+        return delta
+
+    def checked_disc(self) -> Series:
+        """Delta, refusing one that is zero only as far as it is known."""
+        delta = self.disc
+        if delta.looks_zero and not delta.is_exact:
+            raise UndeterminedAtPrecision(
+                "discriminant vanishes to precision only")
+        return delta
+
+
 def _trace_det(q: Mat2) -> tuple[Series, Series]:
     """(tr(q), det(q)), computed once and kept on q."""
     memo = q.__dict__
@@ -153,13 +192,11 @@ def min_poly(q: Mat2, working_prec: int = DEFAULT_PREC) -> QuadPoly:
 
 @dataclass(frozen=True)
 class PairConfig:
-    """A validated generating pair: non-scalar, integral, integral pairing."""
+    """A validated generating pair: non-scalar, integral, and its datum."""
 
     q1: Mat2
     q2: Mat2
-    m1: QuadPoly
-    m2: QuadPoly
-    lam: Series
+    datum: Datum
 
 
 def make_pair(q1: Mat2, q2: Mat2,
@@ -180,9 +217,9 @@ def make_pair(q1: Mat2, q2: Mat2,
     # the pairing itself may sit outside the integer ring (two foliages
     # with different ends can be arbitrarily far apart), so only the
     # generators are checked
-    lam = sym_product(q1, q2)
-    return PairConfig(q1, q2, min_poly(q1, working_prec),
-                      min_poly(q2, working_prec), lam)
+    return PairConfig(q1, q2, Datum(sym_product(q1, q2),
+                                    min_poly(q1, working_prec),
+                                    min_poly(q2, working_prec)))
 
 
 # -- grammar --------------------------------------------------------

@@ -237,8 +237,8 @@ def _floor_relpos(pair):
     It flips the sign of every ramified separable correction; a None
     return means that reading asks for a non-integral stem distance.
     """
-    m1, m2 = pair.m1, pair.m2
-    df = fake_distance(pair.lam, m1, m2)
+    m1, m2 = pair.datum.m1, pair.datum.m2
+    df = fake_distance(pair.datum)
     shift = 4 * sum(m.t for m in (m1, m2) if m.kind == RAMIFIED_SEP)
     alt = HalfInt("fin", df.twice + shift)
     if alt > HalfInt.of(0):
@@ -401,11 +401,11 @@ def _run_defect_instance(rng, fld, bases):
 
 # -- symbol suite ---------------------------------------------------
 
-def _hits(search, spec, lo, hi) -> bool:
+def _hits(search, datum, lo, hi) -> bool:
     """Whether search finds a hit with one-term coordinates on lo..hi; a
     box over the searches' limit is left out and counts as no hit."""
     try:
-        return search(spec, lo, hi, 1) is not None
+        return search(datum, lo, hi, 1) is not None
     except SearchBoxTooLarge:
         return False
 
@@ -424,26 +424,26 @@ def _run_symbol_instance(rng, fld, prec):
         a2 = s_random(fld, rng, 0, 2)
         b2 = s_random(fld, rng, 0, 2)
         lam = s_random(fld, rng, -1, 2)
-        spec = algebra_spec(lam, a1, b1, a2, b2, prec)
-        if not spec.disc.is_zero:
+        datum = algebra_spec(lam, a1, b1, a2, b2, prec)
+        if not datum.disc.is_zero:
             break
     else:
         return "skipped", "could not draw a nondegenerate datum"
-    verdict = decide(spec, prec)
+    verdict = decide(datum)
     status = "inconclusive"
-    if spec.m1.reducible or spec.m2.reducible:
+    if datum.m1.reducible or datum.m2.reducible:
         status = "matched"
         if not verdict.exists:
             return "mismatched", "reducible factor but verdict says no pair"
     if verdict.witness is not None:
         status = "matched"
-        if not verify_witness(spec, *verdict.witness):
+        if not verify_witness(datum, *verdict.witness):
             return "mismatched", "constructed witness fails verification"
-    if _hits(search_zero_divisor, spec, -2, 2):
+    if _hits(search_zero_divisor, datum, -2, 2):
         status = "matched"
         if not verdict.exists:
             return "mismatched", "zero divisor found but verdict says division"
-    if _hits(search_pair, spec, -1, 1):
+    if _hits(search_pair, datum, -1, 1):
         status = "matched"
         if not verdict.exists:
             return ("mismatched",
@@ -576,13 +576,15 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
                                                             state)
         if raw is not None:
             pair = make_pair(raw[0], raw[1], prec)
-            return pair, "/".join(sorted((pair.m1.cell, pair.m2.cell)))
+            datum = pair.datum
+            return pair, "/".join(sorted((datum.m1.cell, datum.m2.cell)))
 
     def check_pair(pair):
         status, detail, pred, meas = compare_pair(pair, window, margin)
+        datum = pair.datum
         if (status != "skipped" and isinstance(pred, (Disjoint, Overlap))
-                and RAMIFIED_SEP in (pair.m1.kind, pair.m2.kind)
-                and fake_distance(pair.lam, pair.m1, pair.m2).kind == "fin"):
+                and RAMIFIED_SEP in (datum.m1.kind, datum.m2.kind)
+                and fake_distance(datum).kind == "fin"):
             # only finite stem distances discriminate the two sign
             # readings of the ramified separable correction
             report.tsign_total += 1

@@ -256,7 +256,7 @@ def _ref_solve_artin_schreier(a, working_prec):
 
 
 def _ref_solve_quadratic(c, d, working_prec):
-    """classified_roots: Y^2 + cY + d divided, reduced and rooted again."""
+    """QuadPoly.roots: Y^2 + cY + d divided, reduced and rooted again."""
     if c.looks_zero:
         if not c.is_exact:
             raise UndeterminedAtPrecision(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,7 @@ from btbranch import defects
 from btbranch.defects import (KINDS, RAMIFIED_INSEP, RAMIFIED_SEP,
                               REDUCIBLE_INSEP, REDUCIBLE_SEP, UNRAMIFIED_SEP,
                               DefectResult, QuadPoly, as_argument, as_defect,
-                              as_root, classified_roots, classify,
-                              quad_defect)
+                              as_root, classify, quad_defect)
 from btbranch.gf2 import field
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_div,
                              s_mul, s_parse, s_random, s_square, s_truncate,
@@ -201,7 +201,7 @@ def test_artin_schreier_tail_matches_the_series_loop(tau, wp, data):
 
 def test_quadratic_solver_returns_both_roots():
     c, d = s_parse(F1, "1"), s_parse(F1, "0")
-    roots = classified_roots(classify(c, d))
+    roots = classify(c, d).roots
     assert roots is not None
     r1, r2 = roots
     assert s_add(r1, r2) == c  # the roots sum to the linear coefficient
@@ -213,7 +213,7 @@ def test_quadratic_solver_returns_both_roots():
 def test_quadratic_solver_refuses_irreducible_input():
     for c, d in (("1", "1"), ("t", "t")):
         m = classify(s_parse(F1, c), s_parse(F1, d))
-        assert classified_roots(m) is None
+        assert m.roots is None
 
 
 # -- the packed reduction against the Series-loop defect --------------
@@ -273,6 +273,8 @@ def test_as_defect_on_lanes_matches_on_every_short_pole(tau):
 
 _WORKING_PRECS = (*range(1, 10), 63, 64, 65, 100)
 
+_roots = attrgetter("roots")
+
 
 @st.composite
 def _quadratic(draw, tau):
@@ -300,7 +302,7 @@ def test_classified_roots_are_the_solved_roots(tau, wp, data):
         m = classify(a, b, wp)
     except UndeterminedAtPrecision:
         return
-    assert (_exact_outcome(classified_roots, m, wp)
+    assert (_exact_outcome(_roots, m)
             == _exact_outcome(_ref_solve_quadratic, a, b, wp))
 
 
@@ -319,11 +321,11 @@ def test_the_defect_gives_back_the_series_classify_divided(tau, wp, data):
 
 # -- the classification memo ----------------------------------------
 
-def _classification(m, wp):
+def _classification(m):
     """All a classification says, every Series as (lead, bits, prec)."""
     d = m.defect
     return (_lanes(m.a), _lanes(m.b), m.kind, m.t, d.ideal, _lanes(d.witness),
-            _lanes(d.reduced), _exact_outcome(classified_roots, m, wp))
+            _lanes(d.reduced), m.prec, _exact_outcome(_roots, m))
 
 
 def _classified(a, b, wp):
@@ -369,7 +371,7 @@ def test_the_classification_memo_is_invisible(tau, wp, wp2, data):
         fresh = _classified(*key)
         if isinstance(m, QuadPoly):
             assert fresh is not m
-            assert _classification(fresh, key[2]) == _classification(m, key[2])
+            assert _classification(fresh) == _classification(m)
         else:
             assert fresh == m and _entries() == 0
 
@@ -405,7 +407,7 @@ def test_a_patched_kernel_is_reached_once_the_memo_is_cleared(monkeypatch):
 
 def test_a_split_polynomial_sums_its_roots_once(monkeypatch):
     m = classify(s_parse(F1, "1"), s_parse(F1, "t"))  # X^2 + X + t splits
-    roots = classified_roots(m, 64)
+    roots = m.roots
     calls = 0
     root = defects.as_root
 
@@ -416,11 +418,26 @@ def test_a_split_polynomial_sums_its_roots_once(monkeypatch):
     monkeypatch.setattr(defects, "as_root", counting)
     # equal coefficients parsed afresh meet the same polynomial
     same = classify(s_parse(F1, "1"), s_parse(F1, "t"))
-    assert same is m and classified_roots(same, 64) is roots and calls == 0
-    # the roots are kept per working precision
+    assert same is m and same.roots is roots and calls == 0
+    # each precision is a polynomial of its own, with roots of its own
     at_8 = classify(m.a, m.b, 8)
-    assert classified_roots(at_8, 8)[0].prec != roots[0].prec and calls == 1
-    # and not as a field: a copy compares equal and sums them again
+    assert at_8.roots[0].prec != roots[0].prec and calls == 1
+    # and the roots are not a field: a copy compares equal and sums them
+    # again
     copy = replace(m)
     assert copy == m and hash(copy) == hash(m) and repr(copy) == repr(m)
-    assert classified_roots(copy, 64) == roots and calls == 2
+    assert copy.roots == roots and calls == 2
+
+
+@pytest.mark.parametrize("b", ["t", "t + t^2", "t^2"])
+def test_a_classification_records_its_working_precision(b):
+    # X^2 + X + t and X^2 + X + t + t^2 split, X^2 + t^2 is inseparable
+    a = s_parse(F1, "0" if b == "t^2" else "1")
+    at_8, at_64 = (classify(a, s_parse(F1, b), p) for p in (8, 64))
+    assert (at_8.prec, at_64.prec) == (8, 64)
+    assert at_8 != at_64
+    for m in (at_8, at_64):
+        # a separable root is summed to the precision m was classified
+        # at; the inseparable double root is exact
+        assert all(r.prec in (m.prec, None) for r in m.roots)
+        assert m.separable == (m.roots[0].prec == m.prec)

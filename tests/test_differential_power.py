@@ -151,11 +151,12 @@ def _sign_flipped_fake_distance():
     subtracted: 2 t more per such factor, as the floor reading has it."""
     real = geometry.fake_distance
 
-    def flipped(lam, m1, m2):
-        df = real(lam, m1, m2)
+    def flipped(datum):
+        df = real(datum)
         if df.kind != "fin":
             return df
-        shift = 4 * sum(m.t for m in (m1, m2) if m.kind == RAMIFIED_SEP)
+        shift = 4 * sum(m.t for m in (datum.m1, datum.m2)
+                        if m.kind == RAMIFIED_SEP)
         return HalfInt("fin", df.twice + shift)
     return flipped
 

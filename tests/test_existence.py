@@ -94,12 +94,12 @@ def test_presentation_of_the_division_datum():
 def test_presentation_with_both_traces_zero_divides_at_the_working_prec():
     # both traces vanish, so the argument is b1 b2 / lambda^2: divided at
     # 8, the precision the datum was classified at, not at the default
-    spec = algebra_spec(_p("1 + t"), _p("0"), _p("t"), _p("0"), _p("1 + t^3"),
-                        8)
-    a_sym, b_sym = cyclic_presentation(spec, 8)
+    narrow, wide = (algebra_spec(_p("1 + t"), _p("0"), _p("t"), _p("0"),
+                                 _p("1 + t^3"), prec) for prec in (8, 64))
+    a_sym, b_sym = cyclic_presentation(narrow)
     assert a_sym.prec == 9 and s_render(b_sym) == "1 + t^3"
-    wide = cyclic_presentation(spec)[0]
-    assert wide.prec == 65 and s_truncate(wide, 9) == a_sym
+    wide_sym = cyclic_presentation(wide)[0]
+    assert wide_sym.prec == 65 and s_truncate(wide_sym, 9) == a_sym
 
 
 def test_presentation_refuses_a_vanishing_discriminant():
@@ -246,6 +246,22 @@ def test_truncated_witness_is_undetermined_below_the_floor(prec, verified):
         assert verify_witness(spec, q1, q2) is verified
     # swapped generators break an identity visibly, at any precision
     assert verify_witness(spec, q2, q1) is False
+
+
+@pytest.mark.parametrize("datum", [
+    ("0", "1", "t", "0", "t"),  # condition i, a root summed to the precision
+    ("0", "0", "t + t^3", "0", "t^3 + t^4"),  # condition v, s divided at it
+    ("0", "1", "1", "0", "t"),  # the division datum: the symbol decides
+])
+def test_decide_reads_the_precision_off_the_datum(datum):
+    spec = algebra_spec(*map(_p, datum), 64)
+    with pytest.raises(ValueError, match="classified at precision 64"):
+        decide(spec, 32)
+    assert _decided(spec, None) == _decided(spec, 64)
+    narrow = algebra_spec(*map(_p, datum), 8)
+    assert narrow.prec == 8 and _decided(narrow, None) == _decided(narrow, 8)
+    if _decided(spec, None)[2] is not None:
+        assert _decided(narrow, None) != _decided(spec, None)
 
 
 def test_unramified_irreducible_pair_is_rejected():
@@ -683,7 +699,7 @@ def test_searches_where_g_is_not_primitive_return_the_series_loop_first_hit(
 def test_the_unit_rows_are_the_per_term_scalings(datum):
     # each of the ten rows against exp[k + log c] term by term
     spec, _ = datum
-    tables = spec.search_tables
+    tables = existence._search_tables(spec)
     n, p = _norm_form(spec)
     assert tables.n == n and tables.p == p
     assert tables.low == min(c.lead for c in (*n, *p.values()) if c.bits)
@@ -741,9 +757,9 @@ def test_pair_search_tests_each_sum_once(monkeypatch):
 
 
 #: the code of the searches: every function they call in existence.py,
-#: the tables they read and the property that keeps them on the spec
+#: the tables they read included
 _SEARCH_CODE = ("search_zero_divisor", "search_pair",
-                "AlgebraSpec.search_tables", "_search_tables", "_norm_form",
+                "_search_tables", "_norm_form",
                 "_unit_rows", "_packed", "_box_size", "_refuse_over_limit",
                 "_box_terms", "_lanes", "_element", "_cross", "_first_root")
 
@@ -779,8 +795,6 @@ def test_the_search_code_list_is_complete():
     for name in _SEARCH_CODE:
         used = _names_used(functions[name])
         assert used & set(functions) <= set(_SEARCH_CODE), name
-        if "search_tables" in used:
-            assert "AlgebraSpec.search_tables" in _SEARCH_CODE
 
 
 def test_searches_share_nothing_with_the_symbol():
@@ -788,13 +802,13 @@ def test_searches_share_nothing_with_the_symbol():
     # called the symbol would no longer be independent evidence for the
     # verdict of decide
     module = ast.parse(Path(existence.__file__).read_text())
-    banned = {"decide", "splits", "cyclic_presentation", "_disc", "s_split",
-              "s_sqrt", "s_square", "defects", "as_root", "classified_roots",
-              "as_argument", "as_defect"}
+    banned = {"decide", "splits", "cyclic_presentation", "_disc",
+              "checked_disc", "s_split", "s_sqrt", "s_square", "defects",
+              "as_root", "roots", "as_argument", "as_defect"}
     for node in module.body:
         if isinstance(node, ast.ImportFrom) and node.module == "defects":
             banned.update(alias.asname or alias.name for alias in node.names)
-    assert {"classified_roots", "as_root", "as_defect"} <= banned
+    assert {"roots", "as_root", "as_defect"} <= banned
     functions = _module_functions(module)
     for name in _SEARCH_CODE:
         used = _names_used(functions[name])
@@ -806,19 +820,29 @@ def test_the_datum_discriminant_is_kept_and_invisible():
     fresh = algebra_spec(spec.lam, spec.m1.a, spec.m1.b, spec.m2.a,
                          spec.m2.b, 64)
     assert spec.disc is spec.disc and spec.disc == fresh.disc
-    assert spec.search_tables is spec.search_tables
+    tables = existence._search_tables(spec)
+    assert existence._search_tables(spec) is tables
     assert spec == fresh and hash(spec) == hash(fresh)
     assert repr(spec) == repr(fresh)
 
 
 def test_searches_never_read_the_matrix_memo():
     # the classification kept on a Mat2 is the predictor's; a search
-    # that read it would lean on the classifier it is evidence against
+    # that read it would lean on the classifier it is evidence against.
+    # The one instance memo the search code touches is its own tables,
+    # kept on the datum under the key "_search_tables"
     functions = _module_functions(ast.parse(
         Path(existence.__file__).read_text()))
     for name in _SEARCH_CODE:
-        assert not _names_used(functions[name]) & {
-            "min_poly", "_trace_det", "_min_poly", "__dict__"}, name
+        used = _names_used(functions[name])
+        assert not used & {"min_poly", "_trace_det", "_min_poly"}, name
+        if "__dict__" in used:
+            assert name == "_search_tables"
+            keys = {node.value for node in ast.walk(functions[name])
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.startswith("_")}
+            assert keys == {"_search_tables"}, keys
 
 
 # brute force searches
@@ -958,8 +982,8 @@ def test_decide_reads_off_the_classification_what_it_solved(wp, cut, data):
     except UndeterminedAtPrecision:
         assume(False)
     # solving again at the classifying precision gives the same bits
-    with mock.patch.object(existence, "classified_roots",
-                           lambda m, p: _ref_solve_quadratic(m.a, m.b, p)):
+    with mock.patch.object(defects.QuadPoly, "roots", property(
+            lambda m: _ref_solve_quadratic(m.a, m.b, m.prec))):
         want = _decided(spec, wp)
     assert _decided(spec, wp) == want
     presented = _presented(spec)

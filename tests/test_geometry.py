@@ -14,7 +14,7 @@ import btbranch.geometry as geometry
 import btbranch.series as series
 from btbranch.defects import (QuadPoly, RAMIFIED_INSEP, RAMIFIED_SEP,
                               REDUCIBLE_INSEP, REDUCIBLE_SEP, UNRAMIFIED_SEP,
-                              classified_roots, classify)
+                              classify)
 from btbranch.gf2 import field
 from btbranch.geometry import (_commute, _member_test, _val_sum_capped,
                                HalfInt, INF, InfiniteFoliage, NEG_INF,
@@ -24,8 +24,9 @@ from btbranch.geometry import (_commute, _member_test, _val_sum_capped,
                                FoliageContained, FoliageMeet, Overlap,
                                predict_relpos, shape_members,
                                stem_length_of_kind)
-from btbranch.mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix,
-                           companion, m_add, m_conj, make_pair, min_poly)
+from btbranch.mat2 import (Datum, Mat2, NonIntegral, PairConfig,
+                           ScalarMatrix, companion, m_add, m_conj, make_pair,
+                           min_poly)
 from btbranch.series import (Series, UndeterminedAtPrecision, s_add, s_inv,
                              s_mul, s_one, s_parse, s_truncate, s_zero)
 from btbranch.tree import (MeasuredShape, Vertex, enumerate_window,
@@ -247,23 +248,23 @@ def test_fake_distance_fixed_values():
     ram = _cls("t", "t")
     ram_i = _cls("0", "t")
     unram = _cls("1", "1")
-    assert fake_distance(_p("t^-2"), red, red) == HalfInt.of(2)
-    assert fake_distance(s_one(F1), red, red) == NEG_INF
-    assert fake_distance(_p("1 + t"), red, red) == HalfInt.half(-1)
-    assert fake_distance(_p("t^-1"), ram, red) == HalfInt.of(1)
-    assert fake_distance(s_zero(F1), red, ram_i) == HalfInt.half(-1)
-    assert fake_distance(s_zero(F1), unram, unram) == NEG_INF
+    assert fake_distance(Datum(_p("t^-2"), red, red)) == HalfInt.of(2)
+    assert fake_distance(Datum(s_one(F1), red, red)) == NEG_INF
+    assert fake_distance(Datum(_p("1 + t"), red, red)) == HalfInt.half(-1)
+    assert fake_distance(Datum(_p("t^-1"), ram, red)) == HalfInt.of(1)
+    assert fake_distance(Datum(s_zero(F1), red, ram_i)) == HalfInt.half(-1)
+    assert fake_distance(Datum(s_zero(F1), unram, unram)) == NEG_INF
 
 
 def test_fake_distance_wants_a_visible_discriminant():
     red = _cls("1", "0")
     with pytest.raises(UndeterminedAtPrecision):
-        fake_distance(s_parse(F1, "0 (mod t^6)"), red, red)
+        fake_distance(Datum(s_parse(F1, "0 (mod t^6)"), red, red))
 
 
 def _pair_for(lam_text, m1, m2):
     dummy = companion(s_one(F1), s_zero(F1))
-    return PairConfig(dummy, dummy, m1, m2, _p(lam_text))
+    return PairConfig(dummy, dummy, Datum(_p(lam_text), m1, m2))
 
 
 def test_predictions_from_the_case_table():
@@ -297,7 +298,7 @@ def test_overlap_length_is_capped_by_the_shorter_stem():
     ram = _cls("t", "t")
     # the determinant terms cancel, leaving a deep discriminant; the
     # overlap it suggests is cut down to the length-1 ramified stem
-    df = fake_distance(_p("t^3"), ram, ram)
+    df = fake_distance(Datum(_p("t^3"), ram, ram))
     assert df == HalfInt.half(-5)
     assert predict_relpos(_pair_for("t^3", ram, ram)) == Overlap(1)
 
@@ -306,7 +307,8 @@ def test_forged_half_integer_distance_is_rejected():
     red = _cls("1", "0")
     honest = _cls("0", "t")
     # claim jump 0 for a polar coefficient: no matrix pair produces this
-    forged = QuadPoly(s_zero(F1), _p("t^-1"), RAMIFIED_INSEP, 0, honest.defect)
+    forged = QuadPoly(s_zero(F1), _p("t^-1"), RAMIFIED_INSEP, 0, honest.defect,
+                      honest.prec)
     with pytest.raises(ValueError, match="not an integer"):
         predict_relpos(_pair_for("0", red, forged))
 
@@ -460,7 +462,7 @@ def test_split_ends_are_the_solved_fixed_points(tau, wp, data):
     if q.a.is_zero and q.c == s_one(q.c.field):
         # a companion keeps the roots of its classification, in order
         assert (list(map(_lanes, ends))
-                == list(map(_lanes, classified_roots(m, wp))))
+                == list(map(_lanes, m.roots)))
 
 
 def _solving_calls(q, wp):

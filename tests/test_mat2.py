@@ -10,10 +10,10 @@ import btbranch.mat2 as mat2
 from btbranch.defects import RAMIFIED_SEP, REDUCIBLE_INSEP, classify
 from btbranch.geometry import branch_shape
 from btbranch.gf2 import field
-from btbranch.mat2 import (Mat2, NonIntegral, PairConfig, ScalarMatrix,
-                           companion, det, discriminant_params, is_scalar,
-                           m_add, m_conj, m_inv, m_mul, m_parse, m_render,
-                           m_scalar, m_scale, make_pair, min_poly,
+from btbranch.mat2 import (Datum, Mat2, NonIntegral, PairConfig,
+                           ScalarMatrix, companion, det, discriminant_params,
+                           is_scalar, m_add, m_conj, m_inv, m_mul, m_parse,
+                           m_render, m_scalar, m_scale, make_pair, min_poly,
                            sym_product, trace)
 from btbranch.series import (s_add, s_monomial, s_mul, s_one, s_parse,
                              s_random, s_zero, val_ge)
@@ -163,10 +163,10 @@ def test_make_pair_allows_a_non_integral_pairing():
     zero, one = s_zero(F1), s_one(F1)
     q1 = Mat2(zero, one, zero, zero)
     q2 = Mat2(zero, zero, s_parse(F1, "t^-3"), zero)
-    pair = make_pair(q1, q2)
-    assert pair.lam == s_parse(F1, "t^-3")
-    assert pair.m1.kind == REDUCIBLE_INSEP
-    assert pair.m2.kind == REDUCIBLE_INSEP
+    datum = make_pair(q1, q2).datum
+    assert datum.lam == s_parse(F1, "t^-3")
+    assert datum.m1.kind == REDUCIBLE_INSEP
+    assert datum.m2.kind == REDUCIBLE_INSEP
 
 
 def test_pair_config_carries_the_classified_factors():
@@ -174,9 +174,24 @@ def test_pair_config_carries_the_classified_factors():
     q2 = companion(s_parse(F1, "1"), s_parse(F1, "1"))
     pair = make_pair(q1, q2)
     assert isinstance(pair, PairConfig)
-    assert pair.m1.kind == RAMIFIED_SEP
-    assert val_ge(discriminant_params(pair.m1.a, pair.m1.b, pair.m2.a,
-                                      pair.m2.b, pair.lam), 0)
+    assert [f.name for f in fields(PairConfig)] == ["q1", "q2", "datum"]
+    datum = pair.datum
+    assert datum.m1.kind == RAMIFIED_SEP and datum.prec == 64
+    assert datum.disc == discriminant_params(datum.m1.a, datum.m1.b,
+                                             datum.m2.a, datum.m2.b, datum.lam)
+    assert val_ge(datum.disc, 0)
+
+
+def test_a_datum_holds_one_precision():
+    a, b = s_parse(F1, "1"), s_parse(F1, "t")
+    q1, q2 = companion(a, b), companion(b, a)
+    lam = sym_product(q1, q2)
+    with pytest.raises(ValueError, match="one precision"):
+        Datum(lam, classify(a, b, 8), classify(b, a, 64))
+    datum = Datum(lam, classify(a, b, 8), classify(b, a, 8))
+    assert datum.prec == 8
+    # make_pair classifies both generators at the one precision it is given
+    assert make_pair(q1, q2, 8).datum == datum
 
 
 # -- classifying each matrix once -----------------------------------
@@ -205,7 +220,8 @@ def test_the_min_poly_memo_is_invisible():
     assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
     assert len(fields(Mat2)) == 4 and asdict(q) == asdict(fresh)
     assert pickle.loads(pickle.dumps(q)) == q
-    # the memo is keyed by working precision
+    # the memo is keyed by working precision, which each answer records
     assert at_64.defect.reduced.prec != at_8.defect.reduced.prec
+    assert (at_64.prec, at_8.prec) == (64, 8)
     assert at_8 == classify(trace(q), det(q), 8)
     assert min_poly(q, 64) is at_64 and min_poly(fresh, 8) == at_8

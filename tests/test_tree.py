@@ -770,10 +770,12 @@ def test_tree_imports_nothing_from_the_predictor():
 
 
 def test_tree_never_reads_the_matrix_memo():
-    # min_poly keeps the predictor's classification on each Mat2, and
+    # mat2 keeps each Mat2's trace and determinant on it, and
     # defects.classify keeps every polynomial it classified; the oracle
     # computes trace and determinant afresh and never looks in either,
-    # nor reads a root off a classification or reduces a defect for one
+    # nor reads a root off a classification or reduces a defect for one.
+    # Nor does it read the datum a PairConfig carries: the prediction's
+    # inputs are not the measurement's
     names = set()
     for node in ast.walk(ast.parse(Path(tree.__file__).read_text())):
         if isinstance(node, ast.Name):
@@ -785,7 +787,9 @@ def test_tree_never_reads_the_matrix_memo():
     assert not names & {"min_poly", "make_pair", "_trace_det", "_min_poly",
                         "__dict__", "classify", "as_defect", "as_root",
                         "classified_roots", "as_argument", "quad_defect",
-                        "_classify", "_roots", "CLASSIFY_MEMO_SIZE"}
+                        "_classify", "_roots", "CLASSIFY_MEMO_SIZE",
+                        "datum", "Datum", "disc", "lam", "m1", "m2",
+                        "roots", "algebra_spec"}
 
 
 @pytest.mark.parametrize("tau", (1, 2))
