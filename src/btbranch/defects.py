@@ -13,11 +13,12 @@ so a caller holding the classification never divides b by a^2 or
 reduces again.  A matrix's fixed points are these roots moved by a
 Moebius map (geometry.branch_shape), not the roots of a second equation.
 
-A polynomial is classified once per process.  The classification is a
-function of (a, b, working_prec) by value, so classify keeps the last
-CLASSIFY_MEMO_SIZE of them: a matrix with another's trace and
-determinant (a conjugate by an exactly invertible matrix, a generator
-of another pair with the same datum) finds its polynomial classified.
+A polynomial is classified once per process, here and nowhere else.
+The classification is a function of (a, b, working_prec) by value, so
+classify keeps the last CLASSIFY_MEMO_SIZE of them: a matrix read again,
+or one with another's trace and determinant (a conjugate by an exactly
+invertible matrix, a generator of another pair with the same datum),
+finds its polynomial classified.
 A refusal (UndeterminedAtPrecision) is never kept: it is raised again
 on every call.  A QuadPoly records the precision it was classified at,
 and a split's roots are kept on it, summed once per polynomial.

@@ -420,6 +420,9 @@ def _witness_reducible(datum, swap):
     with swap) realises a root of its reducible quadratic m1, the other
     one's being m2.  The root is read off m1's classification, and the
     divisions are made at the datum's precision.
+
+    With m1 = (X + alpha)^2, Delta = (lam + alpha a2)^2 = r^2, and decide
+    comes here only with Delta != 0, so r != 0.
     """
     lam, prec = datum.lam, datum.prec
     m1, m2 = (datum.m2, datum.m1) if swap else (datum.m1, datum.m2)
@@ -432,8 +435,6 @@ def _witness_reducible(datum, swap):
         q2 = Mat2(p, o, s_add(m2.b, s_mul(p, s_add(m2.a, p))), s_add(m2.a, p))
     else:  # m1 = (X + alpha)^2: take the nilpotent companion of alpha
         r = s_add(lam, s_mul(alpha, m2.a))
-        if r.is_zero:
-            return None
         q1 = Mat2(alpha, o, z, alpha)
         q2 = Mat2(z, s_div(m2.b, r, prec), r, m2.a)
     return (q2, q1) if swap else (q1, q2)

@@ -424,13 +424,19 @@ def predict_relpos(pair: PairConfig) -> RelPos:
         if lmin.kind == "fin":
             return Overlap(lmin.as_int)
         return SharedRay()
+    return _finite_relpos(df, datum)
+
+
+def _finite_relpos(df: HalfInt, datum: Datum) -> Disjoint | Overlap:
+    """The finite rows of the case table: Disjoint(df) for df > 0 (a
+    ValueError if df is no integer), else Overlap(min(-2 df, L1, L2))."""
     if df > HalfInt.of(0):
         if not df.is_integer:
             raise ValueError(f"positive fake distance {df.render()} is not an "
                              "integer; no matrix pair realises this input")
         return Disjoint(df.as_int)
-    length = min(HalfInt.of(-df.twice),
-                 stem_length_of_kind(m1.kind), stem_length_of_kind(m2.kind))
+    length = min(HalfInt.of(-df.twice), stem_length_of_kind(datum.m1.kind),
+                 stem_length_of_kind(datum.m2.kind))
     return Overlap(length.as_int)
 
 

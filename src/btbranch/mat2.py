@@ -6,19 +6,12 @@ and q + bar(q) = tr(q), q * bar(q) = det(q) as scalars.  An element is
 integral when tr and det are integral; its *entries* are allowed
 negative valuation.
 
-A matrix is classified once: min_poly keeps (tr, det) and the classified
-polynomial, per working precision, in the instance ``__dict__``, where
-functools.cached_property keeps its values on frozen dataclasses.  They
-are not fields, so ==, hash, repr, fields() and asdict() never see them,
-and the values are functions of the fields, so a copy that lacks them
-recomputes the same ones.
-
-A polynomial is classified once as well: defects.classify keeps its
-answers by value, so any matrix whose trace and determinant equal q's
-as series (a conjugate of q by an exactly invertible g, say) gets q's
-QuadPoly without a second reduction.  The memo on the matrix stays in
-front of it, because a matrix's second visit then costs one dictionary
-read instead of hashing two series.
+A matrix keeps its trace and determinant (_trace_det) in its instance
+``__dict__``, where cached_property keeps values on frozen dataclasses:
+==, hash, repr, fields() and asdict() never see them, and a copy without
+them recomputes the same pair.  A polynomial's classification is kept by
+value in defects.classify and nowhere else: q read again, or any matrix
+with q's trace and determinant, gets q's QuadPoly with no reduction.
 """
 
 from __future__ import annotations
@@ -178,16 +171,11 @@ def min_poly(q: Mat2, working_prec: int = DEFAULT_PREC) -> QuadPoly:
     """X^2 + tr(q) X + det(q), classified.
 
     For non-scalar q this is the minimal polynomial; a scalar s gives
-    the square of X + s and classifies as reducible inseparable.  The
-    result is kept on q keyed by working_prec (see the module
-    docstring), so a second call at the same precision classifies
-    nothing; a refusal is not kept and is raised again.
+    the square of X + s and classifies as reducible inseparable.  A
+    second call at the same precision finds classify's answer (see the
+    module docstring); a refusal is not kept and is raised again.
     """
-    polys = q.__dict__.setdefault("_min_poly", {})
-    m = polys.get(working_prec)
-    if m is None:
-        m = polys[working_prec] = classify(*_trace_det(q), working_prec)
-    return m
+    return classify(*_trace_det(q), working_prec)
 
 
 @dataclass(frozen=True)
@@ -205,8 +193,8 @@ def make_pair(q1: Mat2, q2: Mat2,
 
     Raises ScalarMatrix or NonIntegral for the first generator before
     looking at the second, and classifies only once both pass.  The
-    classifications are min_poly's, kept on q1 and q2, so branch_shape
-    at the same working_prec finds them.
+    classifications are kept by value in classify, so branch_shape at
+    the same working_prec finds them.
     """
     for i, q in ((1, q1), (2, q2)):
         if is_scalar(q):

@@ -32,9 +32,9 @@ from .defects import (KINDS, RAMIFIED_SEP, RAMIFIED_INSEP, REDUCIBLE_INSEP,
 from .existence import (SearchBoxTooLarge, algebra_spec, decide,
                         search_pair, search_zero_divisor, verify_witness)
 from .geometry import (Disjoint, HalfInt, InfiniteFoliage, Overlap,
-                       branch_shape, check_agreement, dist_to_path,
-                       fake_distance, predict_relpos, shape_members,
-                       stem_length_of_kind)
+                       _finite_relpos, branch_shape, check_agreement,
+                       dist_to_path, fake_distance, predict_relpos,
+                       shape_members)
 from .gf2 import field
 from .mat2 import (Mat2, NonIntegral, ScalarMatrix, companion, m_add, m_conj,
                    m_scalar, m_scale, make_pair)
@@ -231,26 +231,23 @@ _PAIR_STRATEGIES = (
 
 # -- the alternative sign reading, kept for arbitration -------------
 
-def _floor_relpos(pair):
-    """Prediction under the literal floor reading of the case table.
+def _floor_shift(datum):
+    """What the floor reading adds to twice the fake distance: 4 t for
+    each ramified separable factor, whose jump it adds, not subtracts."""
+    return 4 * sum(m.t for m in (datum.m1, datum.m2)
+                   if m.kind == RAMIFIED_SEP)
 
-    It flips the sign of every ramified separable correction; a None
-    return means that reading asks for a non-integral stem distance.
-    """
-    m1, m2 = pair.datum.m1, pair.datum.m2
-    df = fake_distance(pair.datum)
-    shift = 4 * sum(m.t for m in (m1, m2) if m.kind == RAMIFIED_SEP)
-    alt = HalfInt("fin", df.twice + shift)
-    if alt > HalfInt.of(0):
-        if not alt.is_integer:
-            return None
-        return Disjoint(alt.as_int)
-    lengths = [HalfInt.of(-alt.twice)]
-    lengths += [stem_length_of_kind(m.kind) for m in (m1, m2)]
-    lmin = min(lengths)
-    if lmin.kind != "fin":
+
+def _floor_relpos(pair):
+    """Prediction under the literal floor reading of the case table: the
+    finite rows at the fake distance shifted by _floor_shift.  A None
+    return means that reading asks for a non-integral stem distance."""
+    datum = pair.datum
+    alt = HalfInt.half(fake_distance(datum).twice + _floor_shift(datum))
+    try:
+        return _finite_relpos(alt, datum)
+    except ValueError:
         return None
-    return Overlap(lmin.as_int)
 
 
 # -- pair suite -----------------------------------------------------

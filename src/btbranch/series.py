@@ -112,7 +112,8 @@ class Series:
                 and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.field, self.lead, self.bits, self.prec))
+        # the modulus fixes the field, and hashes with no Python-level call
+        return hash((self.field.modulus, self.lead, self.bits, self.prec))
 
     @property
     def coeffs(self) -> tuple[int, ...]:

@@ -201,12 +201,16 @@ class Window:
             k = k << self._W | 1 + (c & (1 << w) - 1)
         return k
 
+    def _keys(self) -> list[int]:
+        """Every key, in breadth-first order; refuses a ball of more than
+        MAX_WINDOW_VERTICES vertices before scanning any."""
+        _check_radius(self.field, self.radius, listed=True)
+        return [k for _, ks in self._scan() for k in ks]
+
     @cached_property
     def vertices(self) -> list[Vertex]:
-        """Every vertex, in breadth-first order; refuses a ball of more
-        than MAX_WINDOW_VERTICES vertices before building anything."""
-        _check_radius(self.field, self.radius, listed=True)
-        return [self.vertex(k) for _, ks in self._scan() for k in ks]
+        """Every vertex, in the order of _keys."""
+        return list(map(self.vertex, self._keys()))
 
 
 def enumerate_window(fld, radius: int) -> Window:
@@ -565,7 +569,7 @@ def dot_export(window: Window, groups: dict[str, set[int]] | None = None,
     """GraphViz rendering of a window; groups map fill colors to key sets."""
     groups = groups or {}
     lines = [f'graph "{title}" {{', "  node [shape=circle, fontsize=8];"]
-    pos = {window.key(v): i for i, v in enumerate(window.vertices)}
+    pos = {k: i for i, k in enumerate(window._keys())}
     for k, i in pos.items():
         color = next((c for c, s in groups.items() if k in s), None)
         style = f', style=filled, fillcolor="{color}"' if color else ""

@@ -29,7 +29,7 @@ import btbranch.existence as existence
 import btbranch.geometry as geometry
 import btbranch.selftest as selftest
 import btbranch.tree as tree
-from btbranch.defects import RAMIFIED_SEP, Ideal
+from btbranch.defects import Ideal
 from btbranch.geometry import (FoliageContained, FoliageMeet, HalfInt, Overlap,
                                SharedMaxPath, SharedRay, ThickLine)
 from btbranch.tree import Vertex
@@ -155,9 +155,7 @@ def _sign_flipped_fake_distance():
         df = real(datum)
         if df.kind != "fin":
             return df
-        shift = 4 * sum(m.t for m in (datum.m1, datum.m2)
-                        if m.kind == RAMIFIED_SEP)
-        return HalfInt("fin", df.twice + shift)
+        return HalfInt.half(df.twice + selftest._floor_shift(datum))
     return flipped
 
 

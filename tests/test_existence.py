@@ -169,6 +169,33 @@ def test_reducible_factor_realises_the_datum():
     _check_witness(spec, verdict)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.one_of(st.none(),
+                                                   st.integers(20, 70)),
+       st.integers(0, 2 ** 32))
+def test_a_square_factor_always_has_a_witness(tau, swap, lam_prec, seed):
+    # m = (X + alpha)^2 gives Delta = (lambda + alpha a)^2, a the other
+    # trace, so Delta != 0 leaves the nilpotent witness a nonzero corner;
+    # lambda is known deep enough for verify_witness to decide
+    fld = field(tau)
+    rng = random.Random(seed)
+    alpha, lam, a, b = (s_random(fld, rng, -1, 2) for _ in range(4))
+    if lam_prec is not None:
+        lam = s_truncate(lam, lam_prec)
+    square = (s_zero(fld), s_square(alpha))
+    coeffs = (a, b, *square) if swap else (*square, a, b)
+    spec = algebra_spec(lam, *coeffs, 64)
+    r = s_add(lam, s_mul(alpha, a))
+    assert _lanes(s_square(r)) == _lanes(spec.disc)
+    try:
+        verdict = decide(spec)
+    except UndeterminedAtPrecision:  # Delta is 0 to precision only
+        assume(False)
+    if verdict.matched_condition == "i":
+        assert verdict.witness is not None
+        assert verify_witness(spec, *verdict.witness)
+
+
 def test_split_symbol_realises_without_an_explicit_witness():
     verdict = decide(_spec("t", "0", "t", "0", "t^3"), 64)
     assert verdict.exists and verdict.matched_condition == "ii"

@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
-import btbranch.mat2 as mat2
+from btbranch import defects
 from btbranch.defects import RAMIFIED_SEP, REDUCIBLE_INSEP, classify
 from btbranch.geometry import branch_shape
 from btbranch.gf2 import field
@@ -196,21 +196,15 @@ def test_a_datum_holds_one_precision():
 
 # -- classifying each matrix once -----------------------------------
 
-def test_a_pair_and_its_two_branches_classify_each_generator_once(
-        monkeypatch):
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return classify(*args)
-    monkeypatch.setattr(mat2, "classify", counting)
+def test_a_pair_and_its_two_branches_classify_each_generator_once():
+    # classify's memo is the one place a classification is kept, and
+    # tests/conftest.py empties it, so each miss is one classification
     q1 = companion(s_parse(F1, "1 + t"), s_parse(F1, "t"))
     q2 = companion(s_parse(F1, "t"), s_parse(F1, "1"))
     make_pair(q1, q2, 64)
     branch_shape(q1, 64)
     branch_shape(q2, 64)
-    assert calls == 2
+    assert defects._classify.cache_info().misses == 2
 
 
 def test_the_min_poly_memo_is_invisible():

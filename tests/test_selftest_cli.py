@@ -293,6 +293,21 @@ def test_cli_branch_describes_the_shape(capsys):
     assert sorted(rec["ends"]) == ["0", "1"]
 
 
+@pytest.mark.parametrize("q, line, stem_kind, stem", [
+    ("[[0,1],[1,1]]", "vertex B[0]^0 depth 0", "vertex", ["B[0]^0"]),
+    ("[[0,t],[1,0]]", "edge B[0]^0 -- B[0]^1 depth 0", "edge",
+     ["B[0]^0", "B[0]^1"]),
+])
+def test_cli_branch_prints_a_vertex_or_edge_stem(capsys, q, line, stem_kind,
+                                                 stem):
+    code, out, _ = run_cli(capsys, ["branch", q])
+    assert code == 0 and out == line + "\n"
+    code, out, _ = run_cli(capsys, ["branch", q, "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"shape": "thick", "stem_kind": stem_kind,
+                               "depth": 0, "stem": stem}
+
+
 def test_cli_relpos_predicts_a_blob(capsys):
     code, out, _ = run_cli(capsys, ["relpos", "[[0,1],[0,0]]",
                                     "[[t,1],[t^2,t]]", "--format", "json"])
@@ -353,6 +368,20 @@ def test_cli_exists_on_the_division_datum(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["exists"] is False and rec["condition"] == "none"
+
+
+def test_cli_exists_prints_the_witness_of_condition_i(capsys):
+    datum = ["exists", "--lambda", "0", "--m1", "1,0", "--m2", "0,t",
+             "--witness"]
+    code, out, _ = run_cli(capsys, datum)
+    assert code == 0
+    assert out.splitlines() == ["exists: yes (condition i)",
+                                "q1 = [[1,0],[0,0]]", "q2 = [[0,1],[t,0]]"]
+    code, out, _ = run_cli(capsys, [*datum, "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"exists": True, "condition": "i",
+                               "commutative_note": False,
+                               "witness": ["[[1,0],[0,0]]", "[[0,1],[t,0]]"]}
 
 
 def test_cli_exists_refuses_a_commuting_datum_without_a_witness(capsys):
