@@ -16,7 +16,8 @@ from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, s_add,
                      s_div, s_from_terms, s_inv, s_monomial, s_mul, s_one,
                      s_parse, s_random, s_render, s_split, s_sqrt, s_square,
                      s_truncate, s_val, s_zero, val_ge)
-from .defects import KINDS, Ideal, QuadPoly, as_defect, classify, quad_defect
+from .defects import (KINDS, QuadPoly, as_defect, classify, quad_defect,
+                      render_ideal)
 from .mat2 import (Datum, Mat2, NonIntegral, PairConfig, ScalarMatrix,
                    companion, discriminant_params, m_conj, m_mul, m_parse,
                    m_render, make_pair, min_poly, sym_product)
@@ -24,7 +25,7 @@ from .tree import (MeasuredBranch, MeasuredShape, Vertex, Window, dot_export,
                    enumerate_window, measure_branch, measure_intersection,
                    oracle_branch, tree_distance)
 from .geometry import (BranchShape, Disjoint, FoliageContained, FoliageMeet,
-                       HalfInt, InfiniteFoliage, Overlap, ProjPoint, RelPos,
+                       InfiniteFoliage, Overlap, ProjPoint, RelPos,
                        SharedMaxPath, SharedRay, ThickLine, branch_shape,
                        check_agreement, fake_distance, predict_relpos,
                        shape_members)

@@ -19,8 +19,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from math import inf
 
-from .defects import classify
+from .defects import classify, render_ideal
 from .existence import (DegenerateForm, algebra_spec, decide, search_pair,
                         search_zero_divisor)
 from .geometry import (InfiniteFoliage, branch_shape, fake_distance,
@@ -41,6 +42,11 @@ def _emit(args, text: str, record: dict) -> None:
 
 
 # -- JSON records ---------------------------------------------------
+
+def _json_val(v: int | float) -> int | None:
+    """A valuation as JSON has it: null for inf."""
+    return None if v == inf else v
+
 
 def _shape_record(shape) -> dict:
     if isinstance(shape, InfiniteFoliage):
@@ -65,10 +71,10 @@ def _cmd_defect(args) -> int:
     fld = field(args.tau, args.modulus)
     a = s_parse(fld, args.element)
     res = (defects.as_defect if args.map == "as" else defects.quad_defect)(a)
-    _emit(args,
-          f"defect {res.ideal.render()}  witness {s_render(res.witness)}",
-          {"ideal": res.ideal.render(), "ideal_val": res.ideal.val,
-           "witness": s_render(res.witness)})
+    ideal, witness = render_ideal(res.ideal), s_render(res.witness)
+    _emit(args, f"defect {ideal}  witness {witness}",
+          {"ideal": ideal, "ideal_val": _json_val(res.ideal),
+           "witness": witness})
     return 0
 
 
@@ -77,9 +83,9 @@ def _cmd_classify(args) -> int:
     m = classify(s_parse(fld, args.a), s_parse(fld, args.b), args.prec)
     _emit(args,
           f"{m.kind} (cell {m.cell}), jump t={m.t}, "
-          f"defect {m.defect.ideal.render()}",
+          f"defect {render_ideal(m.defect.ideal)}",
           {"class": m.kind, "cell": m.cell, "t": m.t,
-           "ideal_val": m.defect.ideal.val,
+           "ideal_val": _json_val(m.defect.ideal),
            "witness": s_render(m.defect.witness)})
     return 0
 
@@ -118,9 +124,14 @@ def _datum(args):
 
 
 def _cmd_df(args) -> int:
-    d = fake_distance(_datum(args))
-    _emit(args, f"stem distance {d.render()}",
-          {"kind": d.kind, "twice": d.twice, "value": d.render()})
+    twice = fake_distance(_datum(args))
+    if twice == -inf:
+        kind, twice, value = "neg_inf", 0, "-inf"
+    else:
+        kind = "fin"
+        value = f"{twice}/2" if twice % 2 else str(twice // 2)
+    _emit(args, f"stem distance {value}",
+          {"kind": kind, "twice": twice, "value": value})
     return 0
 
 

@@ -3,9 +3,10 @@
 as_defect repeatedly absorbs the leading term of a series into the image
 of p(x) = x^2 + x, one lane of its packed ints at a time; quad_defect
 splits it as xi^2 + t eta^2 in one step.  What is left pins down how far
-the input sits from that image.  The distance is recorded as a
-fractional ideal of the integer ring, and the absorbed part is returned
-as a witness.
+the input sits from that image.  The distance is the fractional ideal
+(t^v) of the integer ring, recorded as its valuation v: an int, or inf
+for the zero ideal, as s_val gives inf for the zero series.  The
+absorbed part is returned as a witness.
 
 The classification is also the only solver: a reducible polynomial's
 roots come off the defect its classification computed (QuadPoly.roots),
@@ -28,48 +29,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import inf
 
 from .gf2 import ff_artin_schreier_root, ff_sqrt
 from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _make,
                      _square_bits, s_add, s_div, s_mul, s_split, s_square)
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """A fractional ideal of F_(2^tau)[[t]]: (t^val), or (0) when val is None."""
-
-    val: int | None
-
-    @classmethod
-    def zero(cls) -> "Ideal":
-        return cls(None)
-
-    @classmethod
-    def of_val(cls, m: int) -> "Ideal":
-        return cls(m)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.val is None
-
-    @property
-    def is_ring(self) -> bool:
-        return self.val == 0
-
-    def render(self) -> str:
-        if self.val is None:
-            return "(0)"
-        if self.val == 0:
-            return "O"
-        return f"(t^{self.val})"
-
-    def __repr__(self):
-        return f"Ideal[{self.render()}]"
+def render_ideal(v: int | float) -> str:
+    """The ideal of valuation v as printed: (0) for v = inf, O for v = 0,
+    (t^v) otherwise."""
+    if v == inf:
+        return "(0)"
+    return "O" if v == 0 else f"(t^{v})"
 
 
 @dataclass(frozen=True)
 class DefectResult:
-    ideal: Ideal
+    """One defect of a: the valuation of its ideal (an int, or inf for
+    (0)), the witness, and reduced = a + p(witness) for the map p the
+    defect is taken against."""
+
+    ideal: int | float
     witness: Series
     reduced: Series
 
@@ -102,24 +83,24 @@ def as_defect(a: Series) -> DefectResult:
                 raise UndeterminedAtPrecision(
                     f"series vanishes to precision {prec}; "
                     "defect needs it mod t")
-            ideal = Ideal.zero()
+            ideal = inf
             break
         i = ((x & -x).bit_length() - 1) // w * w  # the lowest lane's bit
         v = lead + i // w
         if v > 0:
-            ideal = Ideal.zero()
+            ideal = inf
             break
         u = x >> i & mask
         if v == 0:
             c = ff_artin_schreier_root(fld, u)
             if c is None:  # u has trace 1
-                ideal = Ideal.of_val(0)
+                ideal = 0
                 break
             h |= c << i
             x ^= u << i
             continue
         if v % 2:
-            ideal = Ideal.of_val(v)
+            ideal = v
             break
         # v = -2s: absorb u*t^(-2s) as p(sqrt(u)*t^(-s)), which costs a
         # new term sqrt(u)*t^(-s) but strictly raises the valuation
@@ -144,9 +125,9 @@ def quad_defect(a: Series) -> DefectResult:
     xi, eta = s_split(a)
     reduced = s_add(a, s_square(xi))
     if not eta.looks_zero:
-        return DefectResult(Ideal.of_val(2 * eta.lead + 1), xi, reduced)
+        return DefectResult(2 * eta.lead + 1, xi, reduced)
     if a.is_exact:
-        return DefectResult(Ideal.zero(), xi, reduced)
+        return DefectResult(inf, xi, reduced)
     raise UndeterminedAtPrecision(
         f"no odd-exponent term below precision {a.prec}; square defect open")
 
@@ -178,8 +159,10 @@ class QuadPoly:
     ``t`` is the ramification jump: defined for the two ramified kinds
     (positive for ramified_sep, >= 0 for ramified_insep on integral
     input) and None otherwise.  ``defect`` holds the as/quad defect
-    computation the classification came from, and ``prec`` the working
-    precision classify used; the roots are summed to it.
+    computation the classification came from, whose ideal valuation
+    decides the kind: inf splits, 0 is unramified, and the jump is read
+    off an odd one.  ``prec`` is the working precision classify used;
+    the roots are summed to it.
     """
 
     a: Series
@@ -242,13 +225,13 @@ def _classify(a: Series, b: Series, working_prec: int) -> QuadPoly:
         if not a.is_exact:
             raise UndeterminedAtPrecision("linear coefficient 0 to precision only")
         d = quad_defect(b)
-        kind, t = ((REDUCIBLE_INSEP, None) if d.ideal.is_zero
-                   else (RAMIFIED_INSEP, (d.ideal.val - 1) // 2))
+        kind, t = ((REDUCIBLE_INSEP, None) if d.ideal == inf
+                   else (RAMIFIED_INSEP, (d.ideal - 1) // 2))
     else:
         d = as_defect(s_div(b, s_square(a), working_prec))
-        kind, t = ((REDUCIBLE_SEP, None) if d.ideal.is_zero
-                   else (UNRAMIFIED_SEP, None) if d.ideal.is_ring
-                   else (RAMIFIED_SEP, (1 - d.ideal.val) // 2))
+        kind, t = ((REDUCIBLE_SEP, None) if d.ideal == inf
+                   else (UNRAMIFIED_SEP, None) if d.ideal == 0
+                   else (RAMIFIED_SEP, (1 - d.ideal) // 2))
     return QuadPoly(a, b, kind, t, d, working_prec)
 
 
@@ -269,7 +252,7 @@ def as_root(d: DefectResult,
     sum, min(prec(rem), working_prec), and XORed in.  Exponents only
     grow under squaring, so nothing masked off could come back below it.
     """
-    if not d.ideal.is_zero:
+    if d.ideal != inf:
         return None
     rem = d.reduced
     if rem.is_zero:

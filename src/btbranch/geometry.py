@@ -8,16 +8,17 @@ oracle, and predicts the relative position of two stems from the
 datum of the pair, the two minimal polynomials and the pairing scalar,
 and in one row whether the generators commute.
 
-Half-integers show up because distances are naturally computed on a
-barycentric subdivision; HalfInt keeps them exact and keeps the three
-infinite stem lengths (one-ended, two-ended, and minus infinity for a
-vanishing discriminant) in one ordered type.
+Distances are spelled as valuations are: ints, with math.inf for the
+infinite ones.  The fake distance is a half-integer, because it is
+naturally computed on a barycentric subdivision, so fake_distance
+returns twice it, and -inf for a vanishing discriminant.  A stem is 0,
+1 or inf long.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import total_ordering
+from math import inf
 
 from .defects import (RAMIFIED_INSEP, RAMIFIED_SEP, REDUCIBLE_INSEP,
                       REDUCIBLE_SEP, UNRAMIFIED_SEP)
@@ -27,60 +28,6 @@ from .series import (DEFAULT_PREC, Series, UndeterminedAtPrecision, _min_prec,
                      s_add, s_div, s_inv, s_mul, s_render, s_val, val_ge)
 from .tree import MeasuredShape, Vertex, Window, grow, tree_distance
 
-# -- exact half-integers with the three infinities ------------------
-
-_ORDER = {"neg_inf": 0, "fin": 1, "inf": 2, "two_inf": 3}
-
-
-@total_ordering
-@dataclass(frozen=True)
-class HalfInt:
-    kind: str
-    twice: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _ORDER:
-            raise ValueError(f"bad HalfInt kind {self.kind!r}")
-        if self.kind != "fin" and self.twice:
-            object.__setattr__(self, "twice", 0)
-
-    @classmethod
-    def of(cls, n: int) -> "HalfInt":
-        return cls("fin", 2 * n)
-
-    @classmethod
-    def half(cls, n: int) -> "HalfInt":
-        return cls("fin", n)
-
-    def __lt__(self, other: "HalfInt") -> bool:
-        a = (_ORDER[self.kind], self.twice)
-        b = (_ORDER[other.kind], other.twice)
-        return a < b
-
-    @property
-    def is_integer(self) -> bool:
-        return self.kind == "fin" and self.twice % 2 == 0
-
-    @property
-    def as_int(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self.render()} is not an integer")
-        return self.twice // 2
-
-    def render(self) -> str:
-        if self.kind == "fin":
-            return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"
-        return {"neg_inf": "-inf", "inf": "inf", "two_inf": "2*inf"}[self.kind]
-
-    def __repr__(self):
-        return f"HalfInt({self.render()})"
-
-
-NEG_INF = HalfInt("neg_inf")
-INF = HalfInt("inf")
-TWO_INF = HalfInt("two_inf")
-
-
 # -- boundary points ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -88,14 +35,6 @@ class ProjPoint:
     """A point of the projective line: a series, or None for infinity."""
 
     value: Series | None
-
-    @classmethod
-    def infinity(cls) -> "ProjPoint":
-        return cls(None)
-
-    @classmethod
-    def finite(cls, x: Series) -> "ProjPoint":
-        return cls(x)
 
     @property
     def is_infinity(self) -> bool:
@@ -138,12 +77,11 @@ class InfiniteFoliage:
 BranchShape = ThickLine | InfiniteFoliage
 
 
-_STEM_LENGTHS = {REDUCIBLE_SEP: TWO_INF, UNRAMIFIED_SEP: HalfInt.of(0),
-                 RAMIFIED_SEP: HalfInt.of(1), REDUCIBLE_INSEP: INF,
-                 RAMIFIED_INSEP: HalfInt.of(1)}
+_STEM_LENGTHS = {REDUCIBLE_SEP: inf, UNRAMIFIED_SEP: 0, RAMIFIED_SEP: 1,
+                 REDUCIBLE_INSEP: inf, RAMIFIED_INSEP: 1}
 
 
-def stem_length_of_kind(kind: str) -> HalfInt:
+def stem_length_of_kind(kind: str) -> int | float:
     return _STEM_LENGTHS[kind]
 
 
@@ -174,11 +112,11 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
         depth = s_val(c)
         if C.is_zero:
             return ThickLine("maxpath", depth, ends=(
-                ProjPoint.finite(s_div(B, c, working_prec)),
-                ProjPoint.infinity()))
+                ProjPoint(s_div(B, c, working_prec)),
+                ProjPoint(None)))
         y = s_inv(C, working_prec)
         return ThickLine("maxpath", depth, ends=tuple(
-            ProjPoint.finite(s_mul(s_add(r, A), y))
+            ProjPoint(s_mul(s_add(r, A), y))
             for r in m.roots))
 
     if m.kind == REDUCIBLE_INSEP:
@@ -186,9 +124,9 @@ def branch_shape(q: Mat2, working_prec: int = DEFAULT_PREC) -> BranchShape:
         if C.is_zero:
             # here q + alpha is strictly upper triangular, so the end is
             # infinity and the leaf level is the valuation of its corner
-            return InfiniteFoliage(ProjPoint.infinity(), s_val(B))
+            return InfiniteFoliage(ProjPoint(None), s_val(B))
         end = s_div(s_add(A, alpha), C, working_prec)
-        return InfiniteFoliage(ProjPoint.finite(end), -s_val(C))
+        return InfiniteFoliage(ProjPoint(end), -s_val(C))
 
     # the remaining classes all have a nonzero lower-left entry
     if C.looks_zero:
@@ -301,13 +239,14 @@ def shape_members(shape: BranchShape, window: Window) -> set[int]:
 
 # -- fake distance --------------------------------------------------
 
-def fake_distance(datum: Datum) -> HalfInt:
-    """The case table: -1/2 val(Delta / product of separable traces^2),
-    shifted down by the jump of each ramified separable factor and up by
-    the jump of each ramified inseparable one.  -inf when Delta = 0."""
+def fake_distance(datum: Datum) -> int | float:
+    """Twice the fake distance of the case table, -1/2 val(Delta /
+    product of separable traces^2) shifted down by the jump of each
+    ramified separable factor and up by the jump of each ramified
+    inseparable one: an int, or -inf when Delta = 0."""
     delta = datum.checked_disc()
     if delta.is_zero:
-        return NEG_INF
+        return -inf
     twice = -delta.lead
     for m in (datum.m1, datum.m2):
         if m.separable:
@@ -316,7 +255,7 @@ def fake_distance(datum: Datum) -> HalfInt:
             twice -= 2 * m.t
         elif m.kind == RAMIFIED_INSEP:
             twice += 2 * m.t
-    return HalfInt.half(twice)
+    return twice
 
 
 # -- relative positions ---------------------------------------------
@@ -414,30 +353,28 @@ def predict_relpos(pair: PairConfig) -> RelPos:
         if nl < 0:
             return Disjoint(-nl)
         return FoliageMeet(nl, nl // 2, nl % 2 == 1)
-    df = fake_distance(datum)
-    if df.kind == "neg_inf":
+    twice = fake_distance(datum)
+    if twice == -inf:
         if m1.kind == REDUCIBLE_SEP and m2.kind == REDUCIBLE_SEP:
             if _commute(pair.q1, pair.q2):
                 return SharedMaxPath()
             return SharedRay()
         lmin = min(stem_length_of_kind(m1.kind), stem_length_of_kind(m2.kind))
-        if lmin.kind == "fin":
-            return Overlap(lmin.as_int)
-        return SharedRay()
-    return _finite_relpos(df, datum)
+        return SharedRay() if lmin == inf else Overlap(lmin)
+    return _finite_relpos(twice, datum)
 
 
-def _finite_relpos(df: HalfInt, datum: Datum) -> Disjoint | Overlap:
-    """The finite rows of the case table: Disjoint(df) for df > 0 (a
-    ValueError if df is no integer), else Overlap(min(-2 df, L1, L2))."""
-    if df > HalfInt.of(0):
-        if not df.is_integer:
-            raise ValueError(f"positive fake distance {df.render()} is not an "
+def _finite_relpos(twice: int, datum: Datum) -> Disjoint | Overlap:
+    """The finite rows of the case table at twice the fake distance:
+    Disjoint(twice / 2) for twice > 0 (a ValueError if twice is odd),
+    else Overlap(min(-twice, L1, L2))."""
+    if twice > 0:
+        if twice % 2:
+            raise ValueError(f"positive fake distance {twice}/2 is not an "
                              "integer; no matrix pair realises this input")
-        return Disjoint(df.as_int)
-    length = min(HalfInt.of(-df.twice), stem_length_of_kind(datum.m1.kind),
-                 stem_length_of_kind(datum.m2.kind))
-    return Overlap(length.as_int)
+        return Disjoint(twice // 2)
+    return Overlap(min(-twice, stem_length_of_kind(datum.m1.kind),
+                       stem_length_of_kind(datum.m2.kind)))
 
 
 _FIELD_WORDS = {"length": "overlap length",

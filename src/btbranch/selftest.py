@@ -26,15 +26,15 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from math import inf
 
 from .defects import (KINDS, RAMIFIED_SEP, RAMIFIED_INSEP, REDUCIBLE_INSEP,
                       REDUCIBLE_SEP, as_defect, classify, quad_defect)
 from .existence import (SearchBoxTooLarge, algebra_spec, decide,
                         search_pair, search_zero_divisor, verify_witness)
-from .geometry import (Disjoint, HalfInt, InfiniteFoliage, Overlap,
-                       _finite_relpos, branch_shape, check_agreement,
-                       dist_to_path, fake_distance, predict_relpos,
-                       shape_members)
+from .geometry import (Disjoint, InfiniteFoliage, Overlap, _finite_relpos,
+                       branch_shape, check_agreement, dist_to_path,
+                       fake_distance, predict_relpos, shape_members)
 from .gf2 import field
 from .mat2 import (Mat2, NonIntegral, ScalarMatrix, companion, m_add, m_conj,
                    m_scalar, m_scale, make_pair)
@@ -243,9 +243,9 @@ def _floor_relpos(pair):
     finite rows at the fake distance shifted by _floor_shift.  A None
     return means that reading asks for a non-integral stem distance."""
     datum = pair.datum
-    alt = HalfInt.half(fake_distance(datum).twice + _floor_shift(datum))
     try:
-        return _finite_relpos(alt, datum)
+        return _finite_relpos(fake_distance(datum) + _floor_shift(datum),
+                              datum)
     except ValueError:
         return None
 
@@ -375,12 +375,13 @@ def _grid_basis(fld, artin: bool, lo: int = _GRID_LO, hi: int = _GRID_HI):
     return basis
 
 
-def _grid_best_val(a: Series, basis: dict, artin: bool):
-    """Best valuation of a + substitution over the grid; None when a
-    substitution kills the element outright or reaches the cap."""
+def _grid_best_val(a: Series, basis: dict, artin: bool) -> int | float:
+    """Best valuation of a + substitution over the grid; inf, the
+    valuation of the ideal (0), when a substitution kills the element
+    outright or reaches the cap."""
     rest = _reduce(a, basis)
     if rest.looks_zero or rest.lead >= _CAP[artin]:
-        return None
+        return inf
     return rest.lead
 
 
@@ -389,7 +390,7 @@ def _run_defect_instance(rng, fld, bases):
     why = []
     for name, defect, artin in (("artin", as_defect, True),
                                 ("square", quad_defect, False)):
-        got = defect(a).ideal.val
+        got = defect(a).ideal
         want = _grid_best_val(a, bases[artin], artin)
         if got != want:
             why.append(f"{name} defect {got} vs grid {want}")
@@ -581,7 +582,7 @@ def run_selftest(seed: int = 7, tau: int = 1, modulus: int | None = None,
         datum = pair.datum
         if (status != "skipped" and isinstance(pred, (Disjoint, Overlap))
                 and RAMIFIED_SEP in (datum.m1.kind, datum.m2.kind)
-                and fake_distance(datum).kind == "fin"):
+                and fake_distance(datum) != -inf):
             # only finite stem distances discriminate the two sign
             # readings of the ramified separable correction
             report.tsign_total += 1

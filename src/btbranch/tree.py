@@ -23,12 +23,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from math import inf
 
 from .mat2 import Mat2, det, trace
 from .series import (Series, UndeterminedAtPrecision, _clmul, _lane_mul,
                      _make, _min_prec, s_add, s_render, s_val, s_zero)
 
-INFINITE_DEPTH = 10 ** 9
 _new, _set = object.__new__, object.__setattr__
 
 
@@ -258,7 +258,7 @@ class _Member:
         self.precs = a.prec, b.prec, c.prec, d.prec
         self.exact = self.precs == (None,) * 4
         self.low = (1 << max(-e1, 0) * w) - 1  # the lanes of L below t^0
-        self.rmin = -c.lead if c.bits else -INFINITE_DEPTH  # val C >= -r
+        self.rmin = -c.lead if c.bits else -inf  # val C >= -r
         self.mul = _clmul if w == 1 else partial(_lane_mul, fld)
 
     def verdict(self, state) -> bool:
@@ -375,14 +375,14 @@ def oracle_branch(q: Mat2, window: Window) -> set[int]:
 
 # -- certified measurement, on sets of keys --------------------------
 
-def _local_depths(window: Window, keys) -> list[int]:
-    """Distance from each member key to the nearest in-window non-member,
-    walked inward from the rim; exact once <= the boundary distance (the
-    certification rule used throughout)."""
+def _local_depths(window: Window, keys) -> list[int | float]:
+    """Distance from each member key to the nearest in-window non-member
+    (inf if there is none), walked inward from the rim; exact once <= the
+    boundary distance (the certification rule used throughout)."""
     inside = set(keys).__contains__
     rim = {u for v in keys for u in window.nbrs(v) if not inside(u)}
     depth = _bfs(window, rim, inside)
-    return [depth.get(v, INFINITE_DEPTH) for v in keys]
+    return [depth.get(v, inf) for v in keys]
 
 
 @dataclass

@@ -14,7 +14,7 @@ import math
 from collections import deque
 from functools import lru_cache
 
-from btbranch.defects import DefectResult, Ideal, as_defect
+from btbranch.defects import DefectResult, as_defect
 from btbranch.existence import _norm_form
 from btbranch.geometry import InfiniteFoliage
 from btbranch.gf2 import (_poly_mulmod, ff_artin_schreier_root, ff_inv,
@@ -23,7 +23,7 @@ from btbranch.mat2 import m_add, m_mul
 from btbranch.series import (UndeterminedAtPrecision, _ones, s_add, s_div,
                              s_from_terms, s_monomial, s_mul, s_one, s_split,
                              s_square, s_truncate, s_val, s_zero, val_ge)
-from btbranch.tree import INFINITE_DEPTH, Vertex, tree_distance
+from btbranch.tree import Vertex, tree_distance
 
 
 # -- the residue field ------------------------------------------------
@@ -200,9 +200,9 @@ def _ref_quad_defect(a):
     if odd:
         reduced = s_from_terms(fld, {e: c for e, c in a.terms() if e % 2},
                                a.prec)
-        return DefectResult(Ideal.of_val(odd[0]), xi, reduced)
+        return DefectResult(odd[0], xi, reduced)
     if a.is_exact:
-        return DefectResult(Ideal.zero(), xi, s_zero(fld))
+        return DefectResult(math.inf, xi, s_zero(fld))
     raise UndeterminedAtPrecision(
         f"no odd-exponent term below precision {a.prec}; square defect open")
 
@@ -214,22 +214,22 @@ def _ref_as_defect(a):
     while True:
         if a.looks_zero:
             if a.is_exact or a.prec >= 1:
-                return DefectResult(Ideal.zero(), h, a)
+                return DefectResult(math.inf, h, a)
             raise UndeterminedAtPrecision(
                 f"series vanishes to precision {a.prec}; defect needs it mod t")
         v = a.lead
         if v > 0:
-            return DefectResult(Ideal.zero(), h, a)
+            return DefectResult(math.inf, h, a)
         u = a.coeff(v)
         if v == 0:
             c = ff_artin_schreier_root(fld, u)
             if c is None:
-                return DefectResult(Ideal.of_val(0), h, a)
+                return DefectResult(0, h, a)
             h = s_add(h, s_monomial(fld, 0, c))
             a = s_add(a, s_monomial(fld, 0, u))
             continue
         if v % 2:
-            return DefectResult(Ideal.of_val(v), h, a)
+            return DefectResult(v, h, a)
         s = -v // 2
         step = s_monomial(fld, -s, ff_sqrt(fld, u))
         h = s_add(h, step)
@@ -239,7 +239,7 @@ def _ref_as_defect(a):
 def _ref_solve_artin_schreier(a, working_prec):
     """as_root of as_defect: the fixed-point iteration r -> r^2 + rem."""
     d = as_defect(a)
-    if not d.ideal.is_zero:
+    if d.ideal != math.inf:
         return None
     rem = d.reduced
     if rem.is_zero:
@@ -278,18 +278,18 @@ _MASK_OFF = 16  # the bit of t^0 in a tau-1 mask; bit e + _MASK_OFF is t^e
 
 def _ref_brute_ideal_vals(amask, grid, artin):
     """_grid_best_val at tau 1: each bitmask substitution, one by one."""
-    # None when a substitution kills the element outright or reaches the cap
+    # inf when a substitution kills the element outright or reaches the cap
     cap = 2 if artin else 7
     best = None
     for hh, hsq in grid:
         x = amask ^ (hh if artin else hsq)
         if x == 0:
-            return None
+            return math.inf
         v = (x & -x).bit_length() - 1 - _MASK_OFF
         if best is None or v > best:
             best = v
             if best >= cap:
-                return None
+                return math.inf
     return best
 
 
@@ -299,10 +299,10 @@ def _ref_enumerated_best_val(a, images, artin):
     for image in images:
         x = s_add(a, image)
         if x.is_zero:
-            return None
+            return math.inf
         if best is None or x.lead > best:
             best = x.lead
-    return None if best >= (2 if artin else 7) else best
+    return math.inf if best >= (2 if artin else 7) else best
 
 
 # -- the symbol and the bounded searches ---------------------------------
@@ -514,7 +514,7 @@ def _local_depths_over_the_window(members, w):
             if u not in depth:
                 depth[u] = depth[v] + 1
                 queue.append(u)
-    return {v: depth.get(v, INFINITE_DEPTH) for v in members}
+    return {v: depth.get(v, math.inf) for v in members}
 
 
 def _set_distance_over_the_window(a, b, w):

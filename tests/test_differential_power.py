@@ -29,8 +29,7 @@ import btbranch.existence as existence
 import btbranch.geometry as geometry
 import btbranch.selftest as selftest
 import btbranch.tree as tree
-from btbranch.defects import Ideal
-from btbranch.geometry import (FoliageContained, FoliageMeet, HalfInt, Overlap,
+from btbranch.geometry import (FoliageContained, FoliageMeet, Overlap,
                                SharedMaxPath, SharedRay, ThickLine)
 from btbranch.tree import Vertex
 from references import _series_member
@@ -103,14 +102,12 @@ def test_stem_moved_branch_shape_mutant_is_killed(monkeypatch):
 
 def _off_by_one(name):
     """The defect map ``name`` with the valuation of each nonzero ideal
-    one too large."""
+    one too large; (0) stays (0), as inf + 1 = inf."""
     real = getattr(selftest, name)
 
     def off_by_one(a):
         res = real(a)
-        if res.ideal.is_zero:
-            return res
-        return dataclasses.replace(res, ideal=Ideal(res.ideal.val + 1))
+        return dataclasses.replace(res, ideal=res.ideal + 1)
     return off_by_one
 
 
@@ -148,14 +145,12 @@ def test_relative_position_mutants_are_killed(monkeypatch, edit):
 
 def _sign_flipped_fake_distance():
     """fake_distance with each ramified separable jump added, not
-    subtracted: 2 t more per such factor, as the floor reading has it."""
+    subtracted: 2 t more per such factor, as the floor reading has it;
+    -inf stays -inf."""
     real = geometry.fake_distance
 
     def flipped(datum):
-        df = real(datum)
-        if df.kind != "fin":
-            return df
-        return HalfInt.half(df.twice + selftest._floor_shift(datum))
+        return real(datum) + selftest._floor_shift(datum)
     return flipped
 
 

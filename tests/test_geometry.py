@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, replace
+from math import inf
 from unittest import mock
 
 import random
@@ -17,9 +18,9 @@ from btbranch.defects import (QuadPoly, RAMIFIED_INSEP, RAMIFIED_SEP,
                               classify)
 from btbranch.gf2 import field
 from btbranch.geometry import (_commute, _member_test, _val_sum_capped,
-                               HalfInt, INF, InfiniteFoliage, NEG_INF,
-                               ProjPoint, SharedMaxPath, SharedRay, ThickLine,
-                               TWO_INF, branch_shape, check_agreement,
+                               InfiniteFoliage, ProjPoint, SharedMaxPath,
+                               SharedRay, ThickLine, branch_shape,
+                               check_agreement,
                                Disjoint, dist_to_path, fake_distance,
                                FoliageContained, FoliageMeet, Overlap,
                                predict_relpos, shape_members,
@@ -42,32 +43,15 @@ def _p(text):
     return s_parse(F1, text)
 
 
-# extended half integers
-
-
-def test_half_integer_ordering_and_renders():
-    chain = [NEG_INF, HalfInt.of(-3), HalfInt.half(-5), HalfInt.of(0),
-             HalfInt.half(1), HalfInt.of(1), INF, TWO_INF]
-    for lo, hi in zip(chain, chain[1:]):
-        assert lo < hi
-        assert not hi < lo
-    assert [x.render() for x in chain] == \
-        ["-inf", "-3", "-5/2", "0", "1/2", "1", "inf", "2*inf"]
-
-
-def test_half_integer_integrality():
-    assert HalfInt.of(4).is_integer and HalfInt.of(4).as_int == 4
-    assert HalfInt.half(6).is_integer and HalfInt.half(6).as_int == 3
-    assert not HalfInt.half(3).is_integer
-    assert not INF.is_integer
+# stem lengths
 
 
 def test_stem_length_by_class():
-    assert stem_length_of_kind(REDUCIBLE_SEP) == TWO_INF
-    assert stem_length_of_kind(UNRAMIFIED_SEP) == HalfInt.of(0)
-    assert stem_length_of_kind(RAMIFIED_SEP) == HalfInt.of(1)
-    assert stem_length_of_kind(REDUCIBLE_INSEP) == INF
-    assert stem_length_of_kind(RAMIFIED_INSEP) == HalfInt.of(1)
+    assert stem_length_of_kind(REDUCIBLE_SEP) == inf
+    assert stem_length_of_kind(UNRAMIFIED_SEP) == 0
+    assert stem_length_of_kind(RAMIFIED_SEP) == 1
+    assert stem_length_of_kind(REDUCIBLE_INSEP) == inf
+    assert stem_length_of_kind(RAMIFIED_INSEP) == 1
 
 
 # branch shapes of hand-picked matrices
@@ -79,7 +63,7 @@ def test_split_diagonal_matrix_has_a_full_line():
     assert isinstance(sh, ThickLine)
     assert sh.stem_kind == "maxpath" and sh.depth == 0
     assert {e.render() for e in sh.ends} == {"0", "inf"}
-    assert stem_length_of_kind(min_poly(q).kind) == TWO_INF
+    assert stem_length_of_kind(min_poly(q).kind) == inf
 
 
 def test_unramified_matrix_sits_on_one_vertex():
@@ -96,7 +80,7 @@ def test_ramified_matrices_give_an_edge():
         assert isinstance(sh, ThickLine)
         assert sh.stem_kind == "edge" and sh.depth == 0
         assert [v.render() for v in sh.stem] == ["B[0]^0", "B[0]^1"]
-        assert stem_length_of_kind(min_poly(q).kind) == HalfInt.of(1)
+        assert stem_length_of_kind(min_poly(q).kind) == 1
 
 
 def test_ramified_inseparable_depth_grows_with_the_jump():
@@ -110,7 +94,7 @@ def test_nilpotent_matrix_gives_the_infinite_foliage():
     sh = branch_shape(q)
     assert isinstance(sh, InfiniteFoliage)
     assert sh.end.is_infinity and sh.level == 0
-    assert stem_length_of_kind(min_poly(q).kind) == INF
+    assert stem_length_of_kind(min_poly(q).kind) == inf
 
 
 def _member(shape, v):
@@ -151,11 +135,11 @@ def test_shape_membership_matches_the_direct_oracle():
 
 
 def test_distance_to_the_standard_path():
-    zero = ProjPoint.finite(s_zero(F1))
-    one = ProjPoint.finite(s_one(F1))
-    inf = ProjPoint.infinity()
-    assert dist_to_path(Vertex(0, s_zero(F1)), zero, inf) == 0
-    assert dist_to_path(Vertex(2, s_one(F1)), zero, inf) == 2
+    zero = ProjPoint(s_zero(F1))
+    one = ProjPoint(s_one(F1))
+    end = ProjPoint(None)
+    assert dist_to_path(Vertex(0, s_zero(F1)), zero, end) == 0
+    assert dist_to_path(Vertex(2, s_one(F1)), zero, end) == 2
     assert dist_to_path(Vertex(0, s_zero(F1)), zero, one) == 0
     assert dist_to_path(Vertex(-2, s_zero(F1)), zero, one) == 2
 
@@ -248,12 +232,13 @@ def test_fake_distance_fixed_values():
     ram = _cls("t", "t")
     ram_i = _cls("0", "t")
     unram = _cls("1", "1")
-    assert fake_distance(Datum(_p("t^-2"), red, red)) == HalfInt.of(2)
-    assert fake_distance(Datum(s_one(F1), red, red)) == NEG_INF
-    assert fake_distance(Datum(_p("1 + t"), red, red)) == HalfInt.half(-1)
-    assert fake_distance(Datum(_p("t^-1"), ram, red)) == HalfInt.of(1)
-    assert fake_distance(Datum(s_zero(F1), red, ram_i)) == HalfInt.half(-1)
-    assert fake_distance(Datum(s_zero(F1), unram, unram)) == NEG_INF
+    # twice the fake distances 2, -inf, -1/2, 1, -1/2 and -inf
+    assert fake_distance(Datum(_p("t^-2"), red, red)) == 4
+    assert fake_distance(Datum(s_one(F1), red, red)) == -inf
+    assert fake_distance(Datum(_p("1 + t"), red, red)) == -1
+    assert fake_distance(Datum(_p("t^-1"), ram, red)) == 2
+    assert fake_distance(Datum(s_zero(F1), red, ram_i)) == -1
+    assert fake_distance(Datum(s_zero(F1), unram, unram)) == -inf
 
 
 def test_fake_distance_wants_a_visible_discriminant():
@@ -299,7 +284,7 @@ def test_overlap_length_is_capped_by_the_shorter_stem():
     # the determinant terms cancel, leaving a deep discriminant; the
     # overlap it suggests is cut down to the length-1 ramified stem
     df = fake_distance(Datum(_p("t^3"), ram, ram))
-    assert df == HalfInt.half(-5)
+    assert df == -5  # twice -5/2
     assert predict_relpos(_pair_for("t^3", ram, ram)) == Overlap(1)
 
 

@@ -361,6 +361,54 @@ def test_cli_distance_prints_the_prediction(capsys):
     assert "stem distance 2" in out
 
 
+@pytest.mark.parametrize("datum, value, kind, twice", [
+    (["t^-2", "1,0", "1,0"], "2", "fin", 4),
+    (["0", "0,t", "1,1"], "-1/2", "fin", -1),
+    (["t^3", "t,1", "t,1"], "-5/2", "fin", -5),
+    (["0", "0,t", "0,t"], "-inf", "neg_inf", 0),
+])
+def test_cli_distance_prints_integers_halves_and_minus_infinity(
+        capsys, datum, value, kind, twice):
+    lam, m1, m2 = datum
+    argv = ["df", "--lambda", lam, "--m1", m1, "--m2", m2]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out == f"stem distance {value}\n"
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"kind": kind, "twice": twice, "value": value}
+
+
+@pytest.mark.parametrize("argv, ideal, val, witness", [
+    (["as", "--tau", "2", "t^-3"], "(t^-3)", -3, "0"),
+    (["as", "--tau", "2", "g"], "O", 0, "0"),
+    (["as", "--tau", "2", "1"], "(0)", None, "g"),
+    (["quad", "t^3"], "(t^3)", 3, "0"),
+])
+def test_cli_defect_prints_each_kind_of_ideal(capsys, argv, ideal, val,
+                                              witness):
+    code, out, _ = run_cli(capsys, ["defect", *argv])
+    assert code == 0 and out == f"defect {ideal}  witness {witness}\n"
+    code, out, _ = run_cli(capsys, ["defect", *argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"ideal": ideal, "ideal_val": val,
+                               "witness": witness}
+
+
+@pytest.mark.parametrize("a, b, line, record", [
+    ("t", "1", "ramified_sep (cell B^s), jump t=1, defect (t^-1)",
+     {"class": "ramified_sep", "cell": "B^s", "t": 1, "ideal_val": -1,
+      "witness": "t^-1"}),
+    ("0", "t^2", "reducible_insep (cell A^i), jump t=None, defect (0)",
+     {"class": "reducible_insep", "cell": "A^i", "t": None,
+      "ideal_val": None, "witness": "t"}),
+])
+def test_cli_classify_prints_the_defect_ideal(capsys, a, b, line, record):
+    code, out, _ = run_cli(capsys, ["classify", a, b])
+    assert code == 0 and out == line + "\n"
+    code, out, _ = run_cli(capsys, ["classify", a, b, "--format", "json"])
+    assert code == 0 and json.loads(out) == record
+
+
 def test_cli_exists_on_the_division_datum(capsys):
     code, out, _ = run_cli(capsys, ["exists", "--lambda", "0",
                                     "--m1", "1,1", "--m2", "0,t",
