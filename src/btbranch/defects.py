@@ -75,7 +75,7 @@ def as_defect(a: Series) -> DefectResult:
     fld, bits, lead, prec = a.field, a.bits, a.lead, a.prec
     w = fld.tau
     mask = (1 << w) - 1
-    top = None if prec is None else (prec - lead) * w  # first unknown bit
+    top = inf if prec is None else (prec - lead) * w  # first unknown bit
     x, h = bits, 0
     while True:
         if not x:
@@ -108,7 +108,7 @@ def as_defect(a: Series) -> DefectResult:
         j = (v // 2 - lead) * w
         h |= r << j
         x ^= u << i
-        if top is None or j < top:
+        if j < top:
             x ^= r << j
     reduced = a if x == bits else _make(fld, lead, x, prec)
     return DefectResult(ideal, _make(fld, lead, h, None), reduced)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 from operator import xor
 from typing import NamedTuple
 
@@ -487,8 +487,8 @@ def verify_witness(datum: Datum, q1: Mat2, q2: Mat2) -> bool:
     False only on visible evidence: a scalar generator, a nonzero
     coefficient in an identity, or no visibly nonzero 2x2 minor of
     coordinates.  Witness entries may carry truncated roots, so the
-    identities are trusted when they vanish mod t^8 or deeper; one known
-    to vanish only to less raises UndeterminedAtPrecision.
+    identities are trusted when their least precision (inf if all are
+    exact) is 8 or more; a smaller one raises UndeterminedAtPrecision.
     """
     identities = [s_add(sym_product(q1, q2), datum.lam)]
     for m, q in ((datum.m1, q1), (datum.m2, q2)):
@@ -499,8 +499,8 @@ def verify_witness(datum: Datum, q1: Mat2, q2: Mat2) -> bool:
     if not all(x.looks_zero for x in identities):
         return False
     shallow = min((x.prec for x in identities if x.prec is not None),
-                  default=None)
-    if shallow is not None and shallow < 8:
+                  default=inf)
+    if shallow < 8:
         raise UndeterminedAtPrecision(
             f"witness identities are 0 mod t^{shallow} only, below t^8")
     for e1, e2 in (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),

@@ -12,7 +12,9 @@ Distances are spelled as valuations are: ints, with math.inf for the
 infinite ones.  The fake distance is a half-integer, because it is
 naturally computed on a barycentric subdivision, so fake_distance
 returns twice it, and -inf for a vanishing discriminant.  A stem is 0,
-1 or inf long.
+1 or inf long.  The gap val(e1 + e2) between the ends of a maximal path
+is -inf when one end is infinity, and a prediction with no length or
+diameter (a shared ray or maximal path, a containment) is bounded by inf.
 """
 
 from __future__ import annotations
@@ -186,26 +188,26 @@ def _val_sum_capped(x: Series, y: Series, cap: int) -> int:
 
 
 def _path_ends(e1: ProjPoint, e2: ProjPoint):
-    """The finite ends of a maximal path, and val(e1 + e2) if both are."""
+    """The finite ends of a maximal path, and their gap val(e1 + e2):
+    -inf when one end is infinity."""
     finite = [e.value for e in (e1, e2) if not e.is_infinity]
     if not finite:
         raise ValueError("a path needs two distinct ends")
     if len(finite) == 1:
-        return finite, None
+        return finite, -inf
     gap = s_add(*finite)
     if gap.is_zero:
         raise ValueError("the two ends coincide")
     return finite, s_val(gap)
 
 
-def _dist_from_ends(v: Vertex, finite: list[Series], m: int | None) -> int:
-    if m is None:
-        return v.r - _val_sum_capped(v.center, finite[0], v.r)
-    best = None
+def _dist_from_ends(v: Vertex, finite: list[Series], m: int | float) -> int:
+    best = inf
     for e in finite:
         p = _val_sum_capped(v.center, e, v.r)
         d = v.r - p if p >= m else v.r + m - 2 * p
-        best = d if best is None else min(best, d)
+        if d < best:
+            best = d
     return best
 
 
@@ -405,10 +407,10 @@ def check_agreement(pred: RelPos,
     if meas.kind in _ONE_SIDED and meas.kind != pred.kind:
         name, partial = _ONE_SIDED[meas.kind]
         seen = getattr(meas, name)
-        want = getattr(pred, name, None)  # None: the prediction is unbounded
-        predicted = pred.noun + ("" if want is None else f" of {name} {want}")
+        want = getattr(pred, name, inf)  # inf: the prediction is unbounded
+        predicted = pred.noun + ("" if want == inf else f" of {name} {want}")
         measured = f"{meas.kind}, visible {name} {seen}"
-        if pred.kind in partial and (want is None or want >= seen):
+        if pred.kind in partial and want >= seen:
             return None, (f"window too small: measured {measured}; "
                           f"predicted {predicted}")
         return False, f"predicted {predicted}, measured {measured}"

@@ -80,13 +80,13 @@ def det(q: Mat2) -> Series:
     return s_add(s_mul(q.a, q.d), s_mul(q.b, q.c))
 
 
-def m_inv(q: Mat2, working_prec: int = DEFAULT_PREC) -> Mat2:
-    return m_scale(s_inv(det(q), working_prec), bar(q))
+def m_inv(q: Mat2) -> Mat2:
+    return m_scale(s_inv(det(q)), bar(q))
 
 
-def m_conj(g: Mat2, q: Mat2, working_prec: int = DEFAULT_PREC) -> Mat2:
+def m_conj(g: Mat2, q: Mat2) -> Mat2:
     """g q g^-1."""
-    return m_mul(m_mul(g, q), m_inv(g, working_prec))
+    return m_mul(m_mul(g, q), m_inv(g))
 
 
 def is_scalar(q: Mat2) -> bool:

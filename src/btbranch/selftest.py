@@ -266,15 +266,15 @@ def compare_pair(pair, window, margin, sets=None):
 # -- branch suite ---------------------------------------------------
 
 def _rand_branch_matrix(rng, fld, kind, prec):
-    m = _rand_quad(rng, fld, kind, prec)
-    if m is None:
+    poly = _rand_quad(rng, fld, kind, prec)
+    if poly is None:
         return None
     if kind == REDUCIBLE_SEP and rng.randrange(3) == 0:
         alpha = s_random(fld, rng, 0, 2)
         q = Mat2(alpha, s_random(fld, rng, -2, 2, nonzero=True),
-                 s_zero(fld), s_add(alpha, m.a))
+                 s_zero(fld), s_add(alpha, poly.a))
     else:
-        q = companion(m.a, m.b)
+        q = companion(poly.a, poly.b)
     return m_conj(_rand_conjugator(rng, fld), q)
 
 

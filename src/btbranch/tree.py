@@ -13,9 +13,11 @@ provably cannot interfere.  A branch is a subtree, hence convex (Serre,
 *Trees*), so it meets the window in a connected set: ``grow`` finds one
 member by a scan in key order and walks through members from there,
 touching the scan prefix, the members and their rim and nothing else.
-``oracle_branch`` is ``grow`` with the membership test, decided along
-each edge with a few shifts and XORs; it never consults a predicted
-shape and makes no ``Vertex``.
+``oracle_branch`` is ``grow`` with the membership test, one closure
+over the matrix's packed rows, decided along each edge with a few shifts
+and XORs; the valuation of the center and the entries' precisions are
+numbers there, inf for the zero center and for an exact entry.  It never
+consults a predicted shape and makes no ``Vertex``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import inf
 
 from .mat2 import Mat2, det, trace
 from .series import (Series, UndeterminedAtPrecision, _clmul, _lane_mul,
-                     _make, _min_prec, s_add, s_render, s_val, s_zero)
+                     _make, s_add, s_render, s_val, s_zero)
 
 _new, _set = object.__new__, object.__setattr__
 
@@ -224,8 +226,8 @@ def enumerate_window(fld, radius: int) -> Window:
 
 def _val_at_least(bits: int, base: int, prec, k: int, w: int) -> bool:
     """val >= k for lanes ``bits`` (lane 0 at t^base) known below ``prec``,
-    as ``series.val_ge`` decides it, reading lanes below min(k, prec)."""
-    m = k if prec is None or prec >= k else prec
+    inf if exact, as ``series.val_ge`` decides it: lanes below min(k, prec)."""
+    m = k if prec >= k else prec
     n = (m - base) * w
     if n > 0 and bits & (1 << n) - 1:
         return False
@@ -235,77 +237,63 @@ def _val_at_least(bits: int, base: int, prec, k: int, w: int) -> bool:
         f"cannot certify val >= {k} from prec {prec}")
 
 
-class _Member:
-    """Membership of one matrix q = [[A,B],[C,D]], from packed values.
+def _oracle_test(q: Mat2, window: Window):
+    """``expand(p, ks)``: the keys among ks, neighbours of the tested key
+    p (or [1] for p None), whose vertex holds q = [[A,B],[C,D]].
 
     g = [[z, t^r], [1, 0]] conjugates q to [[Cz+D, C t^r], [t^-r Q(z),
     A+Cz]], Q(z) = Cz^2 + (A+D)z + B.  ``verdict`` checks val(Cz+D) >= 0,
-    val C >= -r, val(A+Cz) >= 0 and val Q(z) >= r on a state (r, val z or
-    None for z = 0, L = Cz+D packed from t^e1, Q(z) packed from t^e2) at
-    the precisions ``s_mul`` and ``s_add`` would give, so truncated input
-    raises where the four bounds on Series do."""
-
-    def __init__(self, q: Mat2, fld, e1: int, e2: int):
-        a, b, c, d = q.a, q.b, q.c, q.d
-        if c.field is not fld and c.field != fld:
-            raise ValueError("mixed residue fields")
-        w = self.w = fld.tau
-        self.e1, self.e2, self.c = e1, e2, c
-        self.a = a.bits << (a.lead - e1) * w
-        self.d = d.bits << (d.lead - e1) * w
-        self.b = b.bits << (b.lead - e2) * w
-        self.ad = self.a ^ self.d
-        self.precs = a.prec, b.prec, c.prec, d.prec
-        self.exact = self.precs == (None,) * 4
-        self.low = (1 << max(-e1, 0) * w) - 1  # the lanes of L below t^0
-        self.rmin = -c.lead if c.bits else -inf  # val C >= -r
-        self.mul = _clmul if w == 1 else partial(_lane_mul, fld)
-
-    def verdict(self, state) -> bool:
-        r, vz, ell, quad = state
-        if self.exact:
-            n = (r - self.e2) * self.w
-            return (r >= self.rmin and not ell & self.low
-                    and not (ell ^ self.ad) & self.low
-                    and not (n > 0 and quad & (1 << n) - 1))
-        c, w, e1 = self.c, self.w, self.e1
-        pa, pb, pc, pd = self.precs
-        pcz = None if vz is None or pc is None else pc + vz
-        p1 = _min_prec(pcz, pd)
-        if not (_val_at_least(ell, e1, p1, 0, w)
-                and _val_at_least(c.bits, c.lead, pc, -r, w) and _val_at_least(
-                    ell ^ self.ad, e1, _min_prec(pa, pcz), 0, w)):
-            return False
-        ps = _min_prec(p1, pa)
-        if vz is not None:
-            pb = _min_prec(None if ps is None else ps + vz, pb)
-        return _val_at_least(quad, self.e2, pb, r, w)
-
-
-def _oracle_test(q: Mat2, window: Window):
-    """``expand(p, ks)``: the keys among ks, neighbours of the tested key
-    p (or [1] for p None), whose vertex holds q.  An edge between levels
-    e and e + 1 adds c t^e to the center, so C c t^e to L and (A+D) c t^e
-    + C c^2 t^2e to Q(z): rows built once per matrix.  A vertex keeps its
-    state if it is interior, as the scan reads it, or passes."""
+    val C >= -r, val(A+Cz) >= 0 and val Q(z) >= r on a state (r, val z,
+    inf for z = 0, L = Cz+D packed from t^e1, Q(z) packed from t^e2) at
+    the precisions ``s_mul`` and ``s_add`` would give, from the entries'
+    read once as numbers (inf when exact), so truncated input raises
+    where the four bounds on Series do.  An edge between levels e and e + 1
+    adds c t^e to the center, so C c t^e to L and (A+D) c t^e + C c^2
+    t^2e to Q(z): rows built once per matrix.  A vertex keeps its state
+    if it is interior, as the scan reads it, or passes."""
     fld, radius, W = window.field, window.radius, window._W
-    low = min(x.lead for x in (q.a, q.b, q.c, q.d))
-    ev = _Member(q, fld, low - radius, low - 2 * radius)
-    mul, w, c = ev.mul, fld.tau, q.c
-    rows = [(mul(c.bits, x), mul(ev.ad, x), mul(c.bits, mul(x, x)))
+    a, b, c, d = q.a, q.b, q.c, q.d
+    if c.field is not fld and c.field != fld:
+        raise ValueError("mixed residue fields")
+    w = fld.tau
+    lead = min(x.lead for x in (a, b, c, d))
+    e1, e2 = lead - radius, lead - 2 * radius
+    root = (0, inf, d.bits << (d.lead - e1) * w,  # z = 0: L = D, Q(z) = B
+            b.bits << (b.lead - e2) * w)
+    ad = a.bits << (a.lead - e1) * w ^ root[2]
+    pa, pb, pc, pd = (inf if x.prec is None else x.prec for x in (a, b, c, d))
+    exact = pa == pb == pc == pd == inf
+    low = (1 << max(-e1, 0) * w) - 1  # the lanes of L below t^0
+    rmin = -c.lead if c.bits else -inf  # val C >= -r
+    mul = _clmul if w == 1 else partial(_lane_mul, fld)
+    rows = [(mul(c.bits, x), mul(ad, x), mul(c.bits, mul(x, x)))
             for x in fld.elements()]
     levels = [None] * (2 * radius)
-    verdict, state, edge, mask = ev.verdict, {}, window._edge, (1 << W) - 1
+    state, edge, mask = {}, window._edge, (1 << W) - 1
+
+    def verdict(s) -> bool:
+        r, vz, ell, quad = s
+        if exact:
+            n = (r - e2) * w
+            return (r >= rmin and not ell & low and not (ell ^ ad) & low
+                    and not (n > 0 and quad & (1 << n) - 1))
+        pcz = pc + vz
+        p1 = min(pcz, pd)
+        if not (_val_at_least(ell, e1, p1, 0, w)
+                and _val_at_least(c.bits, c.lead, pc, -r, w)
+                and _val_at_least(ell ^ ad, e1, min(pa, pcz), 0, w)):
+            return False
+        return _val_at_least(quad, e2, min(min(p1, pa) + vz, pb), r, w)
 
     def step(e):  # the rows of the edges between levels e and e + 1
-        sl, sq = (c.lead + e - ev.e1) * w, (c.lead + 2 * e - ev.e2) * w
+        sl, sq = (c.lead + e - e1) * w, (c.lead + 2 * e - e2) * w
         levels[e + radius] = [(cx << sl, adx << (radius + e) * w ^ cxx << sq)
                               for cx, adx, cxx in rows]
         return levels[e + radius]
 
     def expand(p, ks):
         if p is None:
-            s = state[1] = (0, None, ev.d, ev.b)
+            s = state[1] = root
             return [1] if verdict(s) else []
         r, vz, ell, quad = state[p]
         out = []
@@ -317,9 +305,8 @@ def _oracle_test(q: Mat2, window: Window):
             else:  # the term c t^e comes or goes; vz moves if it is alone
                 e = r if child else r - 1
                 dl, dq = (levels[e + radius] or step(e))[slot - 1]
-                s = (e + child, vz if slot == 1 else (e if vz is None else vz)
-                     if child else (None if vz == e else vz),
-                     ell ^ dl, quad ^ dq)
+                s = (e + child, vz if slot == 1 else e if vz == inf
+                     else inf if vz == e else vz, ell ^ dl, quad ^ dq)
             if k < edge:
                 state[k] = s
             if verdict(s):

@@ -429,7 +429,7 @@ def _ref_enumerate_window(fld, radius):
 
 
 def _series_member(q, v, quad_shift=0, bound_c=True):
-    """tree._Member: whether q lies in the order of v, on Series."""
+    """tree._oracle_test: whether q lies in the order of v, on Series."""
     # the mutation gate moves the quadratic bound by quad_shift and drops
     # the bound val(c) >= -r with bound_c False
     z, r = v.center, v.r

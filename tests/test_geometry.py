@@ -104,7 +104,7 @@ def _member(shape, v):
 def test_conjugated_nilpotent_foliage_points_at_a_finite_end():
     n = Mat2(s_zero(F1), s_one(F1), s_zero(F1), s_zero(F1))
     g = Mat2(s_one(F1), s_zero(F1), _p("t"), s_one(F1))
-    sh = branch_shape(m_conj(g, n, 64))
+    sh = branch_shape(m_conj(g, n))
     assert isinstance(sh, InfiniteFoliage)
     assert sh.end.render() == "t^-1" and sh.level == -2
     assert _member(sh, Vertex(0, s_zero(F1)))
@@ -122,7 +122,7 @@ def _sample_matrices():
         Mat2(s_zero(F1), _p("t^2"), s_zero(F1), s_zero(F1)),
         Mat2(s_one(F1), s_zero(F1), s_zero(F1), s_zero(F1)),
     ]
-    return [m for q in samples for m in (q, m_conj(g, q, 64))]
+    return [m for q in samples for m in (q, m_conj(g, q))]
 
 
 def test_shape_membership_matches_the_direct_oracle():
@@ -304,7 +304,7 @@ def test_forged_half_integer_distance_is_rejected():
 def _nilpotent_meet_pair(corner):
     n = Mat2(s_zero(F1), s_one(F1), s_zero(F1), s_zero(F1))
     g = Mat2(s_one(F1), s_zero(F1), _p(corner), s_one(F1))
-    return make_pair(n, m_conj(g, n, 64), 64)
+    return make_pair(n, m_conj(g, n), 64)
 
 
 def test_agreement_on_a_certified_measurement():
@@ -343,6 +343,33 @@ def test_agreement_compares_kind_then_every_field(pred, kind, noun):
         ok, why = check_agreement(pred, replace(same, **{name: changed}))
         assert not ok and "mismatch" in why
     assert not check_agreement(pred, replace(same, certified=False))[0]
+
+
+_RAY = MeasuredShape("ray", True, length=3)
+_CONTAINED = MeasuredShape("contained", True, diameter=3, containment="1in2")
+_ONE_SIDED_OUTCOMES = [
+    (_RAY, SharedMaxPath(),
+     False, "predicted maxpath, measured ray, visible length 3"),
+    (_RAY, Overlap(4), None, "window too small: measured ray, visible "
+     "length 3; predicted overlap of length 4"),
+    (_RAY, Overlap(2),
+     False, "predicted overlap of length 2, measured ray, visible length 3"),
+    (MeasuredShape("maxpath", True, length=3), SharedRay(), None,
+     "window too small: measured maxpath, visible length 3; predicted ray"),
+    (_CONTAINED, FoliageMeet(2, 1, False), False, "predicted foliage meet "
+     "of diameter 2, measured contained, visible diameter 3"),
+    (_CONTAINED, FoliageMeet(4, 2, False), None, "window too small: "
+     "measured contained, visible diameter 3; predicted foliage meet of "
+     "diameter 4"),
+]
+
+
+@pytest.mark.parametrize("meas,pred,verdict,message", _ONE_SIDED_OUTCOMES)
+def test_a_one_sided_measurement_bounds_the_prediction_from_below(
+        meas, pred, verdict, message):
+    # a prediction with no length (a shared ray or maximal path) is
+    # unbounded, so a one-sided kind it may be part of leaves it open
+    assert check_agreement(pred, meas) == (verdict, message)
 
 
 def test_agreement_requires_certification():
@@ -403,7 +430,7 @@ def _conjugated_companion(draw, tau):
     x, y = (Series(fld, draw(st.integers(-1, 2)),
                    draw(st.lists(coeff, max_size=4))) for _ in range(2))
     g = Mat2(s_add(s_one(fld), s_mul(x, y)), x, y, s_one(fld))
-    return m_conj(g, companion(*draw(_split_poly(tau))), 64)
+    return m_conj(g, companion(*draw(_split_poly(tau))))
 
 
 def _split_matrices(tau):

@@ -25,8 +25,7 @@ ALLOWED = {
     ("mat2", "make_pair"), ("geometry", "branch_shape"),
     ("existence", "algebra_spec"),
     # arithmetic helpers
-    ("defects", "as_root"), ("existence", "splits"), ("mat2", "m_inv"),
-    ("mat2", "m_conj"),
+    ("defects", "as_root"), ("existence", "splits"),
     # checked against the datum's precision, ValueError when it differs
     ("existence", "decide"),
 }

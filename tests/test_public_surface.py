@@ -10,7 +10,10 @@ Infinity has one spelling in ``src/``: ``math.inf``, the value
 ``series.s_val`` gives the zero series.  No module-level constant named
 for it holds anything else, and the kind words of a second vocabulary
 (``"neg_inf"``, ``"inf"``, ``"two_inf"``) appear only in ``cli.py``,
-where a valuation becomes JSON.
+where a valuation becomes JSON.  A stored ``Series.prec`` of None means
+exact; above the storage an exact precision is ``inf`` too, and only the
+modules that still read two stored precisions directly use
+``series._min_prec``, the helper that takes None as the larger.
 """
 
 from __future__ import annotations
@@ -132,3 +135,14 @@ def test_infinity_kind_words_appear_only_at_the_json_boundary():
              if module != "cli" for scope, text in _strings(tree)
              if text in words]
     assert [f for f in found if f not in _INF_TEXT] == []
+
+
+#: the modules besides series that take the stored None for "exact" to
+#: _min_prec: geometry's _val_sum_capped reads two Series.prec directly
+_MIN_PREC_READERS = {"geometry"}
+
+
+def test_only_the_storage_readers_use_min_prec():
+    readers = {module for module, tree in _modules().items()
+               if module != "series" and "_min_prec" in _named(tree)}
+    assert readers == _MIN_PREC_READERS

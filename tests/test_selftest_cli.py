@@ -354,13 +354,6 @@ def test_cli_classify_over_a_modulus_whose_root_is_not_primitive(capsys):
     assert out == "reducible_sep (cell A^s), jump t=None, defect (0)\n"
 
 
-def test_cli_distance_prints_the_prediction(capsys):
-    code, out, _ = run_cli(capsys, ["df", "--lambda", "t^-2",
-                                    "--m1", "1,0", "--m2", "1,0"])
-    assert code == 0
-    assert "stem distance 2" in out
-
-
 @pytest.mark.parametrize("datum, value, kind, twice", [
     (["t^-2", "1,0", "1,0"], "2", "fin", 4),
     (["0", "0,t", "1,1"], "-1/2", "fin", -1),

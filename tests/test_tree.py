@@ -281,7 +281,7 @@ def test_packed_member_equals_the_series_reference(tau, data):
     q = Mat2(*(data.draw(entry) for _ in range(4)))
     if data.draw(st.booleans()):
         # g x g^-1 with x integral lies in the order of v (g as in the
-        # _Member docstring); a vertex with a center rarely passes all
+        # _oracle_test docstring); a vertex with a center rarely passes all
         # four bounds otherwise
         g = Mat2(v.center, s_monomial(fld, r), s_one(fld), s_zero(fld))
         integral = st.builds(lambda lead, coeffs: Series(fld, lead, coeffs),
@@ -319,7 +319,7 @@ def test_nilpotent_membership_is_a_radius_cutoff():
 def test_membership_survives_an_integral_conjugation():
     g = Mat2(s_one(F1), s_parse(F1, "t"), s_zero(F1), s_one(F1))
     q = companion(s_parse(F1, "t"), s_parse(F1, "t"))
-    qc = m_conj(g, q, 64)
+    qc = m_conj(g, q)
     w = enumerate_window(F1, 3)
     # the shear fixes the standard vertex, so the branch is unchanged
     assert oracle_branch(q, w) == oracle_branch(qc, w)
@@ -725,7 +725,7 @@ def test_complete_in_window_rejects_a_set_touching_the_rim():
 def _conjugated_nilpotent_pair(corner):
     n = Mat2(s_zero(F1), s_one(F1), s_zero(F1), s_zero(F1))
     g = Mat2(s_one(F1), s_zero(F1), s_parse(F1, corner), s_one(F1))
-    return make_pair(n, m_conj(g, n, 64), 64)
+    return make_pair(n, m_conj(g, n), 64)
 
 
 def test_two_foliages_meeting_in_a_small_blob():
